@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import yaml
 
 from . import __version__
 from . import generators as gen
@@ -273,6 +274,9 @@ def run(cfg: dict, out_dir, source: str = "<config>") -> int:
     except CflError as err:
         print(f"{source}: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as err:
+        print(f"{source}: configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except RuntimeError as err:
         print(f"{source}: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

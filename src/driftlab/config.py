@@ -139,13 +139,14 @@ def build_functional(section: dict, context="functional"):
 
 
 def build_grid(section: dict, context="grid"):
-    return GridSpec(
-        x_min=float(require(section, "x_min", context)),
-        x_max=float(require(section, "x_max", context)),
-        nx=int(require(section, "nx", context)),
-        nt=int(section.get("nt", 1)),
-        boundary=section.get("boundary", "clampToTerminal"),
-    )
+    x_min = float(require(section, "x_min", context))
+    x_max = float(require(section, "x_max", context))
+    nx = int(require(section, "nx", context))
+    try:
+        return GridSpec(x_min=x_min, x_max=x_max, nx=nx, nt=int(section.get("nt", 1)),
+                        boundary=section.get("boundary", "clampToTerminal"))
+    except ValueError as err:
+        raise ConfigError(f"{context} section invalid: {err}") from err
 
 
 def build_measure(section: dict, context="measure"):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -297,12 +298,21 @@ class _AbsConj:
 
 @dataclass(frozen=True)
 class _TableConj:
-    # conjugate of Tabulated samples; chord slopes cached for O(log n) argmax
+    # conjugate of Tabulated samples.  The (q, g, chord slopes) arrays of the
+    # whole table and of each sign half are built on first use and kept, so
+    # an evaluation is one O(log n) argmax search and a gather.
     q: tuple
     g: tuple
 
-    def _arrays(self):
-        return np.asarray(self.q), np.asarray(self.g)
+    @cached_property
+    def table(self):
+        return _chord_table(np.asarray(self.q), np.asarray(self.g))
+
+    @cached_property
+    def halves(self):
+        """(table on q <= 0, table on q >= 0), each with a node at q = 0."""
+        q, g, _ = self.table
+        return tuple(_chord_table(*_split_table(q, g, side)) for side in (-1, +1))
 
 
 @dataclass(frozen=True)
@@ -359,13 +369,18 @@ def conjugate(spec: GeneratorSpec) -> ConjugateSpec:
     raise TypeError(f"unknown generator spec {spec!r}")
 
 
-def _table_conjugate_values(q, g, z):
-    """max_j (q_j z - g_j) for sample arrays via monotone-argmax slopes."""
+def _chord_table(q, g):
+    """Sample arrays with their chord slopes, the input of the argmax search."""
+    return q, g, np.diff(g) / np.diff(q)
+
+
+def _table_conjugate_values(table, z):
+    """max_j (q_j z - g_j) for a chord table via monotone-argmax slopes."""
+    q, g, slopes = table
     if q.size == 1:
         return q[0] * z - g[0]
-    slopes = np.diff(g) / np.diff(q)
+    # searchsorted returns 0 .. len(slopes) = q.size - 1: always a valid node
     idx = np.searchsorted(slopes, z, side="left")
-    idx = np.clip(idx, 0, q.size - 1)
     return q[idx] * z - g[idx]
 
 
@@ -396,8 +411,7 @@ def eval_gstar(conj: ConjugateSpec, t, z):
     elif isinstance(k, _AbsConj):
         out = k.K * np.abs(z)
     elif isinstance(k, _TableConj):
-        q, g = k._arrays()
-        out = _table_conjugate_values(q, g, z)
+        out = _table_conjugate_values(k.table, z)
     elif isinstance(k, _ModulatedConj):
         w = k.weight_at(t)
         out = w * eval_gstar(k.base, t, z / w)
@@ -420,9 +434,7 @@ def eval_gstar_halfline(conj: ConjugateSpec, t, z, side):
         zc = np.maximum(z, 0.0) if side > 0 else np.minimum(z, 0.0)
         out = eval_gstar(conj, t, zc)
     elif isinstance(k, _TableConj):
-        q, g = k._arrays()
-        qs, gs = _split_table(q, g, side)
-        out = _table_conjugate_values(qs, gs, z)
+        out = _table_conjugate_values(k.halves[int(side > 0)], z)
     elif isinstance(k, _ModulatedConj):
         w = k.weight_at(t)
         out = w * eval_gstar_halfline(k.base, t, z / w, side)

@@ -59,6 +59,39 @@ class TestRun:
         cfg = write_config(tmp_path, "cfg.yaml", {"kind": "nope"})
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.yaml")
+        assert main(["run", "--config", missing, "--output-dir", str(tmp_path / "o")]) == 2
+        assert "absent.yaml" in capsys.readouterr().err
+
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("kind: pde-sweep\ngrid: {x_min: -6, x_max: [\n")
+        assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_reversed_grid_exits_2_naming_grid(self, tmp_path, capsys):
+        payload = dict(PDE_SWEEP, grid={"x_min": 6.0, "x_max": -6.0, "nx": 601})
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "grid" in err and "x_min < x_max" in err
+        assert not (out / "report.csv").exists()
+
+    def test_solver_value_error_exits_2(self, tmp_path, capsys):
+        # weights that do not sum to one are rejected inside the measure type
+        payload = {
+            "kind": "schrodinger-sweep",
+            "generator": {"variant": "quadratic", "c": 1.0},
+            "mu": {"atoms": [0.0], "weights": [0.5]},
+            "nu": {"atoms": [1.0], "weights": [1.0]},
+            "eps_list": [0.1],
+        }
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_unmollified_infeasible_exits_4(self, tmp_path):
         payload = {
             "kind": "schrodinger-sweep",

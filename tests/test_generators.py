@@ -150,6 +150,26 @@ class TestHalfline:
         assert np.all(np.diff(plus) >= -1e-12)
         assert np.all(np.diff(minus) <= 1e-12)
 
+    @pytest.mark.parametrize("q", [
+        np.linspace(-2.0, 3.0, 801),  # q = 0 is a sample node
+        np.linspace(-2.05, 3.0, 400),  # q = 0 falls between nodes
+        np.linspace(0.5, 3.0, 60),  # no negative drifts
+    ], ids=["node-at-zero", "zero-between-nodes", "positive-only"])
+    def test_table_halfline_matches_brute_force(self, q):
+        g = 0.4 * q * q + 0.3 * np.abs(q - 0.2)
+        conj = conjugate(Tabulated(q=tuple(q), g=tuple(g)))
+        z = np.linspace(-4.0, 4.0, 97)
+        for side in (+1, -1):
+            keep = q >= 0 if side > 0 else q <= 0
+            qs, gs = q[keep], g[keep]
+            if qs.size == 0 or (0.0 not in qs and q[0] < 0 < q[-1]):
+                qs = np.append(qs, 0.0)
+                gs = np.append(gs, np.interp(0.0, q, g))
+            oracle = np.max(qs[None, :] * z[:, None] - gs[None, :], axis=1)
+            for _ in range(2):  # the second call reads the cached tables
+                got = np.asarray(eval_gstar_halfline(conj, 0.0, z, side))
+                np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+
 
 class TestDiscreteLegendre:
     def test_quadratic_samples(self):

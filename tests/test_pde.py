@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
-from driftlab.generators import IndicatorInterval, Quadratic, TimeModulated, conjugate
+from driftlab.generators import (
+    IndicatorInterval,
+    PowerLaw,
+    Quadratic,
+    Tabulated,
+    TimeModulated,
+    conjugate,
+    eval_gstar_halfline,
+)
 from driftlab.pde import (
     CflError,
     GridSpec,
     hopf_lax,
+    march_backward,
     rho_terminal_mixture,
     solve_semilinear,
     stable_nt,
@@ -89,6 +98,62 @@ class TestSolveSemilinear:
         dt, dx = 1.0 / nt, grid.dx
         assert 0.7 * dt / dx**2 <= 0.5 + 1e-12
         assert 1.3 * dt / dx <= 1.0 + 1e-12
+
+
+def reference_march(terminal, conj, sigma2, grid, nt):
+    """The explicit monotone step written out plainly, one fresh array a step."""
+    dx, dt = grid.dx, 1.0 / nt
+    out = np.empty(terminal.shape[:-1] + (nt + 1, grid.nx))
+    out[..., nt, :] = terminal
+    v = terminal.copy()
+    for k in range(nt - 1, -1, -1):
+        lap = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / dx**2
+        dminus = (v[..., 1:-1] - v[..., :-2]) / dx
+        dplus = (v[..., 2:] - v[..., 1:-1]) / dx
+        ham = np.maximum(eval_gstar_halfline(conj, (k + 1) * dt, dplus, +1),
+                         eval_gstar_halfline(conj, (k + 1) * dt, dminus, -1))
+        nxt = v.copy()
+        nxt[..., 1:-1] = v[..., 1:-1] + dt * (0.5 * sigma2 * lap + ham)
+        if grid.boundary == "clampToTerminal":
+            nxt[..., 0] = terminal[..., 0]
+            nxt[..., -1] = terminal[..., -1]
+        else:
+            nxt[..., 0] = 2.0 * nxt[..., 1] - nxt[..., 2]
+            nxt[..., -1] = 2.0 * nxt[..., -2] - nxt[..., -3]
+        v = nxt
+        out[..., k, :] = v
+    return out
+
+
+class TestMarchBackward:
+    Q = np.linspace(-3.0, 3.0, 241)
+
+    @pytest.mark.parametrize("spec", [
+        Quadratic(1.3),
+        Tabulated(q=tuple(Q), g=tuple(0.5 * Q**2 + 0.2 * np.abs(Q))),
+        PowerLaw(r=1.5, a=0.8),
+    ], ids=["quadratic", "tabulated", "power"])
+    @pytest.mark.parametrize("boundary", ["clampToTerminal", "oneSidedExtrapolation"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["1d", "stacked"])
+    def test_matches_reference_step_exactly(self, spec, boundary, stacked):
+        grid = GridSpec(-3.0, 3.0, 61, 1, boundary)
+        x = grid.x
+        if stacked:
+            terminal = np.stack([np.sin(a * x) + 0.1 * x for a in (0.5, 1.0, 1.5, 2.0)])
+            terminal = terminal.reshape(2, 2, grid.nx)
+        else:
+            terminal = gaussian_bump(x)
+        conj = conjugate(spec)
+        values, cfl = march_backward(terminal, conj, 0.4, grid)
+        assert values.shape == terminal.shape[:-1] + (cfl["nt"] + 1, grid.nx)
+        np.testing.assert_array_equal(values, reference_march(terminal, conj, 0.4, grid, cfl["nt"]))
+
+    def test_terminal_argument_not_modified(self):
+        grid = GridSpec(-3.0, 3.0, 61, 1)
+        terminal = gaussian_bump(grid.x)
+        kept = terminal.copy()
+        march_backward(terminal, QUAD_CONJ, 1.0, grid)
+        np.testing.assert_array_equal(terminal, kept)
 
 
 class TestHopfLax:
