@@ -33,7 +33,6 @@ __all__ = [
     "TiReport",
     "eval_g",
     "eval_g_prime",
-    "prime_inverse",
     "conjugate",
     "is_quadratic_conjugate",
     "eval_gstar",
@@ -147,9 +146,14 @@ GeneratorSpec = Union[Quadratic, PowerLaw, IndicatorInterval, TimeModulated, Tab
 def _validate_convex_samples(q, g, tol=1e-10):
     if q.size < 3:
         return
-    slopes = np.diff(g) / np.diff(q)
+    dq = np.diff(q)
+    slopes = np.diff(g) / dq
     drop = np.diff(slopes)
-    if np.any(drop < -tol * (1.0 + np.abs(slopes[:-1]))):
+    # a chord slope carries the rounding of its two g values divided by the
+    # chord width, which is large for nearly coincident drifts
+    noise = (np.abs(g[:-1]) + np.abs(g[1:])) / dq
+    slack = 1.0 + np.abs(slopes[:-1]) + noise[:-1] + noise[1:]
+    if np.any(drop < -tol * slack):
         raise ValueError("samples are not convex (chord slopes decrease)")
 
 
@@ -208,22 +212,6 @@ def eval_g_prime(spec: GeneratorSpec, t, q):
             out = slopes[idx]
     else:
         raise TypeError(f"unknown generator spec {spec!r}")
-    return out if out.ndim else float(out)
-
-
-def prime_inverse(spec: GeneratorSpec, s):
-    """Drift with subgradient s, i.e. the maximizer of q s - g(t, q).
-
-    Defined for strictly convex closed-form variants; returns None when no
-    closed form exists (bounded domains, tabulated samples).
-    """
-    s = np.asarray(s, dtype=float)
-    if isinstance(spec, Quadratic):
-        out = s / spec.c
-    elif isinstance(spec, PowerLaw):
-        out = np.sign(s) * (np.abs(s) / (spec.a * spec.r)) ** (1.0 / (spec.r - 1.0))
-    else:
-        return None
     return out if out.ndim else float(out)
 
 
@@ -432,7 +420,13 @@ def eval_gstar_halfline(conj: ConjugateSpec, t, z, side):
     if isinstance(k, (_QuadraticConj, _PowerConj, _AbsConj)):
         # symmetric costs minimized at 0: clip z to the active half-line
         zc = np.maximum(z, 0.0) if side > 0 else np.minimum(z, 0.0)
-        out = eval_gstar(conj, t, zc)
+        if isinstance(k, _QuadraticConj):
+            # eval_gstar's 0.5 * zc * zc / c in the same order, in one buffer
+            out = np.multiply(zc, 0.5, out=np.empty_like(z))
+            np.multiply(out, zc, out=out)
+            np.divide(out, k.c, out=out)
+        else:
+            out = eval_gstar(conj, t, zc)
     elif isinstance(k, _TableConj):
         out = _table_conjugate_values(k.halves[int(side > 0)], z)
     elif isinstance(k, _ModulatedConj):

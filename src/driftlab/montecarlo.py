@@ -334,7 +334,12 @@ def _basis_matrix(stats, n_knots):
 
 
 def _regress(features, target):
-    coef, _, rank, _ = np.linalg.lstsq(features, target, rcond=1e-10)
+    # LinAlgError subclasses ValueError, which the CLI reads as bad input;
+    # a failed least-squares solve is a numerical failure
+    try:
+        coef, _, rank, _ = np.linalg.lstsq(features, target, rcond=1e-10)
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError(f"least-squares regression failed: {err}") from err
     return coef, rank
 
 

@@ -10,7 +10,9 @@ upwind Hamiltonian built from the one-sided conjugates of the drift cost.
 Monotonicity gives the discrete comparison principle that stands in for
 minimality of the viscosity supersolution at desk scale, and it requires two
 CFL conditions which are enforced programmatically (a violation raises
-:class:`CflError` carrying the smallest compliant step count).
+:class:`CflError` carrying the smallest compliant step count).  The march
+keeps only the current and the next time row and returns the initial row
+v(0, .), the only one any caller reads.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """PDE solution values v(t_k, x_i), row k at time k/nt, row nt terminal."""
+    """Initial row v(0, x_i) of a PDE solution on the grid's space nodes."""
 
     grid: GridSpec
     values: np.ndarray
@@ -87,21 +89,13 @@ class ScalarField:
     cfl: dict = field(default_factory=dict)
     discretization_estimate: Optional[float] = None
 
-    def value(self, t, x):
-        """Interpolate the field at (t, x); exact on nodes."""
-        times = np.linspace(0.0, 1.0, self.grid.nt + 1)
-        k = np.searchsorted(times, t)
-        k = min(max(k, 0), self.grid.nt)
-        row = self.values[k] if np.isclose(times[k], t) else None
-        if row is None:
-            k0 = max(k - 1, 0)
-            w = (t - times[k0]) / (times[k] - times[k0])
-            row = (1 - w) * self.values[k0] + w * self.values[k]
-        return float(np.interp(x, self.grid.x, row))
+    def value(self, x):
+        """Interpolate v(0, x) linearly in x; exact on nodes."""
+        return float(np.interp(x, self.grid.x, self.values))
 
     @property
     def initial_value_at_origin(self):
-        return float(np.interp(0.0, self.grid.x, self.values[0]))
+        return self.value(0.0)
 
 
 def _hamiltonian(conj, t, dminus, dplus):
@@ -112,7 +106,7 @@ def _hamiltonian(conj, t, dminus, dplus):
     """
     plus = gen.eval_gstar_halfline(conj, t, dplus, +1)
     minus = gen.eval_gstar_halfline(conj, t, dminus, -1)
-    return np.maximum(plus, minus)
+    return np.maximum(plus, minus, out=plus)
 
 
 def stable_nt(grid: GridSpec, sigma2, lip):
@@ -129,23 +123,19 @@ def stable_nt(grid: GridSpec, sigma2, lip):
     return max(1, int(np.ceil(1.0 / bound)))
 
 
-def _gradient_bound(terminal, dx):
-    grads = np.abs(np.diff(terminal)) / dx
-    return 2.0 * float(grads.max()) if grads.size else 0.0
-
-
 def march_backward(terminal, conj, sigma2, grid: GridSpec, nt=None):
     """March a terminal array (or stack of them) back to time 0.
 
     ``terminal`` has shape (..., nx); all leading axes are independent
-    problems sharing the grid and time step.  Returns the full value array of
-    shape (..., nt + 1, nx) with index 0 the initial time.
+    problems sharing the grid and time step.  Returns the initial row
+    v(0, .), of the same shape as ``terminal``, and the step data (``cfl``).
+    Only two time rows are held at once.
     """
     terminal = np.asarray(terminal, dtype=float)
     if not np.all(np.isfinite(terminal)):
         raise ValueError("terminal datum must be finite on the grid")
     dx = grid.dx
-    zmax = max(_gradient_bound(t, dx) for t in np.atleast_2d(terminal.reshape(-1, grid.nx)))
+    zmax = 2.0 * float(np.max(np.abs(np.diff(terminal, axis=-1)) / dx))
     lip = gen.gstar_lipschitz(conj, max(zmax, 1e-12))
     minimal = stable_nt(grid, sigma2, lip)
     if nt is None:
@@ -159,17 +149,16 @@ def march_backward(terminal, conj, sigma2, grid: GridSpec, nt=None):
     dt = 1.0 / nt
     dx2 = dx**2
     half_sigma2 = 0.5 * sigma2
-    out = np.empty(terminal.shape[:-1] + (nt + 1, grid.nx))
-    out[..., nt, :] = terminal
+    v, nxt = terminal.copy(), np.empty_like(terminal)
     interior = terminal.shape[:-1] + (grid.nx - 2,)
     lap, dminus, dplus = np.empty(interior), np.empty(interior), np.empty(interior)
     clamp = grid.boundary == "clampToTerminal"
-    # Each step writes row k from row k + 1 through three reused buffers.
-    # Keep the operation order of v + dt * ((sigma^2 / 2) lap + ham) with
+    # Each step writes row k into ``nxt`` from row k + 1 in ``v`` through
+    # three reused buffers, then the two rows swap.  Keep the operation order
+    # of v + dt * ((sigma^2 / 2) lap + ham) with
     # lap = ((v[2:] - 2 v[1:-1]) + v[:-2]) / dx^2: it keeps the values
     # bit-identical to that plain formula, which the tests check.
     for k in range(nt - 1, -1, -1):
-        v, nxt = out[..., k + 1, :], out[..., k, :]
         left, mid, right = v[..., :-2], v[..., 1:-1], v[..., 2:]
         np.multiply(mid, 2.0, out=lap)
         np.subtract(right, lap, out=lap)
@@ -179,9 +168,9 @@ def march_backward(terminal, conj, sigma2, grid: GridSpec, nt=None):
         np.divide(dminus, dx, out=dminus)
         np.subtract(right, mid, out=dplus)
         np.divide(dplus, dx, out=dplus)
-        ham = _hamiltonian(conj, (k + 1) * dt, dminus, dplus)
         np.multiply(lap, half_sigma2, out=lap)
-        np.add(lap, ham, out=lap)
+        # not bound to a name, so no step's Hamiltonian outlives it
+        np.add(lap, _hamiltonian(conj, (k + 1) * dt, dminus, dplus), out=lap)
         np.multiply(lap, dt, out=lap)
         np.add(mid, lap, out=nxt[..., 1:-1])
         if clamp:
@@ -190,7 +179,8 @@ def march_backward(terminal, conj, sigma2, grid: GridSpec, nt=None):
         else:
             nxt[..., 0] = 2.0 * nxt[..., 1] - nxt[..., 2]
             nxt[..., -1] = 2.0 * nxt[..., -2] - nxt[..., -3]
-    return out, {"nt": nt, "dt": dt, "dx": dx, "lipschitz": lip, "minimal_nt": minimal}
+        v, nxt = nxt, v
+    return v, {"nt": nt, "dt": dt, "dx": dx, "lipschitz": lip, "minimal_nt": minimal}
 
 
 def solve_semilinear(
@@ -222,8 +212,8 @@ def solve_semilinear(
     Returns
     -------
     ScalarField
-        Full space-time field; the drift-penalized value of f(W(1)) is
-        ``field.value(0, 0)``.
+        Initial row v(0, .); the drift-penalized value of f(W(1)) is
+        ``field.value(0)``.
     """
     if viscosity <= 0:
         raise ValueError("viscosity must be positive")
@@ -233,8 +223,8 @@ def solve_semilinear(
     if estimate_error:
         coarse = GridSpec(grid.x_min, grid.x_max, (grid.nx - 1) // 2 + 1, 1, grid.boundary)
         cvals, _ = march_backward(np.asarray(f(coarse.x), dtype=float), gstar, viscosity, coarse)
-        v_fine = float(np.interp(0.0, grid.x, values[0]))
-        v_coarse = float(np.interp(0.0, coarse.x, cvals[0]))
+        v_fine = float(np.interp(0.0, grid.x, values))
+        v_coarse = float(np.interp(0.0, coarse.x, cvals))
         est = abs(v_fine - v_coarse)
     return ScalarField(grid=grid.with_nt(cfl["nt"]), values=values, sigma2=viscosity, cfl=cfl,
                        discretization_estimate=est)
@@ -313,6 +303,5 @@ def rho_terminal_mixture(
     if np.any(atoms < grid.x_min) or np.any(atoms > grid.x_max):
         raise ValueError("initial atom outside the solver grid")
     fld = solve_semilinear(f, gen.conjugate(g), epsilon, grid)
-    row0 = fld.values[0]
-    vals = np.interp(atoms, grid.x, row0)
+    vals = np.interp(atoms, grid.x, fld.values)
     return float(np.dot(weights, vals))

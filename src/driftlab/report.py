@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["ReportRow", "ConvergenceReport", "format_float", "compare_reports"]
+__all__ = ["ReportRow", "ConvergenceReport", "format_float"]
 
 
 def format_float(x) -> str:
@@ -77,26 +77,6 @@ class ConvergenceReport:
             # the gap column is recomputed on load
             rows.append(ReportRow(vals[0], vals[1], vals[2], abs(vals[1] - vals[2]), aux))
         return cls(kind=kind, rows=rows, columns=tuple(header[:4]))
-
-
-def compare_reports(a: ConvergenceReport, b: ConvergenceReport, tolerance: float):
-    """Row-aligned differences between two reports of the same kind.
-
-    Returns (max_abs_difference, per-row differences); raises on mismatched
-    shapes or kinds.
-    """
-    if a.kind != b.kind and a.kind and b.kind:
-        raise ValueError(f"mismatched report kinds {a.kind!r} vs {b.kind!r}")
-    ra, rb = a.sorted_rows(), b.sorted_rows()
-    if len(ra) != len(rb):
-        raise ValueError("mismatched row counts")
-    diffs = []
-    for x, y in zip(ra, rb):
-        if x.index != y.index:
-            raise ValueError(f"mismatched row indices {x.index} vs {y.index}")
-        diffs.append(abs(x.prelimit - y.prelimit))
-    worst = max(diffs) if diffs else 0.0
-    return worst, diffs
 
 
 def compare_csv_texts(text_a: str, text_b: str):

@@ -63,8 +63,7 @@ def gauss_mean(fn):
 
 def _march_initial_values(terminal_rows, gstar, grid):
     """Backward unit-viscosity PDE for a stack of terminals; values at (0, 0)."""
-    values, _ = march_backward(terminal_rows, gstar, 1.0, grid)
-    row0 = values[..., 0, :]
+    row0, _ = march_backward(terminal_rows, gstar, 1.0, grid)
     return np.interp(0.0, grid.x, row0) if row0.ndim == 1 else np.array(
         [np.interp(0.0, grid.x, r) for r in row0]
     )

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import yaml
 
 from driftlab.cli import main
@@ -91,6 +92,26 @@ class TestRun:
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_failed_regression_exits_3(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError is a ValueError; it must not read as bad input
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        payload = {
+            "kind": "bsde-lsmc",
+            "generator": {"variant": "quadratic", "c": 1.0},
+            "functional": {"kind": "terminal", "f": {"kind": "gaussian_bump", "center": 1.0},
+                           "bounds": [0.0, 1.0]},
+            "n_list": [1],
+            "steps": 4,
+            "paths": 1_000,
+            "seed": 5,
+        }
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_unmollified_infeasible_exits_4(self, tmp_path):
         payload = {

@@ -132,6 +132,18 @@ class TestHalfline:
             minus = np.asarray(eval_gstar_halfline(conj, 0.0, z, -1))
             np.testing.assert_allclose(np.maximum(plus, minus), full, atol=1e-12)
 
+    @pytest.mark.parametrize("c", [1.0, 0.7])
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_quadratic_halfline_matches_plain_formula_exactly(self, c, side):
+        conj = conjugate(Quadratic(c))
+        z = np.linspace(-3.0, 3.0, 601) + 1e-3
+        zc = np.maximum(z, 0.0) if side > 0 else np.minimum(z, 0.0)
+        got = eval_gstar_halfline(conj, 0.0, z, side)
+        np.testing.assert_array_equal(got, 0.5 * zc * zc / c)
+        # a scalar argument on the active side gives a float of the same value
+        i = 500 if side > 0 else 100
+        assert eval_gstar_halfline(conj, 0.0, float(z[i]), side) == float(0.5 * zc[i] * zc[i] / c)
+
     def test_halfline_against_constrained_grid(self):
         spec = PowerLaw(r=1.5, a=1.0)
         conj = conjugate(spec)
@@ -213,6 +225,16 @@ class TestDiscreteLegendre:
         gstar = discrete_legendre(samples, z_grid)
         back = discrete_legendre(list(zip(z_grid, gstar)), q)
         np.testing.assert_allclose(back, g, atol=2e-2)
+
+    def test_nearly_coincident_drifts_are_convex(self):
+        # chord slopes over widths ~1e-48 are dominated by the rounding of g;
+        # the convexity check must not reject such a convex table
+        q = np.array([-1.175494351e-38, -1.1754943508222875e-38, 0.0])
+        g = 0.7 * q * q + 0.1 * np.abs(q)
+        out = discrete_legendre(list(zip(q, g)), [-1.0, 0.0, 1.0])
+        np.testing.assert_allclose(out, [-q[0] * 1.0 - g[0], -g[2], -g[2]], atol=1e-30)
+        with pytest.raises(ValueError, match="convex"):
+            discrete_legendre([(0.0, 0.0), (1e-12, 1.0), (1.0, 0.0)], [0.0])
 
 
 class TestFenchelYoung:
