@@ -41,7 +41,7 @@ from .montecarlo import (
     lsmc_bsde,
 )
 from .pde import CflError, solve_semilinear, vanishing_viscosity_sweep
-from .report import compare_csv_texts, format_float
+from .report import compare_csv_texts, csv_body, format_float
 from .sanov import MeanFieldFunctional, iterate_L, mean_field_limit
 from .schrodinger import small_noise_sweep
 from .variational import maximize_schilder
@@ -58,13 +58,6 @@ def _resolve(cfg: dict, defaults: dict) -> dict:
     out = dict(defaults)
     out.update({k: v for k, v in cfg.items() if v is not None})
     return out
-
-
-def _csv_lines(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +85,14 @@ def _run_schilder(cfg):
         F, g, m=int(resolved["knots"]), restarts=int(resolved["restarts"]),
         seed=seed, max_iter=int(resolved["max_iter"]),
     )
-    path_csv = _csv_lines(
-        ("t", "value"), list(zip(res.path.times, res.path.values))
-    )
+    path_csv = csv_body(("t", "value"), list(zip(res.path.times, res.path.values)))
     result = {
         "value": res.value,
         "converged": res.converged,
         "restarts": res.restarts,
         "best_restart": res.best_restart,
     }
-    csv_text = _csv_lines(("quantity", "value"), [("best_value", res.value)])
+    csv_text = csv_body(("quantity", "value"), [("best_value", res.value)])
     code = EXIT_OK if res.converged else EXIT_NUMERICAL
     return resolved, csv_text, result, code, {"path.csv": path_csv,
                                               "result.json": json.dumps(result, indent=2)}
@@ -129,7 +120,7 @@ def _run_sanov_iterate(cfg):
         val = iterate_L(F, g, int(n), grid, s_points=resolved["s_points"],
                         cap=int(resolved["cap"]))
         rows.append((int(n), val, limit, abs(val - limit)))
-    csv_text = _csv_lines(("n", "prelimit", "limit", "gap"), rows)
+    csv_text = csv_body(("n", "prelimit", "limit", "gap"), rows)
     return resolved, csv_text, {"limit": limit}, EXIT_OK, {}
 
 
@@ -145,7 +136,7 @@ def _run_schrodinger_sweep(cfg):
         (r.index, r.prelimit, r.limit, r.gap, r.aux.get("feasible", 1.0))
         for r in report.sorted_rows()
     ]
-    csv_text = _csv_lines(("eps", "value", "ot", "gap", "feasible"), rows)
+    csv_text = csv_body(("eps", "value", "ot", "gap", "feasible"), rows)
     infeasible = any(r.aux.get("feasible", 1.0) == 0.0 for r in report.rows)
     return resolved, csv_text, {}, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
 
@@ -185,14 +176,14 @@ def _run_mc_estimate(cfg):
     gap = float("nan")
     if resolved["oracle"]:
         osec = resolved["oracle"]
-        g = build_generator(require(osec, "generator", "oracle"))
+        g = build_generator(require(osec, "generator", "oracle"), "oracle.generator")
         f = build_scalar_function(require(osec, "terminal", "oracle"), "oracle.terminal")
         grid = build_grid(require(osec, "grid", "oracle"))
-        fld = solve_semilinear(f, gen.conjugate(g), float(osec.get("viscosity", 1.0)), grid)
+        fld = solve_semilinear(f, g, float(osec.get("viscosity", 1.0)), grid)
         oracle = fld.initial_value_at_origin
         gap = abs(est - oracle)
     rows = [(estimator, float(n), est, se, oracle, gap)]
-    csv_text = _csv_lines(("estimator", "n", "estimate", "se", "oracle", "gap"), rows)
+    csv_text = csv_body(("estimator", "n", "estimate", "se", "oracle", "gap"), rows)
     return resolved, csv_text, {}, EXIT_OK, {}
 
 
@@ -202,14 +193,13 @@ def _run_bsde_lsmc(cfg):
     seed = int(require(resolved, "seed", "bsde-lsmc"))
     g = build_generator(require(resolved, "generator", "bsde-lsmc"))
     F = build_functional(require(resolved, "functional", "bsde-lsmc"))
-    gstar = gen.conjugate(g)
     rows = []
     for n in resolved["n_list"]:
         batch = PathBatch(n_steps=int(resolved["steps"]), n_paths=int(resolved["paths"]),
                           seed=seed + int(n))
-        sol = lsmc_bsde(F, gstar, float(n), batch, basis_size=int(resolved["basis_size"]))
+        sol = lsmc_bsde(F, g, float(n), batch, basis_size=int(resolved["basis_size"]))
         rows.append((float(n), sol.y0, sol.terminal_residual, float(sol.degree_fallbacks)))
-    csv_text = _csv_lines(("n", "y0", "terminal_residual", "basis_fallbacks"), rows)
+    csv_text = csv_body(("n", "y0", "terminal_residual", "basis_fallbacks"), rows)
     return resolved, csv_text, {}, EXIT_OK, {}
 
 
@@ -221,7 +211,7 @@ def _run_ti_check(cfg):
         (name, float(ok), detail.replace(",", ";"))
         for name, (ok, detail) in report.clauses.items()
     ]
-    csv_text = _csv_lines(("clause", "passed", "detail"), rows)
+    csv_text = csv_body(("clause", "passed", "detail"), rows)
     return resolved, csv_text, {"all_passed": report.passed}, EXIT_OK, {}
 
 
@@ -237,8 +227,7 @@ def _run_bridge_check(cfg):
     )
     rows = [(float(resolved["r"]), chk.empirical, chk.standard_error, chk.bound,
              chk.constant, float(chk.empirical <= chk.bound))]
-    csv_text = _csv_lines(("r", "empirical", "se", "bound", "constant", "within_bound"),
-                          rows)
+    csv_text = csv_body(("r", "empirical", "se", "bound", "constant", "within_bound"), rows)
     code = EXIT_OK if chk.empirical <= chk.bound else EXIT_NUMERICAL
     return resolved, csv_text, {}, code, {}
 

@@ -65,13 +65,18 @@ def require(cfg: dict, key: str, context: str = "config"):
     return cfg[key]
 
 
-def build_generator(section: dict):
+def build_generator(section: dict, context="generator"):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{context} section must be a mapping with a 'variant' key, "
+                          f"got {section!r}")
+    if section.get("variant") == "modulated" and not isinstance(section.get("base"), dict):
+        raise ConfigError(f"{context}.base must be a mapping with a 'variant' key")
     try:
         return gen.spec_from_config(section)
     except KeyError as err:
-        raise ConfigError(f"generator section misses key {err}") from err
+        raise ConfigError(f"{context} section misses key {err}") from err
     except ValueError as err:
-        raise ConfigError(f"generator section invalid: {err}") from err
+        raise ConfigError(f"{context} section invalid: {err}") from err
 
 
 _FUNCTIONS = {
@@ -151,7 +156,12 @@ def build_grid(section: dict, context="grid"):
 
 def build_measure(section: dict, context="measure"):
     if "csv" in section:
-        data = np.loadtxt(section["csv"], delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(section["csv"], delimiter=",", ndmin=2)
+        except OSError as err:
+            raise ConfigError(f"{context}.csv cannot be read: {err}") from err
+        if data.shape[1] < 2:
+            raise ConfigError(f"{context}.csv needs two columns (atom, weight)")
         return DiscreteMeasure.from_arrays(data[:, 0], data[:, 1], renormalize=False)
     atoms = require(section, "atoms", context)
     weights = require(section, "weights", context)

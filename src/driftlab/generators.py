@@ -6,6 +6,21 @@ admissible drifts.  All downstream solvers (finite differences, path
 optimization, Monte Carlo, transport) consume the small family of variants
 defined here together with their conjugates ``g*(t, z) = sup_q (q z - g(t, q))``.
 
+Each variant is a frozen dataclass that owns its math:
+
+* ``cost(t, q)`` and ``g_prime(t, q)``: the cost and a subgradient (the
+  value method is not called ``g`` because ``Tabulated.g`` holds samples);
+* ``gstar(t, z)`` and ``gstar_halfline(t, z, side)``: the conjugate and its
+  one-sided pieces (the sup over drifts of one sign);
+* ``gstar_lipschitz(zmax)``: a bound on |d g*/dz| over |z| <= zmax;
+* ``domain()``, ``lower_bound()`` and ``growth()``: the effective-domain
+  interval, a constant b with g >= -b, and the growth exponent;
+* ``to_config()``: the key-value form read back by :func:`spec_from_config`.
+
+The methods take float arrays.  The module-level ``eval_*`` functions and
+their companions are the public entry points: each converts its argument,
+calls the method and returns a float for a scalar argument.
+
 Extended-real convention: ``+inf`` is represented by IEEE ``math.inf`` /
 ``numpy.inf`` throughout, never by a large finite sentinel.  IEEE arithmetic
 (``x + inf == inf``, ``max`` with ``-inf`` as identity) supplies the required
@@ -29,12 +44,9 @@ __all__ = [
     "TimeModulated",
     "Tabulated",
     "GeneratorSpec",
-    "ConjugateSpec",
     "TiReport",
     "eval_g",
     "eval_g_prime",
-    "conjugate",
-    "is_quadratic_conjugate",
     "eval_gstar",
     "eval_gstar_halfline",
     "gstar_lipschitz",
@@ -53,9 +65,29 @@ __all__ = [
 # Cost variants
 # ---------------------------------------------------------------------------
 
+class _Symmetric:
+    """Shared methods of the costs even in q with minimum g(0) = 0.
+
+    Their one-sided conjugate is g* at z clipped to the side's half-line.
+    """
+
+    @staticmethod
+    def _clip(z, side):
+        return np.maximum(z, 0.0) if side > 0 else np.minimum(z, 0.0)
+
+    def gstar_halfline(self, t, z, side):
+        return self.gstar(t, self._clip(z, side))
+
+    def domain(self):
+        return (-np.inf, np.inf)
+
+    def lower_bound(self):
+        return 0.0
+
+
 @dataclass(frozen=True)
-class Quadratic:
-    """g(t, q) = c q^2 / 2 with curvature c > 0."""
+class Quadratic(_Symmetric):
+    """g(t, q) = c q^2 / 2 with curvature c > 0; g*(z) = z^2 / (2 c)."""
 
     c: float = 1.0
 
@@ -63,10 +95,40 @@ class Quadratic:
         if not self.c > 0:
             raise ValueError("curvature c must be positive")
 
+    def cost(self, t, q):
+        return 0.5 * self.c * q * q
+
+    def g_prime(self, t, q):
+        return self.c * q
+
+    def gstar(self, t, z):
+        return 0.5 * z * z / self.c
+
+    def gstar_halfline(self, t, z, side):
+        zc = self._clip(z, side)
+        # gstar's 0.5 * zc * zc / c in the same order, in one buffer
+        out = np.multiply(zc, 0.5, out=np.empty_like(z))
+        np.multiply(out, zc, out=out)
+        np.divide(out, self.c, out=out)
+        return out
+
+    def gstar_lipschitz(self, zmax):
+        return zmax / self.c
+
+    def growth(self):
+        return 2.0
+
+    def to_config(self):
+        return {"variant": "quadratic", "c": self.c}
+
 
 @dataclass(frozen=True)
-class PowerLaw:
-    """g(t, q) = a |q|^r with exponent r > 1 and scale a > 0."""
+class PowerLaw(_Symmetric):
+    """g(t, q) = a |q|^r with exponent r > 1 and scale a > 0.
+
+    The conjugate is g*(z) = b |z|^{r'} with the dual exponent r' of
+    1/r + 1/r' = 1 and b = (a r)^{1 - r'} / r'.
+    """
 
     r: float
     a: float = 1.0
@@ -77,10 +139,39 @@ class PowerLaw:
         if not self.a > 0:
             raise ValueError("scale a must be positive")
 
+    @property
+    def rp(self):
+        """Dual exponent r' = r / (r - 1)."""
+        return self.r / (self.r - 1.0)
+
+    def cost(self, t, q):
+        return self.a * np.abs(q) ** self.r
+
+    def g_prime(self, t, q):
+        return self.a * self.r * np.sign(q) * np.abs(q) ** (self.r - 1.0)
+
+    def gstar(self, t, z):
+        rp = self.rp
+        b = (self.a * self.r) ** (1.0 - rp) / rp
+        return b * np.abs(z) ** rp
+
+    def gstar_lipschitz(self, zmax):
+        # maximizer |q| = (|z| / (a r))^{1/(r-1)}
+        return (zmax / (self.a * self.r)) ** (1.0 / (self.r - 1.0))
+
+    def growth(self):
+        return self.r
+
+    def to_config(self):
+        return {"variant": "power", "r": self.r, "a": self.a}
+
 
 @dataclass(frozen=True)
-class IndicatorInterval:
-    """g(t, q) = 0 on [-K, K] and +inf outside (convex indicator)."""
+class IndicatorInterval(_Symmetric):
+    """g(t, q) = 0 on [-K, K] and +inf outside (convex indicator).
+
+    The conjugate is the support function g*(z) = K |z|.
+    """
 
     K: float
 
@@ -88,13 +179,37 @@ class IndicatorInterval:
         if not self.K > 0:
             raise ValueError("half-width K must be positive")
 
+    def cost(self, t, q):
+        return np.where(np.abs(q) <= self.K, 0.0, np.inf)
+
+    def g_prime(self, t, q):
+        return np.zeros_like(q)
+
+    def gstar(self, t, z):
+        return self.K * np.abs(z)
+
+    def gstar_lipschitz(self, zmax):
+        return self.K
+
+    def domain(self):
+        return (-self.K, self.K)
+
+    def growth(self):
+        return np.inf
+
+    def to_config(self):
+        return {"variant": "indicator", "K": self.K}
+
 
 @dataclass(frozen=True)
 class TimeModulated:
     """g(t, q) = w(t) * base(q) for a positive weight sampled on a time grid.
 
     ``weights`` are samples of w on the uniform grid ``linspace(0, 1, len(weights))``
-    and are interpolated linearly in between.
+    and are interpolated linearly in between.  The conjugate is
+    (w g)*(z) = w g*(z / w); domain and growth are the base's, the lower
+    bound is max(w) times the base's and the Lipschitz bound of g* over
+    |z| <= zmax is the base's over |z| <= zmax / min(w).
     """
 
     base: "GeneratorSpec"
@@ -112,8 +227,37 @@ class TimeModulated:
 
     def weight_at(self, t):
         w = np.asarray(self.weights)
-        grid = np.linspace(0.0, 1.0, w.size)
-        return np.interp(t, grid, w)
+        return np.interp(t, np.linspace(0.0, 1.0, w.size), w)
+
+    def cost(self, t, q):
+        return self.weight_at(t) * self.base.cost(t, q)
+
+    def g_prime(self, t, q):
+        return self.weight_at(t) * self.base.g_prime(t, q)
+
+    def gstar(self, t, z):
+        w = self.weight_at(t)
+        return w * self.base.gstar(t, z / w)
+
+    def gstar_halfline(self, t, z, side):
+        w = self.weight_at(t)
+        return w * self.base.gstar_halfline(t, z / w, side)
+
+    def gstar_lipschitz(self, zmax):
+        return self.base.gstar_lipschitz(zmax / min(self.weights))
+
+    def domain(self):
+        return self.base.domain()
+
+    def lower_bound(self):
+        return max(self.weights) * self.base.lower_bound()
+
+    def growth(self):
+        return self.base.growth()
+
+    def to_config(self):
+        return {"variant": "modulated", "base": self.base.to_config(),
+                "weights": list(self.weights)}
 
 
 @dataclass(frozen=True)
@@ -122,7 +266,11 @@ class Tabulated:
 
     The cost is the piecewise-linear interpolant of the samples inside
     [q_0, q_m] and +inf outside; convexity (non-decreasing chord slopes)
-    is validated at construction.
+    is validated at construction.  The conjugate is the discrete Legendre
+    transform of the samples.  Its chord tables, for the whole table and
+    for each sign half, are built on first use and kept, so an evaluation
+    is one O(log n) argmax search and a gather.  No growth class can be
+    certified: the samples only witness a finite drift range.
     """
 
     q: tuple
@@ -138,6 +286,50 @@ class Tabulated:
         _validate_convex_samples(q, g)
         object.__setattr__(self, "q", tuple(float(x) for x in q))
         object.__setattr__(self, "g", tuple(float(x) for x in g))
+
+    @cached_property
+    def table(self):
+        return _chord_table(np.asarray(self.q), np.asarray(self.g))
+
+    @cached_property
+    def halves(self):
+        """(table on q <= 0, table on q >= 0), each with a node at q = 0."""
+        q, g, _ = self.table
+        return tuple(_chord_table(*_split_table(q, g, side)) for side in (-1, +1))
+
+    def cost(self, t, q):
+        qs, gs, _ = self.table
+        out = np.interp(q, qs, gs)
+        return np.where((q < qs[0]) | (q > qs[-1]), np.inf, out)
+
+    def g_prime(self, t, q):
+        """The right-chord slope."""
+        qs, _, slopes = self.table
+        if qs.size == 1:
+            return np.zeros_like(q)
+        idx = np.clip(np.searchsorted(qs, q, side="right") - 1, 0, slopes.size - 1)
+        return slopes[idx]
+
+    def gstar(self, t, z):
+        return _table_conjugate_values(self.table, z)
+
+    def gstar_halfline(self, t, z, side):
+        return _table_conjugate_values(self.halves[int(side > 0)], z)
+
+    def gstar_lipschitz(self, zmax):
+        return max(abs(self.q[0]), abs(self.q[-1]))
+
+    def domain(self):
+        return (self.q[0], self.q[-1])
+
+    def lower_bound(self):
+        return max(0.0, -min(self.g))
+
+    def growth(self):
+        return None
+
+    def to_config(self):
+        return {"variant": "tabulated", "q": list(self.q), "g": list(self.g)}
 
 
 GeneratorSpec = Union[Quadratic, PowerLaw, IndicatorInterval, TimeModulated, Tabulated]
@@ -157,206 +349,6 @@ def _validate_convex_samples(q, g, tol=1e-10):
         raise ValueError("samples are not convex (chord slopes decrease)")
 
 
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def eval_g(spec: GeneratorSpec, t, q):
-    """Evaluate g(t, q); array-valued in ``q``.
-
-    Total into the extended reals: +inf outside the effective domain, never
-    raises for out-of-domain drifts.
-    """
-    q = np.asarray(q, dtype=float)
-    if isinstance(spec, Quadratic):
-        out = 0.5 * spec.c * q * q
-    elif isinstance(spec, PowerLaw):
-        out = spec.a * np.abs(q) ** spec.r
-    elif isinstance(spec, IndicatorInterval):
-        out = np.where(np.abs(q) <= spec.K, 0.0, np.inf)
-    elif isinstance(spec, TimeModulated):
-        out = spec.weight_at(t) * eval_g(spec.base, t, q)
-    elif isinstance(spec, Tabulated):
-        qs = np.asarray(spec.q)
-        gs = np.asarray(spec.g)
-        out = np.interp(q, qs, gs)
-        out = np.where((q < qs[0]) | (q > qs[-1]), np.inf, out)
-    else:
-        raise TypeError(f"unknown generator spec {spec!r}")
-    return out if out.ndim else float(out)
-
-
-def eval_g_prime(spec: GeneratorSpec, t, q):
-    """A subgradient of g(t, .) at q (interior drifts only).
-
-    For Tabulated costs the right-chord slope is returned; for the indicator
-    the subgradient is 0 inside the interval.
-    """
-    q = np.asarray(q, dtype=float)
-    if isinstance(spec, Quadratic):
-        out = spec.c * q
-    elif isinstance(spec, PowerLaw):
-        out = spec.a * spec.r * np.sign(q) * np.abs(q) ** (spec.r - 1.0)
-    elif isinstance(spec, IndicatorInterval):
-        out = np.zeros_like(q)
-    elif isinstance(spec, TimeModulated):
-        out = spec.weight_at(t) * eval_g_prime(spec.base, t, q)
-    elif isinstance(spec, Tabulated):
-        qs = np.asarray(spec.q)
-        gs = np.asarray(spec.g)
-        if qs.size == 1:
-            out = np.zeros_like(q)
-        else:
-            slopes = np.diff(gs) / np.diff(qs)
-            idx = np.clip(np.searchsorted(qs, q, side="right") - 1, 0, slopes.size - 1)
-            out = slopes[idx]
-    else:
-        raise TypeError(f"unknown generator spec {spec!r}")
-    return out if out.ndim else float(out)
-
-
-def domain_interval(spec: GeneratorSpec):
-    """Effective-domain interval (q_lo, q_hi), possibly infinite."""
-    if isinstance(spec, (Quadratic, PowerLaw)):
-        return (-np.inf, np.inf)
-    if isinstance(spec, IndicatorInterval):
-        return (-spec.K, spec.K)
-    if isinstance(spec, TimeModulated):
-        return domain_interval(spec.base)
-    if isinstance(spec, Tabulated):
-        return (spec.q[0], spec.q[-1])
-    raise TypeError(f"unknown generator spec {spec!r}")
-
-
-def lower_bound(spec: GeneratorSpec):
-    """A constant b with g >= -b everywhere."""
-    if isinstance(spec, (Quadratic, PowerLaw, IndicatorInterval)):
-        return 0.0
-    if isinstance(spec, Tabulated):
-        return max(0.0, -min(spec.g))
-    if isinstance(spec, TimeModulated):
-        return max(spec.weights) * lower_bound(spec.base)
-    raise TypeError(f"unknown generator spec {spec!r}")
-
-
-def growth_exponent(spec: GeneratorSpec):
-    """Growth class of g: the r with g(q) ~ |q|^r, or inf for bounded domains.
-
-    Returns None when no growth class can be certified (Tabulated samples
-    only witness a finite drift range).
-    """
-    if isinstance(spec, Quadratic):
-        return 2.0
-    if isinstance(spec, PowerLaw):
-        return spec.r
-    if isinstance(spec, IndicatorInterval):
-        return np.inf
-    if isinstance(spec, TimeModulated):
-        return growth_exponent(spec.base)
-    return None
-
-
-def is_time_dependent(spec: GeneratorSpec):
-    return isinstance(spec, TimeModulated)
-
-
-# ---------------------------------------------------------------------------
-# Conjugates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _QuadraticConj:
-    c: float
-
-
-@dataclass(frozen=True)
-class _PowerConj:
-    # dual pair of PowerLaw(r, a): g*(z) = b |z|^{r'} with 1/r + 1/r' = 1
-    rp: float
-    b: float
-    primal_r: float
-    primal_a: float
-
-
-@dataclass(frozen=True)
-class _AbsConj:
-    # support function of [-K, K]
-    K: float
-
-
-@dataclass(frozen=True)
-class _TableConj:
-    # conjugate of Tabulated samples.  The (q, g, chord slopes) arrays of the
-    # whole table and of each sign half are built on first use and kept, so
-    # an evaluation is one O(log n) argmax search and a gather.
-    q: tuple
-    g: tuple
-
-    @cached_property
-    def table(self):
-        return _chord_table(np.asarray(self.q), np.asarray(self.g))
-
-    @cached_property
-    def halves(self):
-        """(table on q <= 0, table on q >= 0), each with a node at q = 0."""
-        q, g, _ = self.table
-        return tuple(_chord_table(*_split_table(q, g, side)) for side in (-1, +1))
-
-
-@dataclass(frozen=True)
-class _ModulatedConj:
-    base: "ConjugateSpec"
-    weights: tuple
-
-    def weight_at(self, t):
-        w = np.asarray(self.weights)
-        return np.interp(t, np.linspace(0.0, 1.0, w.size), w)
-
-
-ConjugateKind = Union[_QuadraticConj, _PowerConj, _AbsConj, _TableConj, _ModulatedConj]
-
-
-@dataclass(frozen=True)
-class ConjugateSpec:
-    """Conjugate cost z -> g*(t, z) with one-sided (half-line) evaluations.
-
-    ``closed_form`` marks variants with an exact formula; the remaining ones
-    evaluate a discrete Legendre transform of cached samples.
-    """
-
-    kind: ConjugateKind
-    closed_form: bool
-
-
-def is_quadratic_conjugate(conj: ConjugateSpec) -> bool:
-    return isinstance(conj.kind, _QuadraticConj)
-
-
-def conjugate(spec: GeneratorSpec) -> ConjugateSpec:
-    """Convex conjugate of the cost in the drift variable.
-
-    Closed forms where available: quadratic is self-dual up to curvature
-    inversion, a power law maps to the dual exponent, an interval indicator
-    maps to the support function K|z|.  Tabulated costs conjugate through
-    the discrete Legendre transform of their samples; time modulation uses
-    (w g)*(z) = w g*(z / w).
-    """
-    if isinstance(spec, Quadratic):
-        return ConjugateSpec(_QuadraticConj(spec.c), True)
-    if isinstance(spec, PowerLaw):
-        rp = spec.r / (spec.r - 1.0)
-        b = (spec.a * spec.r) ** (1.0 - rp) / rp
-        return ConjugateSpec(_PowerConj(rp, b, spec.r, spec.a), True)
-    if isinstance(spec, IndicatorInterval):
-        return ConjugateSpec(_AbsConj(spec.K), True)
-    if isinstance(spec, Tabulated):
-        return ConjugateSpec(_TableConj(spec.q, spec.g), False)
-    if isinstance(spec, TimeModulated):
-        base = conjugate(spec.base)
-        return ConjugateSpec(_ModulatedConj(base, spec.weights), base.closed_form)
-    raise TypeError(f"unknown generator spec {spec!r}")
-
-
 def _chord_table(q, g):
     """Sample arrays with their chord slopes, the input of the argmax search."""
     return q, g, np.diff(g) / np.diff(q)
@@ -374,10 +366,7 @@ def _table_conjugate_values(table, z):
 
 def _split_table(q, g, side):
     """Restrict samples to sign(q) = side, inserting a node at q = 0."""
-    if side > 0:
-        mask = q >= 0
-    else:
-        mask = q <= 0
+    mask = q >= 0 if side > 0 else q <= 0
     qs, gs = q[mask], g[mask]
     if qs.size == 0 or (0.0 not in qs and q[0] < 0 < q[-1]):
         g0 = np.interp(0.0, q, g)
@@ -388,79 +377,82 @@ def _split_table(q, g, side):
     return qs, gs
 
 
-def eval_gstar(conj: ConjugateSpec, t, z):
-    """Evaluate g*(t, z); array-valued in ``z``."""
-    k = conj.kind
-    z = np.asarray(z, dtype=float)
-    if isinstance(k, _QuadraticConj):
-        out = 0.5 * z * z / k.c
-    elif isinstance(k, _PowerConj):
-        out = k.b * np.abs(z) ** k.rp
-    elif isinstance(k, _AbsConj):
-        out = k.K * np.abs(z)
-    elif isinstance(k, _TableConj):
-        out = _table_conjugate_values(k.table, z)
-    elif isinstance(k, _ModulatedConj):
-        w = k.weight_at(t)
-        out = w * eval_gstar(k.base, t, z / w)
-    else:
-        raise TypeError(f"unknown conjugate {k!r}")
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+def _scalar_or_array(out):
+    """The one return rule: a float for a scalar argument, else the array."""
     return out if out.ndim else float(out)
 
 
-def eval_gstar_halfline(conj: ConjugateSpec, t, z, side):
+def eval_g(spec: GeneratorSpec, t, q):
+    """Evaluate g(t, q); array-valued in ``q``.
+
+    Total into the extended reals: +inf outside the effective domain, never
+    raises for out-of-domain drifts.
+    """
+    return _scalar_or_array(spec.cost(t, np.asarray(q, dtype=float)))
+
+
+def eval_g_prime(spec: GeneratorSpec, t, q):
+    """A subgradient of g(t, .) at q (interior drifts only).
+
+    For Tabulated costs the right-chord slope is returned; for the indicator
+    the subgradient is 0 inside the interval.
+    """
+    return _scalar_or_array(spec.g_prime(t, np.asarray(q, dtype=float)))
+
+
+def domain_interval(spec: GeneratorSpec):
+    """Effective-domain interval (q_lo, q_hi), possibly infinite."""
+    return spec.domain()
+
+
+def lower_bound(spec: GeneratorSpec):
+    """A constant b with g >= -b everywhere."""
+    return spec.lower_bound()
+
+
+def growth_exponent(spec: GeneratorSpec):
+    """Growth class of g: the r with g(q) ~ |q|^r, or inf for bounded domains.
+
+    Returns None when no growth class can be certified (Tabulated samples
+    only witness a finite drift range).
+    """
+    return spec.growth()
+
+
+def is_time_dependent(spec: GeneratorSpec):
+    return isinstance(spec, TimeModulated)
+
+
+def eval_gstar(spec: GeneratorSpec, t, z):
+    """Evaluate the conjugate g*(t, z); array-valued in ``z``."""
+    return _scalar_or_array(spec.gstar(t, np.asarray(z, dtype=float)))
+
+
+def eval_gstar_halfline(spec: GeneratorSpec, t, z, side):
     """One-sided conjugate sup over drifts with sign(q) = side.
 
     These are the two monotone pieces used by upwind (Godunov) Hamiltonians:
     the value is non-decreasing in z for side=+1 and non-increasing for
     side=-1.
     """
-    k = conj.kind
-    z = np.asarray(z, dtype=float)
-    if isinstance(k, (_QuadraticConj, _PowerConj, _AbsConj)):
-        # symmetric costs minimized at 0: clip z to the active half-line
-        zc = np.maximum(z, 0.0) if side > 0 else np.minimum(z, 0.0)
-        if isinstance(k, _QuadraticConj):
-            # eval_gstar's 0.5 * zc * zc / c in the same order, in one buffer
-            out = np.multiply(zc, 0.5, out=np.empty_like(z))
-            np.multiply(out, zc, out=out)
-            np.divide(out, k.c, out=out)
-        else:
-            out = eval_gstar(conj, t, zc)
-    elif isinstance(k, _TableConj):
-        out = _table_conjugate_values(k.halves[int(side > 0)], z)
-    elif isinstance(k, _ModulatedConj):
-        w = k.weight_at(t)
-        out = w * eval_gstar_halfline(k.base, t, z / w, side)
-    else:
-        raise TypeError(f"unknown conjugate {k!r}")
-    return out if np.ndim(out) else float(out)
+    return _scalar_or_array(spec.gstar_halfline(t, np.asarray(z, dtype=float), side))
 
 
-def gstar_lipschitz(conj: ConjugateSpec, zmax):
+def gstar_lipschitz(spec: GeneratorSpec, zmax):
     """Bound on |d g*/dz| over |z| <= zmax (the maximizing drift size)."""
-    k = conj.kind
-    zmax = float(abs(zmax))
-    if isinstance(k, _QuadraticConj):
-        return zmax / k.c
-    if isinstance(k, _PowerConj):
-        # maximizer |q| = (|z| / (a r))^{1/(r-1)}
-        return (zmax / (k.primal_a * k.primal_r)) ** (1.0 / (k.primal_r - 1.0))
-    if isinstance(k, _AbsConj):
-        return k.K
-    if isinstance(k, _TableConj):
-        return max(abs(k.q[0]), abs(k.q[-1]))
-    if isinstance(k, _ModulatedConj):
-        wmin = min(k.weights)
-        return gstar_lipschitz(k.base, zmax / wmin)
-    raise TypeError(f"unknown conjugate {k!r}")
+    return spec.gstar_lipschitz(float(abs(zmax)))
 
 
 def discrete_legendre(samples, z_grid):
     """Exact discrete conjugate max_j (q_j z - g_j) for each z.
 
-    Linear-time in len(samples) + len(z_grid) for sorted inputs via the
-    monotone-argmax property of convex samples.
+    An O(log n) search per dual point via the monotone-argmax property of
+    convex samples: the maximizing node is the first whose right chord slope
+    reaches z.
 
     Parameters
     ----------
@@ -484,19 +476,7 @@ def discrete_legendre(samples, z_grid):
     if q.size > 1 and not np.all(np.diff(q) > 0):
         raise ValueError("q samples must be strictly increasing")
     _validate_convex_samples(q, g)
-
-    order = np.argsort(z, kind="stable")
-    out = np.empty_like(z)
-    j = 0
-    if q.size == 1:
-        return q[0] * z - g[0]
-    slopes = np.diff(g) / np.diff(q)
-    for pos in order:
-        zi = z[pos]
-        while j < slopes.size and slopes[j] < zi:
-            j += 1
-        out[pos] = q[j] * zi - g[j]
-    return out
+    return _table_conjugate_values(_chord_table(q, g), z)
 
 
 # ---------------------------------------------------------------------------
@@ -547,22 +527,15 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
     # superlinear growth (coercivity) along the ladder
     ladder = _COERCIVITY_LADDER
     in_dom = ladder <= min(abs(lo), abs(hi)) if np.isfinite(hi) else np.ones_like(ladder, bool)
-    if isinstance(spec, IndicatorInterval) or (
-        not isinstance(spec, Tabulated)
-        and not (isinstance(spec, TimeModulated) and isinstance(spec.base, Tabulated))
-        and np.isfinite(hi)
-    ):
+    if growth_exponent(spec) == math.inf:
         clauses["coercivity"] = (True, "bounded effective domain forces +inf growth")
     else:
         pts = ladder[in_dom]
         if pts.size == 0:
             clauses["coercivity"] = (False, "no ladder point inside the domain")
         else:
-            ratios = []
-            for t in t_grid[::16]:
-                r = np.asarray(eval_g(spec, t, pts)) / pts
-                ratios.append(r)
-            ratios = np.asarray(ratios).min(axis=0)
+            ratios = np.min([np.asarray(eval_g(spec, t, pts)) / pts for t in t_grid[::16]],
+                            axis=0)
             grow = float(ratios[-1] / max(ratios[0], 1e-300))
             ok = bool(np.isinf(ratios[-1])) or grow >= 1.5
             clauses["coercivity"] = (
@@ -610,51 +583,59 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
 
 def spec_to_config(spec: GeneratorSpec) -> dict:
     """Key-value form of a cost function (inverse of :func:`spec_from_config`)."""
-    if isinstance(spec, Quadratic):
-        return {"variant": "quadratic", "c": spec.c}
-    if isinstance(spec, PowerLaw):
-        return {"variant": "power", "r": spec.r, "a": spec.a}
-    if isinstance(spec, IndicatorInterval):
-        return {"variant": "indicator", "K": spec.K}
-    if isinstance(spec, TimeModulated):
-        return {
-            "variant": "modulated",
-            "base": spec_to_config(spec.base),
-            "weights": list(spec.weights),
-        }
-    if isinstance(spec, Tabulated):
-        return {"variant": "tabulated", "q": list(spec.q), "g": list(spec.g)}
-    raise TypeError(f"unknown generator spec {spec!r}")
+    return spec.to_config()
+
+
+def _number(cfg, key, default=None):
+    value = cfg[key] if default is None else cfg.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"key '{key}' must be a number, got {value!r}") from None
+
+
+def _numbers(cfg, key):
+    value = cfg[key]
+    try:
+        return tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"key '{key}' must be a list of numbers, got {value!r}") from None
 
 
 def spec_from_config(cfg: dict) -> GeneratorSpec:
     """Build a cost function from its key-value form."""
     variant = cfg.get("variant")
     if variant == "quadratic":
-        return Quadratic(c=float(cfg.get("c", 1.0)))
+        return Quadratic(c=_number(cfg, "c", 1.0))
     if variant == "power":
-        return PowerLaw(r=float(cfg["r"]), a=float(cfg.get("a", 1.0)))
+        return PowerLaw(r=_number(cfg, "r"), a=_number(cfg, "a", 1.0))
     if variant == "indicator":
-        return IndicatorInterval(K=float(cfg["K"]))
+        return IndicatorInterval(K=_number(cfg, "K"))
     if variant == "modulated":
-        return TimeModulated(
-            base=spec_from_config(cfg["base"]),
-            weights=tuple(float(w) for w in cfg["weights"]),
-        )
+        return TimeModulated(base=spec_from_config(cfg["base"]), weights=_numbers(cfg, "weights"))
     if variant == "tabulated":
         if "csv" in cfg:
             return tabulated_from_csv(cfg["csv"])
-        return Tabulated(q=tuple(cfg["q"]), g=tuple(cfg["g"]))
+        return Tabulated(q=_numbers(cfg, "q"), g=_numbers(cfg, "g"))
     raise ValueError(f"unknown generator variant {variant!r}")
 
 
 def tabulated_from_csv(path) -> Tabulated:
-    """Read a two-column (q, g) CSV into a Tabulated cost."""
+    """Read a two-column (q, g) CSV into a Tabulated cost.
+
+    An unreadable file or a row without two numbers raises ValueError
+    naming the file (and the line).
+    """
     qs, gs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            qs.append(float(row[0]))
-            gs.append(float(row[1]))
+    try:
+        with open(path, newline="") as fh:
+            for line, row in enumerate(csv.reader(fh), start=1):
+                if not row or row[0].strip().startswith("#"):
+                    continue
+                if len(row) < 2:
+                    raise ValueError(f"csv {path}: line {line} needs two columns (q, g)")
+                qs.append(float(row[0]))
+                gs.append(float(row[1]))
+    except OSError as err:
+        raise ValueError(f"csv {path} cannot be read: {err.strerror}") from err
     return Tabulated(q=tuple(qs), g=tuple(gs))

@@ -361,7 +361,7 @@ def _state_statistics(F, scaled_paths, times):
 
 def lsmc_bsde(
     F: PathFunctional,
-    gstar: gen.ConjugateSpec,
+    g: gen.GeneratorSpec,
     n: float,
     batch: PathBatch,
     basis_size: int = 35,
@@ -394,7 +394,7 @@ def lsmc_bsde(
     lo, hi = F.bounds
     if np.isfinite(lo) and np.isfinite(hi):
         spread = max(hi - lo, 1e-12)
-        z_cap = math.sqrt(8.0 * spread) if gen.is_quadratic_conjugate(gstar) else np.inf
+        z_cap = math.sqrt(8.0 * spread) if isinstance(g, gen.Quadratic) else np.inf
     else:
         spread, z_cap = np.inf, np.inf
 
@@ -410,7 +410,7 @@ def lsmc_bsde(
         if k == 0:
             z_k = np.full(1, float(np.mean(y * inc[:, 0])) / dt)
             e_k = np.full(1, float(np.mean(y)))
-            y_val = e_k + dt * np.asarray(gen.eval_gstar(gstar, times[k], sqrt_n * z_k))
+            y_val = e_k + dt * np.asarray(gen.eval_gstar(g, times[k], sqrt_n * z_k))
             y = np.full_like(y, y_val[0])
             y_coeffs.insert(0, np.array([float(e_k[0])]))
             z_coeffs.insert(0, np.array([float(z_k[0])]))
@@ -446,7 +446,7 @@ def lsmc_bsde(
             e_k = np.clip(e_k, lo, hi)
             if np.isfinite(z_cap):
                 z_k = np.clip(z_k, -z_cap / sqrt_n, z_cap / sqrt_n)
-        y = e_k + dt * np.asarray(gen.eval_gstar(gstar, times[k], sqrt_n * z_k))
+        y = e_k + dt * np.asarray(gen.eval_gstar(g, times[k], sqrt_n * z_k))
         y_ladder[k] = float(np.mean(y))
         z_ladder[k] = float(np.mean(z_k))
 

@@ -98,14 +98,14 @@ class ScalarField:
         return self.value(0.0)
 
 
-def _hamiltonian(conj, t, dminus, dplus):
+def _hamiltonian(g, t, dminus, dplus):
     """Godunov flux for the convex Hamiltonian z -> g*(t, z).
 
     Non-decreasing in the forward difference and non-increasing in the
     backward one, which is what makes the explicit update monotone.
     """
-    plus = gen.eval_gstar_halfline(conj, t, dplus, +1)
-    minus = gen.eval_gstar_halfline(conj, t, dminus, -1)
+    plus = gen.eval_gstar_halfline(g, t, dplus, +1)
+    minus = gen.eval_gstar_halfline(g, t, dminus, -1)
     return np.maximum(plus, minus, out=plus)
 
 
@@ -123,11 +123,12 @@ def stable_nt(grid: GridSpec, sigma2, lip):
     return max(1, int(np.ceil(1.0 / bound)))
 
 
-def march_backward(terminal, conj, sigma2, grid: GridSpec, nt=None):
+def march_backward(terminal, g, sigma2, grid: GridSpec, nt=None):
     """March a terminal array (or stack of them) back to time 0.
 
     ``terminal`` has shape (..., nx); all leading axes are independent
-    problems sharing the grid and time step.  Returns the initial row
+    problems sharing the grid and time step; ``g`` is the drift cost whose
+    conjugate drives the Hamiltonian.  Returns the initial row
     v(0, .), of the same shape as ``terminal``, and the step data (``cfl``).
     Only two time rows are held at once.
     """
@@ -136,7 +137,7 @@ def march_backward(terminal, conj, sigma2, grid: GridSpec, nt=None):
         raise ValueError("terminal datum must be finite on the grid")
     dx = grid.dx
     zmax = 2.0 * float(np.max(np.abs(np.diff(terminal, axis=-1)) / dx))
-    lip = gen.gstar_lipschitz(conj, max(zmax, 1e-12))
+    lip = gen.gstar_lipschitz(g, max(zmax, 1e-12))
     minimal = stable_nt(grid, sigma2, lip)
     if nt is None:
         nt = max(grid.nt, minimal)
@@ -170,7 +171,7 @@ def march_backward(terminal, conj, sigma2, grid: GridSpec, nt=None):
         np.divide(dplus, dx, out=dplus)
         np.multiply(lap, half_sigma2, out=lap)
         # not bound to a name, so no step's Hamiltonian outlives it
-        np.add(lap, _hamiltonian(conj, (k + 1) * dt, dminus, dplus), out=lap)
+        np.add(lap, _hamiltonian(g, (k + 1) * dt, dminus, dplus), out=lap)
         np.multiply(lap, dt, out=lap)
         np.add(mid, lap, out=nxt[..., 1:-1])
         if clamp:
@@ -185,7 +186,7 @@ def march_backward(terminal, conj, sigma2, grid: GridSpec, nt=None):
 
 def solve_semilinear(
     f: Callable,
-    gstar: gen.ConjugateSpec,
+    g: gen.GeneratorSpec,
     viscosity: float,
     grid: GridSpec,
     *,
@@ -198,8 +199,8 @@ def solve_semilinear(
     ----------
     f : callable
         Terminal datum, finite on the grid.
-    gstar : ConjugateSpec
-        Conjugate drift cost driving the Hamiltonian.
+    g : GeneratorSpec
+        Drift cost; its conjugate drives the Hamiltonian.
     viscosity : float
         sigma^2 > 0, coefficient of the half-Laplacian.
     grid : GridSpec
@@ -218,11 +219,11 @@ def solve_semilinear(
     if viscosity <= 0:
         raise ValueError("viscosity must be positive")
     terminal = np.asarray(f(grid.x), dtype=float)
-    values, cfl = march_backward(terminal, gstar, viscosity, grid, nt=grid.nt if strict_nt else None)
+    values, cfl = march_backward(terminal, g, viscosity, grid, nt=grid.nt if strict_nt else None)
     est = None
     if estimate_error:
         coarse = GridSpec(grid.x_min, grid.x_max, (grid.nx - 1) // 2 + 1, 1, grid.boundary)
-        cvals, _ = march_backward(np.asarray(f(coarse.x), dtype=float), gstar, viscosity, coarse)
+        cvals, _ = march_backward(np.asarray(f(coarse.x), dtype=float), g, viscosity, coarse)
         v_fine = float(np.interp(0.0, grid.x, values))
         v_coarse = float(np.interp(0.0, coarse.x, cvals))
         est = abs(v_fine - v_coarse)
@@ -266,10 +267,9 @@ def vanishing_viscosity_sweep(
     n_list = sorted(int(n) for n in n_list)
     y_grid = np.arange(grid.x_min, grid.x_max + y_step, y_step)
     limit = hopf_lax(f, g, 0.0, 0.0, y_grid)
-    gstar = gen.conjugate(g)
 
     def solve_one(n):
-        fld = solve_semilinear(f, gstar, 1.0 / n, grid)
+        fld = solve_semilinear(f, g, 1.0 / n, grid)
         return fld.initial_value_at_origin, fld.cfl
 
     results = run_parallel(solve_one, n_list)
@@ -302,6 +302,6 @@ def rho_terminal_mixture(
     weights = np.asarray(mu.weights, dtype=float)
     if np.any(atoms < grid.x_min) or np.any(atoms > grid.x_max):
         raise ValueError("initial atom outside the solver grid")
-    fld = solve_semilinear(f, gen.conjugate(g), epsilon, grid)
+    fld = solve_semilinear(f, g, epsilon, grid)
     vals = np.interp(atoms, grid.x, fld.values)
     return float(np.dot(weights, vals))

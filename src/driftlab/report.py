@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["ReportRow", "ConvergenceReport", "format_float"]
+__all__ = ["ReportRow", "ConvergenceReport", "format_float", "csv_body"]
 
 
 def format_float(x) -> str:
@@ -25,6 +25,18 @@ def format_float(x) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return format(x, ".17g")
+
+
+def csv_body(header, rows) -> str:
+    """The CSV text of every report: a header line, then one line per row.
+
+    Numbers go through :func:`format_float`; strings are written verbatim
+    and never quoted, so a caller keeps commas out of its labels.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else format_float(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -55,14 +67,9 @@ class ConvergenceReport:
     def to_csv(self, header_names: Optional[tuple] = None) -> str:
         names = header_names or self.columns
         aux_keys = sorted({k for r in self.rows for k in r.aux})
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(names) + aux_keys)
-        for row in self.sorted_rows():
-            core = [row.index, row.prelimit, row.limit, row.gap]
-            extra = [row.aux.get(k, "") for k in aux_keys]
-            writer.writerow([format_float(v) if v != "" else "" for v in core + extra])
-        return buf.getvalue()
+        rows = [[r.index, r.prelimit, r.limit, r.gap] + [r.aux.get(k, "") for k in aux_keys]
+                for r in self.sorted_rows()]
+        return csv_body(list(names) + aux_keys, rows)
 
     @classmethod
     def from_csv(cls, text: str, kind: str = "") -> "ConvergenceReport":

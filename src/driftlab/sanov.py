@@ -61,15 +61,15 @@ def gauss_mean(fn):
     return float(np.sum(_GH_WEIGHTS * fn(math.sqrt(2.0) * _GH_NODES)) / math.sqrt(math.pi))
 
 
-def _march_initial_values(terminal_rows, gstar, grid):
+def _march_initial_values(terminal_rows, g, grid):
     """Backward unit-viscosity PDE for a stack of terminals; values at (0, 0)."""
-    row0, _ = march_backward(terminal_rows, gstar, 1.0, grid)
+    row0, _ = march_backward(terminal_rows, g, 1.0, grid)
     return np.interp(0.0, grid.x, row0) if row0.ndim == 1 else np.array(
         [np.interp(0.0, grid.x, r) for r in row0]
     )
 
 
-def apply_L(slice_fn: Callable, gstar: gen.ConjugateSpec, grid: GridSpec, s_grid):
+def apply_L(slice_fn: Callable, g: gen.GeneratorSpec, grid: GridSpec, s_grid):
     """One collapsed elimination pass: s -> PDE value of x -> slice(x, s).
 
     For each accumulator node s the unit-time backward PDE with terminal
@@ -78,7 +78,7 @@ def apply_L(slice_fn: Callable, gstar: gen.ConjugateSpec, grid: GridSpec, s_grid
     s_grid = np.asarray(s_grid, dtype=float)
     x = grid.x
     terminals = np.asarray(slice_fn(x[None, :], s_grid[:, None]), dtype=float)
-    return _march_initial_values(terminals, gstar, grid)
+    return _march_initial_values(terminals, g, grid)
 
 
 def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to):
@@ -89,7 +89,6 @@ def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to):
     n Phi(s / n); each earlier stage is one collapsed PDE pass.
     """
     lo, hi = F.phi_bounds
-    gstar = gen.conjugate(g)
     phi = F.phi
 
     def s_grid_for(k):
@@ -109,7 +108,7 @@ def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to):
         else:
             args = sk[:, None] + phi(x)[None, :]
             terminals = np.interp(args, prev_grid, prev_vals)
-        prev_vals = np.asarray(_march_initial_values(terminals, gstar, grid), dtype=float)
+        prev_vals = np.asarray(_march_initial_values(terminals, g, grid), dtype=float)
         prev_grid = sk
     return prev_grid, prev_vals
 
@@ -147,10 +146,9 @@ def scalar_transport_cost(g, phi: Callable, c_grid, lambda_grid, grid: GridSpec)
     """
     lam = np.asarray(lambda_grid, dtype=float)
     c = np.asarray(c_grid, dtype=float)
-    gstar = gen.conjugate(g)
     x = grid.x
     terminals = lam[:, None] * np.asarray(phi(x), dtype=float)[None, :]
-    rho = np.asarray(_march_initial_values(terminals, gstar, grid), dtype=float)
+    rho = np.asarray(_march_initial_values(terminals, g, grid), dtype=float)
     return np.max(lam[None, :] * c[:, None] - rho[None, :], axis=1)
 
 

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from driftlab.cli import main as cli_main
-from driftlab.generators import IndicatorInterval, PowerLaw, Quadratic, conjugate
+from driftlab.generators import IndicatorInterval, PowerLaw, Quadratic
 from driftlab.montecarlo import (
     FeedbackControl,
     PathBatch,
@@ -35,7 +35,6 @@ from driftlab.schrodinger import DiscreteMeasure, small_noise_sweep
 from driftlab.variational import PathPolyline, RunningMax, TerminalValue, action, maximize_schilder
 
 QUAD = Quadratic(1.0)
-QUAD_CONJ = conjugate(QUAD)
 
 
 def gaussian_bump(x):
@@ -95,7 +94,7 @@ def test_criterion_02_quadratic_cross_validation():
         "constant": lambda x: np.full(np.shape(x), 3.0),
     }
     for name, f in cases.items():
-        fld = solve_semilinear(f, QUAD_CONJ, 1.0, grid)
+        fld = solve_semilinear(f, QUAD, 1.0, grid)
         est, se = log_mean_exp(
             TerminalValue(f), 1.0, PathBatch(n_steps=8, n_paths=1_000_000, seed=202)
         )
@@ -121,7 +120,7 @@ def test_criterion_03_constrained_hamiltonian():
 def test_criterion_04_sanov_telescoping(sanov_pieces):
     grid, _, _, _, _ = sanov_pieces
     F_lin = MeanFieldFunctional(phi=np.tanh, Phi=lambda c: c, phi_bounds=(-1.0, 1.0))
-    fld = solve_semilinear(lambda x: np.tanh(np.asarray(x)), QUAD_CONJ, 1.0, grid)
+    fld = solve_semilinear(lambda x: np.tanh(np.asarray(x)), QUAD, 1.0, grid)
     single = fld.initial_value_at_origin
     values = [iterate_L(F_lin, QUAD, n, grid) for n in (1, 2, 4, 8)]
     assert max(values) - min(values) <= 1e-3, f"values spread: {values}"
@@ -166,7 +165,7 @@ def test_criterion_06_conditional_limits(sanov_pieces):
     assert oracle == pytest.approx(0.5, abs=1e-6)
     gaps = []
     for n, steps in ((1, 64), (4, 256), (16, 256)):
-        sol = lsmc_bsde(F, QUAD_CONJ, float(n),
+        sol = lsmc_bsde(F, QUAD, float(n),
                         PathBatch(n_steps=steps, n_paths=50_000, seed=600 + n))
         gaps.append(abs(sol.y0 - oracle))
     assert gaps[0] > gaps[1] > gaps[2], f"LSMC gaps not monotone: {gaps}"
@@ -240,7 +239,7 @@ def test_criterion_10_singular_drift_action():
 
 @criterion(11, "every feedback-drift lower bound stays below the PDE value")
 def test_criterion_11_control_bounds_sound():
-    fld = solve_semilinear(gaussian_bump, QUAD_CONJ, 1.0, GridSpec(-8.0, 8.0, 1601, 1))
+    fld = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 1601, 1))
     rho = fld.initial_value_at_origin
     F = TerminalValue(gaussian_bump, bounds=(0.0, 1.0))
     batch = PathBatch(n_steps=32, n_paths=100_000, seed=1111)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 import yaml
 
 from driftlab.cli import main
@@ -92,6 +93,42 @@ class TestRun:
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generator, named", [
+        ("quadratic", "mapping"),
+        ({"variant": "tabulated", "csv": "absent.csv"}, "absent.csv"),
+        ({"variant": "tabulated", "csv": "one_column.csv"}, "line 2 needs two columns"),
+        ({"variant": "modulated", "base": {"variant": "quadratic"}, "weights": 3}, "'weights'"),
+        ({"variant": "tabulated", "q": None, "g": [0.0, 1.0]}, "'q'"),
+        ({"variant": "modulated", "base": "quadratic", "weights": [1.0, 2.0]}, "generator.base"),
+    ], ids=["string", "missing-csv", "one-column-csv", "scalar-weights", "null-q",
+            "string-base"])
+    def test_bad_generator_section_exits_2(self, tmp_path, capsys, generator, named):
+        (tmp_path / "one_column.csv").write_text("-1.0,1.0\n0.0\n1.0,1.0\n")
+        if isinstance(generator, dict) and "csv" in generator:
+            generator = dict(generator, csv=str(tmp_path / generator["csv"]))
+        cfg = write_config(tmp_path, "cfg.yaml", {"kind": "ti-check", "generator": generator})
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "generator" in err and named in err
+
+    @pytest.mark.parametrize("name, named", [
+        ("absent.csv", "absent.csv"),
+        ("one_column.csv", "two columns"),
+    ], ids=["missing-csv", "one-column-csv"])
+    def test_bad_measure_csv_exits_2(self, tmp_path, capsys, name, named):
+        (tmp_path / "one_column.csv").write_text("0.0\n1.0\n")
+        payload = {
+            "kind": "schrodinger-sweep",
+            "generator": {"variant": "quadratic", "c": 1.0},
+            "mu": {"csv": str(tmp_path / name)},
+            "nu": {"atoms": [1.0], "weights": [1.0]},
+            "eps_list": [0.1],
+        }
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "mu.csv" in err and named in err
 
     def test_failed_regression_exits_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError is a ValueError; it must not read as bad input

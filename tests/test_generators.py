@@ -15,14 +15,15 @@ from driftlab.generators import (
     Tabulated,
     TimeModulated,
     check_ti,
-    conjugate,
     discrete_legendre,
     domain_interval,
     eval_g,
     eval_g_prime,
     eval_gstar,
     eval_gstar_halfline,
+    growth_exponent,
     gstar_lipschitz,
+    lower_bound,
     spec_from_config,
     spec_to_config,
     tabulated_from_csv,
@@ -73,49 +74,42 @@ class TestEvalG:
 
 class TestConjugate:
     def test_quadratic_self_dual(self):
-        conj = conjugate(Quadratic(c=1.0))
         z = np.linspace(-4, 4, 41)
-        np.testing.assert_allclose(eval_gstar(conj, 0.0, z), 0.5 * z * z)
+        np.testing.assert_allclose(eval_gstar(Quadratic(c=1.0), 0.0, z), 0.5 * z * z)
 
     def test_quadratic_curvature_inverts_exactly(self):
         for c in (0.5, 1.0, 2.5):
-            conj = conjugate(Quadratic(c=c))
             for z in (-3.0, 0.7, 2.0):
-                assert eval_gstar(conj, 0.0, z) == z * z / (2.0 * c)
+                assert eval_gstar(Quadratic(c=c), 0.0, z) == z * z / (2.0 * c)
 
     def test_indicator_support_function(self):
-        conj = conjugate(IndicatorInterval(K=1.0))
         z = np.array([-2.0, -0.5, 0.0, 3.0])
-        np.testing.assert_allclose(eval_gstar(conj, 0.0, z), np.abs(z))
+        np.testing.assert_allclose(eval_gstar(IndicatorInterval(K=1.0), 0.0, z), np.abs(z))
 
     def test_powerlaw_against_grid_search(self):
         spec = PowerLaw(r=1.5, a=2.0 / 3.0)
-        conj = conjugate(spec)
         for z in (0.5, 1.0, 2.0):
             oracle = brute_force_conjugate(spec, z)
-            assert eval_gstar(conj, 0.0, z) == pytest.approx(oracle, abs=1e-6)
+            assert eval_gstar(spec, 0.0, z) == pytest.approx(oracle, abs=1e-6)
 
     def test_powerlaw_dual_exponent(self):
         spec = PowerLaw(r=1.25, a=1.0)
-        conj = conjugate(spec)
         # dual exponent r' with 1/r + 1/r' = 1
-        assert conj.kind.rp == pytest.approx(5.0)
+        assert spec.rp == pytest.approx(5.0)
 
     def test_tabulated_conjugate_matches_quadratic(self):
         q = np.arange(-5.0, 5.0 + 1e-9, 1e-3)
         tab = Tabulated(q=tuple(q), g=tuple(0.5 * q * q))
-        conj = conjugate(tab)
-        assert eval_gstar(conj, 0.0, 1.0) == pytest.approx(0.5, abs=1e-3)
+        assert eval_gstar(tab, 0.0, 1.0) == pytest.approx(0.5, abs=1e-3)
 
     def test_modulated_identity(self):
         # (w g)*(z) = w g*(z / w), checked against grid search at fixed t
         base = Quadratic(1.0)
         g = TimeModulated(base=base, weights=(2.0, 2.0))
-        conj = conjugate(g)
         spec_frozen = Quadratic(2.0)  # w = 2 constant
         for z in (-1.0, 0.5, 3.0):
             oracle = brute_force_conjugate(spec_frozen, z)
-            assert eval_gstar(conj, 0.37, z) == pytest.approx(oracle, abs=1e-6)
+            assert eval_gstar(g, 0.37, z) == pytest.approx(oracle, abs=1e-6)
 
     def test_rejects_nonconvex_table(self):
         with pytest.raises(ValueError, match="convex"):
@@ -125,40 +119,37 @@ class TestConjugate:
 class TestHalfline:
     def test_symmetric_halflines_recombine(self):
         for spec in (Quadratic(1.0), PowerLaw(1.5, 0.7), IndicatorInterval(2.0)):
-            conj = conjugate(spec)
             z = np.linspace(-3, 3, 25)
-            full = np.asarray(eval_gstar(conj, 0.0, z))
-            plus = np.asarray(eval_gstar_halfline(conj, 0.0, z, +1))
-            minus = np.asarray(eval_gstar_halfline(conj, 0.0, z, -1))
+            full = np.asarray(eval_gstar(spec, 0.0, z))
+            plus = np.asarray(eval_gstar_halfline(spec, 0.0, z, +1))
+            minus = np.asarray(eval_gstar_halfline(spec, 0.0, z, -1))
             np.testing.assert_allclose(np.maximum(plus, minus), full, atol=1e-12)
 
     @pytest.mark.parametrize("c", [1.0, 0.7])
     @pytest.mark.parametrize("side", [+1, -1])
     def test_quadratic_halfline_matches_plain_formula_exactly(self, c, side):
-        conj = conjugate(Quadratic(c))
+        spec = Quadratic(c)
         z = np.linspace(-3.0, 3.0, 601) + 1e-3
         zc = np.maximum(z, 0.0) if side > 0 else np.minimum(z, 0.0)
-        got = eval_gstar_halfline(conj, 0.0, z, side)
+        got = eval_gstar_halfline(spec, 0.0, z, side)
         np.testing.assert_array_equal(got, 0.5 * zc * zc / c)
         # a scalar argument on the active side gives a float of the same value
         i = 500 if side > 0 else 100
-        assert eval_gstar_halfline(conj, 0.0, float(z[i]), side) == float(0.5 * zc[i] * zc[i] / c)
+        assert eval_gstar_halfline(spec, 0.0, float(z[i]), side) == float(0.5 * zc[i] * zc[i] / c)
 
     def test_halfline_against_constrained_grid(self):
         spec = PowerLaw(r=1.5, a=1.0)
-        conj = conjugate(spec)
         q = np.linspace(0.0, 50.0, 1_000_001)
         for z in (-1.0, 0.3, 2.0):
             oracle = float(np.max(q * z - eval_g(spec, 0.0, q)))
-            assert eval_gstar_halfline(conj, 0.0, z, +1) == pytest.approx(oracle, abs=1e-6)
+            assert eval_gstar_halfline(spec, 0.0, z, +1) == pytest.approx(oracle, abs=1e-6)
 
     def test_table_halfline_monotone(self):
         q = np.linspace(-2.0, 2.0, 401)
         tab = Tabulated(q=tuple(q), g=tuple(np.abs(q) ** 1.5))
-        conj = conjugate(tab)
         z = np.linspace(-3, 3, 61)
-        plus = np.asarray(eval_gstar_halfline(conj, 0.0, z, +1))
-        minus = np.asarray(eval_gstar_halfline(conj, 0.0, z, -1))
+        plus = np.asarray(eval_gstar_halfline(tab, 0.0, z, +1))
+        minus = np.asarray(eval_gstar_halfline(tab, 0.0, z, -1))
         assert np.all(np.diff(plus) >= -1e-12)
         assert np.all(np.diff(minus) <= 1e-12)
 
@@ -169,7 +160,7 @@ class TestHalfline:
     ], ids=["node-at-zero", "zero-between-nodes", "positive-only"])
     def test_table_halfline_matches_brute_force(self, q):
         g = 0.4 * q * q + 0.3 * np.abs(q - 0.2)
-        conj = conjugate(Tabulated(q=tuple(q), g=tuple(g)))
+        tab = Tabulated(q=tuple(q), g=tuple(g))
         z = np.linspace(-4.0, 4.0, 97)
         for side in (+1, -1):
             keep = q >= 0 if side > 0 else q <= 0
@@ -179,7 +170,7 @@ class TestHalfline:
                 gs = np.append(gs, np.interp(0.0, q, g))
             oracle = np.max(qs[None, :] * z[:, None] - gs[None, :], axis=1)
             for _ in range(2):  # the second call reads the cached tables
-                got = np.asarray(eval_gstar_halfline(conj, 0.0, z, side))
+                got = np.asarray(eval_gstar_halfline(tab, 0.0, z, side))
                 np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
 
 
@@ -242,24 +233,21 @@ class TestFenchelYoung:
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_inequality_quadratic(self, q, z):
         spec = Quadratic(1.3)
-        conj = conjugate(spec)
-        lhs = eval_g(spec, 0.0, q) + eval_gstar(conj, 0.0, z)
+        lhs = eval_g(spec, 0.0, q) + eval_gstar(spec, 0.0, z)
         assert lhs >= q * z - 1e-10
 
     def test_equality_at_subgradient(self):
         for spec in (Quadratic(0.8), PowerLaw(1.5, 0.5), PowerLaw(3.0, 2.0)):
-            conj = conjugate(spec)
             for q in (-2.0, -0.3, 0.5, 1.7):
                 z = eval_g_prime(spec, 0.0, q)
-                lhs = eval_g(spec, 0.0, q) + eval_gstar(conj, 0.0, z)
+                lhs = eval_g(spec, 0.0, q) + eval_gstar(spec, 0.0, z)
                 assert lhs == pytest.approx(q * z, abs=1e-8)
 
     def test_inequality_with_infinite_values(self):
         spec = IndicatorInterval(1.0)
-        conj = conjugate(spec)
         for q in (-0.9, 0.0, 0.4):
             for z in (-2.0, 1.0):
-                assert eval_g(spec, 0.0, q) + eval_gstar(conj, 0.0, z) >= q * z - 1e-12
+                assert eval_g(spec, 0.0, q) + eval_gstar(spec, 0.0, z) >= q * z - 1e-12
 
 
 class TestCheckTi:
@@ -285,18 +273,59 @@ class TestCheckTi:
         assert report.clauses["coercivity"][0]
 
 
+_TABLE_Q = np.linspace(-4.0, 4.0, 33)
+_LINEAR_Q = np.linspace(-(2.0 ** 20), 2.0 ** 20, 4097)
+MODULATED_BASES = {
+    "quadratic": (Quadratic(1.5), True),
+    "power": (PowerLaw(1.5, 0.8), True),
+    "indicator": (IndicatorInterval(2.0), True),
+    "table": (Tabulated(q=tuple(_TABLE_Q), g=tuple(_TABLE_Q ** 2 - 0.5)), True),
+    "linear-table": (Tabulated(q=tuple(_LINEAR_Q), g=tuple(np.abs(_LINEAR_Q))), False),
+}
+
+
+class TestModulated:
+    """Time modulation w(t) g(q) scales the base's bounds as documented."""
+
+    WEIGHTS = (0.5, 3.0, 2.0)
+
+    @pytest.fixture(params=sorted(MODULATED_BASES))
+    def case(self, request):
+        base, coercive = MODULATED_BASES[request.param]
+        return base, TimeModulated(base=base, weights=self.WEIGHTS), coercive
+
+    def test_check_ti_coercivity_verdict(self, case):
+        base, spec, coercive = case
+        ok, detail = check_ti(spec).clauses["coercivity"]
+        assert ok == coercive
+        assert ok == check_ti(base).clauses["coercivity"][0]
+        bounded = growth_exponent(base) == math.inf
+        assert ("bounded effective domain" in detail) == bounded
+
+    def test_scaled_bounds(self, case):
+        base, spec, _ = case
+        assert domain_interval(spec) == domain_interval(base)
+        assert growth_exponent(spec) == growth_exponent(base)
+        assert lower_bound(spec) == max(self.WEIGHTS) * lower_bound(base)
+        for zmax in (0.3, 2.0, -5.0):
+            expected = gstar_lipschitz(base, abs(zmax) / min(self.WEIGHTS))
+            assert gstar_lipschitz(spec, zmax) == expected
+
+    def test_config_round_trip(self, case):
+        _, spec, _ = case
+        assert spec_from_config(spec_to_config(spec)) == spec
+
+
 class TestLipschitzBound:
     def test_quadratic(self):
-        conj = conjugate(Quadratic(2.0))
-        assert gstar_lipschitz(conj, 4.0) == pytest.approx(2.0)
+        assert gstar_lipschitz(Quadratic(2.0), 4.0) == pytest.approx(2.0)
 
     def test_bound_dominates_finite_differences(self):
         for spec in (Quadratic(1.0), PowerLaw(1.5, 1.0), IndicatorInterval(1.0)):
-            conj = conjugate(spec)
             z = np.linspace(-3, 3, 601)
-            vals = np.asarray(eval_gstar(conj, 0.0, z))
+            vals = np.asarray(eval_gstar(spec, 0.0, z))
             slopes = np.abs(np.diff(vals) / np.diff(z))
-            assert slopes.max() <= gstar_lipschitz(conj, 3.0) + 1e-9
+            assert slopes.max() <= gstar_lipschitz(spec, 3.0) + 1e-9
 
 
 class TestSerialization:

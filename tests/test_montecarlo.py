@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
-from driftlab.generators import Quadratic, conjugate
+from driftlab.generators import Quadratic
 from driftlab.montecarlo import (
     FeedbackControl,
     PathBatch,
@@ -25,7 +25,6 @@ from driftlab.pde import GridSpec, solve_semilinear
 from driftlab.variational import RunningMax, TerminalValue, TimeIntegral
 
 QUAD = Quadratic(1.0)
-QUAD_CONJ = conjugate(QUAD)
 
 
 def gaussian_bump(x):
@@ -107,7 +106,7 @@ class TestLogMeanExp:
         est, se = log_mean_exp(
             TerminalValue(gaussian_bump), 1.0, PathBatch(n_steps=8, n_paths=400_000, seed=9)
         )
-        fld = solve_semilinear(gaussian_bump, QUAD_CONJ, 1.0, GridSpec(-8.0, 8.0, 801, 1))
+        fld = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 801, 1))
         assert abs(est - fld.initial_value_at_origin) <= 3 * se + 2e-3
 
     def test_cash_invariance(self):
@@ -142,7 +141,7 @@ class TestGirsanovLowerBound:
         assert abs(est - a * a / 2.0) <= 3 * se
 
     def test_never_exceeds_pde_value(self):
-        fld = solve_semilinear(gaussian_bump, QUAD_CONJ, 1.0, GridSpec(-8.0, 8.0, 801, 1))
+        fld = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 801, 1))
         rho = fld.initial_value_at_origin
         batch = PathBatch(n_steps=32, n_paths=100_000, seed=14)
         controls = [
@@ -166,12 +165,12 @@ class TestGirsanovLowerBound:
 class TestLsmc:
     def test_constant_terminal(self):
         F = TerminalValue(lambda x: np.full(np.shape(x), 2.0), bounds=(2.0, 2.0))
-        sol = lsmc_bsde(F, QUAD_CONJ, 1.0, PathBatch(n_steps=25, n_paths=20_000, seed=16))
+        sol = lsmc_bsde(F, QUAD, 1.0, PathBatch(n_steps=25, n_paths=20_000, seed=16))
         assert sol.y0 == pytest.approx(2.0, abs=1e-3)
 
     def test_matches_log_mean_exp(self):
         F = TerminalValue(gaussian_bump, bounds=(0.0, 1.0))
-        sol = lsmc_bsde(F, QUAD_CONJ, 1.0, PathBatch(n_steps=50, n_paths=100_000, seed=17))
+        sol = lsmc_bsde(F, QUAD, 1.0, PathBatch(n_steps=50, n_paths=100_000, seed=17))
         ref, se = log_mean_exp(
             TerminalValue(gaussian_bump), 1.0, PathBatch(n_steps=8, n_paths=100_000, seed=18)
         )
@@ -182,14 +181,14 @@ class TestLsmc:
         F = RunningMax(lambda m: np.minimum(1.0, m), bounds=(0.0, 1.0))
         gaps = []
         for n, steps in ((1, 64), (4, 256), (16, 256)):
-            sol = lsmc_bsde(F, QUAD_CONJ, float(n),
+            sol = lsmc_bsde(F, QUAD, float(n),
                             PathBatch(n_steps=steps, n_paths=50_000, seed=19 + n))
             gaps.append(abs(sol.y0 - 0.5))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_ladder_monotone_structure(self):
         F = TerminalValue(gaussian_bump, bounds=(0.0, 1.0))
-        sol = lsmc_bsde(F, QUAD_CONJ, 1.0, PathBatch(n_steps=25, n_paths=50_000, seed=20))
+        sol = lsmc_bsde(F, QUAD, 1.0, PathBatch(n_steps=25, n_paths=50_000, seed=20))
         assert sol.times.size == sol.y_ladder.size
         assert sol.terminal_residual < 0.2
 

@@ -11,7 +11,6 @@ from driftlab.generators import (
     Quadratic,
     Tabulated,
     TimeModulated,
-    conjugate,
     eval_gstar_halfline,
 )
 from driftlab.pde import (
@@ -27,7 +26,6 @@ from driftlab.pde import (
 from driftlab.schrodinger import DiscreteMeasure
 
 QUAD = Quadratic(1.0)
-QUAD_CONJ = conjugate(QUAD)
 
 
 def gaussian_bump(x):
@@ -37,7 +35,7 @@ def gaussian_bump(x):
 class TestSolveSemilinear:
     def test_constant_terminal_is_invariant(self):
         grid = GridSpec(-8.0, 8.0, 321, 1)
-        fld = solve_semilinear(lambda x: np.full(np.shape(x), 3.0), QUAD_CONJ, 1.0, grid)
+        fld = solve_semilinear(lambda x: np.full(np.shape(x), 3.0), QUAD, 1.0, grid)
         assert fld.initial_value_at_origin == pytest.approx(3.0, abs=1e-9)
         np.testing.assert_allclose(fld.values, 3.0, atol=1e-9)
 
@@ -45,23 +43,23 @@ class TestSolveSemilinear:
         # log E exp(a W(1)) = a^2 / 2 in the quadratic case
         a = 0.7
         grid = GridSpec(-8.0, 8.0, 801, 1)
-        fld = solve_semilinear(lambda x: a * np.asarray(x, dtype=float), QUAD_CONJ, 1.0, grid)
+        fld = solve_semilinear(lambda x: a * np.asarray(x, dtype=float), QUAD, 1.0, grid)
         assert fld.initial_value_at_origin == pytest.approx(a * a / 2.0, abs=2e-3)
 
     def test_clamped_boundary_nodes_equal_terminal(self):
         grid = GridSpec(-6.0, 6.0, 201, 1)
-        fld = solve_semilinear(gaussian_bump, QUAD_CONJ, 0.5, grid)
+        fld = solve_semilinear(gaussian_bump, QUAD, 0.5, grid)
         assert fld.values.shape == (grid.nx,)
         np.testing.assert_array_equal(fld.values[[0, -1]], gaussian_bump(grid.x)[[0, -1]])
 
     def test_cfl_violation_reports_minimal_nt(self):
         grid = GridSpec(-8.0, 8.0, 321, 5)
         with pytest.raises(CflError) as err:
-            solve_semilinear(gaussian_bump, QUAD_CONJ, 1.0, grid, strict_nt=True)
+            solve_semilinear(gaussian_bump, QUAD, 1.0, grid, strict_nt=True)
         minimal = err.value.minimal_nt
         assert minimal > 5
         # the advertised minimal step count is accepted
-        solve_semilinear(gaussian_bump, QUAD_CONJ, 1.0, grid.with_nt(minimal), strict_nt=True)
+        solve_semilinear(gaussian_bump, QUAD, 1.0, grid.with_nt(minimal), strict_nt=True)
 
     def test_rejects_unbounded_terminal(self):
         grid = GridSpec(-2.0, 2.0, 51, 1)
@@ -71,27 +69,27 @@ class TestSolveSemilinear:
             return np.where(x == 0.0, np.inf, x)
 
         with pytest.raises(ValueError, match="finite"):
-            solve_semilinear(bad, QUAD_CONJ, 1.0, grid)
+            solve_semilinear(bad, QUAD, 1.0, grid)
 
     def test_comparison_monotonicity(self):
         grid = GridSpec(-8.0, 8.0, 321, 2000)
         f1 = lambda x: np.tanh(np.asarray(x, dtype=float))
         f2 = lambda x: np.tanh(np.asarray(x, dtype=float)) + 0.3 * np.exp(-np.asarray(x) ** 2)
-        v1 = solve_semilinear(f1, QUAD_CONJ, 1.0, grid)
-        v2 = solve_semilinear(f2, QUAD_CONJ, 1.0, grid)
+        v1 = solve_semilinear(f1, QUAD, 1.0, grid)
+        v2 = solve_semilinear(f2, QUAD, 1.0, grid)
         assert np.all(v1.values <= v2.values + 1e-12)
 
     def test_cash_invariance(self):
         grid = GridSpec(-8.0, 8.0, 321, 2000)
-        base = solve_semilinear(gaussian_bump, QUAD_CONJ, 1.0, grid)
-        shifted = solve_semilinear(lambda x: gaussian_bump(x) + 2.5, QUAD_CONJ, 1.0, grid)
+        base = solve_semilinear(gaussian_bump, QUAD, 1.0, grid)
+        shifted = solve_semilinear(lambda x: gaussian_bump(x) + 2.5, QUAD, 1.0, grid)
         np.testing.assert_allclose(shifted.values, base.values + 2.5, atol=1e-12)
 
     def test_grid_refinement_within_estimate(self):
         coarse = solve_semilinear(
-            gaussian_bump, QUAD_CONJ, 0.5, GridSpec(-8.0, 8.0, 321, 1), estimate_error=True
+            gaussian_bump, QUAD, 0.5, GridSpec(-8.0, 8.0, 321, 1), estimate_error=True
         )
-        fine = solve_semilinear(gaussian_bump, QUAD_CONJ, 0.5, GridSpec(-8.0, 8.0, 641, 1))
+        fine = solve_semilinear(gaussian_bump, QUAD, 0.5, GridSpec(-8.0, 8.0, 641, 1))
         change = abs(coarse.initial_value_at_origin - fine.initial_value_at_origin)
         assert change < coarse.discretization_estimate
 
@@ -103,7 +101,7 @@ class TestSolveSemilinear:
         assert 1.3 * dt / dx <= 1.0 + 1e-12
 
 
-def reference_march(terminal, conj, sigma2, grid, nt):
+def reference_march(terminal, g, sigma2, grid, nt):
     """The explicit monotone step written out plainly, one fresh array a step."""
     dx, dt = grid.dx, 1.0 / nt
     out = np.empty(terminal.shape[:-1] + (nt + 1, grid.nx))
@@ -113,8 +111,8 @@ def reference_march(terminal, conj, sigma2, grid, nt):
         lap = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / dx**2
         dminus = (v[..., 1:-1] - v[..., :-2]) / dx
         dplus = (v[..., 2:] - v[..., 1:-1]) / dx
-        ham = np.maximum(eval_gstar_halfline(conj, (k + 1) * dt, dplus, +1),
-                         eval_gstar_halfline(conj, (k + 1) * dt, dminus, -1))
+        ham = np.maximum(eval_gstar_halfline(g, (k + 1) * dt, dplus, +1),
+                         eval_gstar_halfline(g, (k + 1) * dt, dminus, -1))
         nxt = v.copy()
         nxt[..., 1:-1] = v[..., 1:-1] + dt * (0.5 * sigma2 * lap + ham)
         if grid.boundary == "clampToTerminal":
@@ -146,17 +144,16 @@ class TestMarchBackward:
             terminal = terminal.reshape(2, 2, grid.nx)
         else:
             terminal = gaussian_bump(x)
-        conj = conjugate(spec)
-        values, cfl = march_backward(terminal, conj, 0.4, grid)
+        values, cfl = march_backward(terminal, spec, 0.4, grid)
         assert values.shape == terminal.shape
-        reference = reference_march(terminal, conj, 0.4, grid, cfl["nt"])
+        reference = reference_march(terminal, spec, 0.4, grid, cfl["nt"])
         np.testing.assert_array_equal(values, reference[..., 0, :])
 
     def test_terminal_argument_not_modified(self):
         grid = GridSpec(-3.0, 3.0, 61, 1)
         terminal = gaussian_bump(grid.x)
         kept = terminal.copy()
-        march_backward(terminal, QUAD_CONJ, 1.0, grid)
+        march_backward(terminal, QUAD, 1.0, grid)
         np.testing.assert_array_equal(terminal, kept)
 
     def test_memory_independent_of_step_count(self):
@@ -166,7 +163,7 @@ class TestMarchBackward:
         terminal = np.stack([np.sin(a * grid.x) for a in np.linspace(0.5, 2.0, 64)])
         tracemalloc.start()
         try:
-            _, cfl = march_backward(terminal, QUAD_CONJ, 1.0, grid)
+            _, cfl = march_backward(terminal, QUAD, 1.0, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,7 +245,7 @@ class TestTerminalMixture:
         grid = GridSpec(-8.0, 8.0, 401, 1)
         mu = DiscreteMeasure.point(0.0)
         val = rho_terminal_mixture(gaussian_bump, QUAD, mu, 1.0, grid)
-        fld = solve_semilinear(gaussian_bump, QUAD_CONJ, 1.0, grid)
+        fld = solve_semilinear(gaussian_bump, QUAD, 1.0, grid)
         assert val == pytest.approx(fld.initial_value_at_origin, abs=1e-12)
 
     def test_even_symmetry(self):
@@ -256,7 +253,7 @@ class TestTerminalMixture:
         f_even = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
         mu = DiscreteMeasure(support=(-1.0, 1.0), weights=(0.5, 0.5))
         val = rho_terminal_mixture(f_even, QUAD, mu, 1.0, grid)
-        fld = solve_semilinear(f_even, QUAD_CONJ, 1.0, grid)
+        fld = solve_semilinear(f_even, QUAD, 1.0, grid)
         left, right = fld.value(-1.0), fld.value(1.0)
         assert left == pytest.approx(right, abs=1e-9)
         assert val == pytest.approx(right, abs=1e-9)

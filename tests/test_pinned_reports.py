@@ -1,0 +1,109 @@
+"""Pinned report bodies: one small config per CLI kind that takes a cost.
+
+Across the configs every cost variant appears, including an interval
+indicator and time-modulated costs on PDE routes, and ``ti-check`` runs on
+each variant.  Each run's ``report.csv`` must equal, byte for byte, the body
+stored under ``tests/pinned_reports/``.  A change that moves a number on
+purpose re-records the bodies and says so.
+"""
+
+from pathlib import Path
+
+import pytest
+import yaml
+
+from driftlab.cli import main
+
+PINNED = Path(__file__).parent / "pinned_reports"
+
+_Q = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+TABULATED = {"variant": "tabulated", "q": _Q, "g": [0.5 * q * q + 0.1 * abs(q) for q in _Q]}
+QUADRATIC = {"variant": "quadratic", "c": 1.3}
+POWER = {"variant": "power", "r": 1.5, "a": 0.8}
+INDICATOR = {"variant": "indicator", "K": 1.5}
+
+
+def modulated(base, weights=(1.0, 2.0, 1.5)):
+    return {"variant": "modulated", "base": base, "weights": list(weights)}
+
+
+BUMP = {"kind": "gaussian_bump", "center": 1.0}
+TERMINAL_FUNCTIONAL = {"kind": "terminal", "f": BUMP, "bounds": [0.0, 1.0]}
+SMALL_GRID = {"x_min": -4.0, "x_max": 4.0, "nx": 41}
+
+CONFIGS = {
+    "pde-sweep-indicator": {
+        "kind": "pde-sweep", "generator": INDICATOR, "terminal": BUMP,
+        "grid": SMALL_GRID, "n_list": [1, 4], "y_step": 1e-3,
+    },
+    "pde-sweep-tabulated": {
+        "kind": "pde-sweep", "generator": TABULATED, "terminal": BUMP,
+        "grid": SMALL_GRID, "n_list": [2], "y_step": 1e-3,
+    },
+    "sanov-iterate-modulated-power": {
+        "kind": "sanov-iterate", "generator": modulated(POWER),
+        "phi": "tanh", "Phi": "negative_square", "phi_bounds": [-1.0, 1.0],
+        "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 33},
+        "n_list": [1, 2], "c_points": 41, "lambda_points": 31, "s_points": 17,
+    },
+    "mc-estimate-girsanov-modulated": {
+        "kind": "mc-estimate", "estimator": "girsanov", "seed": 7,
+        "generator": modulated(QUADRATIC),
+        "control": {"kind": "pull_toward", "center": 1.0, "bound": 1.2},
+        "functional": TERMINAL_FUNCTIONAL, "paths": 2000, "steps": 8,
+        "oracle": {"generator": modulated(INDICATOR), "terminal": BUMP,
+                   "grid": SMALL_GRID, "viscosity": 1.0},
+    },
+    "mc-estimate-oracle-modulated-tabulated": {
+        "kind": "mc-estimate", "estimator": "log-mean-exp", "seed": 8,
+        "functional": TERMINAL_FUNCTIONAL, "paths": 2000, "steps": 4,
+        "oracle": {"generator": modulated(TABULATED), "terminal": BUMP,
+                   "grid": SMALL_GRID, "viscosity": 1.0},
+    },
+    "bsde-lsmc-power": {
+        "kind": "bsde-lsmc", "generator": POWER, "functional": TERMINAL_FUNCTIONAL,
+        "seed": 5, "n_list": [1, 4], "steps": 8, "paths": 2000, "basis_size": 9,
+    },
+    "bsde-lsmc-modulated-quadratic": {
+        "kind": "bsde-lsmc", "generator": modulated(QUADRATIC),
+        "functional": TERMINAL_FUNCTIONAL,
+        "seed": 6, "n_list": [2], "steps": 8, "paths": 2000, "basis_size": 9,
+    },
+    "schilder-tabulated": {
+        "kind": "schilder", "generator": TABULATED, "functional": TERMINAL_FUNCTIONAL,
+        "seed": 3, "knots": 5, "restarts": 2, "max_iter": 100,
+    },
+    "schilder-modulated-indicator": {
+        "kind": "schilder", "generator": modulated(INDICATOR),
+        "functional": TERMINAL_FUNCTIONAL,
+        "seed": 4, "knots": 5, "restarts": 2, "max_iter": 100,
+    },
+    "schrodinger-sweep-indicator": {
+        "kind": "schrodinger-sweep", "generator": {"variant": "indicator", "K": 3.0},
+        "mu": {"atoms": [0.0], "weights": [1.0]},
+        "nu": {"atoms": [0.5, 1.0], "weights": [0.5, 0.5]},
+        "eps_list": [0.3], "n_time": 8,
+    },
+}
+for name, generator in {
+    "quadratic": QUADRATIC, "power": POWER, "indicator": INDICATOR,
+    "tabulated": TABULATED, "modulated-tabulated": modulated(TABULATED),
+    "modulated-indicator": modulated(INDICATOR), "modulated-power": modulated(POWER),
+}.items():
+    CONFIGS[f"ti-check-{name}"] = {"kind": "ti-check", "generator": generator}
+
+
+def run_config(tmp_path, payload):
+    """Run one config through the CLI; returns (exit code, report body)."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(payload))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--output-dir", str(out)])
+    return code, (out / "report.csv").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_body_is_pinned(tmp_path, name):
+    code, body = run_config(tmp_path, CONFIGS[name])
+    assert code == 0
+    assert body == (PINNED / f"{name}.csv").read_text()

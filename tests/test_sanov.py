@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from driftlab.generators import Quadratic, conjugate
+from driftlab.generators import Quadratic
 from driftlab.montecarlo import FeedbackControl, PathBatch, girsanov_lower_bound
 from driftlab.pde import GridSpec, solve_semilinear
 from driftlab.sanov import (
@@ -30,7 +30,7 @@ F_SQUARE = MeanFieldFunctional(
 
 
 def rho_of_tanh():
-    fld = solve_semilinear(lambda x: np.tanh(np.asarray(x)), conjugate(QUAD), 1.0, GRID)
+    fld = solve_semilinear(lambda x: np.tanh(np.asarray(x)), QUAD, 1.0, GRID)
     return fld.initial_value_at_origin
 
 
@@ -38,12 +38,12 @@ class TestApplyL:
     def test_state_independent_slice_passes_through(self):
         s_grid = np.linspace(-2.0, 2.0, 21)
         out = apply_L(lambda x, s: np.broadcast_to(s, np.broadcast_shapes(np.shape(x), np.shape(s))),
-                      conjugate(QUAD), GRID, s_grid)
+                      QUAD, GRID, s_grid)
         np.testing.assert_allclose(out, s_grid, atol=1e-9)
 
     def test_accumulator_independent_slice_is_single_pde(self):
         s_grid = np.linspace(-2.0, 2.0, 5)
-        out = apply_L(lambda x, s: np.tanh(x) + 0.0 * s, conjugate(QUAD), GRID, s_grid)
+        out = apply_L(lambda x, s: np.tanh(x) + 0.0 * s, QUAD, GRID, s_grid)
         np.testing.assert_allclose(out, rho_of_tanh(), atol=1e-9)
 
     def test_single_block_terminal_reproduces_iterate(self):
@@ -51,7 +51,7 @@ class TestApplyL:
         # s = 0 is the definition of the n = 1 value
         out = apply_L(
             lambda x, s: np.asarray(F_SQUARE.Phi(s + F_SQUARE.phi(x))),
-            conjugate(QUAD), GRID, np.array([0.0]),
+            QUAD, GRID, np.array([0.0]),
         )
         assert float(out[0]) == pytest.approx(iterate_L(F_SQUARE, QUAD, 1, GRID), abs=1e-12)
 
