@@ -138,7 +138,7 @@ def _run_schrodinger_sweep(cfg):
     ]
     csv_text = csv_body(("eps", "value", "ot", "gap", "feasible"), rows)
     infeasible = any(r.aux.get("feasible", 1.0) == 0.0 for r in report.rows)
-    return resolved, csv_text, {}, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
+    return resolved, csv_text, report.meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
 
 
 def _build_control(section):

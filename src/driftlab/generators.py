@@ -37,6 +37,8 @@ from typing import Union
 
 import numpy as np
 
+from .report import format_float
+
 __all__ = [
     "Quadratic",
     "PowerLaw",
@@ -572,7 +574,8 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
         ]
         sups.append(np.trapezoid(per_t, t_grid))
     ok = all(np.isfinite(s) for s in sups)
-    clauses["time_integrability"] = (bool(ok), f"trapezoid of sup_|q|<=r g: {sups}")
+    sums = ", ".join(format_float(s) for s in sups)
+    clauses["time_integrability"] = (bool(ok), f"trapezoid of sup_|q|<=r g: [{sums}]")
 
     return TiReport(clauses)
 

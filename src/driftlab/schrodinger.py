@@ -10,9 +10,14 @@ Routes implemented here:
   drift cost of the bridge;
 * a drift-field solver for general convex costs: explicit diffuse-advect
   marching of the state law with an exact terminal repair by monotone
-  rearrangement, optimized by projected gradient with adjoint derivatives;
+  rearrangement.  An augmented-Lagrangian loop enforces the terminal law;
+  each round minimizes over drift fields by L-BFGS-B, boxed to the cost's
+  domain, with adjoint gradients.  Every objective evaluation tabulates the
+  per-step deposit cells, hat weights, g and g' of its drift field once, and
+  the forward and adjoint passes read those tables;
 * the mollifier of the target law and the small-noise sweep over both the
-  mollified and raw-target modes.
+  mollified and raw-target modes, whose report carries one diagnostics
+  record per noise level in ``meta["solves"]``.
 
 Raw (un-mollified) atomic targets are reachable only when the cost grows
 strictly slower than quadratically; for quadratic or faster growth the
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -386,32 +391,44 @@ def sinkhorn_bridge(instance: "TransportInstance", *, tol=1e-9, max_iter=20000) 
     mu = instance.mu
     xs = np.asarray(mu.support)
     ys = np.asarray(target.support)
+    a = np.asarray(mu.weights)
+    b = np.asarray(target.weights)
     with np.errstate(divide="ignore"):
         log_k = log_heat_kernel_matrix(xs, ys, eps)
-        log_r = np.log(np.asarray(mu.weights))[:, None] + log_k
-        log_a = np.log(np.asarray(mu.weights))
-        log_b = np.log(np.asarray(target.weights))
-    has_a = np.asarray(mu.weights) > 0
-    has_b = np.asarray(target.weights) > 0
+        log_a = np.log(a)
+        log_b = np.log(b)
+        log_r = log_a[:, None] + log_k
+    has_a = a > 0
+    has_b = b > 0
+    # with every weight positive no potential is -inf, so nothing is masked
+    all_positive = bool(has_a.all() and has_b.all())
     u = np.where(has_a, 0.0, -np.inf)
     v = np.where(has_b, 0.0, -np.inf)
     gaps = []
     it = 0
     err = np.inf
-    with np.errstate(invalid="ignore"):
+    # a zero-weight atom leaves a row or column of -inf: log(0) is expected
+    with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            u_new = np.where(has_a, log_a - _lse(log_r + v[None, :], axis=1), -np.inf)
-            v_new = np.where(has_b, log_b - _lse(log_r + u_new[:, None], axis=0), -np.inf)
-            live = has_b & np.isfinite(v)
-            gaps.append(
-                float(np.max(np.abs(v_new[live] - v[live]))) if live.any() else np.inf
-            )
-            u, v = u_new, v_new
-            log_pi = log_r + u[:, None] + v[None, :]
-            pi = np.exp(np.where(np.isnan(log_pi), -np.inf, log_pi))
+            if all_positive:
+                u_new = log_a - _lse(log_r + v[None, :], axis=1)
+                v_new = log_b - _lse(log_r + u_new[:, None], axis=0)
+                gaps.append(float(np.abs(v_new - v).max()))
+                u, v = u_new, v_new
+                pi = np.exp(log_r + u[:, None] + v[None, :])
+            else:
+                u_new = np.where(has_a, log_a - _lse(log_r + v[None, :], axis=1), -np.inf)
+                v_new = np.where(has_b, log_b - _lse(log_r + u_new[:, None], axis=0), -np.inf)
+                live = has_b & np.isfinite(v)
+                gaps.append(
+                    float(np.max(np.abs(v_new[live] - v[live]))) if live.any() else np.inf
+                )
+                u, v = u_new, v_new
+                log_pi = log_r + u[:, None] + v[None, :]
+                pi = np.exp(np.where(np.isnan(log_pi), -np.inf, log_pi))
             err = max(
-                float(np.max(np.abs(pi.sum(axis=1) - mu.weights))),
-                float(np.max(np.abs(pi.sum(axis=0) - target.weights))),
+                float(np.abs(pi.sum(axis=1) - a).max()),
+                float(np.abs(pi.sum(axis=0) - b).max()),
             )
             if err < tol:
                 break
@@ -433,11 +450,9 @@ def sinkhorn_bridge(instance: "TransportInstance", *, tol=1e-9, max_iter=20000) 
 
 
 def _lse(arr, axis):
-    m = np.max(arr, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return np.squeeze(m, axis=axis) + np.log(
-        np.sum(np.exp(arr - m), axis=axis)
-    )
+    m = arr.max(axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    return m.squeeze(axis=axis) + np.log(np.exp(arr - m).sum(axis=axis))
 
 
 # ---------------------------------------------------------------------------
@@ -564,23 +579,95 @@ def _repair_cost_and_potential(grid, mass, target: DiscreteMeasure, g, dt):
     return float(cost_total * mass.sum()), u
 
 
-def _advect_matrix_apply(vec, positions, grid):
-    """Deposit vec located at ``positions`` onto the grid by hat weights."""
-    idx = np.clip(np.searchsorted(grid, positions) - 1, 0, grid.size - 2)
-    t = np.clip((positions - grid[idx]) / (grid[idx + 1] - grid[idx]), 0.0, 1.0)
-    out = np.zeros(grid.size)
-    np.add.at(out, idx, vec * (1.0 - t))
-    np.add.at(out, idx + 1, vec * t)
-    return out
+class _StepTables(NamedTuple):
+    """What one drift field fixes at every step, one (n_t, ...) array each.
+
+    Node x_j moves to x_j + q_j dt and its mass splits by hat weights between
+    the two ends of the grid cell it lands in.  ``nodes[k]`` lists the left
+    ends, then the right ends, of step k's cells; ``hats[k]`` holds the
+    matching weights (1 - t, t) as two rows; ``width`` is the cell widths.
+    The forward march deposits through these tables and the adjoint gathers
+    through them.
+    """
+
+    nodes: np.ndarray
+    hats: np.ndarray
+    width: np.ndarray
+    cost: np.ndarray
+    slope: np.ndarray
 
 
-def _interp_and_slope(values, positions, grid):
-    idx = np.clip(np.searchsorted(grid, positions) - 1, 0, grid.size - 2)
-    h = grid[idx + 1] - grid[idx]
-    t = np.clip((positions - grid[idx]) / h, 0.0, 1.0)
-    val = values[idx] * (1.0 - t) + values[idx + 1] * t
-    slope = (values[idx + 1] - values[idx]) / h
-    return val, slope
+def _step_tables(q_field, grid, g, dt):
+    pos = grid + q_field * dt
+    cell = np.searchsorted(grid, pos)
+    cell -= 1
+    np.clip(cell, 0, grid.size - 2, out=cell)
+    left_node = grid[cell]
+    width = grid[cell + 1] - left_node
+    t = np.clip((pos - left_node) / width, 0.0, 1.0)
+    return _StepTables(
+        nodes=np.concatenate([cell, cell + 1], axis=1),
+        hats=np.stack([1.0 - t, t], axis=1),
+        width=width,
+        cost=np.asarray(gen.eval_g(g, 0.0, q_field)),
+        slope=np.asarray(gen.eval_g_prime(g, 0.0, q_field)),
+    )
+
+
+def _march_law(q_field, grid, g, m0, kernel):
+    """Forward pass: running cost, marginals (n_t + 1, nx), diffused states
+    (n_t, nx) and the step tables of the drift field.
+
+    Each step diffuses the law by ``kernel`` (exact Gaussian cell masses; no
+    diffusion when it is None), charges dt * <law, g(q)> and advects by the
+    hat weights.
+    """
+    n_t, nx = q_field.shape
+    dt = 1.0 / n_t
+    tables = _step_tables(q_field, grid, g, dt)
+    masses = np.empty((n_t + 1, nx))
+    masses[0] = m0
+    tilde = np.empty((n_t, nx))
+    split = np.empty((2, nx))
+    split_flat = split.reshape(-1)
+    nodes, hats, cost = tables.nodes, tables.hats, tables.cost
+    running = 0.0
+    m = m0
+    for k in range(n_t):
+        mt = m @ kernel if kernel is not None else m
+        tilde[k] = mt
+        running += dt * float(np.dot(mt, cost[k]))
+        np.multiply(mt, hats[k], out=split)
+        m = np.bincount(nodes[k], weights=split_flat, minlength=nx)
+        masses[k + 1] = m
+    return running, masses, tilde, tables
+
+
+def _transport_objective(q_field, grid, g, m0, nu_vec, kernel, lam, rho):
+    """Augmented-Lagrangian objective of a drift field and its gradient.
+
+    The value is the running cost plus <lam, gap> + rho |gap|^2 / 2 for the
+    terminal gap to ``nu_vec``; the gradient comes from the adjoint
+    recursion, which walks the forward pass's step tables backwards.
+    """
+    n_t, nx = q_field.shape
+    dt = 1.0 / n_t
+    running, masses, tilde, tables = _march_law(q_field, grid, g, m0, kernel)
+    gap = masses[-1] - nu_vec
+    value = running + float(np.dot(lam, gap)) + 0.5 * rho * float(np.dot(gap, gap))
+    step_cost = dt * tables.cost
+    ends = np.empty((n_t, 2, nx))  # adjoint values at each step's cell ends
+    ends_flat = ends.reshape(n_t, 2 * nx)
+    nodes, hats = tables.nodes, tables.hats
+    w = lam + rho * gap
+    for k in range(n_t - 1, -1, -1):
+        w.take(nodes[k], out=ends_flat[k])
+        parts = ends[k] * hats[k]
+        w_val = parts[0] + parts[1]
+        w_val += step_cost[k]
+        w = kernel @ w_val if kernel is not None else w_val
+    w_slope = (ends[:, 1] - ends[:, 0]) / tables.width
+    return value, tilde * dt * (tables.slope + w_slope)
 
 
 def solve_transport(instance: TransportInstance, *, inner_iter=400,
@@ -588,10 +675,13 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
     """Minimize the expected drift cost subject to the terminal-law constraint.
 
     The state law marches explicitly (exact Gaussian diffusion, then
-    hat-function drift advection per step); the endpoint constraint is
-    enforced by an augmented-Lagrangian outer loop whose inner problems are
-    solved by L-BFGS (boxed to the drift domain) with analytic adjoint
-    gradients.  Whatever terminal mismatch survives the multiplier updates is
+    hat-function drift advection per step).  The endpoint constraint is
+    enforced by an augmented-Lagrangian outer loop: each round minimizes the
+    penalized objective by L-BFGS-B, boxed to the drift domain, with analytic
+    adjoint gradients, then updates the multiplier and multiplies the
+    penalty by 4.  Each objective evaluation builds the step tables of its
+    drift field once (deposit cells, hat weights, g and g'), and both passes
+    read them.  Whatever terminal mismatch survives the multiplier updates is
     removed by an exact monotone rearrangement onto the target, whose cost is
     charged to the objective, so the returned plan is feasible to machine
     precision and the value is the true cost of an explicit admissible plan.
@@ -599,7 +689,7 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
     Raw atomic targets with quadratic-or-faster cost growth are declared
     infeasible upfront: such laws are never reachable at positive noise.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import Bounds, minimize
 
     g = instance.g
     eps = instance.epsilon
@@ -629,12 +719,6 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
 
     kernel = heat_kernel_matrix(grid, grid, eps * dt) if eps > 0 else None
 
-    def diffuse(vec):
-        return vec @ kernel if kernel is not None else vec
-
-    def diffuse_adjoint(vec):
-        return kernel @ vec if kernel is not None else vec
-
     lo, hi = gen.domain_interval(g)
     span = grid[-1] - grid[0]
     q_lo = max(lo, -0.75 * span / max(dt * n_t, dt))
@@ -654,19 +738,8 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
     q0 = np.tile(np.clip(init_disp, q_lo, q_hi), (n_t, 1))
 
     def march(q_field):
-        """Full forward pass; returns running cost, marginals, tilde states."""
-        masses = np.empty((n_t + 1, nx))
-        masses[0] = m0
-        tilde = np.empty((n_t, nx))
-        running = 0.0
-        m = m0
-        for k in range(n_t):
-            mt = diffuse(m)
-            tilde[k] = mt
-            running += dt * float(np.dot(mt, np.asarray(gen.eval_g(g, 0.0, q_field[k]))))
-            m = _advect_matrix_apply(mt, grid + q_field[k] * dt, grid)
-            masses[k + 1] = m
-        return running, masses, tilde
+        running, masses, _, _ = _march_law(q_field, grid, g, m0, kernel)
+        return running, masses
 
     lam = np.zeros(nx)
     rho = 32.0
@@ -675,25 +748,15 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
     def objective_and_grad(flat):
         nonlocal evaluations
         evaluations += 1
-        q_field = flat.reshape(n_t, nx)
-        running, masses, tilde = march(q_field)
-        gap = masses[-1] - nu_vec
-        value = running + float(np.dot(lam, gap)) + 0.5 * rho * float(np.dot(gap, gap))
-        w = lam + rho * gap
-        grads = np.empty_like(q_field)
-        for k in range(n_t - 1, -1, -1):
-            pos = grid + q_field[k] * dt
-            w_val, w_slope = _interp_and_slope(w, pos, grid)
-            grads[k] = tilde[k] * dt * (
-                np.asarray(gen.eval_g_prime(g, 0.0, q_field[k])) + w_slope
-            )
-            w = diffuse_adjoint(dt * np.asarray(gen.eval_g(g, 0.0, q_field[k])) + w_val)
+        value, grads = _transport_objective(flat.reshape(n_t, nx), grid, g, m0, nu_vec,
+                                            kernel, lam, rho)
         return value, grads.ravel()
 
-    bounds = [(q_lo, q_hi)] * (n_t * nx)
+    bounds = Bounds(np.full(n_t * nx, q_lo), np.full(n_t * nx, q_hi))
     q = q0
     feas = math.inf
-    for outer in range(max_outer):
+    rounds = 0
+    for rounds in range(1, max_outer + 1):
         res = minimize(
             objective_and_grad,
             q.ravel(),
@@ -703,23 +766,24 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
             options={"maxiter": inner_iter, "ftol": 1e-14, "gtol": 1e-10},
         )
         q = res.x.reshape(n_t, nx)
-        running, masses, tilde = march(q)
+        running, masses = march(q)
         gap = masses[-1] - nu_vec
         feas = float(np.abs(gap).sum())
         lam = lam + rho * gap
         if feas < feasibility_tol:
             break
         rho *= 4.0
+    rounds_info = {"al_rounds": rounds, "penalty_weight": rho, "pre_repair_terminal_l1": feas}
 
     # certify feasibility exactly: monotone-rearrange the reached terminal
     # law onto the target and charge the (small) repair cost
-    running, masses, tilde = march(q)
+    running, masses = march(q)
     repair, _ = _repair_cost_and_potential(grid, masses[-1], target, g, dt)
     if math.isinf(repair):
         return FlowSolution(
             value=math.inf, drifts=q, marginals=masses, feasible=False,
             terminal_error=feas, kkt_residual=math.inf, iterations=evaluations,
-            diagnostics={"reason": "terminal repair outside the cost domain"},
+            diagnostics={"reason": "terminal repair outside the cost domain", **rounds_info},
         )
     masses[-1] = nu_vec
     return FlowSolution(
@@ -730,18 +794,25 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
         terminal_error=0.0,  # exact after the charged repair
         kkt_residual=float(np.abs(np.asarray(objective_and_grad(q.ravel())[1])).max()),
         iterations=evaluations,
-        diagnostics={
-            "running_cost": running,
-            "repair_cost": repair,
-            "pre_repair_terminal_l1": feas,
-            "penalty_weight": rho,
-        },
+        diagnostics={"running_cost": running, "repair_cost": repair, **rounds_info},
     )
 
 
 # ---------------------------------------------------------------------------
 # Small-noise sweep
 # ---------------------------------------------------------------------------
+
+def _solve_record(eps, sol):
+    """Manifest record of one noise level: the route taken and its counts,
+    residuals and convergence flags."""
+    if isinstance(sol, SinkhornSolution):
+        return {"eps": eps, "route": "sinkhorn", "iterations": sol.iterations,
+                "marginal_error": sol.marginal_error, "contraction": sol.contraction,
+                "converged": sol.converged}
+    return {"eps": eps, "route": "drift-field", "feasible": sol.feasible,
+            "evaluations": sol.iterations, "kkt_residual": sol.kkt_residual,
+            **sol.diagnostics}
+
 
 def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
                       mollified: bool = True, *, n_time=32) -> ConvergenceReport:
@@ -751,7 +822,8 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
     else, and every raw-target run, goes through the drift-field solver.
     Rows carry a feasibility flag; raw atomic targets under quadratic growth
     are infeasible at every noise level, which is the point of the
-    mollification.
+    mollification.  ``meta["solves"]`` holds one record per noise level
+    with the route and its solver diagnostics.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -763,22 +835,21 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
             mu=mu, nu=nu, g=g, epsilon=eps, n_time=n_time,
             exact_target=not mollified,
         )
-        if mollified:
-            instance = instance.with_mollified_target()
-            if isinstance(g, gen.Quadratic):
-                sol = sinkhorn_bridge(instance)
-                return sol.value, sol.feasible
-            sol = solve_transport(instance)
-            return sol.value, sol.feasible
-        sol = solve_transport(instance)
-        return sol.value, sol.feasible
+        if not mollified:
+            return solve_transport(instance)
+        instance = instance.with_mollified_target()
+        if isinstance(g, gen.Quadratic):
+            return sinkhorn_bridge(instance)
+        return solve_transport(instance)
 
-    results = run_parallel(solve_one, eps_list)
+    solutions = run_parallel(solve_one, eps_list)
     rows = []
-    for eps, (value, feasible) in zip(eps_list, results):
+    for eps, sol in zip(eps_list, solutions):
+        value = sol.value
         gap = abs(value - ot_value) if math.isfinite(value) else math.inf
         rows.append(
             ReportRow(index=eps, prelimit=value, limit=ot_value, gap=gap,
-                      aux={"feasible": float(feasible)})
+                      aux={"feasible": float(sol.feasible)})
         )
-    return ConvergenceReport(kind="schrodinger-sweep", rows=rows)
+    meta = {"solves": [_solve_record(eps, sol) for eps, sol in zip(eps_list, solutions)]}
+    return ConvergenceReport(kind="schrodinger-sweep", rows=rows, meta=meta)

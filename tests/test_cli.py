@@ -168,6 +168,31 @@ class TestRun:
         for line in body.strip().splitlines()[1:]:
             assert line.endswith(",0")
 
+    @pytest.mark.parametrize("generator, mollified, route, keys", [
+        ({"variant": "power", "r": 1.5, "a": 1.0}, False, "drift-field",
+         {"evaluations", "al_rounds", "penalty_weight", "pre_repair_terminal_l1",
+          "repair_cost", "kkt_residual", "feasible"}),
+        ({"variant": "quadratic", "c": 1.0}, True, "sinkhorn",
+         {"iterations", "marginal_error", "contraction", "converged"}),
+    ])
+    def test_schrodinger_manifest_records_each_solve(self, tmp_path, generator, mollified,
+                                                     route, keys):
+        payload = {
+            "kind": "schrodinger-sweep", "generator": generator,
+            "mu": {"atoms": [0.0], "weights": [1.0]},
+            "nu": {"atoms": [0.5, 1.0], "weights": [0.5, 0.5]},
+            "eps_list": [0.3, 0.2], "mollified": mollified, "n_time": 4,
+        }
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        solves = json.loads((out / "manifest.json").read_text())["extras"]["solves"]
+        assert [s["eps"] for s in solves] == [0.3, 0.2]
+        for record in solves:
+            assert record["route"] == route
+            assert keys <= set(record)
+        assert (out / "report.csv").read_text().startswith("eps,value,ot,gap,feasible\n")
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.yaml", MC_CONFIG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

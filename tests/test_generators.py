@@ -255,6 +255,11 @@ class TestCheckTi:
         report = check_ti(Quadratic(1.0))
         assert report.passed, str(report)
 
+    def test_time_integrability_detail_prints_plain_numbers(self):
+        ok, detail = check_ti(PowerLaw(1.5, 0.8)).clauses["time_integrability"]
+        assert ok
+        assert detail.endswith("[0.80000000000000004, 6.4000000000000004]")
+
     def test_linear_table_fails_coercivity(self):
         q = np.linspace(-2.0 ** 20, 2.0 ** 20, 4097)
         tab = Tabulated(q=tuple(q), g=tuple(np.abs(q)))

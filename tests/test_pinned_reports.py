@@ -2,7 +2,8 @@
 
 Across the configs every cost variant appears, including an interval
 indicator and time-modulated costs on PDE routes, and ``ti-check`` runs on
-each variant.  Each run's ``report.csv`` must equal, byte for byte, the body
+each variant.  ``schrodinger-sweep`` is pinned on both transport routes: the
+drift-field solver and Sinkhorn.  Each run's ``report.csv`` must equal, byte for byte, the body
 stored under ``tests/pinned_reports/``.  A change that moves a number on
 purpose re-records the bodies and says so.
 """
@@ -83,6 +84,20 @@ CONFIGS = {
         "mu": {"atoms": [0.0], "weights": [1.0]},
         "nu": {"atoms": [0.5, 1.0], "weights": [0.5, 0.5]},
         "eps_list": [0.3], "n_time": 8,
+    },
+    # the drift-field solver's L-BFGS path on a raw target, two noise levels
+    "schrodinger-sweep-power-raw": {
+        "kind": "schrodinger-sweep", "generator": POWER,
+        "mu": {"atoms": [0.0], "weights": [1.0]},
+        "nu": {"atoms": [0.5, 1.0], "weights": [0.5, 0.5]},
+        "eps_list": [0.3, 0.1], "mollified": False, "n_time": 4,
+    },
+    # the Sinkhorn route, about 190 iterations over the two noise levels
+    "schrodinger-sweep-quadratic": {
+        "kind": "schrodinger-sweep", "generator": QUADRATIC,
+        "mu": {"atoms": [0.0, 2.0], "weights": [0.5, 0.5]},
+        "nu": {"atoms": [1.0, 2.5], "weights": [0.25, 0.75]},
+        "eps_list": [0.3, 0.1],
     },
 }
 for name, generator in {

@@ -7,11 +7,21 @@ import pytest
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
-from driftlab.generators import IndicatorInterval, PowerLaw, Quadratic
+from driftlab.generators import (
+    IndicatorInterval,
+    PowerLaw,
+    Quadratic,
+    Tabulated,
+    eval_g,
+    eval_g_prime,
+)
 from driftlab.schrodinger import (
     DiscreteMeasure,
     TransportInstance,
+    _lse,
+    _transport_objective,
     heat_kernel_matrix,
+    log_heat_kernel_matrix,
     make_state_grid,
     mollify,
     monotone_coupling,
@@ -199,6 +209,166 @@ class TestSinkhorn:
         )
         with pytest.raises(ValueError, match="quadratic"):
             sinkhorn_bridge(inst)
+
+
+def reference_lse(arr, axis):
+    m = np.max(arr, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(arr - m), axis=axis))
+
+
+def reference_sinkhorn(instance, tol=1e-9, max_iter=20000):
+    """The log-domain iteration written out plainly, masks on every step."""
+    eps = instance.epsilon
+    mu, target = instance.mu, instance.target()
+    with np.errstate(divide="ignore"):
+        log_k = log_heat_kernel_matrix(np.asarray(mu.support), np.asarray(target.support), eps)
+        log_r = np.log(np.asarray(mu.weights))[:, None] + log_k
+        log_a = np.log(np.asarray(mu.weights))
+        log_b = np.log(np.asarray(target.weights))
+    has_a = np.asarray(mu.weights) > 0
+    has_b = np.asarray(target.weights) > 0
+    u = np.where(has_a, 0.0, -np.inf)
+    v = np.where(has_b, 0.0, -np.inf)
+    gaps = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            u_new = np.where(has_a, log_a - reference_lse(log_r + v[None, :], axis=1), -np.inf)
+            v_new = np.where(has_b, log_b - reference_lse(log_r + u_new[:, None], axis=0),
+                             -np.inf)
+            live = has_b & np.isfinite(v)
+            gaps.append(float(np.max(np.abs(v_new[live] - v[live]))) if live.any() else np.inf)
+            u, v = u_new, v_new
+            log_pi = log_r + u[:, None] + v[None, :]
+            pi = np.exp(np.where(np.isnan(log_pi), -np.inf, log_pi))
+            err = max(float(np.max(np.abs(pi.sum(axis=1) - mu.weights))),
+                      float(np.max(np.abs(pi.sum(axis=0) - target.weights))))
+            if err < tol:
+                break
+    finite_gaps = [x for x in gaps[1:] if np.isfinite(x) and x > 0]
+    contraction = 1.0
+    if len(finite_gaps) >= 3:
+        ratios = [b / a for a, b in zip(finite_gaps, finite_gaps[1:]) if a > 0]
+        contraction = float(np.median(ratios)) if ratios else 1.0
+    mask = pi > 0
+    entropy = float(np.sum(pi[mask] * (np.log(pi[mask]) - log_r[mask])))
+    return instance.g.c * eps * entropy, pi, it, err, contraction, err < tol
+
+
+class TestSinkhornBitIdentity:
+    MU = DiscreteMeasure(support=(0.0, 2.0), weights=(0.5, 0.5))
+
+    @pytest.mark.parametrize("name, instance, max_iter", [
+        # all weights positive: the unmasked iteration
+        ("mollified", TransportInstance(
+            mu=MU, nu=DiscreteMeasure(support=(1.0, 2.5), weights=(0.25, 0.75)),
+            g=Quadratic(1.3), epsilon=0.1).with_mollified_target(), 20000),
+        # a zero-weight target atom; this one converges slowly, so it is cut
+        ("zero-target-atom", TransportInstance(
+            mu=MU, nu=DiscreteMeasure(support=(1.0, 2.0, 3.0), weights=(0.5, 0.0, 0.5)),
+            g=Quadratic(1.0), epsilon=0.2), 400),
+        ("zero-source-atom", TransportInstance(
+            mu=DiscreteMeasure(support=(0.0, 1.0, 2.0), weights=(0.5, 0.0, 0.5)),
+            nu=DiscreteMeasure(support=(1.0, 3.0), weights=(0.5, 0.5)),
+            g=Quadratic(1.0), epsilon=0.2), 20000),
+    ])
+    def test_every_field_matches_reference(self, name, instance, max_iter):
+        sol = sinkhorn_bridge(instance, max_iter=max_iter)
+        value, pi, iterations, err, contraction, converged = reference_sinkhorn(
+            instance, max_iter=max_iter)
+        assert sol.value == value
+        np.testing.assert_array_equal(sol.coupling, pi)
+        assert sol.iterations == iterations
+        assert sol.marginal_error == err
+        assert sol.contraction == contraction
+        assert sol.converged == converged
+
+    def test_lse_matches_reference(self):
+        rng = np.random.default_rng(3)
+        arr = rng.normal(size=(4, 7)) * 50.0
+        arr[1] = -np.inf
+        arr[:, 2] = -np.inf
+        for axis in (0, 1):
+            with np.errstate(divide="ignore"):
+                np.testing.assert_array_equal(_lse(arr, axis), reference_lse(arr, axis))
+
+
+def reference_objective(q_field, grid, g, m0, nu_vec, kernel, lam, rho):
+    """The forward and adjoint passes written out plainly, one step at a time,
+    every per-step quantity recomputed where it is used."""
+    n_t, nx = q_field.shape
+    dt = 1.0 / n_t
+
+    def diffuse(vec):
+        return vec @ kernel if kernel is not None else vec
+
+    def diffuse_adjoint(vec):
+        return kernel @ vec if kernel is not None else vec
+
+    def advect(vec, positions):
+        idx = np.clip(np.searchsorted(grid, positions) - 1, 0, nx - 2)
+        t = np.clip((positions - grid[idx]) / (grid[idx + 1] - grid[idx]), 0.0, 1.0)
+        out = np.zeros(nx)
+        np.add.at(out, idx, vec * (1.0 - t))
+        np.add.at(out, idx + 1, vec * t)
+        return out
+
+    def interp_and_slope(values, positions):
+        idx = np.clip(np.searchsorted(grid, positions) - 1, 0, nx - 2)
+        h = grid[idx + 1] - grid[idx]
+        t = np.clip((positions - grid[idx]) / h, 0.0, 1.0)
+        return values[idx] * (1.0 - t) + values[idx + 1] * t, (values[idx + 1] - values[idx]) / h
+
+    m = m0
+    tilde = np.empty((n_t, nx))
+    running = 0.0
+    for k in range(n_t):
+        mt = diffuse(m)
+        tilde[k] = mt
+        running += dt * float(np.dot(mt, np.asarray(eval_g(g, 0.0, q_field[k]))))
+        m = advect(mt, grid + q_field[k] * dt)
+    gap = m - nu_vec
+    value = running + float(np.dot(lam, gap)) + 0.5 * rho * float(np.dot(gap, gap))
+    w = lam + rho * gap
+    grads = np.empty_like(q_field)
+    for k in range(n_t - 1, -1, -1):
+        w_val, w_slope = interp_and_slope(w, grid + q_field[k] * dt)
+        grads[k] = tilde[k] * dt * (np.asarray(eval_g_prime(g, 0.0, q_field[k])) + w_slope)
+        w = diffuse_adjoint(dt * np.asarray(eval_g(g, 0.0, q_field[k])) + w_val)
+    return value, grads
+
+
+_TAB_Q = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+class TestObjectiveBitIdentity:
+    @pytest.mark.parametrize("g, q_max", [
+        (Quadratic(1.3), 3.0),
+        (PowerLaw(r=1.5, a=0.8), 3.0),
+        (IndicatorInterval(1.5), 1.5),
+        (Tabulated(q=tuple(_TAB_Q), g=tuple(0.5 * _TAB_Q**2 + 0.1 * np.abs(_TAB_Q))), 2.0),
+    ])
+    @pytest.mark.parametrize("eps", [0.2, 0.0])
+    def test_value_and_gradient_match_reference(self, g, q_max, eps):
+        rng = np.random.default_rng(11)
+        mu = DiscreteMeasure(support=(0.0, 1.0), weights=(0.4, 0.6))
+        nu = DiscreteMeasure(support=(0.5, 2.0), weights=(0.5, 0.5))
+        grid = make_state_grid(mu, nu, 0.2)
+        n_t, nx = 6, grid.size  # dt = 1/6 rounds, so the order of products shows
+        kernel = heat_kernel_matrix(grid, grid, eps / n_t) if eps > 0 else None
+        m0 = rng.random(nx)
+        m0 /= m0.sum()
+        nu_vec = rng.random(nx)
+        nu_vec /= nu_vec.sum()
+        lam = rng.normal(size=nx)
+        for _ in range(3):
+            # large drifts push some nodes off the grid, into the clipped cells
+            q_field = rng.uniform(-q_max, q_max, size=(n_t, nx))
+            value, grads = _transport_objective(q_field, grid, g, m0, nu_vec, kernel, lam, 32.0)
+            ref_value, ref_grads = reference_objective(q_field, grid, g, m0, nu_vec, kernel,
+                                                       lam, 32.0)
+            assert value == ref_value
+            np.testing.assert_array_equal(grads, ref_grads)
 
 
 class TestSolveTransport:
