@@ -477,6 +477,11 @@ def simulate_bridge(x, y, epsilon, delta, n_paths, seed, time_grid):
     if t[0] != 0.0 or t[-1] > delta + 1e-15:
         raise ValueError("time grid must start at 0 and stay inside [0, delta]")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xB1D6E)))
+    return _bridge_paths(x, y, epsilon, delta, n_paths, rng, t)
+
+
+def _bridge_paths(x, y, epsilon, delta, n_paths, rng, t):
+    """Bridge paths on the checked grid ``t``, drawing from ``rng``."""
     w = np.empty((n_paths, t.size))
     w[:, 0] = x
     for i in range(t.size - 1):
@@ -526,7 +531,7 @@ def bridge_moment_check(x, y, epsilon, delta, r, batch: PathBatch) -> BridgeMome
     for b in range(batch.n_blocks):
         size = min(BLOCK_PATHS, remaining)
         remaining -= size
-        w = simulate_bridge(x, y, epsilon, delta, size, batch.seed + b, t)
+        w = _bridge_paths(x, y, epsilon, delta, size, batch.block_rng(b), t)
         drift = (y - w[:, :-1]) / (delta - t[:-1])
         acc.add(np.sum(np.abs(drift) ** r, axis=1) * (t[1] - t[0]))
     empirical, se = acc.mean_se()

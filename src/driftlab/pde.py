@@ -5,14 +5,17 @@
 together with the Hopf-Lax-Oleinik closed form of its inviscid limit and the
 vanishing-viscosity sweep connecting the two.
 
-The scheme is explicit and monotone: a centered Laplacian plus a Godunov
-upwind Hamiltonian built from the one-sided conjugates of the drift cost.
-Monotonicity gives the discrete comparison principle that stands in for
-minimality of the viscosity supersolution at desk scale, and it requires two
-CFL conditions which are enforced programmatically (a violation raises
-:class:`CflError` carrying the smallest compliant step count).  The march
-keeps only the current and the next time row and returns the initial row
-v(0, .), the only one any caller reads.
+The scheme is implicit-explicit (IMEX) and monotone: each step adds the
+explicit Godunov upwind Hamiltonian, built from the one-sided conjugates of
+the drift cost, and then solves a backward-Euler diffusion step, a
+tridiagonal M-matrix factored once per march.  Monotonicity gives the
+discrete comparison principle that stands in for minimality of the viscosity
+supersolution at desk scale (Barles-Souganidis convergence).  Diffusion sets
+no step bound, so the step count grows as nx, not nx^2; the one bound left,
+L dt / dx <= 1/2 on the Hamiltonian, is enforced programmatically (a
+violation raises :class:`CflError` carrying the smallest compliant step
+count).  The march keeps only the current and the next time row and returns
+the initial row v(0, .), the only one any caller reads.
 """
 
 from __future__ import annotations
@@ -102,25 +105,21 @@ def _hamiltonian(g, t, dminus, dplus):
     """Godunov flux for the convex Hamiltonian z -> g*(t, z).
 
     Non-decreasing in the forward difference and non-increasing in the
-    backward one, which is what makes the explicit update monotone.
+    backward one, which is what makes the explicit half of the step monotone.
     """
     plus = gen.eval_gstar_halfline(g, t, dplus, +1)
     minus = gen.eval_gstar_halfline(g, t, dminus, -1)
     return np.maximum(plus, minus, out=plus)
 
 
-def stable_nt(grid: GridSpec, sigma2, lip):
-    """Smallest nt satisfying both stability bounds.
+def stable_nt(grid: GridSpec, lip):
+    """Smallest nt with L dt / dx <= 1/2.
 
-    Diffusion: sigma^2 dt / dx^2 <= 1/2.  Hamiltonian: L dt / dx <= 1/2,
-    with L a bound on |d g*/dz| over the working gradient range.  Jointly
-    they keep the explicit update non-decreasing in every stencil value.
+    L bounds |d g*/dz| over the working gradient range.  The bound keeps the
+    explicit Hamiltonian half of the step non-decreasing in every stencil
+    value; the implicit diffusion half is monotone at any step.
     """
-    dx = grid.dx
-    bound = 0.5 / (sigma2 / dx**2 + lip / dx + 1e-300)
-    bound = min(bound, 0.5 * dx**2 / sigma2 if sigma2 > 0 else np.inf)
-    bound = min(bound, 0.5 * dx / lip if lip > 0 else np.inf)
-    return max(1, int(np.ceil(1.0 / bound)))
+    return max(1, int(np.ceil(2.0 * lip / grid.dx)))
 
 
 def march_backward(terminal, g, sigma2, grid: GridSpec, nt=None):
@@ -128,60 +127,79 @@ def march_backward(terminal, g, sigma2, grid: GridSpec, nt=None):
 
     ``terminal`` has shape (..., nx); all leading axes are independent
     problems sharing the grid and time step; ``g`` is the drift cost whose
-    conjugate drives the Hamiltonian.  Returns the initial row
-    v(0, .), of the same shape as ``terminal``, and the step data (``cfl``).
-    Only two time rows are held at once.
+    conjugate drives the Hamiltonian.  Each step forms
+    rhs = v + dt H(t, D-v, D+v) on the interior nodes and solves
+    (I - r D2) v_new = rhs with r = sigma^2 dt / (2 dx^2) for all stacked
+    rows at once.  Returns the initial row v(0, .), of the same shape as
+    ``terminal``, and the step data (``cfl``), whose ``diffusion_number``
+    is r.  Only two time rows are held at once.
     """
+    from scipy.linalg import lapack
+
     terminal = np.asarray(terminal, dtype=float)
     if not np.all(np.isfinite(terminal)):
         raise ValueError("terminal datum must be finite on the grid")
-    dx = grid.dx
+    nx, dx = grid.nx, grid.dx
     zmax = 2.0 * float(np.max(np.abs(np.diff(terminal, axis=-1)) / dx))
     lip = gen.gstar_lipschitz(g, max(zmax, 1e-12))
-    minimal = stable_nt(grid, sigma2, lip)
+    minimal = stable_nt(grid, lip)
     if nt is None:
         nt = max(grid.nt, minimal)
     if nt < minimal:
         raise CflError(
-            f"nt={nt} violates the stability bounds (sigma^2={sigma2:g}, "
-            f"L={lip:g}); smallest compliant nt is {minimal}",
+            f"nt={nt} violates the stability bound L dt / dx <= 1/2 (L={lip:g}); "
+            f"smallest compliant nt is {minimal}",
             minimal,
         )
     dt = 1.0 / nt
-    dx2 = dx**2
-    half_sigma2 = 0.5 * sigma2
-    v, nxt = terminal.copy(), np.empty_like(terminal)
-    interior = terminal.shape[:-1] + (grid.nx - 2,)
-    lap, dminus, dplus = np.empty(interior), np.empty(interior), np.empty(interior)
+    r = 0.5 * sigma2 * dt / dx**2
     clamp = grid.boundary == "clampToTerminal"
-    # Each step writes row k into ``nxt`` from row k + 1 in ``v`` through
-    # three reused buffers, then the two rows swap.  Keep the operation order
-    # of v + dt * ((sigma^2 / 2) lap + ham) with
-    # lap = ((v[2:] - 2 v[1:-1]) + v[:-2]) / dx^2: it keeps the values
-    # bit-identical to that plain formula, which the tests check.
+    # Nodes lo - 1 and nx - lo stay fixed through the solve: the boundary
+    # nodes under the clamp rule; under u_0 = 2 u_1 - u_2 the end interior
+    # nodes, whose second difference that rule makes vanish, so their rows
+    # are identity rows.  Each fixed node moves to the right-hand side of
+    # its free neighbour, which leaves the symmetric positive-definite
+    # Toeplitz matrix I - r D2 on the free nodes, factored once (LDL^T;
+    # diagonally dominant, so the factorisation cannot fail).
+    lo = 1 if clamp else 2
+    free = slice(lo, nx - lo)
+    m = max(nx - 2 * lo, 0)
+    # dpttrf rejects a single row, so the system is padded with decoupled
+    # identity rows, which also take the inflow when no node is free
+    width = max(m, 2)
+    diag = np.ones(width)
+    diag[:m] = 1.0 + 2.0 * r
+    off = np.zeros(width - 1)
+    off[:m - 1] = -r
+    diag, off, _ = lapack.dpttrf(diag, off)
+    stack = terminal.reshape(-1, nx)
+    rows = len(stack)
+    v, nxt = stack.copy(), np.empty_like(stack)
+    nxt[:, [0, -1]] = stack[:, [0, -1]]
+    # one difference per cell: D-v at node i is slope[i - 1], D+v is slope[i]
+    slope = np.empty((rows, nx - 1))
+    # C-ordered, so its transpose is the F-ordered right-hand side that
+    # LAPACK overwrites with the solution
+    rhs = np.zeros((rows, width))
     for k in range(nt - 1, -1, -1):
-        left, mid, right = v[..., :-2], v[..., 1:-1], v[..., 2:]
-        np.multiply(mid, 2.0, out=lap)
-        np.subtract(right, lap, out=lap)
-        np.add(lap, left, out=lap)
-        np.divide(lap, dx2, out=lap)
-        np.subtract(mid, left, out=dminus)
-        np.divide(dminus, dx, out=dminus)
-        np.subtract(right, mid, out=dplus)
-        np.divide(dplus, dx, out=dplus)
-        np.multiply(lap, half_sigma2, out=lap)
+        inner = nxt[:, 1:-1]
+        np.subtract(v[:, 1:], v[:, :-1], out=slope)
+        np.divide(slope, dx, out=slope)
         # not bound to a name, so no step's Hamiltonian outlives it
-        np.add(lap, _hamiltonian(g, (k + 1) * dt, dminus, dplus), out=lap)
-        np.multiply(lap, dt, out=lap)
-        np.add(mid, lap, out=nxt[..., 1:-1])
-        if clamp:
-            nxt[..., 0] = terminal[..., 0]
-            nxt[..., -1] = terminal[..., -1]
-        else:
-            nxt[..., 0] = 2.0 * nxt[..., 1] - nxt[..., 2]
-            nxt[..., -1] = 2.0 * nxt[..., -2] - nxt[..., -3]
+        np.multiply(_hamiltonian(g, (k + 1) * dt, slope[:, :-1], slope[:, 1:]), dt, out=inner)
+        np.add(inner, v[:, 1:-1], out=inner)
+        rhs[:, :m] = nxt[:, free]
+        rhs[:, 0] += r * nxt[:, lo - 1]
+        rhs[:, m - 1] += r * nxt[:, nx - lo]
+        lapack.dpttrs(diag, off, rhs.T, overwrite_b=1)
+        nxt[:, free] = rhs[:, :m]
+        if not clamp:
+            nxt[:, 0] = 2.0 * nxt[:, 1] - nxt[:, 2]
+            nxt[:, -1] = 2.0 * nxt[:, -2] - nxt[:, -3]
         v, nxt = nxt, v
-    return v, {"nt": nt, "dt": dt, "dx": dx, "lipschitz": lip, "minimal_nt": minimal}
+    cfl = {"nt": nt, "dt": dt, "dx": dx, "lipschitz": lip, "minimal_nt": minimal,
+           "diffusion_number": r}
+    return v.reshape(terminal.shape), cfl
 
 
 def solve_semilinear(
@@ -205,7 +223,9 @@ def solve_semilinear(
         sigma^2 > 0, coefficient of the half-Laplacian.
     grid : GridSpec
         Space grid and requested step count.  Unless ``strict_nt`` the step
-        count is raised automatically to the smallest stable value.
+        count is raised automatically to the smallest value meeting the
+        Hamiltonian bound L dt / dx <= 1/2; diffusion is implicit and sets
+        no bound, so that count does not depend on ``viscosity``.
     estimate_error : bool
         Attach a Richardson-style discretization estimate obtained from a
         companion solve at half resolution.
@@ -279,7 +299,7 @@ def vanishing_viscosity_sweep(
     ]
     meta = {
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "nx": grid.nx},
-        "scheme": "explicit monotone centered-diffusion upwind-Hamiltonian",
+        "scheme": "IMEX monotone: implicit centered diffusion, explicit upwind Hamiltonian",
         "cfl": {str(n): cfl for n, (_, cfl) in zip(n_list, results)},
         "hopf_lax_y_step": y_step,
     }

@@ -7,8 +7,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
+from driftlab import montecarlo
 from driftlab.generators import Quadratic
 from driftlab.montecarlo import (
+    BLOCK_PATHS,
     FeedbackControl,
     PathBatch,
     bridge_constant,
@@ -248,6 +250,29 @@ class TestBridge:
         chk = bridge_moment_check(0.0, 1.0, 0.01, 1.0, 1.5,
                                   PathBatch(n_steps=512, n_paths=100_000, seed=35))
         assert chk.empirical + 3 * chk.standard_error <= chk.bound
+
+    def test_moment_blocks_not_shared_between_seeds(self, monkeypatch):
+        # blocks come from the batch's (seed, block) streams, so block 1 of
+        # seed s is not block 0 of seed s + 1
+        drawn = []
+        bridge_paths = montecarlo._bridge_paths
+
+        def recording(*args):
+            w = bridge_paths(*args)
+            drawn.append(w)
+            return w
+
+        monkeypatch.setattr(montecarlo, "_bridge_paths", recording)
+        blocks = {}
+        for seed in (40, 41):
+            drawn.clear()
+            bridge_moment_check(0.0, 1.0, 0.01, 1.0, 1.5,
+                                PathBatch(n_steps=4, n_paths=2 * BLOCK_PATHS, seed=seed))
+            blocks[seed] = list(drawn)
+        assert len(blocks[40]) == len(blocks[41]) == 2
+        for a in blocks[40]:
+            for b in blocks[41]:
+                assert not np.array_equal(a, b)
 
     def test_constant_quadrature_matches_beta_closed_form(self):
         # the time integral in the constant is Beta(1 + r/2, 1 - r/2)

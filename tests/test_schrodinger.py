@@ -409,6 +409,21 @@ class TestSolveTransport:
             sol = solve_transport(inst)
             assert sol.value >= ot_value - 1e-6
 
+    @pytest.mark.xfail(strict=True, reason="the leftover terminal mismatch is repaired in one "
+                       "time step, which needs drifts outside a bounded cost domain")
+    def test_bounded_domain_easy_instance_feasible(self):
+        # drifts of size 1 reach the target, well inside q in [-2, 2]
+        q = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+        g = Tabulated(q=q, g=tuple(0.5 * v * v + 0.1 * abs(v) for v in q))
+        inst = TransportInstance(
+            mu=DiscreteMeasure.point(0.0),
+            nu=DiscreteMeasure(support=(0.5, 1.0), weights=(0.5, 0.5)),
+            g=g, epsilon=0.3, n_time=8,
+        ).with_mollified_target()
+        sol = solve_transport(inst)
+        assert sol.feasible
+        assert math.isfinite(sol.value)
+
     def test_quadratic_exact_target_infeasible_upfront(self):
         inst = TransportInstance(
             mu=DiscreteMeasure.point(0.0), nu=DiscreteMeasure.point(1.0),
