@@ -28,7 +28,9 @@ from .config import (
     build_grid,
     build_measure,
     build_scalar_function,
+    integer_at_least,
     load_config,
+    positive_number,
     require,
 )
 from .montecarlo import (
@@ -154,18 +156,22 @@ def _build_control(section):
     raise ConfigError(f"unknown control kind '{kind}'")
 
 
+def _path_batch(resolved, seed, context):
+    return PathBatch(n_steps=integer_at_least(resolved, "steps", 1, context),
+                     n_paths=integer_at_least(resolved, "paths", 1, context), seed=seed)
+
+
 def _run_mc_estimate(cfg):
     resolved = _resolve(cfg, {"n": 1, "paths": 1_000_000, "steps": 8, "oracle": None})
     seed = int(require(resolved, "seed", "mc-estimate"))
     estimator = require(resolved, "estimator", "mc-estimate")
     F = build_functional(require(resolved, "functional", "mc-estimate"))
-    n = resolved["n"]
-    batch = PathBatch(n_steps=int(resolved["steps"]), n_paths=int(resolved["paths"]),
-                      seed=seed)
+    n = positive_number(resolved["n"], "n", "mc-estimate")
+    batch = _path_batch(resolved, seed, "mc-estimate")
     if estimator == "log-mean-exp":
-        est, se = log_mean_exp(F, float(n), batch)
+        est, se = log_mean_exp(F, n, batch)
     elif estimator == "cramer":
-        est, se = cramer_average(F, int(n), batch)
+        est, se = cramer_average(F, integer_at_least(resolved, "n", 1, "mc-estimate"), batch)
     elif estimator == "girsanov":
         g = build_generator(require(resolved, "generator", "mc-estimate"))
         control = _build_control(require(resolved, "control", "mc-estimate"))
@@ -182,25 +188,40 @@ def _run_mc_estimate(cfg):
         fld = solve_semilinear(f, g, float(osec.get("viscosity", 1.0)), grid)
         oracle = fld.initial_value_at_origin
         gap = abs(est - oracle)
-    rows = [(estimator, float(n), est, se, oracle, gap)]
+    rows = [(estimator, n, est, se, oracle, gap)]
     csv_text = csv_body(("estimator", "n", "estimate", "se", "oracle", "gap"), rows)
     return resolved, csv_text, {}, EXIT_OK, {}
 
 
 def _run_bsde_lsmc(cfg):
+    """One row per n; ``extras["solves"]`` records each regression ladder."""
     resolved = _resolve(cfg, {"n_list": [1], "steps": 50, "paths": 100_000,
                               "basis_size": 35})
     seed = int(require(resolved, "seed", "bsde-lsmc"))
     g = build_generator(require(resolved, "generator", "bsde-lsmc"))
     F = build_functional(require(resolved, "functional", "bsde-lsmc"))
-    rows = []
-    for n in resolved["n_list"]:
-        batch = PathBatch(n_steps=int(resolved["steps"]), n_paths=int(resolved["paths"]),
-                          seed=seed + int(n))
-        sol = lsmc_bsde(F, g, float(n), batch, basis_size=int(resolved["basis_size"]))
-        rows.append((float(n), sol.y0, sol.terminal_residual, float(sol.degree_fallbacks)))
+    n_list = resolved["n_list"]
+    if not isinstance(n_list, list):
+        raise ConfigError(f"key 'n_list' in bsde-lsmc must be a list, got {n_list!r}")
+    n_list = [positive_number(n, "n_list", "bsde-lsmc") for n in n_list]
+    basis_size = integer_at_least(resolved, "basis_size", 2, "bsde-lsmc")
+    rows, solves = [], []
+    for n in n_list:
+        batch = _path_batch(resolved, seed + int(n), "bsde-lsmc")
+        started = time.perf_counter()
+        sol = lsmc_bsde(F, g, n, batch, basis_size=basis_size)
+        knots = sol.basis_sizes if sol.basis == "hat" else ()
+        solves.append({
+            "n": n, "basis": sol.basis,
+            "knots_min": min(knots) if knots else None,
+            "knots_max": max(knots) if knots else None,
+            "regression_steps": len(sol.basis_sizes),
+            "fallbacks": sol.degree_fallbacks,
+            "wall_s": time.perf_counter() - started,
+        })
+        rows.append((n, sol.y0, sol.terminal_residual, float(sol.degree_fallbacks)))
     csv_text = csv_body(("n", "y0", "terminal_residual", "basis_fallbacks"), rows)
-    return resolved, csv_text, {}, EXIT_OK, {}
+    return resolved, csv_text, {"solves": solves}, EXIT_OK, {}
 
 
 def _run_ti_check(cfg):
@@ -219,8 +240,7 @@ def _run_bridge_check(cfg):
     resolved = _resolve(cfg, {"x": 0.0, "y": 1.0, "epsilon": 0.01, "delta": 1.0,
                               "r": 1.5, "steps": 512, "paths": 100_000})
     seed = int(require(resolved, "seed", "bridge-check"))
-    batch = PathBatch(n_steps=int(resolved["steps"]), n_paths=int(resolved["paths"]),
-                      seed=seed)
+    batch = _path_batch(resolved, seed, "bridge-check")
     chk = bridge_moment_check(
         float(resolved["x"]), float(resolved["y"]), float(resolved["epsilon"]),
         float(resolved["delta"]), float(resolved["r"]), batch,

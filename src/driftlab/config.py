@@ -27,6 +27,8 @@ __all__ = [
     "ConfigError",
     "load_config",
     "require",
+    "integer_at_least",
+    "positive_number",
     "build_generator",
     "build_scalar_function",
     "build_functional",
@@ -63,6 +65,26 @@ def require(cfg: dict, key: str, context: str = "config"):
     if key not in cfg or cfg[key] is None:
         raise ConfigError(f"missing required key '{key}' in {context}")
     return cfg[key]
+
+
+def integer_at_least(cfg: dict, key: str, minimum: int, context: str = "config") -> int:
+    """``cfg[key]`` as an integer no smaller than ``minimum``; an integral float
+    passes, a fraction or a boolean does not."""
+    value = cfg[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"key '{key}' in {context} must be an integer >= {minimum}, "
+                          f"got {cfg[key]!r}")
+    return value
+
+
+def positive_number(value, key: str, context: str = "config") -> float:
+    """``value`` as a finite float > 0; ``key`` names it in the error."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ConfigError(f"key '{key}' in {context} must be a positive number, got {value!r}")
+    return float(value)
 
 
 def build_generator(section: dict, context="generator"):

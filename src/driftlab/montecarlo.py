@@ -281,8 +281,11 @@ class LsmcSolution:
     """Backward-regression solution ladder.
 
     ``y_coeffs`` / ``z_coeffs`` hold per-time regression coefficients on the
-    feature basis described by ``basis``; ``y_ladder`` is the in-sample mean
-    of the value process per time node; ``z_ladder`` the gradient proxy.
+    feature basis named by ``basis`` (``"hat"`` or ``"polynomial"``);
+    ``y_ladder`` is the in-sample mean of the value process per time node;
+    ``z_ladder`` the gradient proxy.  ``basis_sizes`` holds the number of
+    basis functions (for hats, distinct knots) of each fitted regression
+    step, from the last step back.
     """
 
     times: np.ndarray
@@ -294,53 +297,125 @@ class LsmcSolution:
     z_ladder: np.ndarray
     terminal_residual: float
     degree_fallbacks: int = 0
+    basis_sizes: tuple = ()
 
 
-def _hat_features(x, n_knots):
-    """Piecewise-linear hat features on quantile-spaced knots of x.
+# normal equations square the condition number, so a pivot or eigenvalue of
+# X^T X this small relative to its diagonal or to the largest eigenvalue is
+# within rounding of zero
+_RANK_TOL = 1e-12
+
+
+def _checked(coef, rank):
+    if not np.all(np.isfinite(coef)):
+        raise RuntimeError("least-squares regression failed: non-finite coefficients")
+    return coef, rank
+
+
+class _HatBasis:
+    """Piecewise-linear hats on quantile-spaced knots of one statistic.
 
     Local bases keep the conditional-expectation projection bias small and
     the normal equations well conditioned, which global polynomials do not
-    once the driver squares the regressed gradient.
+    once the driver squares the regressed gradient.  Each sample weighs at
+    most two adjacent hats, ``idx`` and ``idx + 1`` with ``1 - t`` and
+    ``t``, so the normal matrix X^T X is symmetric tridiagonal: it is
+    summed by ``bincount`` and factored once (LDL^T) for every target fitted
+    on the same sample, and no (samples x knots) matrix is built.  A single
+    unique value leaves one knot, the constant basis.
+
+    ``fit`` returns the minimum-norm least-squares coefficients and the
+    rank, as ``lstsq`` does.  When X^T X is singular or within rounding of
+    it (a hat no sample weighs, or more hats than distinct samples touch
+    them), LDL^T cannot give that answer, and the tridiagonal matrix's
+    eigendecomposition does: eigenvalues at or below ``_RANK_TOL`` times
+    the largest count as zero.
     """
-    knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
-    if knots.size < 2:
-        return np.ones((x.size, 1))
-    idx = np.clip(np.searchsorted(knots, x) - 1, 0, knots.size - 2)
-    t = np.clip((x - knots[idx]) / (knots[idx + 1] - knots[idx]), 0.0, 1.0)
-    rows = np.arange(x.size)
-    out = np.zeros((x.size, knots.size))
-    out[rows, idx] = 1.0 - t
-    out[rows, idx + 1] = t
-    return out
+
+    def __init__(self, x, n_knots):
+        from scipy.linalg import eigh_tridiagonal, lapack
+
+        knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
+        self.size = knots.size
+        if knots.size < 2:
+            self.idx = np.zeros(x.size, dtype=np.intp)
+            self.t = np.zeros(x.size)
+        else:
+            self.idx = np.clip(np.searchsorted(knots, x) - 1, 0, knots.size - 2)
+            self.t = np.clip((x - knots[self.idx]) / (knots[self.idx + 1] - knots[self.idx]),
+                             0.0, 1.0)
+        self.hi = self.idx + 1
+        self.s = 1.0 - self.t
+        diag = self._sums(self.s * self.s, self.t * self.t)
+        off = np.bincount(self.idx, self.s * self.t, minlength=self.size - 1)[:self.size - 1]
+        self.pinv = None
+        self.rank = self.size
+        # a pivot is the squared distance of its hat from the span of the
+        # hats before it, so one at rounding level of the diagonal marks a
+        # dependent hat; dpttrf rejects a single row, which the
+        # eigendecomposition takes
+        info = 1
+        if self.size > 1:
+            self.d, self.e, info = lapack.dpttrf(diag, off)
+        if info or np.any(self.d <= _RANK_TOL * diag):
+            w, v = eigh_tridiagonal(diag, off)
+            keep = w > _RANK_TOL * w.max()
+            self.pinv = (v[:, keep] / w[keep]) @ v[:, keep].T
+            self.rank = int(np.count_nonzero(keep))
+
+    def _sums(self, lower, upper):
+        # per-hat sums of the low-side and high-side weights; the constant
+        # basis has no hat idx + 1, and its high-side weight t is 0
+        return (np.bincount(self.idx, lower, minlength=self.size)
+                + np.bincount(self.hi, upper, minlength=self.size)[:self.size])
+
+    def fit(self, y):
+        """Least-squares coefficients (length ``size``) of y and the rank."""
+        from scipy.linalg import lapack
+
+        rhs = self._sums(self.s * y, self.t * y)
+        if self.pinv is not None:
+            return _checked(self.pinv @ rhs, self.rank)
+        coef, _ = lapack.dpttrs(self.d, self.e, rhs, overwrite_b=1)
+        return _checked(coef, self.rank)
+
+    def __call__(self, coef):
+        # clipping maps the constant basis's missing hat idx + 1 onto hat 0,
+        # which its weight t = 0 cancels
+        return self.s * coef[self.idx] + self.t * np.take(coef, self.hi, mode="clip")
 
 
-def _basis_matrix(stats, n_knots):
-    if len(stats) == 1:
-        return _hat_features(stats[0], n_knots)
-    # two statistics: standardized total-degree-3 polynomials; the few
-    # columns keep the gradient-regression variance (and with it the
-    # convexity bias of the driver) small
-    cols = [np.ones_like(stats[0])]
-    standardized = []
-    for s in stats:
-        sd = float(np.std(s))
-        standardized.append((s - float(np.mean(s))) / (sd if sd > 1e-12 else 1.0))
-    a, b = standardized
-    for d in range(1, 4):
-        for i in range(d + 1):
-            cols.append(a ** (d - i) * b ** i)
-    return np.column_stack(cols)
+class _PolynomialBasis:
+    """Standardized total-degree-3 polynomials in two statistics.
 
+    The few columns keep the gradient-regression variance (and with it the
+    convexity bias of the driver) small.  Fitted by ``lstsq``.
+    """
 
-def _regress(features, target):
-    # LinAlgError subclasses ValueError, which the CLI reads as bad input;
-    # a failed least-squares solve is a numerical failure
-    try:
-        coef, _, rank, _ = np.linalg.lstsq(features, target, rcond=1e-10)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError(f"least-squares regression failed: {err}") from err
-    return coef, rank
+    def __init__(self, stats):
+        cols = [np.ones_like(stats[0])]
+        standardized = []
+        for s in stats:
+            sd = float(np.std(s))
+            standardized.append((s - float(np.mean(s))) / (sd if sd > 1e-12 else 1.0))
+        a, b = standardized
+        for d in range(1, 4):
+            for i in range(d + 1):
+                cols.append(a ** (d - i) * b ** i)
+        self.features = np.column_stack(cols)
+        self.size = self.features.shape[1]
+
+    def fit(self, y):
+        # LinAlgError subclasses ValueError, which the CLI reads as bad input;
+        # a failed least-squares solve is a numerical failure
+        try:
+            coef, _, rank, _ = np.linalg.lstsq(self.features, y, rcond=1e-10)
+        except np.linalg.LinAlgError as err:
+            raise RuntimeError(f"least-squares regression failed: {err}") from err
+        return _checked(coef, int(rank))
+
+    def __call__(self, coef):
+        return self.features @ coef
 
 
 def _state_statistics(F, scaled_paths, times):
@@ -368,12 +443,16 @@ def lsmc_bsde(
 ) -> LsmcSolution:
     """Backward least-squares scheme for the scaled BSDE value process.
 
-    At each step the next value is regressed on local piecewise-linear
-    features of the current state statistics (``basis_size`` quantile knots,
-    tensorized when the functional needs two statistics); the gradient proxy
-    comes from the martingale increment regression, and the driver
-    g*(t, sqrt(n) Z) dt is added.  Rank-deficient regressions fall back to a
-    coarser basis; zero-variance targets short-circuit to constants.
+    At each step the next value is regressed on features of the current
+    state statistics: piecewise-linear hats on ``basis_size`` quantile knots
+    of the state, fitted by their tridiagonal normal equations (one LDL^T
+    factorization per step serves both regressions), or, when the
+    functional needs two statistics, standardized total-degree-3
+    polynomials fitted by ``lstsq``.  The gradient proxy comes from the
+    martingale increment regression, and the driver g*(t, sqrt(n) Z) dt is
+    added.  Rank-deficient regressions fall back to a coarser basis;
+    zero-variance targets short-circuit to constants.  A failed
+    least-squares solve or non-finite coefficients raise ``RuntimeError``.
     """
     paths = batch.paths()
     times = batch.times
@@ -404,6 +483,7 @@ def lsmc_bsde(
     y_ladder[m] = float(y.mean())
     z_ladder[m] = 0.0
     fallbacks = 0
+    basis_sizes = []
     terminal_residual = 0.0
 
     for k in range(m - 1, -1, -1):
@@ -425,19 +505,21 @@ def lsmc_bsde(
         else:
             size = basis_size
             while True:
-                features = _basis_matrix(stats_at(k), size)
-                coef_e, rank_e = _regress(features, y)
-                e_k = features @ coef_e
+                stats = stats_at(k)
+                basis = _HatBasis(stats[0], size) if len(stats) == 1 else _PolynomialBasis(stats)
+                coef_e, rank_e = basis.fit(y)
+                e_k = basis(coef_e)
                 # centering the gradient target by the fitted conditional
                 # mean is unbiased (the mean is measurable at time k) and
                 # removes the O(1/dt) variance of the raw target
-                coef_z, rank_z = _regress(features, (y - e_k) * inc[:, k] / dt)
-                healthy = max(3, features.shape[1] // 4)
+                coef_z, rank_z = basis.fit((y - e_k) * inc[:, k] / dt)
+                healthy = max(3, basis.size // 4)
                 if (min(rank_z, rank_e) >= healthy) or size <= 3:
                     break
                 size = max(3, size // 2)
                 fallbacks += 1
-            z_k = features @ coef_z
+            z_k = basis(coef_z)
+            basis_sizes.append(basis.size)
             if k == m - 1:
                 terminal_residual = float(np.sqrt(np.mean((y - e_k) ** 2)))
             y_coeffs.insert(0, coef_e)
@@ -452,7 +534,7 @@ def lsmc_bsde(
 
     return LsmcSolution(
         times=times,
-        basis=f"local-linear({basis_size} quantile knots) in state statistics",
+        basis="hat" if len(stats_at(0)) == 1 else "polynomial",
         y_coeffs=y_coeffs,
         z_coeffs=z_coeffs,
         y0=float(y_ladder[0]),
@@ -460,6 +542,7 @@ def lsmc_bsde(
         z_ladder=z_ladder,
         terminal_residual=terminal_residual,
         degree_fallbacks=fallbacks,
+        basis_sizes=tuple(basis_sizes),
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from driftlab import montecarlo
 from driftlab.cli import main
 
 
@@ -33,6 +34,17 @@ MC_CONFIG = {
     "paths": 50_000,
     "steps": 8,
     "seed": 11,
+}
+
+LSMC_CONFIG = {
+    "kind": "bsde-lsmc",
+    "generator": {"variant": "quadratic", "c": 1.0},
+    "functional": {"kind": "terminal", "f": {"kind": "gaussian_bump", "center": 1.0},
+                   "bounds": [0.0, 1.0]},
+    "n_list": [1],
+    "steps": 4,
+    "paths": 1_000,
+    "seed": 5,
 }
 
 
@@ -131,24 +143,68 @@ class TestRun:
         assert "mu.csv" in err and named in err
 
     def test_failed_regression_exits_3(self, tmp_path, capsys, monkeypatch):
-        # numpy's LinAlgError is a ValueError; it must not read as bad input
+        # numpy's LinAlgError is a ValueError; it must not read as bad input.
+        # A running-max functional regresses on two statistics, the basis
+        # that is fitted by lstsq
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "lstsq", fail)
-        payload = {
-            "kind": "bsde-lsmc",
-            "generator": {"variant": "quadratic", "c": 1.0},
-            "functional": {"kind": "terminal", "f": {"kind": "gaussian_bump", "center": 1.0},
-                           "bounds": [0.0, 1.0]},
-            "n_list": [1],
-            "steps": 4,
-            "paths": 1_000,
-            "seed": 5,
-        }
+        payload = dict(LSMC_CONFIG, functional={"kind": "running_max", "bounds": [0.0, 1.0]})
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_hat_regression_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the hat basis solves its normal equations directly, which would
+        # carry a NaN target into the coefficients without complaint
+        evaluate = montecarlo.evaluate_functional
+
+        def nan_terminal(F, times, paths):
+            values = np.array(evaluate(F, times, paths), dtype=float)
+            values[0] = np.nan
+            return values
+
+        monkeypatch.setattr(montecarlo, "evaluate_functional", nan_terminal)
+        cfg = write_config(tmp_path, "cfg.yaml", LSMC_CONFIG)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("config, key", [
+        (dict(LSMC_CONFIG, n_list=[0]), "n_list"),
+        (dict(LSMC_CONFIG, n_list=[-1]), "n_list"),
+        (dict(MC_CONFIG, n=0), "'n'"),
+        (dict(MC_CONFIG, estimator="cramer", n=0.5), "'n'"),
+        (dict(LSMC_CONFIG, basis_size=-3), "basis_size"),
+        (dict(LSMC_CONFIG, basis_size=0), "basis_size"),
+        (dict(LSMC_CONFIG, basis_size=1.5), "basis_size"),
+        (dict(LSMC_CONFIG, steps=2.5), "steps"),
+        (dict(MC_CONFIG, paths=0), "paths"),
+    ], ids=["lsmc-n-zero", "lsmc-n-negative", "mc-n-zero", "cramer-n-fraction",
+            "basis-negative", "basis-zero", "basis-fraction", "steps-fraction", "paths-zero"])
+    def test_bad_monte_carlo_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
+        cfg = write_config(tmp_path, "cfg.yaml", config)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+
+    def test_lsmc_manifest_records_each_solve(self, tmp_path):
+        payload = dict(LSMC_CONFIG, n_list=[1, 4], basis_size=9)
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        solves = json.loads((out / "manifest.json").read_text())["extras"]["solves"]
+        assert [s["n"] for s in solves] == [1.0, 4.0]
+        for record in solves:
+            assert record["basis"] == "hat"
+            assert 2 <= record["knots_min"] <= record["knots_max"] <= 9
+            # every step but the first regresses; t = 0 is a plain mean
+            assert record["regression_steps"] == payload["steps"] - 1
+            assert record["fallbacks"] == 0
+            assert record["wall_s"] > 0.0
+        assert (out / "report.csv").read_text().startswith(
+            "n,y0,terminal_residual,basis_fallbacks\n")
 
     def test_unmollified_infeasible_exits_4(self, tmp_path):
         payload = {

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lapack
 from scipy.special import beta as beta_fn
 
 from driftlab import montecarlo
@@ -193,6 +194,86 @@ class TestLsmc:
         sol = lsmc_bsde(F, QUAD, 1.0, PathBatch(n_steps=25, n_paths=50_000, seed=20))
         assert sol.times.size == sol.y_ladder.size
         assert sol.terminal_residual < 0.2
+
+
+def reference_hat_fit(x, n_knots, y):
+    """The dense construction the hat basis replaces: the (samples x knots)
+    feature matrix and an SVD least-squares solve.  Returns coefficients,
+    rank, fitted values and the feature matrix."""
+    knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
+    if knots.size < 2:
+        features = np.ones((x.size, 1))
+    else:
+        idx = np.clip(np.searchsorted(knots, x) - 1, 0, knots.size - 2)
+        t = np.clip((x - knots[idx]) / (knots[idx + 1] - knots[idx]), 0.0, 1.0)
+        rows = np.arange(x.size)
+        features = np.zeros((x.size, knots.size))
+        features[rows, idx] = 1.0 - t
+        features[rows, idx + 1] = t
+    coef, _, rank, _ = np.linalg.lstsq(features, y, rcond=1e-10)
+    return coef, rank, features @ coef, features
+
+
+_RNG = np.random.default_rng(71)
+HAT_INPUTS = {
+    "gaussian": (_RNG.standard_normal(5000), 35),
+    # four tied values: tied quantiles merge 35 knots into 7.  With 86
+    # samples the quantile positions step by 2.5 sorted ranks, so the
+    # knots at half ranks 12.5, 42.5 and 72.5 fall strictly between two
+    # tied values, and their hats weigh no sample
+    "heavy-ties": (np.repeat([-1.0, 0.0, 0.5, 2.0], [13, 30, 30, 13]), 35),
+    "single-value": (np.full(40, 0.3), 9),
+    "more-knots-than-paths": (_RNG.standard_normal(20), 50),
+    # singular too, but LDL^T runs through it with a rounding-level pivot
+    "rounding-level-pivot": (np.random.default_rng(8).standard_normal(10), 12),
+}
+
+
+class TestHatBasis:
+    @pytest.mark.parametrize("name", sorted(HAT_INPUTS))
+    def test_matches_dense_least_squares(self, name):
+        x, n_knots = HAT_INPUTS[name]
+        y = np.sin(2.0 * x) + 0.1 * np.random.default_rng(72).standard_normal(x.size)
+        ref_coef, ref_rank, ref_fit, features = reference_hat_fit(x, n_knots, y)
+        basis = montecarlo._HatBasis(x, n_knots)
+        coef, rank = basis.fit(y)
+        assert rank == ref_rank
+        # lstsq leaves rounding-level values on an all-zero column; the
+        # minimum-norm answer there is exactly 0
+        massless = ~features.any(axis=0)
+        assert np.all(coef[massless] == 0.0)
+        assert np.all(np.abs(ref_coef[massless]) <= 1e-14)
+        np.testing.assert_allclose(coef[~massless], ref_coef[~massless], rtol=1e-10)
+        np.testing.assert_allclose(basis(coef), ref_fit, rtol=1e-10)
+        if name == "heavy-ties":
+            assert basis.size < n_knots and massless.any()
+        if name == "single-value":
+            assert basis.size == 1
+        if name in ("more-knots-than-paths", "rounding-level-pivot"):
+            assert rank == x.size < basis.size
+        if name == "rounding-level-pivot":
+            gram = features.T @ features
+            _, _, info = lapack.dpttrf(np.diag(gram).copy(), np.diag(gram, 1).copy())
+            assert info == 0
+
+    @pytest.mark.parametrize("name", sorted(HAT_INPUTS))
+    def test_reproduces_piecewise_linear_functions(self, name):
+        x, n_knots = HAT_INPUTS[name]
+        basis = montecarlo._HatBasis(x, n_knots)
+        knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
+        values = np.cos(3.0 * knots) + knots
+        y = np.interp(x, knots, values)
+        coef, _ = basis.fit(y)
+        np.testing.assert_allclose(basis(coef), y, rtol=1e-12, atol=1e-12)
+        if basis.pinv is None:
+            np.testing.assert_allclose(coef, values, rtol=1e-12, atol=1e-12)
+
+    def test_non_finite_target_raises(self):
+        x, n_knots = HAT_INPUTS["gaussian"]
+        y = np.sin(x)
+        y[3] = np.nan
+        with pytest.raises(RuntimeError, match="least-squares regression failed"):
+            montecarlo._HatBasis(x, n_knots).fit(y)
 
 
 class TestCramerAverage:
