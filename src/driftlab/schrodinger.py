@@ -5,16 +5,19 @@ Routes implemented here:
 * an exact Kantorovich oracle on finite atoms (transportation simplex, with
   the monotone quantile coupling as the +inf-aware shortcut that is optimal
   for convex displacement costs);
-* the quadratic-case Sinkhorn solver in log domain, valued in the
-  heat-kernel reference convention so the number is directly the expected
-  drift cost of the bridge;
+* the quadratic-case entropic bridge (the ``sinkhorn`` route), solved by
+  Newton's method on the semi-dual in log domain: one potential per source
+  atom, the target potential in closed form, a (k - 1) x (k - 1) system per
+  step.  It is valued in the heat-kernel reference convention so the number
+  is directly the expected drift cost of the bridge;
 * a drift-field solver for general convex costs: explicit diffuse-advect
   marching of the state law with an exact terminal repair by monotone
   rearrangement.  An augmented-Lagrangian loop enforces the terminal law;
   each round minimizes over drift fields by L-BFGS-B, boxed to the cost's
   domain, with adjoint gradients.  Every objective evaluation tabulates the
   per-step deposit cells, hat weights, g and g' of its drift field once, and
-  the forward and adjoint passes read those tables;
+  the forward and adjoint passes read those tables.  The march kernel has
+  its subnormal entries zeroed once per solve;
 * the mollifier of the target law and the small-noise sweep over both the
   mollified and raw-target modes, whose report carries one diagnostics
   record per noise level in ``meta["solves"]``.
@@ -325,7 +328,7 @@ def ot_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, g):
 
 
 # ---------------------------------------------------------------------------
-# Quadratic case: log-domain Sinkhorn in the heat-kernel convention
+# Quadratic case: semi-dual Newton in the heat-kernel convention
 # ---------------------------------------------------------------------------
 
 def log_heat_kernel_matrix(sources, grid, variance):
@@ -333,7 +336,7 @@ def log_heat_kernel_matrix(sources, grid, variance):
 
     Cell masses are assembled in log space (log-CDF differences on the side
     where the tail is deep), so entries stay finite instead of underflowing;
-    that keeps Sinkhorn potentials finite on far cells.
+    that keeps the bridge's potentials finite on far cells.
     """
     sources = np.asarray(sources, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -361,11 +364,15 @@ def heat_kernel_matrix(sources, grid, variance):
 
 @dataclass(frozen=True)
 class SinkhornSolution:
+    """Entropic bridge of the quadratic route: its value, the (len(mu),
+    len(target)) coupling, and the Newton solve's step and backtrack counts,
+    largest marginal error and convergence flag."""
+
     value: float
     coupling: np.ndarray
     iterations: int
     marginal_error: float
-    contraction: float
+    backtracks: int
     converged: bool
 
     @property
@@ -373,14 +380,36 @@ class SinkhornSolution:
         return self.converged
 
 
-def sinkhorn_bridge(instance: "TransportInstance", *, tol=1e-9, max_iter=20000) -> SinkhornSolution:
-    """Quadratic-cost stochastic transport by log-domain Sinkhorn iteration.
+# The Newton system is shifted by this multiple of the identity: negligible
+# beside a healthy Hessian, it keeps the system solvable when whole rows or
+# columns of the coupling underflow (tiny eps, far-apart atoms), where the
+# step becomes a long gradient step that the halvings cut back.
+_LEVENBERG = 1e-12
+_MAX_HALVINGS = 64
+
+
+def sinkhorn_bridge(instance: "TransportInstance", *, tol=1e-9, max_iter=200) -> SinkhornSolution:
+    """Quadratic-cost stochastic transport by a Newton solve of the semi-dual.
 
     Minimizes the relative entropy of the coupling with respect to the
     initial law tensored with the unit-time heat kernel of variance epsilon;
     the reported value is curvature * epsilon * entropy, which under that
     reference convention equals the expected drift cost of the bridge (no
     additive constant is dropped).
+
+    The kernel is built on the full supports, so its rows are normalised
+    over every target cell; only then are the atoms of zero weight dropped.
+    The unknowns are the potentials u of the remaining source atoms, gauged
+    by u_0 = 0.  The target potential has the closed form
+    v = log b - LSE(log r + u), so every column of the coupling sums to its
+    target weight and the semi-dual F(u) = <a, u> - <b, LSE(log r + u)> is
+    concave, with gradient a - (row sums) and negative Hessian
+    J = diag(row sums) - (pi / b) pi^T.  Each step solves the gauged
+    (k - 1) x (k - 1) Newton system and halves the step until it raises F or
+    shrinks the largest row-marginal error by the Armijo fraction; a step
+    that had to be cut is cut on while that raises F further.  A system
+    that cannot be solved, a step that no halving keeps, or ``max_iter``
+    Newton steps end the solve unconverged.
     """
     if not isinstance(instance.g, gen.Quadratic):
         raise ValueError("Sinkhorn route needs a quadratic drift cost")
@@ -388,63 +417,72 @@ def sinkhorn_bridge(instance: "TransportInstance", *, tol=1e-9, max_iter=20000) 
     if eps <= 0:
         raise ValueError("need epsilon > 0")
     target = instance.target()
-    mu = instance.mu
-    xs = np.asarray(mu.support)
-    ys = np.asarray(target.support)
-    a = np.asarray(mu.weights)
-    b = np.asarray(target.weights)
-    with np.errstate(divide="ignore"):
-        log_k = log_heat_kernel_matrix(xs, ys, eps)
-        log_a = np.log(a)
-        log_b = np.log(b)
-        log_r = log_a[:, None] + log_k
-    has_a = a > 0
-    has_b = b > 0
-    # with every weight positive no potential is -inf, so nothing is masked
-    all_positive = bool(has_a.all() and has_b.all())
-    u = np.where(has_a, 0.0, -np.inf)
-    v = np.where(has_b, 0.0, -np.inf)
-    gaps = []
-    it = 0
-    err = np.inf
-    # a zero-weight atom leaves a row or column of -inf: log(0) is expected
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            if all_positive:
-                u_new = log_a - _lse(log_r + v[None, :], axis=1)
-                v_new = log_b - _lse(log_r + u_new[:, None], axis=0)
-                gaps.append(float(np.abs(v_new - v).max()))
-                u, v = u_new, v_new
-                pi = np.exp(log_r + u[:, None] + v[None, :])
-            else:
-                u_new = np.where(has_a, log_a - _lse(log_r + v[None, :], axis=1), -np.inf)
-                v_new = np.where(has_b, log_b - _lse(log_r + u_new[:, None], axis=0), -np.inf)
-                live = has_b & np.isfinite(v)
-                gaps.append(
-                    float(np.max(np.abs(v_new[live] - v[live]))) if live.any() else np.inf
-                )
-                u, v = u_new, v_new
-                log_pi = log_r + u[:, None] + v[None, :]
-                pi = np.exp(np.where(np.isnan(log_pi), -np.inf, log_pi))
-            err = max(
-                float(np.abs(pi.sum(axis=1) - a).max()),
-                float(np.abs(pi.sum(axis=0) - b).max()),
-            )
-            if err < tol:
+    a_full = np.asarray(instance.mu.weights)
+    b_full = np.asarray(target.weights)
+    rows = np.flatnonzero(a_full > 0)
+    cols = np.flatnonzero(b_full > 0)
+    log_k = log_heat_kernel_matrix(np.asarray(instance.mu.support), np.asarray(target.support),
+                                   eps)
+    a, b = a_full[rows], b_full[cols]
+    log_r = np.log(a)[:, None] + log_k[np.ix_(rows, cols)]
+    shift = _LEVENBERG * np.eye(a.size - 1)
+
+    def state(u):
+        """Coupling and semi-dual objective at the source potential u."""
+        z = log_r + u[:, None]
+        lse = _lse(z, axis=0)
+        return np.exp(z - lse) * b, float(np.dot(a, u) - np.dot(b, lse))
+
+    u = np.zeros(a.size)
+    pi, obj = state(u)
+    steps = backtracks = 0
+    while True:
+        row_sums = pi.sum(axis=1)
+        grad = a - row_sums
+        row_err = float(np.abs(grad).max())
+        err = max(row_err, float(np.abs(pi.sum(axis=0) - b).max()))
+        if err < tol or steps == max_iter:
+            break
+        jac = np.diag(row_sums) - (pi / b) @ pi.T
+        step = np.zeros(a.size)
+        try:
+            step[1:] = np.linalg.solve(jac[1:, 1:] + shift, grad[1:])
+        except np.linalg.LinAlgError:
+            break
+        ascent = float(np.dot(grad, step))
+        if not ascent > 0.0:  # also catches a non-finite system
+            break
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            pi_t, obj_t = state(u + t * step)
+            if (obj_t >= obj + 1e-4 * t * ascent
+                    or np.abs(a - pi_t.sum(axis=1)).max() <= (1.0 - 1e-4 * t) * row_err):
                 break
-    finite_gaps = [x for x in gaps[1:] if np.isfinite(x) and x > 0]
-    contraction = 1.0
-    if len(finite_gaps) >= 3:
-        ratios = [b / a for a, b in zip(finite_gaps, finite_gaps[1:]) if a > 0]
-        contraction = float(np.median(ratios)) if ratios else 1.0
+            t *= 0.5
+            backtracks += 1
+        else:
+            break
+        # F is concave along the step, so once a step had to be cut, cutting
+        # on while that raises F walks toward the maximum along it
+        while t < 1.0:
+            pi_h, obj_h = state(u + 0.5 * t * step)
+            if obj_h <= obj_t:
+                break
+            t *= 0.5
+            backtracks += 1
+            pi_t, obj_t = pi_h, obj_h
+        u, pi, obj = u + t * step, pi_t, obj_t
+        steps += 1
     mask = pi > 0
     entropy = float(np.sum(pi[mask] * (np.log(pi[mask]) - log_r[mask])))
+    coupling = np.zeros((a_full.size, b_full.size))
+    coupling[np.ix_(rows, cols)] = pi
     return SinkhornSolution(
         value=instance.g.c * eps * entropy,
-        coupling=pi,
-        iterations=it,
+        coupling=coupling,
+        iterations=steps,
         marginal_error=err,
-        contraction=contraction,
+        backtracks=backtracks,
         converged=err < tol,
     )
 
@@ -670,6 +708,22 @@ def _transport_objective(q_field, grid, g, m0, nu_vec, kernel, lam, rho):
     return value, tilde * dt * (tables.slope + w_slope)
 
 
+def _march_kernel(grid, variance):
+    """Heat kernel of one march step, with its subnormal entries set to zero;
+    returns the kernel and the number of entries zeroed.
+
+    Products with subnormal operands run several times slower, and every
+    objective evaluation multiplies by this kernel twice per step.  An entry
+    below the smallest normal float changes only sums below about 1e-308, so
+    the march is unchanged in every result that matters.  ``mollify`` keeps
+    the unflushed kernel: there a zeroed entry would make a zero-weight atom.
+    """
+    kernel = heat_kernel_matrix(grid, grid, variance)
+    subnormal = (kernel > 0.0) & (kernel < np.finfo(float).tiny)
+    kernel[subnormal] = 0.0
+    return kernel, int(np.count_nonzero(subnormal))
+
+
 def solve_transport(instance: TransportInstance, *, inner_iter=400,
                     feasibility_tol=1e-6, max_outer=10) -> FlowSolution:
     """Minimize the expected drift cost subject to the terminal-law constraint.
@@ -717,7 +771,7 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
     m0 = _project_measure_on_grid(instance.mu, grid)
     nu_vec = _project_measure_on_grid(target, grid)
 
-    kernel = heat_kernel_matrix(grid, grid, eps * dt) if eps > 0 else None
+    kernel, flushed = _march_kernel(grid, eps * dt) if eps > 0 else (None, 0)
 
     lo, hi = gen.domain_interval(g)
     span = grid[-1] - grid[0]
@@ -773,7 +827,8 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
         if feas < feasibility_tol:
             break
         rho *= 4.0
-    rounds_info = {"al_rounds": rounds, "penalty_weight": rho, "pre_repair_terminal_l1": feas}
+    rounds_info = {"al_rounds": rounds, "penalty_weight": rho, "pre_repair_terminal_l1": feas,
+                   "kernel_flushed": flushed}
 
     # certify feasibility exactly: monotone-rearrange the reached terminal
     # law onto the target and charge the (small) repair cost
@@ -807,7 +862,7 @@ def _solve_record(eps, sol):
     residuals and convergence flags."""
     if isinstance(sol, SinkhornSolution):
         return {"eps": eps, "route": "sinkhorn", "iterations": sol.iterations,
-                "marginal_error": sol.marginal_error, "contraction": sol.contraction,
+                "backtracks": sol.backtracks, "marginal_error": sol.marginal_error,
                 "converged": sol.converged}
     return {"eps": eps, "route": "drift-field", "feasible": sol.feasible,
             "evaluations": sol.iterations, "kkt_residual": sol.kkt_residual,
@@ -818,8 +873,9 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
                       mollified: bool = True, *, n_time=32) -> ConvergenceReport:
     """Per-noise-level transport values against the zero-noise oracle.
 
-    Quadratic costs ride the Sinkhorn route (mollified mode); everything
-    else, and every raw-target run, goes through the drift-field solver.
+    Quadratic costs ride the semi-dual Newton (``sinkhorn``) route in
+    mollified mode; everything else, and every raw-target run, goes through
+    the drift-field solver.
     Rows carry a feasibility flag; raw atomic targets under quadratic growth
     are infeasible at every noise level, which is the point of the
     mollification.  ``meta["solves"]`` holds one record per noise level

@@ -227,9 +227,9 @@ class TestRun:
     @pytest.mark.parametrize("generator, mollified, route, keys", [
         ({"variant": "power", "r": 1.5, "a": 1.0}, False, "drift-field",
          {"evaluations", "al_rounds", "penalty_weight", "pre_repair_terminal_l1",
-          "repair_cost", "kkt_residual", "feasible"}),
+          "repair_cost", "kkt_residual", "feasible", "kernel_flushed"}),
         ({"variant": "quadratic", "c": 1.0}, True, "sinkhorn",
-         {"iterations", "marginal_error", "contraction", "converged"}),
+         {"iterations", "backtracks", "marginal_error", "converged"}),
     ])
     def test_schrodinger_manifest_records_each_solve(self, tmp_path, generator, mollified,
                                                      route, keys):
@@ -248,6 +248,39 @@ class TestRun:
             assert record["route"] == route
             assert keys <= set(record)
         assert (out / "report.csv").read_text().startswith("eps,value,ot,gap,feasible\n")
+
+    def test_schrodinger_small_eps_ladder_converges(self, tmp_path):
+        # the Sinkhorn loop this route used to run stopped at its cap at
+        # eps 0.03 and 0.01 and exited 4
+        payload = {
+            "kind": "schrodinger-sweep", "generator": {"variant": "quadratic", "c": 1.0},
+            "mu": {"atoms": [0.0, 2.0], "weights": [0.5, 0.5]},
+            "nu": {"atoms": [1.0, 3.0], "weights": [0.5, 0.5]},
+            "eps_list": [0.3, 0.1, 0.03, 0.01],
+        }
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        solves = json.loads((out / "manifest.json").read_text())["extras"]["solves"]
+        assert all(s["converged"] and s["marginal_error"] < 1e-9 for s in solves)
+
+    def test_unconverged_newton_solve_exits_4(self, tmp_path):
+        # sources 50 apart feeding targets 0.1 apart at small eps: whole rows
+        # of the coupling underflow and the solve ends unconverged, not raising
+        payload = {
+            "kind": "schrodinger-sweep", "generator": {"variant": "quadratic", "c": 1.0},
+            "mu": {"atoms": [-50.0, 0.0, 50.0], "weights": [0.25, 0.25, 0.5]},
+            "nu": {"atoms": [0.0, 0.1, 0.2], "weights": [0.25, 0.25, 0.5]},
+            "eps_list": [1e-3],
+        }
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 4
+        (record,) = json.loads((out / "manifest.json").read_text())["extras"]["solves"]
+        assert record["route"] == "sinkhorn"
+        assert record["converged"] is False
+        assert 1e-9 <= record["marginal_error"] < 1.0
+        assert (out / "report.csv").read_text().strip().endswith(",0")
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.yaml", MC_CONFIG)

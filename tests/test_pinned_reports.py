@@ -3,7 +3,7 @@
 Across the configs every cost variant appears, including an interval
 indicator and time-modulated costs on PDE routes, and ``ti-check`` runs on
 each variant.  ``schrodinger-sweep`` is pinned on both transport routes: the
-drift-field solver and Sinkhorn.  Each run's ``report.csv`` must equal, byte for byte, the body
+drift-field solver and the quadratic bridge.  Each run's ``report.csv`` must equal, byte for byte, the body
 stored under ``tests/pinned_reports/``.  A change that moves a number on
 purpose re-records the bodies and says so.
 """
@@ -92,7 +92,7 @@ CONFIGS = {
         "nu": {"atoms": [0.5, 1.0], "weights": [0.5, 0.5]},
         "eps_list": [0.3, 0.1], "mollified": False, "n_time": 4,
     },
-    # the Sinkhorn route, about 190 iterations over the two noise levels
+    # the quadratic (semi-dual Newton) route, 5 steps at each noise level
     "schrodinger-sweep-quadratic": {
         "kind": "schrodinger-sweep", "generator": QUADRATIC,
         "mu": {"atoms": [0.0, 2.0], "weights": [0.5, 0.5]},
