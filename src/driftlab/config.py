@@ -184,10 +184,15 @@ def build_measure(section: dict, context="measure"):
             raise ConfigError(f"{context}.csv cannot be read: {err}") from err
         if data.shape[1] < 2:
             raise ConfigError(f"{context}.csv needs two columns (atom, weight)")
-        return DiscreteMeasure.from_arrays(data[:, 0], data[:, 1], renormalize=False)
-    atoms = require(section, "atoms", context)
-    weights = require(section, "weights", context)
-    return DiscreteMeasure(
-        support=tuple(float(a) for a in atoms),
-        weights=tuple(float(w) for w in weights),
-    )
+        try:
+            return DiscreteMeasure.from_arrays(data[:, 0], data[:, 1], renormalize=False)
+        except ValueError as err:
+            raise ConfigError(f"{context}.csv: {err}") from err
+    support = tuple(float(a) for a in require(section, "atoms", context))
+    weights = tuple(float(w) for w in require(section, "weights", context))
+    try:
+        return DiscreteMeasure(support=support, weights=weights)
+    except ValueError as err:
+        # only the finiteness check concerns the atoms; the rest are weight rules
+        key = "weights" if np.all(np.isfinite(support)) else "atoms"
+        raise ConfigError(f"{context}.{key}: {err}") from err

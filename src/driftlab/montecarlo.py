@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from . import generators as gen
 from .variational import PathFunctional, RunningMax, TimeIntegral, evaluate_functional
@@ -585,6 +583,9 @@ def bridge_constant(r):
     Finite exactly for 1 < r < 2: it multiplies the r-th absolute Gaussian
     moment by the integral of (t / (1 - t))^(r/2) over (0, 1).
     """
+    from scipy.integrate import quad
+    from scipy.special import gamma as gamma_fn
+
     if not 1.0 < r < 2.0:
         raise ValueError(f"bound unavailable: the constant diverges for r={r:g} outside (1, 2)")
     abs_moment = 2.0 ** (r / 2.0) * gamma_fn((r + 1.0) / 2.0) / math.sqrt(math.pi)

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import norm
 
 from . import generators as gen
 from .parallel import run_parallel
@@ -71,6 +69,10 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=float)
         if s.ndim != 1 or s.shape != w.shape or s.size == 0:
             raise ValueError("need matching non-empty support and weights")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("support must be finite")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < -1e-15):
             raise ValueError("weights must be nonnegative")
         total = float(w.sum())
@@ -138,6 +140,8 @@ def mollify(nu: DiscreteMeasure, epsilon, out_grid):
     Returns the renormalized measure and the truncation loss; a loss above
     1e-6 means the grid is too narrow and raises.
     """
+    from scipy.special import ndtr
+
     if epsilon <= 0:
         raise ValueError("mollification needs epsilon > 0")
     grid = np.asarray(out_grid, dtype=float)
@@ -338,16 +342,18 @@ def log_heat_kernel_matrix(sources, grid, variance):
     where the tail is deep), so entries stay finite instead of underflowing;
     that keeps the bridge's potentials finite on far cells.
     """
+    from scipy.special import log_ndtr, ndtr
+
     sources = np.asarray(sources, dtype=float)
     grid = np.asarray(grid, dtype=float)
     edges = _cell_edges(grid)
     std = math.sqrt(variance)
     a = (edges[:-1][None, :] - sources[:, None]) / std
     b = (edges[1:][None, :] - sources[:, None]) / std
-    log_cdf_a = norm.logcdf(a)
-    log_cdf_b = norm.logcdf(b)
-    log_sf_a = norm.logsf(a)
-    log_sf_b = norm.logsf(b)
+    log_cdf_a = log_ndtr(a)
+    log_cdf_b = log_ndtr(b)
+    log_sf_a = log_ndtr(-a)
+    log_sf_b = log_ndtr(-b)
     with np.errstate(divide="ignore", invalid="ignore"):
         lower = log_cdf_b + np.log1p(-np.exp(np.minimum(log_cdf_a - log_cdf_b, 0.0)))
         upper = log_sf_a + np.log1p(-np.exp(np.minimum(log_sf_b - log_sf_a, 0.0)))

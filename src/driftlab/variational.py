@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import generators as gen
 from .parallel import run_parallel
@@ -210,6 +209,8 @@ class SchilderResult:
 
 def _optimize_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
     """Maximize F(prefix + tail) - action(tail on [t0, 1]) over tail knots."""
+    from scipy.optimize import minimize
+
     horizon = 1.0 - t0
     tail_times = t0 + np.linspace(0.0, 1.0, m) * horizon
     seg = np.diff(tail_times)

@@ -1,6 +1,12 @@
 """End-to-end CLI runs: exit codes, report files, manifests, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +41,28 @@ MC_CONFIG = {
     "steps": 8,
     "seed": 11,
 }
+
+SMALL_PDE_SWEEP = dict(PDE_SWEEP, grid={"x_min": -4.0, "x_max": 4.0, "nx": 41},
+                       n_list=[1, 4], y_step=1e-3)
+
+SMALL_SANOV = {
+    "kind": "sanov-iterate", "generator": {"variant": "quadratic", "c": 1.0},
+    "phi": "tanh", "Phi": "negative_square", "phi_bounds": [-1.0, 1.0],
+    "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 33},
+    "n_list": [1, 2], "c_points": 41, "lambda_points": 31, "s_points": 17,
+}
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, timeout=120):
+    """Run a new interpreter with ``src`` on the path; a hang fails the test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
 
 LSMC_CONFIG = {
     "kind": "bsde-lsmc",
@@ -141,6 +169,29 @@ class TestRun:
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "mu.csv" in err and named in err
+
+    @pytest.mark.parametrize("mu, key", [
+        ({"atoms": [0.0, 1.0], "weights": [math.nan, 1.0]}, "mu.weights"),
+        ({"atoms": [0.0, math.inf], "weights": [0.5, 0.5]}, "mu.atoms"),
+        ({"csv": "nan.csv"}, "mu.csv"),
+    ], ids=["nan-weight", "inf-atom", "nan-csv"])
+    def test_non_finite_measure_exits_2_naming_key(self, tmp_path, mu, key):
+        # run apart, so that a solver looping on NaN masses fails on the timeout
+        (tmp_path / "nan.csv").write_text("0.0,nan\n1.0,1.0\n")
+        if "csv" in mu:
+            mu = {"csv": str(tmp_path / mu["csv"])}
+        payload = {
+            "kind": "schrodinger-sweep",
+            "generator": {"variant": "quadratic", "c": 1.0},
+            "mu": mu,
+            "nu": {"atoms": [1.0], "weights": [1.0]},
+            "eps_list": [0.1],
+        }
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        done = run_python(["-m", "driftlab.cli", "run", "--config", cfg,
+                           "--output-dir", str(tmp_path / "o")], timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert key in done.stderr and "finite" in done.stderr
 
     def test_failed_regression_exits_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError is a ValueError; it must not read as bad input.
@@ -372,6 +423,36 @@ class TestRun:
         path_lines = (out / "path.csv").read_text().strip().splitlines()
         assert path_lines[0] == "t,value"
         assert len(path_lines) == 1 + 9
+
+
+class TestImportGraph:
+    """Start-up cost: a run imports only the scipy subpackages its route calls.
+
+    Checked in a fresh interpreter, since the test modules themselves load
+    scipy.stats, scipy.optimize and scipy.integrate.  Of the heavy ones
+    (stats, special, optimize, integrate) the PDE routes need none.
+    """
+
+    def test_pde_routes_load_no_heavy_scipy(self, tmp_path):
+        configs = {"pde-sweep": SMALL_PDE_SWEEP, "sanov-iterate": SMALL_SANOV}
+        code = f"""
+            import json, sys
+            from driftlab import cli
+
+            def scipy_subpackages():
+                names = {{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}}
+                return sorted(n for n in names if not n.startswith("_") and n != "version")
+
+            loaded = {{"import driftlab.cli": scipy_subpackages()}}
+            for kind, cfg in json.loads({json.dumps(configs)!r}).items():
+                assert cli.run(cfg, {str(tmp_path)!r} + "/" + kind) == 0, kind
+                loaded[kind] = scipy_subpackages()
+            print(json.dumps(loaded))
+        """
+        done = run_python(["-c", textwrap.dedent(code)])
+        assert done.returncode == 0, done.stderr
+        for stage, names in json.loads(done.stdout).items():
+            assert set(names) <= {"linalg"}, (stage, names)
 
 
 class TestCompare:

@@ -55,6 +55,16 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError, match="sum to 1"):
             DiscreteMeasure(support=(0.0, 1.0), weights=(0.5, 0.6))
 
+    @pytest.mark.parametrize("support, weights, match", [
+        ((0.0, 1.0), (math.nan, 1.0), "weights must be finite"),
+        ((0.0, 1.0), (math.inf, 0.0), "weights must be finite"),
+        ((0.0, math.nan), (0.5, 0.5), "support must be finite"),
+        ((-math.inf, 1.0), (0.5, 0.5), "support must be finite"),
+    ])
+    def test_non_finite_rejected(self, support, weights, match):
+        with pytest.raises(ValueError, match=match):
+            DiscreteMeasure(support=support, weights=weights)
+
     def test_moments(self):
         m = DiscreteMeasure(support=(0.0, 2.0), weights=(0.5, 0.5))
         assert m.mean() == 1.0
@@ -561,6 +571,35 @@ class TestHeatKernel:
         grid = np.linspace(-2, 2, 101)
         k = heat_kernel_matrix(np.array([0.0, 1.0]), grid, 0.01)
         np.testing.assert_allclose(k.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("variance", [1e-4, 0.3])
+    def test_log_kernel_matches_scipy_stats_formula(self, variance):
+        # the kernel used to take its tails from scipy.stats.norm; log_ndtr is
+        # the ufunc behind norm.logcdf and norm.logsf, so every bit must agree
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        from driftlab.schrodinger import _cell_edges, _lse, log_heat_kernel_matrix
+
+        sources = np.array([-0.6, 0.0, 0.05, 0.9])
+        grid = np.linspace(-25.0, 25.0, 301)
+        edges = _cell_edges(grid)
+        std = math.sqrt(variance)
+        a = (edges[:-1][None, :] - sources[:, None]) / std
+        b = (edges[1:][None, :] - sources[:, None]) / std
+        # both deep tails (lower and upper branches) and the middle are taken
+        assert np.abs(a[:, 1:]).max() >= 40.0 and np.abs(b[:, :-1]).max() >= 40.0
+        assert np.any(b <= 0.0) and np.any(a >= 0.0) and np.any((a < 0.0) & (b > 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lower = norm.logcdf(b) + np.log1p(
+                -np.exp(np.minimum(norm.logcdf(a) - norm.logcdf(b), 0.0)))
+            upper = norm.logsf(a) + np.log1p(
+                -np.exp(np.minimum(norm.logsf(b) - norm.logsf(a), 0.0)))
+            middle = np.log(ndtr(b) - ndtr(a))
+        expected = np.where(b <= 0.0, lower, np.where(a >= 0.0, upper, middle))
+        expected = expected - _lse(expected, axis=1)[:, None]
+        np.testing.assert_array_equal(
+            log_heat_kernel_matrix(sources, grid, variance), expected)
 
     def test_far_tail_stays_positive_in_log_space(self):
         from driftlab.schrodinger import log_heat_kernel_matrix
