@@ -30,6 +30,7 @@ from .config import (
     build_scalar_function,
     integer_at_least,
     load_config,
+    number_list,
     positive_number,
     require,
 )
@@ -72,7 +73,8 @@ def _run_pde_sweep(cfg):
     f = build_scalar_function(require(resolved, "terminal", "pde-sweep"), "terminal")
     grid = build_grid(require(resolved, "grid", "pde-sweep"))
     report = vanishing_viscosity_sweep(
-        f, g, resolved["n_list"], grid, y_step=float(resolved["y_step"])
+        f, g, number_list(resolved, "n_list", "pde-sweep"), grid,
+        y_step=float(resolved["y_step"])
     )
     csv_text = report.to_csv(header_names=("n", "u_n", "limit", "gap"))
     return resolved, csv_text, report.meta, EXIT_OK, {}
@@ -110,7 +112,7 @@ def _run_sanov_iterate(cfg):
     g = build_generator(require(resolved, "generator", "sanov-iterate"))
     phi = build_scalar_function(require(resolved, "phi", "sanov-iterate"), "phi")
     Phi = build_scalar_function(require(resolved, "Phi", "sanov-iterate"), "Phi")
-    lo, hi = (float(b) for b in require(resolved, "phi_bounds", "sanov-iterate"))
+    lo, hi = number_list(resolved, "phi_bounds", "sanov-iterate")
     F = MeanFieldFunctional(phi=phi, Phi=Phi, phi_bounds=(lo, hi))
     grid = build_grid(require(resolved, "grid", "sanov-iterate"))
     c_grid = np.linspace(lo, hi, int(resolved["c_points"]))
@@ -118,7 +120,7 @@ def _run_sanov_iterate(cfg):
                            int(resolved["lambda_points"]))
     limit = mean_field_limit(F, g, c_grid, lam_grid, grid)
     rows = []
-    for n in resolved["n_list"]:
+    for n in number_list(resolved, "n_list", "sanov-iterate"):
         val = iterate_L(F, g, int(n), grid, s_points=resolved["s_points"],
                         cap=int(resolved["cap"]))
         rows.append((int(n), val, limit, abs(val - limit)))
@@ -131,14 +133,10 @@ def _run_schrodinger_sweep(cfg):
     g = build_generator(require(resolved, "generator", "schrodinger-sweep"))
     mu = build_measure(require(resolved, "mu", "schrodinger-sweep"), "mu")
     nu = build_measure(require(resolved, "nu", "schrodinger-sweep"), "nu")
-    eps_list = [float(e) for e in require(resolved, "eps_list", "schrodinger-sweep")]
+    eps_list = number_list(resolved, "eps_list", "schrodinger-sweep")
     report = small_noise_sweep(mu, nu, g, eps_list, mollified=bool(resolved["mollified"]),
                                n_time=int(resolved["n_time"]))
-    rows = [
-        (r.index, r.prelimit, r.limit, r.gap, r.aux.get("feasible", 1.0))
-        for r in report.sorted_rows()
-    ]
-    csv_text = csv_body(("eps", "value", "ot", "gap", "feasible"), rows)
+    csv_text = report.to_csv(("eps", "value", "ot", "gap"))
     infeasible = any(r.aux.get("feasible", 1.0) == 0.0 for r in report.rows)
     return resolved, csv_text, report.meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
 
@@ -200,10 +198,8 @@ def _run_bsde_lsmc(cfg):
     seed = int(require(resolved, "seed", "bsde-lsmc"))
     g = build_generator(require(resolved, "generator", "bsde-lsmc"))
     F = build_functional(require(resolved, "functional", "bsde-lsmc"))
-    n_list = resolved["n_list"]
-    if not isinstance(n_list, list):
-        raise ConfigError(f"key 'n_list' in bsde-lsmc must be a list, got {n_list!r}")
-    n_list = [positive_number(n, "n_list", "bsde-lsmc") for n in n_list]
+    n_list = [positive_number(n, "n_list", "bsde-lsmc")
+              for n in number_list(resolved, "n_list", "bsde-lsmc")]
     basis_size = integer_at_least(resolved, "basis_size", 2, "bsde-lsmc")
     rows, solves = [], []
     for n in n_list:

@@ -27,6 +27,7 @@ __all__ = [
     "ConfigError",
     "load_config",
     "require",
+    "number_list",
     "integer_at_least",
     "positive_number",
     "build_generator",
@@ -62,9 +63,24 @@ def load_config(path) -> dict:
 
 
 def require(cfg: dict, key: str, context: str = "config"):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context} must be a mapping, got {cfg!r}")
     if key not in cfg or cfg[key] is None:
         raise ConfigError(f"missing required key '{key}' in {context}")
     return cfg[key]
+
+
+def number_list(cfg: dict, key: str, context: str = "config") -> list:
+    """``cfg[key]`` as a list of floats; a scalar, a boolean or a non-number
+    entry names ``key`` in the error."""
+    value = require(cfg, key, context)
+    try:
+        if not isinstance(value, (list, tuple)) or any(isinstance(v, bool) for v in value):
+            raise TypeError
+        return [float(v) for v in value]
+    except (TypeError, ValueError):
+        raise ConfigError(f"key '{key}' in {context} must be a list of numbers, "
+                          f"got {value!r}") from None
 
 
 def integer_at_least(cfg: dict, key: str, minimum: int, context: str = "config") -> int:
@@ -136,16 +152,16 @@ def build_scalar_function(section, context="function"):
     return _FUNCTIONS[kind](section)
 
 
-def _bounds_of(section, default=(-math.inf, math.inf)):
-    b = section.get("bounds")
-    if b is None:
-        return default
-    return (float(b[0]), float(b[1]))
+def _bounds_of(section, context):
+    if section.get("bounds") is None:
+        return (-math.inf, math.inf)
+    lo, hi = number_list(section, "bounds", context)
+    return (lo, hi)
 
 
 def build_functional(section: dict, context="functional"):
     kind = require(section, "kind", context)
-    bounds = _bounds_of(section)
+    bounds = _bounds_of(section, context)
     if kind == "terminal":
         f = build_scalar_function(require(section, "f", context), f"{context}.f")
         return TerminalValue(f=f, bounds=bounds)
@@ -159,7 +175,7 @@ def build_functional(section: dict, context="functional"):
         return TimeIntegral(h=lambda t, x: h(x), bounds=bounds)
     if kind == "finite_marginals":
         f = build_scalar_function(require(section, "f", context), f"{context}.f")
-        times = tuple(float(t) for t in require(section, "times", context))
+        times = tuple(number_list(section, "times", context))
         return FiniteMarginals(times=times, f=lambda *vals: f(np.mean(vals, axis=0)),
                                bounds=bounds)
     raise ConfigError(f"unknown functional kind '{kind}' in {context}")
@@ -177,7 +193,7 @@ def build_grid(section: dict, context="grid"):
 
 
 def build_measure(section: dict, context="measure"):
-    if "csv" in section:
+    if isinstance(section, dict) and "csv" in section:
         try:
             data = np.loadtxt(section["csv"], delimiter=",", ndmin=2)
         except OSError as err:
@@ -188,8 +204,8 @@ def build_measure(section: dict, context="measure"):
             return DiscreteMeasure.from_arrays(data[:, 0], data[:, 1], renormalize=False)
         except ValueError as err:
             raise ConfigError(f"{context}.csv: {err}") from err
-    support = tuple(float(a) for a in require(section, "atoms", context))
-    weights = tuple(float(w) for w in require(section, "weights", context))
+    support = tuple(number_list(section, "atoms", context))
+    weights = tuple(number_list(section, "weights", context))
     try:
         return DiscreteMeasure(support=support, weights=weights)
     except ValueError as err:

@@ -17,9 +17,9 @@ Each variant is a frozen dataclass that owns its math:
   interval, a constant b with g >= -b, and the growth exponent;
 * ``to_config()``: the key-value form read back by :func:`spec_from_config`.
 
-The methods take float arrays.  The module-level ``eval_*`` functions and
-their companions are the public entry points: each converts its argument,
-calls the method and returns a float for a scalar argument.
+Callers call these methods directly, on a float or a float array.  The one
+module-level evaluator, :func:`eval_gstar_halfline`, is the input of the
+PDE's Godunov flux.
 
 Extended-real convention: ``+inf`` is represented by IEEE ``math.inf`` /
 ``numpy.inf`` throughout, never by a large finite sentinel.  IEEE arithmetic
@@ -47,17 +47,9 @@ __all__ = [
     "Tabulated",
     "GeneratorSpec",
     "TiReport",
-    "eval_g",
-    "eval_g_prime",
-    "eval_gstar",
     "eval_gstar_halfline",
-    "gstar_lipschitz",
     "discrete_legendre",
     "check_ti",
-    "domain_interval",
-    "lower_bound",
-    "growth_exponent",
-    "spec_to_config",
     "spec_from_config",
     "tabulated_from_csv",
 ]
@@ -383,70 +375,20 @@ def _split_table(q, g, side):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _scalar_or_array(out):
-    """The one return rule: a float for a scalar argument, else the array."""
-    return out if out.ndim else float(out)
-
-
-def eval_g(spec: GeneratorSpec, t, q):
-    """Evaluate g(t, q); array-valued in ``q``.
-
-    Total into the extended reals: +inf outside the effective domain, never
-    raises for out-of-domain drifts.
-    """
-    return _scalar_or_array(spec.cost(t, np.asarray(q, dtype=float)))
-
-
-def eval_g_prime(spec: GeneratorSpec, t, q):
-    """A subgradient of g(t, .) at q (interior drifts only).
-
-    For Tabulated costs the right-chord slope is returned; for the indicator
-    the subgradient is 0 inside the interval.
-    """
-    return _scalar_or_array(spec.g_prime(t, np.asarray(q, dtype=float)))
-
-
-def domain_interval(spec: GeneratorSpec):
-    """Effective-domain interval (q_lo, q_hi), possibly infinite."""
-    return spec.domain()
-
-
-def lower_bound(spec: GeneratorSpec):
-    """A constant b with g >= -b everywhere."""
-    return spec.lower_bound()
-
-
-def growth_exponent(spec: GeneratorSpec):
-    """Growth class of g: the r with g(q) ~ |q|^r, or inf for bounded domains.
-
-    Returns None when no growth class can be certified (Tabulated samples
-    only witness a finite drift range).
-    """
-    return spec.growth()
-
-
 def is_time_dependent(spec: GeneratorSpec):
     return isinstance(spec, TimeModulated)
 
 
-def eval_gstar(spec: GeneratorSpec, t, z):
-    """Evaluate the conjugate g*(t, z); array-valued in ``z``."""
-    return _scalar_or_array(spec.gstar(t, np.asarray(z, dtype=float)))
-
-
+# Kept as a function: the Godunov flux's input, whose calls the benchmark tracer counts.
 def eval_gstar_halfline(spec: GeneratorSpec, t, z, side):
     """One-sided conjugate sup over drifts with sign(q) = side.
 
     These are the two monotone pieces used by upwind (Godunov) Hamiltonians:
     the value is non-decreasing in z for side=+1 and non-increasing for
-    side=-1.
+    side=-1.  A float for a scalar ``z``, else an array.
     """
-    return _scalar_or_array(spec.gstar_halfline(t, np.asarray(z, dtype=float), side))
-
-
-def gstar_lipschitz(spec: GeneratorSpec, zmax):
-    """Bound on |d g*/dz| over |z| <= zmax (the maximizing drift size)."""
-    return spec.gstar_lipschitz(float(abs(zmax)))
+    out = spec.gstar_halfline(t, np.asarray(z, dtype=float), side)
+    return out if out.ndim else float(out)
 
 
 def discrete_legendre(samples, z_grid):
@@ -516,12 +458,12 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
     """
     clauses = {}
     t_grid = np.linspace(0.0, 1.0, 33)
-    lo, hi = domain_interval(spec)
+    lo, hi = spec.domain()
 
     # lower bound
-    b = lower_bound(spec)
+    b = spec.lower_bound()
     qs = np.linspace(max(lo, -64.0), min(hi, 64.0), 513)
-    vals = np.stack([np.asarray(eval_g(spec, t, qs)) for t in t_grid[::8]])
+    vals = np.stack([spec.cost(t, qs) for t in t_grid[::8]])
     finite = vals[np.isfinite(vals)]
     ok = finite.size > 0 and float(finite.min()) >= -b - 1e-12
     clauses["lower_bound"] = (bool(ok), f"min sampled g = {finite.min():.6g}, bound -{b:g}")
@@ -529,15 +471,14 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
     # superlinear growth (coercivity) along the ladder
     ladder = _COERCIVITY_LADDER
     in_dom = ladder <= min(abs(lo), abs(hi)) if np.isfinite(hi) else np.ones_like(ladder, bool)
-    if growth_exponent(spec) == math.inf:
+    if spec.growth() == math.inf:
         clauses["coercivity"] = (True, "bounded effective domain forces +inf growth")
     else:
         pts = ladder[in_dom]
         if pts.size == 0:
             clauses["coercivity"] = (False, "no ladder point inside the domain")
         else:
-            ratios = np.min([np.asarray(eval_g(spec, t, pts)) / pts for t in t_grid[::16]],
-                            axis=0)
+            ratios = np.min([spec.cost(t, pts) / pts for t in t_grid[::16]], axis=0)
             grow = float(ratios[-1] / max(ratios[0], 1e-300))
             ok = bool(np.isinf(ratios[-1])) or grow >= 1.5
             clauses["coercivity"] = (
@@ -550,11 +491,10 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
     span = np.linspace(max(lo, -16.0), min(hi, 16.0), 65)
     worst = -np.inf
     for t in t_grid[::8]:
-        v = np.asarray(eval_g(spec, t, span))
+        v = spec.cost(t, span)
         fin = np.isfinite(v)
         q1, q2 = span[fin][:-2], span[fin][2:]
-        mid = eval_g(spec, t, 0.5 * (q1 + q2))
-        gap = np.asarray(mid) - 0.5 * (v[fin][:-2] + v[fin][2:])
+        gap = spec.cost(t, 0.5 * (q1 + q2)) - 0.5 * (v[fin][:-2] + v[fin][2:])
         if gap.size:
             worst = max(worst, float(np.max(gap)))
     ok = worst <= 1e-9
@@ -569,7 +509,7 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
     for r in (1.0, 4.0):
         edge_lo, edge_hi = max(lo, -r), min(hi, r)
         per_t = [
-            max(float(np.asarray(eval_g(spec, t, edge_lo))), float(np.asarray(eval_g(spec, t, edge_hi))))
+            max(float(spec.cost(t, edge_lo)), float(spec.cost(t, edge_hi)))
             for t in t_grid
         ]
         sups.append(np.trapezoid(per_t, t_grid))
@@ -583,11 +523,6 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def spec_to_config(spec: GeneratorSpec) -> dict:
-    """Key-value form of a cost function (inverse of :func:`spec_from_config`)."""
-    return spec.to_config()
-
 
 def _number(cfg, key, default=None):
     value = cfg[key] if default is None else cfg.get(key, default)

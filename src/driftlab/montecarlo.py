@@ -241,7 +241,7 @@ def girsanov_lower_bound(
             q = np.asarray(control.rule(times[k], x[:, : k + 1]), dtype=float)
             if np.any(np.abs(q) > control.bound + 1e-9):
                 raise ValueError("control exceeded its declared bound")
-            step_cost = np.asarray(gen.eval_g(g, times[k], q), dtype=float)
+            step_cost = g.cost(times[k], q)
             if not np.all(np.isfinite(step_cost)):
                 raise ValueError("control drifted outside the cost domain")
             cost += step_cost * dt
@@ -278,8 +278,7 @@ def cramer_average(F: PathFunctional, n: int, batch: PathBatch):
 class LsmcSolution:
     """Backward-regression solution ladder.
 
-    ``y_coeffs`` / ``z_coeffs`` hold per-time regression coefficients on the
-    feature basis named by ``basis`` (``"hat"`` or ``"polynomial"``);
+    ``basis`` names the feature basis (``"hat"`` or ``"polynomial"``);
     ``y_ladder`` is the in-sample mean of the value process per time node;
     ``z_ladder`` the gradient proxy.  ``basis_sizes`` holds the number of
     basis functions (for hats, distinct knots) of each fitted regression
@@ -288,8 +287,6 @@ class LsmcSolution:
 
     times: np.ndarray
     basis: str
-    y_coeffs: list
-    z_coeffs: list
     y0: float
     y_ladder: np.ndarray
     z_ladder: np.ndarray
@@ -475,7 +472,6 @@ def lsmc_bsde(
     else:
         spread, z_cap = np.inf, np.inf
 
-    y_coeffs, z_coeffs = [], []
     y_ladder = np.empty(m + 1)
     z_ladder = np.empty(m + 1)
     y_ladder[m] = float(y.mean())
@@ -488,18 +484,14 @@ def lsmc_bsde(
         if k == 0:
             z_k = np.full(1, float(np.mean(y * inc[:, 0])) / dt)
             e_k = np.full(1, float(np.mean(y)))
-            y_val = e_k + dt * np.asarray(gen.eval_gstar(g, times[k], sqrt_n * z_k))
+            y_val = e_k + dt * g.gstar(times[k], sqrt_n * z_k)
             y = np.full_like(y, y_val[0])
-            y_coeffs.insert(0, np.array([float(e_k[0])]))
-            z_coeffs.insert(0, np.array([float(z_k[0])]))
             y_ladder[0] = y_val[0]
             z_ladder[0] = z_k[0]
             break
         if float(np.std(y)) < 1e-14:
             e_k = np.full_like(y, y.mean())
             z_k = np.zeros_like(y)
-            y_coeffs.insert(0, np.array([float(y.mean())]))
-            z_coeffs.insert(0, np.array([0.0]))
         else:
             size = basis_size
             while True:
@@ -520,21 +512,17 @@ def lsmc_bsde(
             basis_sizes.append(basis.size)
             if k == m - 1:
                 terminal_residual = float(np.sqrt(np.mean((y - e_k) ** 2)))
-            y_coeffs.insert(0, coef_e)
-            z_coeffs.insert(0, coef_z)
         if np.isfinite(spread):
             e_k = np.clip(e_k, lo, hi)
             if np.isfinite(z_cap):
                 z_k = np.clip(z_k, -z_cap / sqrt_n, z_cap / sqrt_n)
-        y = e_k + dt * np.asarray(gen.eval_gstar(g, times[k], sqrt_n * z_k))
+        y = e_k + dt * g.gstar(times[k], sqrt_n * z_k)
         y_ladder[k] = float(np.mean(y))
         z_ladder[k] = float(np.mean(z_k))
 
     return LsmcSolution(
         times=times,
         basis="hat" if len(stats_at(0)) == 1 else "polynomial",
-        y_coeffs=y_coeffs,
-        z_coeffs=z_coeffs,
         y0=float(y_ladder[0]),
         y_ladder=y_ladder,
         z_ladder=z_ladder,

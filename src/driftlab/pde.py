@@ -141,7 +141,7 @@ def march_backward(terminal, g, sigma2, grid: GridSpec, nt=None):
         raise ValueError("terminal datum must be finite on the grid")
     nx, dx = grid.nx, grid.dx
     zmax = 2.0 * float(np.max(np.abs(np.diff(terminal, axis=-1)) / dx))
-    lip = gen.gstar_lipschitz(g, max(zmax, 1e-12))
+    lip = g.gstar_lipschitz(max(zmax, 1e-12))
     minimal = stable_nt(grid, lip)
     if nt is None:
         nt = max(grid.nt, minimal)
@@ -265,9 +265,7 @@ def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid) -> f
     if t >= 1.0:
         return float(f(np.asarray(x)))
     horizon = 1.0 - t
-    vals = np.asarray(f(y), dtype=float) - horizon * np.asarray(
-        gen.eval_g(g, t, (y - x) / horizon)
-    )
+    vals = np.asarray(f(y), dtype=float) - horizon * g.cost(t, (y - x) / horizon)
     return float(np.max(vals))
 
 

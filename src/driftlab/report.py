@@ -1,5 +1,5 @@
 """Convergence reports: rows of (index, pre-limit value, limit, gap) plus
-auxiliary diagnostics, with byte-stable CSV round-tripping.
+auxiliary diagnostics, with byte-stable CSV bodies.
 
 Floats are rendered with 17 significant digits so that CSV bodies are
 bit-reproducible and round-trip float64 exactly.
@@ -11,7 +11,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = ["ReportRow", "ConvergenceReport", "format_float", "csv_body"]
 
@@ -58,32 +57,16 @@ class ConvergenceReport:
 
     kind: str
     rows: list
-    columns: tuple = ("index", "prelimit", "limit", "gap")
     meta: dict = field(default_factory=dict)
 
     def sorted_rows(self):
         return sorted(self.rows, key=lambda r: r.index)
 
-    def to_csv(self, header_names: Optional[tuple] = None) -> str:
-        names = header_names or self.columns
+    def to_csv(self, header_names=("index", "prelimit", "limit", "gap")) -> str:
         aux_keys = sorted({k for r in self.rows for k in r.aux})
         rows = [[r.index, r.prelimit, r.limit, r.gap] + [r.aux.get(k, "") for k in aux_keys]
                 for r in self.sorted_rows()]
-        return csv_body(list(names) + aux_keys, rows)
-
-    @classmethod
-    def from_csv(cls, text: str, kind: str = "") -> "ConvergenceReport":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        rows = []
-        for rec in reader:
-            if not rec:
-                continue
-            vals = [float(v) if v != "" else math.nan for v in rec]
-            aux = dict(zip(header[4:], vals[4:]))
-            # the gap column is recomputed on load
-            rows.append(ReportRow(vals[0], vals[1], vals[2], abs(vals[1] - vals[2]), aux))
-        return cls(kind=kind, rows=rows, columns=tuple(header[:4]))
+        return csv_body(list(header_names) + aux_keys, rows)
 
 
 def compare_csv_texts(text_a: str, text_b: str):

@@ -111,17 +111,23 @@ class DiscreteMeasure:
 # Grids and mollification
 # ---------------------------------------------------------------------------
 
-def make_state_grid(mu: DiscreteMeasure, nu: DiscreteMeasure, epsilon, *,
-                    slack_stds=7.0, points_cap=1500, min_points=101):
+# State grid: diffusion slack in noise standard deviations beyond the atoms,
+# and the bounds on the node count
+_SLACK_STDS = 7.0
+_MIN_POINTS = 101
+_POINTS_CAP = 1500
+
+
+def make_state_grid(mu: DiscreteMeasure, nu: DiscreteMeasure, epsilon):
     """Uniform grid covering both supports plus diffusion slack, with every
     atom snapped onto an exact node."""
     atoms = np.concatenate([np.asarray(mu.support), np.asarray(nu.support)])
     std = math.sqrt(max(epsilon, 1e-12))
-    lo = atoms.min() - slack_stds * std - 0.05
-    hi = atoms.max() + slack_stds * std + 0.05
+    lo = atoms.min() - _SLACK_STDS * std - 0.05
+    hi = atoms.max() + _SLACK_STDS * std + 0.05
     h = std / 4.0
     n = int(np.ceil((hi - lo) / h)) + 1
-    n = int(np.clip(n, min_points, points_cap))
+    n = int(np.clip(n, _MIN_POINTS, _POINTS_CAP))
     grid = np.linspace(lo, hi, n)
     for a in np.unique(atoms):
         grid[int(np.argmin(np.abs(grid - a)))] = a
@@ -193,12 +199,14 @@ def monotone_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return plan
 
 
-def _plan_cost(plan, g):
+def _plan_cost(plan, g, dt=1.0):
+    """Total cost of a coupling's (x, y, mass) entries, each moved in one
+    step of length dt at cost dt * g((y - x) / dt); +inf if one of them is."""
     total = 0.0
     for x, y, m in plan:
         if m <= 0:
             continue
-        c = float(np.asarray(gen.eval_g(g, 0.0, y - x)))
+        c = dt * float(g.cost(0.0, (y - x) / dt))
         if math.isinf(c):
             return math.inf
         total += m * c
@@ -318,7 +326,7 @@ def ot_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, g):
     mono_value = _plan_cost(plan, g)
     xs = np.asarray(mu.support)
     ys = np.asarray(nu.support)
-    cost = np.asarray(gen.eval_g(g, 0.0, ys[None, :] - xs[:, None]), dtype=float)
+    cost = g.cost(0.0, ys[None, :] - xs[:, None])
     if math.isinf(mono_value) or not np.all(np.isfinite(cost)):
         return mono_value, plan
     value, dense = transport_simplex(mu.weights, nu.weights, cost)
@@ -574,53 +582,12 @@ def _project_measure_on_grid(measure: DiscreteMeasure, grid):
     return m
 
 
-def _repair_cost_and_potential(grid, mass, target: DiscreteMeasure, g, dt):
-    """Exact monotone transport of (grid, mass) onto the target atoms with the
-    one-step cost dt * g(displacement / dt); returns (cost, potential u).
-
-    The potential is the marginal price of mass at each grid node, used to
-    seed the adjoint recursion; it is the c-transform of the target-side
-    prices recovered from the monotone plan.
-    """
+def _repair_cost(grid, mass, target: DiscreteMeasure, g, dt):
+    """Cost of the exact monotone transport of (grid, mass) onto the target
+    atoms with the one-step cost dt * g(displacement / dt)."""
     keep = mass > 1e-15
     src = DiscreteMeasure.from_arrays(grid[keep], mass[keep], renormalize=True)
-    plan = monotone_coupling(src, target)
-    ys = np.asarray(sorted(target.support))
-    y_index = {y: j for j, y in enumerate(ys)}
-
-    cost_total = 0.0
-    v = np.full(ys.size, np.nan)
-    u_cur = None
-    x_cur = None
-    for x, y, m in plan:
-        c = dt * float(np.asarray(gen.eval_g(g, 0.0, (y - x) / dt)))
-        if math.isinf(c):
-            return math.inf, None
-        cost_total += m * c
-        j = y_index[y]
-        if u_cur is None:
-            v[j] = 0.0
-            u_cur, x_cur = c, x
-        elif x == x_cur:
-            # same source feeding the next target: price the target
-            v[j] = c - u_cur
-        else:
-            # new source draining the same target: price the source
-            u_cur, x_cur = c - v[j], x
-    # marginal price of mass anywhere on the grid is the c-transform over the
-    # priced (mass-receiving) targets
-    priced = np.isfinite(v)
-    disp = (ys[None, priced] - grid[:, None]) / dt
-    cmat = dt * np.asarray(gen.eval_g(g, 0.0, disp))
-    with np.errstate(invalid="ignore"):
-        u = np.min(cmat - v[None, priced], axis=1)
-    if np.any(~np.isfinite(u)):
-        # nodes that cannot reach any priced target (bounded-slope costs):
-        # keep the gradient pointing away with a steep finite price
-        finite = u[np.isfinite(u)]
-        ceiling = (finite.max() + 10.0 * (finite.max() - finite.min() + 1.0)) if finite.size else 1.0
-        u = np.where(np.isfinite(u), u, ceiling)
-    return float(cost_total * mass.sum()), u
+    return _plan_cost(monotone_coupling(src, target), g, dt) * float(mass.sum())
 
 
 class _StepTables(NamedTuple):
@@ -653,8 +620,8 @@ def _step_tables(q_field, grid, g, dt):
         nodes=np.concatenate([cell, cell + 1], axis=1),
         hats=np.stack([1.0 - t, t], axis=1),
         width=width,
-        cost=np.asarray(gen.eval_g(g, 0.0, q_field)),
-        slope=np.asarray(gen.eval_g_prime(g, 0.0, q_field)),
+        cost=g.cost(0.0, q_field),
+        slope=g.g_prime(0.0, q_field),
     )
 
 
@@ -730,8 +697,14 @@ def _march_kernel(grid, variance):
     return kernel, int(np.count_nonzero(subnormal))
 
 
-def solve_transport(instance: TransportInstance, *, inner_iter=400,
-                    feasibility_tol=1e-6, max_outer=10) -> FlowSolution:
+# Augmented-Lagrangian loop: L-BFGS-B iterations per round, the terminal L1
+# mismatch that ends the loop, and the number of rounds
+_INNER_ITER = 400
+_FEASIBILITY_TOL = 1e-6
+_MAX_OUTER = 10
+
+
+def solve_transport(instance: TransportInstance) -> FlowSolution:
     """Minimize the expected drift cost subject to the terminal-law constraint.
 
     The state law marches explicitly (exact Gaussian diffusion, then
@@ -756,7 +729,7 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
     grid = np.asarray(instance.state_grid, dtype=float)
     target = instance.target()
     if instance.exact_target:
-        growth = gen.growth_exponent(g)
+        growth = g.growth()
         if growth is None or growth >= 2.0:
             return FlowSolution(
                 value=math.inf,
@@ -779,7 +752,7 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
 
     kernel, flushed = _march_kernel(grid, eps * dt) if eps > 0 else (None, 0)
 
-    lo, hi = gen.domain_interval(g)
+    lo, hi = g.domain()
     span = grid[-1] - grid[0]
     q_lo = max(lo, -0.75 * span / max(dt * n_t, dt))
     q_hi = min(hi, 0.75 * span / max(dt * n_t, dt))
@@ -797,10 +770,6 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
     )
     q0 = np.tile(np.clip(init_disp, q_lo, q_hi), (n_t, 1))
 
-    def march(q_field):
-        running, masses, _, _ = _march_law(q_field, grid, g, m0, kernel)
-        return running, masses
-
     lam = np.zeros(nx)
     rho = 32.0
     evaluations = 0
@@ -814,23 +783,21 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
 
     bounds = Bounds(np.full(n_t * nx, q_lo), np.full(n_t * nx, q_hi))
     q = q0
-    feas = math.inf
-    rounds = 0
-    for rounds in range(1, max_outer + 1):
+    for rounds in range(1, _MAX_OUTER + 1):
         res = minimize(
             objective_and_grad,
             q.ravel(),
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": inner_iter, "ftol": 1e-14, "gtol": 1e-10},
+            options={"maxiter": _INNER_ITER, "ftol": 1e-14, "gtol": 1e-10},
         )
         q = res.x.reshape(n_t, nx)
-        running, masses = march(q)
+        running, masses, _, _ = _march_law(q, grid, g, m0, kernel)
         gap = masses[-1] - nu_vec
         feas = float(np.abs(gap).sum())
         lam = lam + rho * gap
-        if feas < feasibility_tol:
+        if feas < _FEASIBILITY_TOL:
             break
         rho *= 4.0
     rounds_info = {"al_rounds": rounds, "penalty_weight": rho, "pre_repair_terminal_l1": feas,
@@ -838,8 +805,7 @@ def solve_transport(instance: TransportInstance, *, inner_iter=400,
 
     # certify feasibility exactly: monotone-rearrange the reached terminal
     # law onto the target and charge the (small) repair cost
-    running, masses = march(q)
-    repair, _ = _repair_cost_and_potential(grid, masses[-1], target, g, dt)
+    repair = _repair_cost(grid, masses[-1], target, g, dt)
     if math.isinf(repair):
         return FlowSolution(
             value=math.inf, drifts=q, marginals=masses, feasible=False,

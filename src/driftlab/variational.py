@@ -172,13 +172,13 @@ def _interp_along_last(times, values, t):
 
 def _segment_action(g, seg_start_times, seg_lengths, slopes):
     if not gen.is_time_dependent(g):
-        return float(np.sum(seg_lengths * np.asarray(gen.eval_g(g, 0.0, slopes))))
+        return float(np.sum(seg_lengths * g.cost(0.0, slopes)))
     total = 0.0
     half = 0.5 * seg_lengths
     mid = seg_start_times + half
     for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
         tq = mid + xi * half
-        total += float(np.sum(wi * half * np.asarray(gen.eval_g(g, tq, slopes))))
+        total += float(np.sum(wi * half * g.cost(tq, slopes)))
     return total
 
 
@@ -236,7 +236,7 @@ def _optimize_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
         fval = float(evaluate_functional(F, t, v))
         return fval - _segment_action(g, tail_times[:-1], seg, increments / seg)
 
-    lo, hi = gen.domain_interval(g)
+    lo, hi = g.domain()
     slope_cap = 16.0 / max(horizon, 1e-9)
     box = (max(lo, -slope_cap), min(hi, slope_cap))
     bounds = [(box[0] * s, box[1] * s) for s in seg]

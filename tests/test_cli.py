@@ -52,6 +52,12 @@ SMALL_SANOV = {
     "n_list": [1, 2], "c_points": 41, "lambda_points": 31, "s_points": 17,
 }
 
+SMALL_TRANSPORT = {
+    "kind": "schrodinger-sweep", "generator": {"variant": "quadratic", "c": 1.0},
+    "mu": {"atoms": [0.0], "weights": [1.0]}, "nu": {"atoms": [1.0], "weights": [1.0]},
+    "eps_list": [0.1],
+}
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -235,6 +241,27 @@ class TestRun:
     ], ids=["lsmc-n-zero", "lsmc-n-negative", "mc-n-zero", "cramer-n-fraction",
             "basis-negative", "basis-zero", "basis-fraction", "steps-fraction", "paths-zero"])
     def test_bad_monte_carlo_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
+        cfg = write_config(tmp_path, "cfg.yaml", config)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+
+    @pytest.mark.parametrize("config, key", [
+        (dict(SMALL_TRANSPORT, mu={"atoms": 0.0, "weights": [1.0]}), "'atoms'"),
+        (dict(SMALL_TRANSPORT, mu={"atoms": [0.0], "weights": 1.0}), "'weights'"),
+        (dict(SMALL_TRANSPORT, mu=5), "mu"),
+        (dict(SMALL_PDE_SWEEP, grid=5), "grid"),
+        (dict(SMALL_PDE_SWEEP, terminal=5), "terminal"),
+        (dict(MC_CONFIG, functional=5), "functional"),
+        (dict(SMALL_TRANSPORT, eps_list=0.1), "eps_list"),
+        (dict(SMALL_SANOV, phi_bounds=1.0), "phi_bounds"),
+        (dict(SMALL_PDE_SWEEP, n_list=4), "n_list"),
+        (dict(SMALL_SANOV, n_list=4), "n_list"),
+    ], ids=["scalar-atoms", "scalar-weights", "scalar-mu", "scalar-grid", "scalar-terminal",
+            "scalar-functional", "scalar-eps-list", "scalar-phi-bounds", "pde-scalar-n-list",
+            "sanov-scalar-n-list"])
+    def test_scalar_where_a_list_or_section_belongs_exits_2(self, tmp_path, capsys, config,
+                                                             key):
         cfg = write_config(tmp_path, "cfg.yaml", config)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err

@@ -16,16 +16,8 @@ from driftlab.generators import (
     TimeModulated,
     check_ti,
     discrete_legendre,
-    domain_interval,
-    eval_g,
-    eval_g_prime,
-    eval_gstar,
     eval_gstar_halfline,
-    growth_exponent,
-    gstar_lipschitz,
-    lower_bound,
     spec_from_config,
-    spec_to_config,
     tabulated_from_csv,
 )
 
@@ -33,64 +25,64 @@ from driftlab.generators import (
 def brute_force_conjugate(spec, z, qlo=-60.0, qhi=60.0, n=2_000_001):
     """Independent conjugate oracle: dense grid maximization of qz - g(q)."""
     q = np.linspace(qlo, qhi, n)
-    vals = q * z - np.asarray(eval_g(spec, 0.0, q))
+    vals = q * z - spec.cost(0.0, q)
     return float(np.max(vals[np.isfinite(vals)]))
 
 
 class TestEvalG:
     def test_quadratic_value(self):
-        assert eval_g(Quadratic(c=1.0), 0.3, 2.0) == 2.0
+        assert Quadratic(c=1.0).cost(0.3, 2.0) == 2.0
 
     def test_indicator_outside(self):
-        assert eval_g(IndicatorInterval(K=1.0), 0.0, 1.5) == math.inf
-        assert eval_g(IndicatorInterval(K=1.0), 0.0, -0.25) == 0.0
+        assert IndicatorInterval(K=1.0).cost(0.0, 1.5) == math.inf
+        assert IndicatorInterval(K=1.0).cost(0.0, -0.25) == 0.0
 
     def test_powerlaw_time_integral_matches_closed_form(self):
         # integral over (1/n, 1] of g(t^{-3/4}) for g = |q|^{5/4} equals
         # 16 (1 - n^{-1/16}); the integrand is t^{-15/16}
         g = PowerLaw(r=1.25, a=1.0)
         for n in (4, 16):
-            val, _ = quad(lambda t: eval_g(g, t, t ** (-0.75)), 1.0 / n, 1.0)
+            val, _ = quad(lambda t: g.cost(t, t ** (-0.75)), 1.0 / n, 1.0)
             expected = 16.0 * (1.0 - n ** (-1.0 / 16.0))
             assert val == pytest.approx(expected, abs=1e-8)
             assert val <= 16.0
 
     def test_tabulated_outside_domain(self):
         tab = Tabulated(q=(-1.0, 0.0, 1.0), g=(1.0, 0.0, 1.0))
-        assert eval_g(tab, 0.0, 2.0) == math.inf
-        assert eval_g(tab, 0.0, 0.5) == pytest.approx(0.5)
+        assert tab.cost(0.0, 2.0) == math.inf
+        assert tab.cost(0.0, 0.5) == pytest.approx(0.5)
 
     def test_time_modulated(self):
         g = TimeModulated(base=Quadratic(1.0), weights=(1.0, 3.0))
-        assert eval_g(g, 0.0, 2.0) == pytest.approx(2.0)
-        assert eval_g(g, 1.0, 2.0) == pytest.approx(6.0)
-        assert eval_g(g, 0.5, 2.0) == pytest.approx(4.0)
+        assert g.cost(0.0, 2.0) == pytest.approx(2.0)
+        assert g.cost(1.0, 2.0) == pytest.approx(6.0)
+        assert g.cost(0.5, 2.0) == pytest.approx(4.0)
 
     def test_lower_bound_respected(self):
         for spec in (Quadratic(2.0), PowerLaw(1.5), IndicatorInterval(3.0)):
             q = np.linspace(-5, 5, 101)
-            assert np.all(np.asarray(eval_g(spec, 0.1, q)) >= 0.0)
+            assert np.all(spec.cost(0.1, q) >= 0.0)
 
 
 class TestConjugate:
     def test_quadratic_self_dual(self):
         z = np.linspace(-4, 4, 41)
-        np.testing.assert_allclose(eval_gstar(Quadratic(c=1.0), 0.0, z), 0.5 * z * z)
+        np.testing.assert_allclose(Quadratic(c=1.0).gstar(0.0, z), 0.5 * z * z)
 
     def test_quadratic_curvature_inverts_exactly(self):
         for c in (0.5, 1.0, 2.5):
             for z in (-3.0, 0.7, 2.0):
-                assert eval_gstar(Quadratic(c=c), 0.0, z) == z * z / (2.0 * c)
+                assert Quadratic(c=c).gstar(0.0, z) == z * z / (2.0 * c)
 
     def test_indicator_support_function(self):
         z = np.array([-2.0, -0.5, 0.0, 3.0])
-        np.testing.assert_allclose(eval_gstar(IndicatorInterval(K=1.0), 0.0, z), np.abs(z))
+        np.testing.assert_allclose(IndicatorInterval(K=1.0).gstar(0.0, z), np.abs(z))
 
     def test_powerlaw_against_grid_search(self):
         spec = PowerLaw(r=1.5, a=2.0 / 3.0)
         for z in (0.5, 1.0, 2.0):
             oracle = brute_force_conjugate(spec, z)
-            assert eval_gstar(spec, 0.0, z) == pytest.approx(oracle, abs=1e-6)
+            assert spec.gstar(0.0, z) == pytest.approx(oracle, abs=1e-6)
 
     def test_powerlaw_dual_exponent(self):
         spec = PowerLaw(r=1.25, a=1.0)
@@ -100,7 +92,7 @@ class TestConjugate:
     def test_tabulated_conjugate_matches_quadratic(self):
         q = np.arange(-5.0, 5.0 + 1e-9, 1e-3)
         tab = Tabulated(q=tuple(q), g=tuple(0.5 * q * q))
-        assert eval_gstar(tab, 0.0, 1.0) == pytest.approx(0.5, abs=1e-3)
+        assert tab.gstar(0.0, 1.0) == pytest.approx(0.5, abs=1e-3)
 
     def test_modulated_identity(self):
         # (w g)*(z) = w g*(z / w), checked against grid search at fixed t
@@ -109,7 +101,7 @@ class TestConjugate:
         spec_frozen = Quadratic(2.0)  # w = 2 constant
         for z in (-1.0, 0.5, 3.0):
             oracle = brute_force_conjugate(spec_frozen, z)
-            assert eval_gstar(g, 0.37, z) == pytest.approx(oracle, abs=1e-6)
+            assert g.gstar(0.37, z) == pytest.approx(oracle, abs=1e-6)
 
     def test_rejects_nonconvex_table(self):
         with pytest.raises(ValueError, match="convex"):
@@ -120,7 +112,7 @@ class TestHalfline:
     def test_symmetric_halflines_recombine(self):
         for spec in (Quadratic(1.0), PowerLaw(1.5, 0.7), IndicatorInterval(2.0)):
             z = np.linspace(-3, 3, 25)
-            full = np.asarray(eval_gstar(spec, 0.0, z))
+            full = spec.gstar(0.0, z)
             plus = np.asarray(eval_gstar_halfline(spec, 0.0, z, +1))
             minus = np.asarray(eval_gstar_halfline(spec, 0.0, z, -1))
             np.testing.assert_allclose(np.maximum(plus, minus), full, atol=1e-12)
@@ -141,7 +133,7 @@ class TestHalfline:
         spec = PowerLaw(r=1.5, a=1.0)
         q = np.linspace(0.0, 50.0, 1_000_001)
         for z in (-1.0, 0.3, 2.0):
-            oracle = float(np.max(q * z - eval_g(spec, 0.0, q)))
+            oracle = float(np.max(q * z - spec.cost(0.0, q)))
             assert eval_gstar_halfline(spec, 0.0, z, +1) == pytest.approx(oracle, abs=1e-6)
 
     def test_table_halfline_monotone(self):
@@ -233,21 +225,21 @@ class TestFenchelYoung:
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_inequality_quadratic(self, q, z):
         spec = Quadratic(1.3)
-        lhs = eval_g(spec, 0.0, q) + eval_gstar(spec, 0.0, z)
+        lhs = spec.cost(0.0, q) + spec.gstar(0.0, z)
         assert lhs >= q * z - 1e-10
 
     def test_equality_at_subgradient(self):
         for spec in (Quadratic(0.8), PowerLaw(1.5, 0.5), PowerLaw(3.0, 2.0)):
             for q in (-2.0, -0.3, 0.5, 1.7):
-                z = eval_g_prime(spec, 0.0, q)
-                lhs = eval_g(spec, 0.0, q) + eval_gstar(spec, 0.0, z)
+                z = spec.g_prime(0.0, q)
+                lhs = spec.cost(0.0, q) + spec.gstar(0.0, z)
                 assert lhs == pytest.approx(q * z, abs=1e-8)
 
     def test_inequality_with_infinite_values(self):
         spec = IndicatorInterval(1.0)
         for q in (-0.9, 0.0, 0.4):
             for z in (-2.0, 1.0):
-                assert eval_g(spec, 0.0, q) + eval_gstar(spec, 0.0, z) >= q * z - 1e-12
+                assert spec.cost(0.0, q) + spec.gstar(0.0, z) >= q * z - 1e-12
 
 
 class TestCheckTi:
@@ -304,33 +296,33 @@ class TestModulated:
         ok, detail = check_ti(spec).clauses["coercivity"]
         assert ok == coercive
         assert ok == check_ti(base).clauses["coercivity"][0]
-        bounded = growth_exponent(base) == math.inf
+        bounded = base.growth() == math.inf
         assert ("bounded effective domain" in detail) == bounded
 
     def test_scaled_bounds(self, case):
         base, spec, _ = case
-        assert domain_interval(spec) == domain_interval(base)
-        assert growth_exponent(spec) == growth_exponent(base)
-        assert lower_bound(spec) == max(self.WEIGHTS) * lower_bound(base)
+        assert spec.domain() == base.domain()
+        assert spec.growth() == base.growth()
+        assert spec.lower_bound() == max(self.WEIGHTS) * base.lower_bound()
         for zmax in (0.3, 2.0, -5.0):
-            expected = gstar_lipschitz(base, abs(zmax) / min(self.WEIGHTS))
-            assert gstar_lipschitz(spec, zmax) == expected
+            expected = base.gstar_lipschitz(abs(zmax) / min(self.WEIGHTS))
+            assert spec.gstar_lipschitz(abs(zmax)) == expected
 
     def test_config_round_trip(self, case):
         _, spec, _ = case
-        assert spec_from_config(spec_to_config(spec)) == spec
+        assert spec_from_config(spec.to_config()) == spec
 
 
 class TestLipschitzBound:
     def test_quadratic(self):
-        assert gstar_lipschitz(Quadratic(2.0), 4.0) == pytest.approx(2.0)
+        assert Quadratic(2.0).gstar_lipschitz(4.0) == pytest.approx(2.0)
 
     def test_bound_dominates_finite_differences(self):
         for spec in (Quadratic(1.0), PowerLaw(1.5, 1.0), IndicatorInterval(1.0)):
             z = np.linspace(-3, 3, 601)
-            vals = np.asarray(eval_gstar(spec, 0.0, z))
+            vals = spec.gstar(0.0, z)
             slopes = np.abs(np.diff(vals) / np.diff(z))
-            assert slopes.max() <= gstar_lipschitz(spec, 3.0) + 1e-9
+            assert slopes.max() <= spec.gstar_lipschitz(3.0) + 1e-9
 
 
 class TestSerialization:
@@ -343,7 +335,7 @@ class TestSerialization:
             Tabulated(q=(-1.0, 0.0, 1.0), g=(1.0, 0.0, 1.0)),
         ]
         for spec in specs:
-            assert spec_from_config(spec_to_config(spec)) == spec
+            assert spec_from_config(spec.to_config()) == spec
 
     def test_tabulated_csv(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -352,6 +344,6 @@ class TestSerialization:
         assert tab == Tabulated(q=(-1.0, 0.0, 1.0), g=(1.0, 0.0, 1.0))
 
     def test_domain_interval(self):
-        assert domain_interval(IndicatorInterval(2.0)) == (-2.0, 2.0)
-        lo, hi = domain_interval(Quadratic(1.0))
+        assert IndicatorInterval(2.0).domain() == (-2.0, 2.0)
+        lo, hi = Quadratic(1.0).domain()
         assert lo == -math.inf and hi == math.inf

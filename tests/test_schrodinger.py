@@ -12,8 +12,6 @@ from driftlab.generators import (
     PowerLaw,
     Quadratic,
     Tabulated,
-    eval_g,
-    eval_g_prime,
 )
 from driftlab.schrodinger import (
     DiscreteMeasure,
@@ -396,7 +394,7 @@ def reference_objective(q_field, grid, g, m0, nu_vec, kernel, lam, rho):
     for k in range(n_t):
         mt = diffuse(m)
         tilde[k] = mt
-        running += dt * float(np.dot(mt, np.asarray(eval_g(g, 0.0, q_field[k]))))
+        running += dt * float(np.dot(mt, g.cost(0.0, q_field[k])))
         m = advect(mt, grid + q_field[k] * dt)
     gap = m - nu_vec
     value = running + float(np.dot(lam, gap)) + 0.5 * rho * float(np.dot(gap, gap))
@@ -404,8 +402,8 @@ def reference_objective(q_field, grid, g, m0, nu_vec, kernel, lam, rho):
     grads = np.empty_like(q_field)
     for k in range(n_t - 1, -1, -1):
         w_val, w_slope = interp_and_slope(w, grid + q_field[k] * dt)
-        grads[k] = tilde[k] * dt * (np.asarray(eval_g_prime(g, 0.0, q_field[k])) + w_slope)
-        w = diffuse_adjoint(dt * np.asarray(eval_g(g, 0.0, q_field[k])) + w_val)
+        grads[k] = tilde[k] * dt * (g.g_prime(0.0, q_field[k]) + w_slope)
+        w = diffuse_adjoint(dt * g.cost(0.0, q_field[k]) + w_val)
     return value, grads
 
 
