@@ -31,6 +31,7 @@ from .config import (
     integer_at_least,
     load_config,
     number_list,
+    number_pair,
     positive_number,
     require,
 )
@@ -112,7 +113,7 @@ def _run_sanov_iterate(cfg):
     g = build_generator(require(resolved, "generator", "sanov-iterate"))
     phi = build_scalar_function(require(resolved, "phi", "sanov-iterate"), "phi")
     Phi = build_scalar_function(require(resolved, "Phi", "sanov-iterate"), "Phi")
-    lo, hi = number_list(resolved, "phi_bounds", "sanov-iterate")
+    lo, hi = number_pair(resolved, "phi_bounds", "sanov-iterate")
     F = MeanFieldFunctional(phi=phi, Phi=Phi, phi_bounds=(lo, hi))
     grid = build_grid(require(resolved, "grid", "sanov-iterate"))
     c_grid = np.linspace(lo, hi, int(resolved["c_points"]))

@@ -28,6 +28,7 @@ __all__ = [
     "load_config",
     "require",
     "number_list",
+    "number_pair",
     "integer_at_least",
     "positive_number",
     "build_generator",
@@ -81,6 +82,16 @@ def number_list(cfg: dict, key: str, context: str = "config") -> list:
     except (TypeError, ValueError):
         raise ConfigError(f"key '{key}' in {context} must be a list of numbers, "
                           f"got {value!r}") from None
+
+
+def number_pair(cfg: dict, key: str, context: str = "config") -> tuple:
+    """``cfg[key]`` as two floats (lo, hi); a list of any other length names
+    ``key`` in the error."""
+    values = number_list(cfg, key, context)
+    if len(values) != 2:
+        raise ConfigError(f"key '{key}' in {context} must be a list of two numbers, "
+                          f"got {cfg[key]!r}")
+    return tuple(values)
 
 
 def integer_at_least(cfg: dict, key: str, minimum: int, context: str = "config") -> int:
@@ -155,8 +166,7 @@ def build_scalar_function(section, context="function"):
 def _bounds_of(section, context):
     if section.get("bounds") is None:
         return (-math.inf, math.inf)
-    lo, hi = number_list(section, "bounds", context)
-    return (lo, hi)
+    return number_pair(section, "bounds", context)
 
 
 def build_functional(section: dict, context="functional"):

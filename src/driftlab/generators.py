@@ -10,8 +10,11 @@ Each variant is a frozen dataclass that owns its math:
 
 * ``cost(t, q)`` and ``g_prime(t, q)``: the cost and a subgradient (the
   value method is not called ``g`` because ``Tabulated.g`` holds samples);
-* ``gstar(t, z)`` and ``gstar_halfline(t, z, side)``: the conjugate and its
-  one-sided pieces (the sup over drifts of one sign);
+* ``gstar(t, z)`` and ``gstar_halfline(t, z, side, out=None)``: the
+  conjugate and its one-sided pieces (the sup over drifts of one sign),
+  the latter written into ``out`` when one is given;
+* ``even``: whether g is even in q, so that g* is even and non-decreasing
+  on [0, inf) and the upwind flux needs one half-line, not two;
 * ``gstar_lipschitz(zmax)``: a bound on |d g*/dz| over |z| <= zmax;
 * ``domain()``, ``lower_bound()`` and ``growth()``: the effective-domain
   interval, a constant b with g >= -b, and the growth exponent;
@@ -19,7 +22,8 @@ Each variant is a frozen dataclass that owns its math:
 
 Callers call these methods directly, on a float or a float array.  The one
 module-level evaluator, :func:`eval_gstar_halfline`, is the input of the
-PDE's Godunov flux.
+PDE's Godunov flux: one call per time step for an even cost, two for a
+table.
 
 Extended-real convention: ``+inf`` is represented by IEEE ``math.inf`` /
 ``numpy.inf`` throughout, never by a large finite sentinel.  IEEE arithmetic
@@ -59,18 +63,25 @@ __all__ = [
 # Cost variants
 # ---------------------------------------------------------------------------
 
+def _buffer(z, out):
+    """``out``, or a fresh float array shaped like ``z`` when it is None."""
+    return np.empty_like(z, dtype=float) if out is None else out
+
+
 class _Symmetric:
     """Shared methods of the costs even in q with minimum g(0) = 0.
 
     Their one-sided conjugate is g* at z clipped to the side's half-line.
+    Each variant computes it as ``gstar`` does, in the same operation order,
+    in one buffer: ``out`` when given (it may be ``z`` itself), else a fresh
+    array.
     """
 
-    @staticmethod
-    def _clip(z, side):
-        return np.maximum(z, 0.0) if side > 0 else np.minimum(z, 0.0)
+    even = True
 
-    def gstar_halfline(self, t, z, side):
-        return self.gstar(t, self._clip(z, side))
+    @staticmethod
+    def _clip(z, side, out=None):
+        return np.maximum(z, 0.0, out=out) if side > 0 else np.minimum(z, 0.0, out=out)
 
     def domain(self):
         return (-np.inf, np.inf)
@@ -98,13 +109,12 @@ class Quadratic(_Symmetric):
     def gstar(self, t, z):
         return 0.5 * z * z / self.c
 
-    def gstar_halfline(self, t, z, side):
+    def gstar_halfline(self, t, z, side, out=None):
+        # the clipped copy is read twice, so it cannot live in ``out``
         zc = self._clip(z, side)
-        # gstar's 0.5 * zc * zc / c in the same order, in one buffer
-        out = np.multiply(zc, 0.5, out=np.empty_like(z))
+        out = np.multiply(zc, 0.5, out=_buffer(z, out))
         np.multiply(out, zc, out=out)
-        np.divide(out, self.c, out=out)
-        return out
+        return np.divide(out, self.c, out=out)
 
     def gstar_lipschitz(self, zmax):
         return zmax / self.c
@@ -149,6 +159,14 @@ class PowerLaw(_Symmetric):
         b = (self.a * self.r) ** (1.0 - rp) / rp
         return b * np.abs(z) ** rp
 
+    def gstar_halfline(self, t, z, side, out=None):
+        rp = self.rp
+        b = (self.a * self.r) ** (1.0 - rp) / rp
+        out = self._clip(z, side, _buffer(z, out))
+        np.abs(out, out=out)
+        np.power(out, rp, out=out)
+        return np.multiply(b, out, out=out)
+
     def gstar_lipschitz(self, zmax):
         # maximizer |q| = (|z| / (a r))^{1/(r-1)}
         return (zmax / (self.a * self.r)) ** (1.0 / (self.r - 1.0))
@@ -181,6 +199,11 @@ class IndicatorInterval(_Symmetric):
 
     def gstar(self, t, z):
         return self.K * np.abs(z)
+
+    def gstar_halfline(self, t, z, side, out=None):
+        out = self._clip(z, side, _buffer(z, out))
+        np.abs(out, out=out)
+        return np.multiply(self.K, out, out=out)
 
     def gstar_lipschitz(self, zmax):
         return self.K
@@ -233,9 +256,15 @@ class TimeModulated:
         w = self.weight_at(t)
         return w * self.base.gstar(t, z / w)
 
-    def gstar_halfline(self, t, z, side):
+    @property
+    def even(self):
+        return self.base.even
+
+    def gstar_halfline(self, t, z, side, out=None):
+        # w * base(z / w, side) in the same order; ``z / w`` may share ``out``
         w = self.weight_at(t)
-        return w * self.base.gstar_halfline(t, z / w, side)
+        out = self.base.gstar_halfline(t, np.divide(z, w, out=out), side, out=out)
+        return np.multiply(w, out, out=out)
 
     def gstar_lipschitz(self, zmax):
         return self.base.gstar_lipschitz(zmax / min(self.weights))
@@ -269,6 +298,8 @@ class Tabulated:
 
     q: tuple
     g: tuple
+
+    even = False
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -307,8 +338,8 @@ class Tabulated:
     def gstar(self, t, z):
         return _table_conjugate_values(self.table, z)
 
-    def gstar_halfline(self, t, z, side):
-        return _table_conjugate_values(self.halves[int(side > 0)], z)
+    def gstar_halfline(self, t, z, side, out=None):
+        return _table_conjugate_values(self.halves[int(side > 0)], z, out)
 
     def gstar_lipschitz(self, zmax):
         return max(abs(self.q[0]), abs(self.q[-1]))
@@ -348,14 +379,15 @@ def _chord_table(q, g):
     return q, g, np.diff(g) / np.diff(q)
 
 
-def _table_conjugate_values(table, z):
-    """max_j (q_j z - g_j) for a chord table via monotone-argmax slopes."""
+def _table_conjugate_values(table, z, out=None):
+    """max_j (q_j z - g_j) for a chord table via monotone-argmax slopes,
+    written into ``out`` when given (it may be ``z`` itself)."""
     q, g, slopes = table
     if q.size == 1:
-        return q[0] * z - g[0]
+        return np.subtract(np.multiply(q[0], z, out=out), g[0], out=out)
     # searchsorted returns 0 .. len(slopes) = q.size - 1: always a valid node
     idx = np.searchsorted(slopes, z, side="left")
-    return q[idx] * z - g[idx]
+    return np.subtract(np.multiply(q[idx], z, out=out), g[idx], out=out)
 
 
 def _split_table(q, g, side):
@@ -379,16 +411,19 @@ def is_time_dependent(spec: GeneratorSpec):
     return isinstance(spec, TimeModulated)
 
 
-# Kept as a function: the Godunov flux's input, whose calls the benchmark tracer counts.
-def eval_gstar_halfline(spec: GeneratorSpec, t, z, side):
+# Kept as a function: the Godunov flux's input, whose calls the benchmark
+# tracer counts (one a march step for an even cost, two for a table).
+def eval_gstar_halfline(spec: GeneratorSpec, t, z, side, out=None):
     """One-sided conjugate sup over drifts with sign(q) = side.
 
     These are the two monotone pieces used by upwind (Godunov) Hamiltonians:
     the value is non-decreasing in z for side=+1 and non-increasing for
-    side=-1.  A float for a scalar ``z``, else an array.
+    side=-1.  With ``out`` (a float array shaped like ``z``, possibly ``z``
+    itself) the values are written there and ``out`` is returned; otherwise
+    a float for a scalar ``z``, else a fresh array.
     """
-    out = spec.gstar_halfline(t, np.asarray(z, dtype=float), side)
-    return out if out.ndim else float(out)
+    val = spec.gstar_halfline(t, np.asarray(z, dtype=float), side, out)
+    return val if out is not None or val.ndim else float(val)
 
 
 def discrete_legendre(samples, z_grid):

@@ -8,14 +8,18 @@ vanishing-viscosity sweep connecting the two.
 The scheme is implicit-explicit (IMEX) and monotone: each step adds the
 explicit Godunov upwind Hamiltonian, built from the one-sided conjugates of
 the drift cost, and then solves a backward-Euler diffusion step, a
-tridiagonal M-matrix factored once per march.  Monotonicity gives the
+tridiagonal M-matrix factored once per march.  For an even cost the
+Hamiltonian is one conjugate evaluation a step, at max(D+v, -D-v, 0) (the
+Rouy-Tourin form of the same flux); a table takes its two half-lines.  Each
+step writes into buffers allocated once per march.  Monotonicity gives the
 discrete comparison principle that stands in for minimality of the viscosity
 supersolution at desk scale (Barles-Souganidis convergence).  Diffusion sets
 no step bound, so the step count grows as nx, not nx^2; the one bound left,
 L dt / dx <= 1/2 on the Hamiltonian, is enforced programmatically (a
 violation raises :class:`CflError` carrying the smallest compliant step
 count).  The march keeps only the current and the next time row and returns
-the initial row v(0, .), the only one any caller reads.
+the initial row v(0, .), the only one any caller reads.  The Hopf-Lax search
+runs over its grid in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -101,15 +105,24 @@ class ScalarField:
         return self.value(0.0)
 
 
-def _hamiltonian(g, t, dminus, dplus):
-    """Godunov flux for the convex Hamiltonian z -> g*(t, z).
+def _hamiltonian(g, t, dminus, dplus, out, work):
+    """Godunov flux for the convex Hamiltonian z -> g*(t, z), written into ``out``.
 
     Non-decreasing in the forward difference and non-increasing in the
     backward one, which is what makes the explicit half of the step monotone.
+    The flux is max(g*(max(D+, 0)), g*(min(D-, 0))).  For an even cost g* is
+    even and non-decreasing on [0, inf), so that is g* at max(D+, -D-, 0):
+    one conjugate evaluation in place of two (the Rouy-Tourin form), with
+    the same bits.  ``work`` is scratch shaped like ``out``; the slopes are
+    not modified.
     """
-    plus = gen.eval_gstar_halfline(g, t, dplus, +1)
-    minus = gen.eval_gstar_halfline(g, t, dminus, -1)
-    return np.maximum(plus, minus, out=plus)
+    if g.even:
+        np.negative(dminus, out=work)
+        np.maximum(work, dplus, out=work)
+        return gen.eval_gstar_halfline(g, t, work, +1, out=out)
+    gen.eval_gstar_halfline(g, t, dplus, +1, out=out)
+    gen.eval_gstar_halfline(g, t, dminus, -1, out=work)
+    return np.maximum(out, work, out=out)
 
 
 def stable_nt(grid: GridSpec, lip):
@@ -132,7 +145,9 @@ def march_backward(terminal, g, sigma2, grid: GridSpec, nt=None):
     (I - r D2) v_new = rhs with r = sigma^2 dt / (2 dx^2) for all stacked
     rows at once.  Returns the initial row v(0, .), of the same shape as
     ``terminal``, and the step data (``cfl``), whose ``diffusion_number``
-    is r.  Only two time rows are held at once.
+    is r.  Only two time rows are held at once, and every per-step array
+    (slopes, flux, its scratch, the right-hand side) is allocated once per
+    march; an even cost takes one conjugate evaluation a step, a table two.
     """
     from scipy.linalg import lapack
 
@@ -178,17 +193,22 @@ def march_backward(terminal, g, sigma2, grid: GridSpec, nt=None):
     nxt[:, [0, -1]] = stack[:, [0, -1]]
     # one difference per cell: D-v at node i is slope[i - 1], D+v is slope[i]
     slope = np.empty((rows, nx - 1))
+    # the flux on the interior nodes, and the scratch it is built in
+    flux, work = np.empty((rows, nx - 2)), np.empty((rows, nx - 2))
     # C-ordered, so its transpose is the F-ordered right-hand side that
     # LAPACK overwrites with the solution
     rhs = np.zeros((rows, width))
     for k in range(nt - 1, -1, -1):
-        inner = nxt[:, 1:-1]
         np.subtract(v[:, 1:], v[:, :-1], out=slope)
         np.divide(slope, dx, out=slope)
-        # not bound to a name, so no step's Hamiltonian outlives it
-        np.multiply(_hamiltonian(g, (k + 1) * dt, slope[:, :-1], slope[:, 1:]), dt, out=inner)
-        np.add(inner, v[:, 1:-1], out=inner)
-        rhs[:, :m] = nxt[:, free]
+        _hamiltonian(g, (k + 1) * dt, slope[:, :-1], slope[:, 1:], flux, work)
+        np.multiply(flux, dt, out=flux)
+        # v + dt H, the free nodes' part straight into the right-hand side
+        np.add(flux[:, lo - 1:nx - lo - 1], v[:, free], out=rhs[:, :m])
+        if not clamp:
+            # the identity rows' nodes 1 and nx - 2 take v + dt H as it is
+            np.add(flux[:, 0], v[:, 1], out=nxt[:, 1])
+            np.add(flux[:, -1], v[:, -2], out=nxt[:, -2])
         rhs[:, 0] += r * nxt[:, lo - 1]
         rhs[:, m - 1] += r * nxt[:, nx - lo]
         lapack.dpttrs(diag, off, rhs.T, overwrite_b=1)
@@ -251,22 +271,30 @@ def solve_semilinear(
                        discretization_estimate=est)
 
 
+# grid points per chunk of the Hopf-Lax search
+_HOPF_LAX_CHUNK = 1 << 16
+
+
 def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid) -> float:
     """Hopf-Lax-Oleinik value sup_y ( f(y) - (1-t) g((y-x)/(1-t)) ).
 
-    Requires a time-independent cost; at t = 1 the terminal convention
-    returns f(x).
+    The search runs over ``y_grid`` in chunks of fixed size, so its memory
+    does not grow with the grid.  Requires a time-independent cost; at
+    t = 1 the terminal convention returns f(x).
     """
     if gen.is_time_dependent(g):
         raise ValueError("Hopf-Lax form needs a time-independent cost")
-    y = np.asarray(y_grid, dtype=float)
+    y = np.asarray(y_grid, dtype=float).ravel()
     if y.size == 0:
         raise ValueError("empty search grid")
     if t >= 1.0:
         return float(f(np.asarray(x)))
     horizon = 1.0 - t
-    vals = np.asarray(f(y), dtype=float) - horizon * g.cost(t, (y - x) / horizon)
-    return float(np.max(vals))
+    # a chunk at a time, so the temporaries stay small for any grid size;
+    # the max of the chunk maxima is the max, and NaN still propagates
+    best = [np.max(np.asarray(f(yc), dtype=float) - horizon * g.cost(t, (yc - x) / horizon))
+            for yc in np.split(y, range(_HOPF_LAX_CHUNK, y.size, _HOPF_LAX_CHUNK))]
+    return float(np.max(best))
 
 
 def vanishing_viscosity_sweep(

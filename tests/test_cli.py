@@ -1,5 +1,8 @@
 """End-to-end CLI runs: exit codes, report files, manifests, determinism."""
 
+import ast
+import importlib
+import inspect
 import json
 import math
 import os
@@ -267,6 +270,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
 
+    @pytest.mark.parametrize("config, key", [
+        (dict(SMALL_SANOV, phi_bounds=[-1.0, 1.0, 2.0]), "'phi_bounds'"),
+        (dict(SMALL_SANOV, phi_bounds=[1.0]), "'phi_bounds'"),
+        (dict(MC_CONFIG, functional=dict(MC_CONFIG["functional"], bounds=[0.0, 1.0, 2.0])),
+         "'bounds'"),
+    ], ids=["phi-bounds-three", "phi-bounds-one", "mc-bounds-three"])
+    def test_wrong_length_bounds_exits_2_naming_key(self, tmp_path, capsys, config, key):
+        cfg = write_config(tmp_path, "cfg.yaml", config)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err and "two numbers" in err
+
     def test_lsmc_manifest_records_each_solve(self, tmp_path):
         payload = dict(LSMC_CONFIG, n_list=[1, 4], basis_size=9)
         cfg = write_config(tmp_path, "cfg.yaml", payload)
@@ -480,6 +495,25 @@ class TestImportGraph:
         assert done.returncode == 0, done.stderr
         for stage, names in json.loads(done.stdout).items():
             assert set(names) <= {"linalg"}, (stage, names)
+
+
+class TestTracedNames:
+    """The benchmark tracer wraps driftlab functions by name; each must exist."""
+
+    def test_required_spans_resolve_to_public_functions(self):
+        # read the tuple from the tracer's source without importing it
+        source = (SRC.parent / "perfbench" / "tracing.py").read_text()
+        required = next(
+            ast.literal_eval(node.value) for node in ast.parse(source).body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "REQUIRED" for t in node.targets))
+        assert required
+        for name in required:
+            modname, _, attr = name.partition(".")
+            module = importlib.import_module(f"driftlab.{modname}")
+            fn = getattr(module, attr, None)
+            assert inspect.isfunction(fn), name
+            assert not attr.startswith("_") and fn.__module__ == module.__name__, name
 
 
 class TestCompare:

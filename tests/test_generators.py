@@ -108,6 +108,19 @@ class TestConjugate:
             Tabulated(q=(-1.0, 0.0, 1.0), g=(0.0, 1.0, 0.0))
 
 
+def plain_halfline(spec, t, z, side):
+    """The one-sided conjugate written as plain expressions, a fresh array each."""
+    if isinstance(spec, TimeModulated):
+        w = spec.weight_at(t)
+        return w * plain_halfline(spec.base, t, z / w, side)
+    if isinstance(spec, Tabulated):
+        q, g, slopes = spec.halves[int(side > 0)]
+        idx = np.searchsorted(slopes, z, side="left")
+        return q[idx] * z - g[idx]
+    # an even cost: g* at the argument clipped to the side's half-line
+    return spec.gstar(t, np.maximum(z, 0.0) if side > 0 else np.minimum(z, 0.0))
+
+
 class TestHalfline:
     def test_symmetric_halflines_recombine(self):
         for spec in (Quadratic(1.0), PowerLaw(1.5, 0.7), IndicatorInterval(2.0)):
@@ -128,6 +141,28 @@ class TestHalfline:
         # a scalar argument on the active side gives a float of the same value
         i = 500 if side > 0 else 100
         assert eval_gstar_halfline(spec, 0.0, float(z[i]), side) == float(0.5 * zc[i] * zc[i] / c)
+
+    @pytest.mark.parametrize("spec", [
+        Quadratic(0.7), PowerLaw(1.5, 0.7), PowerLaw(3.0), IndicatorInterval(2.0),
+        TimeModulated(base=PowerLaw(1.5), weights=(0.5, 2.0)),
+        Tabulated(q=(-2.0, -0.5, 0.0, 1.0, 3.0), g=(3.0, 0.4, 0.0, 0.6, 5.0)),
+    ], ids=["quadratic", "power-1.5", "power-3", "indicator", "modulated", "tabulated"])
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_halfline_into_a_buffer_is_bit_for_bit(self, spec, side):
+        rng = np.random.default_rng(3)
+        shape = (3, 500)
+        z = np.sign(rng.uniform(-1.0, 1.0, shape)) * 10.0 ** rng.uniform(-170, 140, shape)
+        z[:, ::7] = -0.0
+        kept = z.copy()
+        out = np.empty_like(z)
+        with np.errstate(over="ignore"):
+            fresh = eval_gstar_halfline(spec, 0.4, z, side)
+            assert fresh.tobytes() == plain_halfline(spec, 0.4, z, side).tobytes()
+            assert eval_gstar_halfline(spec, 0.4, z, side, out=out) is out
+            assert out.tobytes() == fresh.tobytes()
+            assert z.tobytes() == kept.tobytes()
+            # ``out`` may be the argument itself
+            assert eval_gstar_halfline(spec, 0.4, z, side, out=z).tobytes() == fresh.tobytes()
 
     def test_halfline_against_constrained_grid(self):
         spec = PowerLaw(r=1.5, a=1.0)

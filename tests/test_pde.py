@@ -5,7 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftlab import pde
 from driftlab.generators import (
     IndicatorInterval,
     PowerLaw,
@@ -229,6 +232,31 @@ class TestMarchBackward:
         march_backward(terminal, QUAD, 1.0, grid)
         np.testing.assert_array_equal(terminal, kept)
 
+    @pytest.mark.parametrize("spec, calls_per_step", [
+        (Quadratic(1.3), 1),
+        (PowerLaw(r=1.5, a=0.8), 1),
+        (IndicatorInterval(2.0), 1),
+        (TimeModulated(base=Quadratic(1.3), weights=(1.0, 2.0, 1.5)), 1),
+        (Tabulated(q=tuple(Q), g=tuple(0.5 * Q**2 + 0.2 * np.abs(Q))), 2),
+        (TimeModulated(base=Tabulated(q=tuple(Q), g=tuple(0.5 * Q**2)), weights=(1.0, 2.0)), 2),
+    ], ids=["quadratic", "power", "indicator", "modulated", "tabulated", "modulated-tabulated"])
+    def test_conjugate_evaluations_per_step(self, spec, calls_per_step, monkeypatch):
+        # an even cost takes one half-line a step (the Rouy-Tourin flux), a
+        # table two; each goes through the module-level evaluator
+        calls = []
+        evaluate = pde.gen.eval_gstar_halfline
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(pde.gen, "eval_gstar_halfline", counted)
+        grid = GridSpec(-3.0, 3.0, 61, 1)
+        terminal = np.stack([np.sin(a * grid.x) for a in (0.5, 1.0, 2.0)])
+        _, cfl = march_backward(terminal, spec, 1.0, grid)
+        assert len(calls) == calls_per_step * cfl["nt"]
+        assert set(calls) == ({+1} if calls_per_step == 1 else {+1, -1})
+
     def test_memory_independent_of_step_count(self):
         # a stored space-time field would take nt + 1 (961 here) times the
         # terminal's bytes; the march keeps a few rows of scratch
@@ -244,7 +272,88 @@ class TestMarchBackward:
         assert peak < 10 * terminal.nbytes
 
 
+def _slopes():
+    """Difference quotients of any size and sign, with both zeros."""
+    magnitude = st.one_of(
+        st.just(0.0),
+        st.floats(1e-161, 1e-159),
+        st.floats(1e149, 1e151),
+        st.floats(1e-3, 1e3),
+        st.floats(0.0, 1e300),
+    )
+    signed = st.tuples(magnitude, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    return st.integers(2, 24).flatmap(
+        lambda n: st.lists(signed, min_size=2 * n, max_size=2 * n)
+    ).map(lambda vals: np.array(vals).reshape(2, -1))
+
+
+FLUX_SPECS = {
+    "quadratic-0.5": Quadratic(0.5),
+    "quadratic-1": Quadratic(1.0),
+    "quadratic-3": Quadratic(3.0),
+    "power-1.5": PowerLaw(r=1.5),
+    "power-3": PowerLaw(r=3.0, a=0.7),
+    "indicator": IndicatorInterval(1.7),
+    "modulated-quadratic": TimeModulated(base=Quadratic(1.3), weights=(1.0, 2.0, 1.5)),
+    "modulated-power": TimeModulated(base=PowerLaw(r=1.5), weights=(0.7, 2.0)),
+    "tabulated": Tabulated(q=tuple(TestMarchBackward.Q), g=tuple(
+        0.5 * TestMarchBackward.Q**2 + 0.2 * np.abs(TestMarchBackward.Q))),
+}
+
+
+class TestHamiltonian:
+    @pytest.mark.parametrize("name", sorted(FLUX_SPECS))
+    @settings(max_examples=50, deadline=None)
+    @given(slope=_slopes(), t=st.floats(0.0, 1.0))
+    def test_flux_is_the_two_sided_upwind_maximum_bit_for_bit(self, name, slope, t):
+        self.check_flux(FLUX_SPECS[name], slope, t)
+
+    @pytest.mark.parametrize("name", sorted(FLUX_SPECS))
+    def test_flux_bit_for_bit_on_a_wide_sample(self, name):
+        # 200 000 slopes log-uniform over 330 decades, either sign, and zeros
+        rng = np.random.default_rng(7)
+        shape = (8, 25_001)
+        slope = np.sign(rng.uniform(-1.0, 1.0, shape)) * 10.0 ** rng.uniform(-170, 160, shape)
+        slope[:, ::97] = 0.0
+        slope[:, 1::89] = -0.0
+        self.check_flux(FLUX_SPECS[name], slope, 0.6)
+
+    @staticmethod
+    def check_flux(spec, slope, t):
+        # the march's views: D-v and D+v overlap in one array of slopes
+        dminus, dplus = slope[:, :-1], slope[:, 1:]
+        kept = slope.copy()
+        out, work = np.empty_like(dplus), np.empty_like(dplus)
+        with np.errstate(over="ignore"):
+            reference = np.maximum(eval_gstar_halfline(spec, t, dplus, +1),
+                                   eval_gstar_halfline(spec, t, dminus, -1))
+            flux = pde._hamiltonian(spec, t, dminus, dplus, out, work)
+        assert flux is out
+        assert flux.tobytes() == reference.tobytes()
+        assert slope.tobytes() == kept.tobytes()
+
+
 class TestHopfLax:
+    def test_chunked_search_matches_one_shot(self):
+        y = np.linspace(-6.0, 6.0, 3 * pde._HOPF_LAX_CHUNK + 17)
+        # the bump's maximiser is in an inner chunk, the ramp's at the last node
+        for f in (gaussian_bump, lambda s: 2.0 * s):
+            for g in (QUAD, FLUX_SPECS["tabulated"], PowerLaw(r=1.5)):
+                for t, x in ((0.0, 0.0), (0.25, 5.0)):
+                    horizon = 1.0 - t
+                    one_shot = float(np.max(f(y) - horizon * g.cost(t, (y - x) / horizon)))
+                    assert hopf_lax(f, g, t, x, y) == one_shot
+
+    def test_nan_in_a_later_chunk_propagates(self):
+        y = np.linspace(-6.0, 6.0, 2 * pde._HOPF_LAX_CHUNK + 5)
+
+        def f(s):
+            vals = gaussian_bump(s)
+            vals[s == y[-3]] = np.nan
+            return vals
+
+        assert math.isnan(hopf_lax(f, QUAD, 0.0, 0.0, y))
+
     def test_constant_function(self):
         y = np.linspace(-5, 5, 1001)
         val = hopf_lax(lambda x: np.full(np.shape(x), 2.0), QUAD, 0.0, 0.0, y)
