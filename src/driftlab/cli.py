@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -75,7 +76,7 @@ def _run_pde_sweep(cfg):
     grid = build_grid(require(resolved, "grid", "pde-sweep"))
     report = vanishing_viscosity_sweep(
         f, g, number_list(resolved, "n_list", "pde-sweep"), grid,
-        y_step=float(resolved["y_step"])
+        y_step=positive_number(resolved["y_step"], "y_step", "pde-sweep")
     )
     csv_text = report.to_csv(header_names=("n", "u_n", "limit", "gap"))
     return resolved, csv_text, report.meta, EXIT_OK, {}
@@ -134,9 +135,18 @@ def _run_schrodinger_sweep(cfg):
     g = build_generator(require(resolved, "generator", "schrodinger-sweep"))
     mu = build_measure(require(resolved, "mu", "schrodinger-sweep"), "mu")
     nu = build_measure(require(resolved, "nu", "schrodinger-sweep"), "nu")
+    mollified = resolved["mollified"]
+    if not isinstance(mollified, bool):
+        raise ConfigError(f"key 'mollified' in schrodinger-sweep must be true or false, "
+                          f"got {mollified!r}")
     eps_list = number_list(resolved, "eps_list", "schrodinger-sweep")
-    report = small_noise_sweep(mu, nu, g, eps_list, mollified=bool(resolved["mollified"]),
-                               n_time=int(resolved["n_time"]))
+    if not all(math.isfinite(e) and (e > 0 or e == 0 and not mollified) for e in eps_list):
+        floor = "> 0 when mollified" if mollified else ">= 0"
+        raise ConfigError(f"key 'eps_list' in schrodinger-sweep must hold finite numbers "
+                          f"{floor}, got {resolved['eps_list']!r}")
+    report = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified,
+                               n_time=integer_at_least(resolved, "n_time", 1,
+                                                       "schrodinger-sweep"))
     csv_text = report.to_csv(("eps", "value", "ot", "gap"))
     infeasible = any(r.aux.get("feasible", 1.0) == 0.0 for r in report.rows)
     return resolved, csv_text, report.meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}

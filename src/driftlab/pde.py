@@ -271,8 +271,10 @@ def solve_semilinear(
                        discretization_estimate=est)
 
 
-# grid points per chunk of the Hopf-Lax search
+# grid points per chunk of the Hopf-Lax search, and the most the search of
+# the vanishing-viscosity sweep may hold (14x the default's 1.2 M points)
 _HOPF_LAX_CHUNK = 1 << 16
+_MAX_SEARCH_POINTS = 1 << 24
 
 
 def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid) -> float:
@@ -311,6 +313,9 @@ def vanishing_viscosity_sweep(
     domain with step ``y_step``.
     """
     n_list = sorted(int(n) for n in n_list)
+    if not y_step > 0 or (grid.x_max - grid.x_min) / y_step > _MAX_SEARCH_POINTS:
+        raise ValueError(f"y_step must be positive and give a Hopf-Lax search grid of at "
+                         f"most {_MAX_SEARCH_POINTS} points, got {y_step!r}")
     y_grid = np.arange(grid.x_min, grid.x_max + y_step, y_step)
     limit = hopf_lax(f, g, 0.0, 0.0, y_grid)
 

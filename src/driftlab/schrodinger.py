@@ -2,9 +2,9 @@
 
 Routes implemented here:
 
-* an exact Kantorovich oracle on finite atoms (transportation simplex, with
-  the monotone quantile coupling as the +inf-aware shortcut that is optimal
-  for convex displacement costs);
+* an exact Kantorovich oracle on finite atoms: the monotone quantile
+  coupling, which is optimal for every convex displacement cost g(y - x),
+  +inf values included, because such a cost array has the Monge property;
 * the quadratic-case entropic bridge (the ``sinkhorn`` route), solved by
   Newton's method on the semi-dual in log domain: one potential per source
   atom, the target potential in closed form, a (k - 1) x (k - 1) system per
@@ -48,7 +48,6 @@ __all__ = [
     "make_state_grid",
     "mollify",
     "monotone_coupling",
-    "transport_simplex",
     "ot_oracle",
     "heat_kernel_matrix",
     "sinkhorn_bridge",
@@ -213,130 +212,17 @@ def _plan_cost(plan, g, dt=1.0):
     return total
 
 
-def transport_simplex(a, b, cost, max_iter=None):
-    """Exact balanced transportation problem by the MODI simplex method.
-
-    ``a`` and ``b`` are nonnegative weights with equal sums; ``cost`` is the
-    finite (m x n) cost matrix.  Returns (value, flow matrix).
-    """
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    cost = np.asarray(cost, dtype=float)
-    m, n = cost.shape
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("simplex needs finite costs")
-    if abs(a.sum() - b.sum()) > 1e-9:
-        raise ValueError("unbalanced instance")
-    max_iter = max_iter or 40 * (m + n) ** 2
-
-    # north-west corner start with a degenerate-safe spanning basis
-    flow = {}
-    basis = []
-    i = j = 0
-    ra, rb = a[0], b[0]
-    while True:
-        take = min(ra, rb)
-        flow[(i, j)] = take
-        basis.append((i, j))
-        ra -= take
-        rb -= take
-        if i == m - 1 and j == n - 1:
-            break
-        if ra <= rb and i < m - 1:
-            i += 1
-            ra = a[i]
-        else:
-            j += 1
-            rb = b[j]
-
-    def duals():
-        u = np.full(m, np.nan)
-        v = np.full(n, np.nan)
-        u[basis[0][0]] = 0.0
-        todo = list(basis)
-        while todo:
-            progressed = False
-            rest = []
-            for (bi, bj) in todo:
-                if not np.isnan(u[bi]) and np.isnan(v[bj]):
-                    v[bj] = cost[bi, bj] - u[bi]
-                    progressed = True
-                elif np.isnan(u[bi]) and not np.isnan(v[bj]):
-                    u[bi] = cost[bi, bj] - v[bj]
-                    progressed = True
-                elif np.isnan(u[bi]) and np.isnan(v[bj]):
-                    rest.append((bi, bj))
-            todo = rest if progressed else []
-        return u, v
-
-    def find_cycle(enter):
-        # alternate row/column moves through basic cells back to the start
-        by_row = {}
-        by_col = {}
-        for (bi, bj) in basis + [enter]:
-            by_row.setdefault(bi, []).append((bi, bj))
-            by_col.setdefault(bj, []).append((bi, bj))
-        stack = [(enter, [enter], True)]
-        while stack:
-            (ci, cj), path, move_in_row = stack.pop()
-            neighbors = by_row.get(ci, []) if move_in_row else by_col.get(cj, [])
-            for cell in neighbors:
-                if cell == (ci, cj):
-                    continue
-                if cell == enter and len(path) >= 4 and not move_in_row:
-                    return path
-                if cell in path:
-                    continue
-                stack.append((cell, path + [cell], not move_in_row))
-        raise RuntimeError("no pivot cycle found (corrupt basis)")
-
-    for _ in range(max_iter):
-        u, v = duals()
-        reduced = cost - u[:, None] - v[None, :]
-        for (bi, bj) in basis:
-            reduced[bi, bj] = 0.0
-        enter = np.unravel_index(np.argmin(reduced), reduced.shape)
-        if reduced[enter] >= -1e-11:
-            value = sum(cost[c] * f for c, f in flow.items())
-            dense = np.zeros((m, n))
-            for (ci, cj), f in flow.items():
-                dense[ci, cj] = f
-            return float(value), dense
-        cycle = find_cycle(tuple(enter))
-        odd = cycle[1::2]
-        theta = min(flow[c] for c in odd)
-        leave = next(c for c in odd if flow[c] <= theta)
-        flow[tuple(enter)] = flow.get(tuple(enter), 0.0)
-        for k, c in enumerate(cycle):
-            flow[c] = flow[c] + theta if k % 2 == 0 else max(flow[c] - theta, 0.0)
-        basis.append(tuple(enter))
-        basis.remove(leave)
-        del flow[leave]
-    raise RuntimeError("transportation simplex iteration cap exceeded")
-
-
 def ot_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, g):
-    """Exact optimal transport value for cost g(y - x) plus a coupling.
+    """Exact optimal transport value for cost g(y - x), with its coupling.
 
-    The monotone quantile coupling gives the optimum for convex g and is the
-    only route when the cost takes +inf; finite instances are additionally
-    pushed through the transportation simplex, which certifies the value.
+    For convex g the cost array c(x_i, y_j) = g(y_j - x_i) on sorted atoms has
+    the Monge property, so the north-west corner (monotone quantile) coupling
+    is optimal (Hoffman 1963; Santambrogio 2015, Sec. 2.2), +inf values
+    included.  Every cost a transport instance accepts is convex and
+    time-independent.
     """
     plan = monotone_coupling(mu, nu)
-    mono_value = _plan_cost(plan, g)
-    xs = np.asarray(mu.support)
-    ys = np.asarray(nu.support)
-    cost = g.cost(0.0, ys[None, :] - xs[:, None])
-    if math.isinf(mono_value) or not np.all(np.isfinite(cost)):
-        return mono_value, plan
-    value, dense = transport_simplex(mu.weights, nu.weights, cost)
-    coupling = [
-        (xs[i], ys[j], dense[i, j])
-        for i in range(xs.size)
-        for j in range(ys.size)
-        if dense[i, j] > 1e-15
-    ]
-    return float(value), coupling
+    return _plan_cost(plan, g), plan
 
 
 # ---------------------------------------------------------------------------

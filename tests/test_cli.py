@@ -282,6 +282,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err and "two numbers" in err
 
+    @pytest.mark.parametrize("config, key", [
+        (dict(SMALL_TRANSPORT, n_time=0), "n_time"),
+        (dict(SMALL_TRANSPORT, n_time=-3), "n_time"),
+        (dict(SMALL_TRANSPORT, n_time=2.5), "n_time"),
+        (dict(SMALL_TRANSPORT, eps_list=[-0.1], mollified=False), "eps_list"),
+        (dict(SMALL_TRANSPORT, eps_list=[0.0]), "eps_list"),
+        (dict(SMALL_TRANSPORT, mollified="false"), "mollified"),
+        (dict(SMALL_PDE_SWEEP, y_step=0), "y_step"),
+        (dict(SMALL_PDE_SWEEP, y_step=-1e-3), "y_step"),
+        (dict(SMALL_PDE_SWEEP, y_step=1e-9), "y_step"),
+    ], ids=["n-time-zero", "n-time-negative", "n-time-fraction", "eps-negative",
+            "eps-zero-mollified", "mollified-string", "y-step-zero", "y-step-negative",
+            "y-step-tiny"])
+    def test_bad_sweep_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
+        cfg = write_config(tmp_path, "cfg.yaml", config)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+
+    def test_zero_eps_accepted_unmollified(self, tmp_path):
+        payload = dict(SMALL_TRANSPORT, generator={"variant": "power", "r": 1.5, "a": 1.0},
+                       eps_list=[0.3, 0.0], mollified=False, n_time=4)
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+
     def test_lsmc_manifest_records_each_solve(self, tmp_path):
         payload = dict(LSMC_CONFIG, n_list=[1, 4], basis_size=9)
         cfg = write_config(tmp_path, "cfg.yaml", payload)

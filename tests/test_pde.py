@@ -403,6 +403,13 @@ class TestViscositySweep:
         for row in rep.rows:
             assert row.gap <= 1e-9
 
+    @pytest.mark.parametrize("y_step", [0.0, -1e-3, 1e-9])
+    def test_bad_search_step_rejected_before_allocating(self, y_step):
+        # 1e-9 on a width-8 grid would ask np.arange for 8e9 points (60 GiB)
+        grid = GridSpec(-4.0, 4.0, 41, 1)
+        with pytest.raises(ValueError, match="y_step"):
+            vanishing_viscosity_sweep(gaussian_bump, QUAD, [1], grid, y_step=y_step)
+
     def test_gaussian_bump_gaps_shrink(self):
         grid = GridSpec(-6.0, 6.0, 1201, 1)
         rep = vanishing_viscosity_sweep(gaussian_bump, QUAD, [1, 2, 4, 8, 16, 32, 64], grid)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
@@ -23,12 +25,10 @@ from driftlab.schrodinger import (
     log_heat_kernel_matrix,
     make_state_grid,
     mollify,
-    monotone_coupling,
     ot_oracle,
     sinkhorn_bridge,
     small_noise_sweep,
     solve_transport,
-    transport_simplex,
 )
 
 
@@ -103,6 +103,18 @@ class TestMollify:
             mollify(DiscreteMeasure.point(1.0), 0.01, grid)
 
 
+ORACLE_ATOMS = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+_TABLE_Q = np.linspace(-4.0, 4.0, 9)
+# every convex cost a transport instance accepts, the table covering every
+# displacement between lattice atoms
+ORACLE_COSTS = [
+    Quadratic(1.0),
+    PowerLaw(r=1.5, a=1.0),
+    PowerLaw(r=3.0, a=1.0),
+    Tabulated(q=tuple(_TABLE_Q), g=tuple(0.5 * _TABLE_Q ** 2 + 0.1 * np.abs(_TABLE_Q))),
+]
+
+
 class TestOtOracle:
     def test_single_pair(self):
         v, plan = ot_oracle(DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0), Quadratic(1.0))
@@ -129,46 +141,30 @@ class TestOtOracle:
         v, _ = ot_oracle(mu, nu, IndicatorInterval(1.0))
         assert v == math.inf
 
-    def test_monotone_matches_simplex_for_convex_costs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            xs = np.sort(rng.normal(size=4))
-            ys = np.sort(rng.normal(size=3) + 1.0)
-            wa = rng.random(4)
-            wb = rng.random(3)
-            mu = DiscreteMeasure.from_arrays(xs, wa / wa.sum())
-            nu = DiscreteMeasure.from_arrays(ys, wb / wb.sum())
-            g = PowerLaw(r=1.5, a=1.0)
-            plan = monotone_coupling(mu, nu)
-            mono = sum(m * abs(y - x) ** 1.5 for x, y, m in plan)
-            v, _ = ot_oracle(mu, nu, g)
-            assert v == pytest.approx(mono, abs=1e-10)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), g=st.sampled_from(ORACLE_COSTS))
+    def test_matches_linprog_with_a_monotone_plan(self, data, g):
+        # atoms on a coarse lattice, so the two sides share atoms; zero
+        # weights are drawn as often as any other
+        def measure():
+            atoms = data.draw(st.lists(st.sampled_from(ORACLE_ATOMS), min_size=1, max_size=8))
+            w = np.asarray(data.draw(st.lists(st.integers(0, 3), min_size=len(atoms),
+                                              max_size=len(atoms))), dtype=float)
+            w[data.draw(st.integers(0, len(atoms) - 1))] += 1.0
+            return DiscreteMeasure.from_arrays(atoms, w, renormalize=True)
 
-
-class TestTransportSimplex:
-    def test_matches_linprog_on_random_instances(self):
-        rng = np.random.default_rng(11)
-        for _ in range(8):
-            m, n = rng.integers(2, 7), rng.integers(2, 7)
-            a = rng.random(m)
-            a /= a.sum()
-            b = rng.random(n)
-            b /= b.sum()
-            cost = rng.random((m, n)) * 4.0
-            val, flow = transport_simplex(a, b, cost)
-            assert val == pytest.approx(linprog_transport(a, b, cost), abs=1e-9)
-            np.testing.assert_allclose(flow.sum(axis=1), a, atol=1e-9)
-            np.testing.assert_allclose(flow.sum(axis=0), b, atol=1e-9)
-
-    def test_degenerate_ties(self):
-        val, _ = transport_simplex(
-            [0.5, 0.5], [0.5, 0.5], np.array([[0.0, 1.0], [1.0, 0.0]])
-        )
-        assert val == 0.0
-
-    def test_rejects_infinite_costs(self):
-        with pytest.raises(ValueError, match="finite"):
-            transport_simplex([1.0], [1.0], np.array([[math.inf]]))
+        mu, nu = measure(), measure()
+        xs, ys = np.asarray(mu.support), np.asarray(nu.support)
+        cost = g.cost(0.0, ys[None, :] - xs[:, None])
+        v, plan = ot_oracle(mu, nu, g)
+        assert v == pytest.approx(
+            linprog_transport(np.asarray(mu.weights), np.asarray(nu.weights), cost), abs=1e-9)
+        px, py, pm = (np.array(c) for c in zip(*plan))
+        for side, atoms, weights in ((px, xs, mu.weights), (py, ys, nu.weights)):
+            for atom in atoms:
+                assert pm[side == atom].sum() == pytest.approx(
+                    np.sum(np.asarray(weights)[atoms == atom]), abs=1e-12)
+        assert np.all(np.diff(px) >= 0) and np.all(np.diff(py) >= 0)
 
 
 class TestSinkhorn:
