@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -312,6 +313,9 @@ def run(cfg: dict, out_dir, source: str = "<config>") -> int:
             "scipy": scipy.__version__,
         },
         "wall_time_s": time.time() - started,
+        # the BLAS thread setting this run saw (driftlab/__init__.py sets a
+        # default of 1); it decides what cpu time against wall time means
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "extras": extras,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))

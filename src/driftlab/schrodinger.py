@@ -607,6 +607,10 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
 
     Raw atomic targets with quadratic-or-faster cost growth are declared
     infeasible upfront: such laws are never reachable at positive noise.
+
+    At epsilon 0 the hat-weight deposit still diffuses the law numerically,
+    acting as free noise, so the value is no bound on the OT cost (it can
+    fall below it); ``small_noise_sweep`` reports the OT value there instead.
     """
     from scipy.optimize import Bounds, minimize
 
@@ -718,6 +722,8 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
 def _solve_record(eps, sol):
     """Manifest record of one noise level: the route taken and its counts,
     residuals and convergence flags."""
+    if sol is None:
+        return {"eps": eps, "route": "ot-oracle"}
     if isinstance(sol, SinkhornSolution):
         return {"eps": eps, "route": "sinkhorn", "iterations": sol.iterations,
                 "backtracks": sol.backtracks, "marginal_error": sol.marginal_error,
@@ -736,8 +742,10 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
     the drift-field solver.
     Rows carry a feasibility flag; raw atomic targets under quadratic growth
     are infeasible at every noise level, which is the point of the
-    mollification.  ``meta["solves"]`` holds one record per noise level
-    with the route and its solver diagnostics.
+    mollification.  A zero noise level reports the zero-noise limit itself,
+    the OT value (route ``ot-oracle``), without a solve.  ``meta["solves"]``
+    holds one record per noise level with the route and its solver
+    diagnostics.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -745,6 +753,8 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
     ot_value, _ = ot_oracle(mu, nu, g)
 
     def solve_one(eps):
+        if eps == 0:
+            return None
         instance = TransportInstance(
             mu=mu, nu=nu, g=g, epsilon=eps, n_time=n_time,
             exact_target=not mollified,
@@ -759,11 +769,12 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
     solutions = run_parallel(solve_one, eps_list)
     rows = []
     for eps, sol in zip(eps_list, solutions):
-        value = sol.value
+        value = ot_value if sol is None else sol.value
+        feasible = math.isfinite(value) if sol is None else sol.feasible
         gap = abs(value - ot_value) if math.isfinite(value) else math.inf
         rows.append(
             ReportRow(index=eps, prelimit=value, limit=ot_value, gap=gap,
-                      aux={"feasible": float(sol.feasible)})
+                      aux={"feasible": float(feasible)})
         )
     meta = {"solves": [_solve_record(eps, sol) for eps, sol in zip(eps_list, solutions)]}
     return ConvergenceReport(kind="schrodinger-sweep", rows=rows, meta=meta)

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -64,12 +65,20 @@ SMALL_TRANSPORT = {
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(args, timeout=120):
-    """Run a new interpreter with ``src`` on the path; a hang fails the test."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env,
+def run_python(args, timeout=120, env=None):
+    """Run a new interpreter with ``src`` on the path; a hang fails the test.
+
+    ``env`` updates the child's environment; a None value removes the variable.
+    """
+    child = dict(os.environ)
+    child["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), child.get("PYTHONPATH")) if p)
+    for key, value in (env or {}).items():
+        if value is None:
+            child.pop(key, None)
+        else:
+            child[key] = value
+    return subprocess.run([sys.executable, *args], env=child,
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -522,6 +531,38 @@ class TestImportGraph:
             assert set(names) <= {"linalg"}, (stage, names)
 
 
+class TestBlasThreads:
+    """``import driftlab`` defaults OpenBLAS to one thread, and a user's
+    setting wins.  Each case runs in a fresh interpreter without the variable
+    unless it sets it, since this process has imported driftlab already."""
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "2"])
+    def test_import_sets_a_default_and_keeps_a_preset(self, preset, expected):
+        code = "import driftlab, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = run_python(["-c", code], env={"OPENBLAS_NUM_THREADS": preset})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expected
+
+    def test_import_loads_no_numpy(self):
+        # OpenBLAS reads the variable when numpy or scipy loads it, so the
+        # default holds only if it is set first
+        code = ("import driftlab, sys; "
+                "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy'))))")
+        done = run_python(["-c", code], env={"OPENBLAS_NUM_THREADS": None})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "2"])
+    def test_manifest_records_the_setting(self, tmp_path, preset, expected):
+        cfg = write_config(tmp_path, "cfg.yaml", SMALL_PDE_SWEEP)
+        out = tmp_path / "o"
+        done = run_python(["-m", "driftlab.cli", "run", "--config", cfg, "--output-dir", str(out)],
+                          env={"OPENBLAS_NUM_THREADS": preset})
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["OPENBLAS_NUM_THREADS"] == expected
+
+
 class TestTracedNames:
     """The benchmark tracer wraps driftlab functions by name; each must exist."""
 
@@ -539,6 +580,85 @@ class TestTracedNames:
             fn = getattr(module, attr, None)
             assert inspect.isfunction(fn), name
             assert not attr.startswith("_") and fn.__module__ == module.__name__, name
+
+
+def _driftlab_object(node, aliases):
+    """(module, attribute chain) of a driftlab object an expression names:
+    a bound import, or an entry of ``sys.modules``; None for anything else."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.insert(0, node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in aliases:
+        module, attrs = aliases[node.id]
+        return module, attrs + tuple(chain)
+    if (isinstance(node, ast.Subscript) and ast.unparse(node.value) == "sys.modules"
+            and isinstance(node.slice, ast.Constant)):
+        return node.slice.value, tuple(chain)
+    return None
+
+
+def perfbench_references():
+    """(file, module, attribute chain) for every driftlab module that a
+    ``perfbench/*.py`` file imports or names, and every name it takes from
+    one; read with ``ast``, so nothing in perfbench is imported."""
+    refs = []
+    for path in sorted((SRC.parent / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        consts = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                  for t in node.targets if isinstance(t, ast.Name)}
+        loops = {node.target.id: node.iter.id for node in ast.walk(tree)
+                 if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                 and isinstance(node.iter, ast.Name)}
+        aliases, found = {}, []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "driftlab":
+                        found.append((a.name, ()))
+                        # ``import driftlab.cli`` binds driftlab, ``... as cli`` the module
+                        bound = (a.name, ()) if a.asname else ("driftlab", ())
+                        aliases[a.asname or "driftlab"] = bound
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("driftlab"):
+                for a in node.names:
+                    found.append((node.module, (a.name,)))
+                    aliases[a.asname or a.name] = (node.module, (a.name,))
+            elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                target = _driftlab_object(node.value, aliases)
+                if target is not None:
+                    aliases[node.targets[0].id] = target
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"driftlab(\.\w+)+", node.value):
+                    found.append((node.value, ()))
+            elif isinstance(node, ast.JoinedStr) and [type(v) for v in node.values] == [
+                    ast.Constant, ast.FormattedValue] and node.values[0].value == "driftlab.":
+                # f"driftlab.{layer}" inside ``for layer in LAYERS``
+                names = ast.literal_eval(consts[loops[node.values[1].value.id]])
+                assert names, path.name
+                found.extend((f"driftlab.{name}", ()) for name in names)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Attribute, ast.Subscript)):
+                target = _driftlab_object(node, aliases)
+                if target is not None:
+                    found.append(target)
+        refs.extend((path.name, module, chain) for module, chain in found)
+    return refs
+
+
+class TestBenchmarkImports:
+    """The frozen benchmark imports driftlab modules and takes names from
+    them in every run (``child.py``'s ``worker_count``, the tracer's
+    ``sys.modules`` reads); a deletion outside a benchmark change must fail
+    here, not in every benchmark run."""
+
+    def test_every_module_and_name_exists(self):
+        refs = perfbench_references()
+        assert {module for _, module, _ in refs} >= {"driftlab.cli", "driftlab.montecarlo"}
+        for filename, module, chain in refs:
+            obj = importlib.import_module(module)
+            for i, name in enumerate(chain):
+                assert hasattr(obj, name), (filename, module, ".".join(chain[:i + 1]))
+                obj = getattr(obj, name)
 
 
 class TestCompare:

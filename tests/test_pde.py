@@ -410,6 +410,14 @@ class TestViscositySweep:
         with pytest.raises(ValueError, match="y_step"):
             vanishing_viscosity_sweep(gaussian_bump, QUAD, [1], grid, y_step=y_step)
 
+    @pytest.mark.parametrize("x_min, x_max, y_step",
+                             [(-6.0, 6.0, 1e-5), (-4.0, 4.0, 1e-3), (-4.0, 4.0, 1e-4)])
+    def test_search_chunks_are_np_arange(self, x_min, x_max, y_step):
+        chunks = list(pde._search_chunks(x_min, x_max, y_step))
+        assert all(c.size == pde._HOPF_LAX_CHUNK for c in chunks[:-1])
+        whole = np.arange(x_min, x_max + y_step, y_step)
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
     def test_gaussian_bump_gaps_shrink(self):
         grid = GridSpec(-6.0, 6.0, 1201, 1)
         rep = vanishing_viscosity_sweep(gaussian_bump, QUAD, [1, 2, 4, 8, 16, 32, 64], grid)

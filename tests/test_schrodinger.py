@@ -554,6 +554,19 @@ class TestSmallNoiseSweep:
         assert gaps[0] < gaps[1] < gaps[2]
         assert all(r.aux["feasible"] == 1.0 for r in rows)
 
+    @pytest.mark.parametrize("g, ot", [(PowerLaw(r=1.5, a=1.0), 1.0), (Quadratic(1.0), 0.5)],
+                             ids=["power", "quadratic"])
+    def test_zero_noise_row_is_the_ot_value(self, g, ot):
+        # the drift-field solve at eps 0 read 0.896 (power, below OT) and inf
+        # (quadratic, "unreachable at positive noise"); the limit is OT itself
+        rep = small_noise_sweep(DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0), g,
+                                [0.3, 0.0], mollified=False, n_time=4)
+        row = {r.index: r for r in rep.rows}[0.0]
+        assert row.prelimit == row.limit == ot
+        assert row.gap == 0.0
+        assert row.aux["feasible"] == 1.0
+        assert [s["route"] for s in rep.meta["solves"]] == ["drift-field", "ot-oracle"]
+
     def test_rejects_non_decreasing_ladder(self):
         with pytest.raises(ValueError, match="decreasing"):
             small_noise_sweep(DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0),
