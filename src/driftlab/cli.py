@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +24,21 @@ import yaml
 from . import __version__
 from . import generators as gen
 from .config import (
-    EXPERIMENT_KINDS,
     ConfigError,
+    boolean,
     build_functional,
     build_generator,
     build_grid,
     build_measure,
     build_scalar_function,
+    choice,
     integer_at_least,
+    integer_list,
     load_config,
-    number_list,
+    number,
+    number_at_least,
     number_pair,
+    positive_list,
     positive_number,
     require,
 )
@@ -57,8 +62,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
 
-_SEED_REQUIRED = {"mc-estimate", "bsde-lsmc", "schilder", "bridge-check"}
-
 
 def _resolve(cfg: dict, defaults: dict) -> dict:
     out = dict(defaults)
@@ -76,8 +79,8 @@ def _run_pde_sweep(cfg):
     f = build_scalar_function(require(resolved, "terminal", "pde-sweep"), "terminal")
     grid = build_grid(require(resolved, "grid", "pde-sweep"))
     report = vanishing_viscosity_sweep(
-        f, g, number_list(resolved, "n_list", "pde-sweep"), grid,
-        y_step=positive_number(resolved["y_step"], "y_step", "pde-sweep")
+        f, g, integer_list(resolved, "n_list", 1, "pde-sweep"), grid,
+        y_step=positive_number(resolved, "y_step", "pde-sweep")
     )
     csv_text = report.to_csv(header_names=("n", "u_n", "limit", "gap"))
     return resolved, csv_text, report.meta, EXIT_OK, {}
@@ -85,12 +88,13 @@ def _run_pde_sweep(cfg):
 
 def _run_schilder(cfg):
     resolved = _resolve(cfg, {"knots": 17, "restarts": 8, "max_iter": 400})
+    seed = integer_at_least(resolved, "seed", 0, "schilder")
     g = build_generator(require(resolved, "generator", "schilder"))
     F = build_functional(require(resolved, "functional", "schilder"))
-    seed = int(require(resolved, "seed", "schilder"))
     res = maximize_schilder(
-        F, g, m=int(resolved["knots"]), restarts=int(resolved["restarts"]),
-        seed=seed, max_iter=int(resolved["max_iter"]),
+        F, g, m=integer_at_least(resolved, "knots", 2, "schilder"),
+        restarts=integer_at_least(resolved, "restarts", 1, "schilder"), seed=seed,
+        max_iter=integer_at_least(resolved, "max_iter", 1, "schilder"),
     )
     path_csv = csv_body(("t", "value"), list(zip(res.path.times, res.path.values)))
     result = {
@@ -118,15 +122,19 @@ def _run_sanov_iterate(cfg):
     lo, hi = number_pair(resolved, "phi_bounds", "sanov-iterate")
     F = MeanFieldFunctional(phi=phi, Phi=Phi, phi_bounds=(lo, hi))
     grid = build_grid(require(resolved, "grid", "sanov-iterate"))
-    c_grid = np.linspace(lo, hi, int(resolved["c_points"]))
-    lam_grid = np.linspace(float(resolved["lambda_min"]), float(resolved["lambda_max"]),
-                           int(resolved["lambda_points"]))
+    c_grid = np.linspace(lo, hi, integer_at_least(resolved, "c_points", 2, "sanov-iterate"))
+    lam_grid = np.linspace(number(resolved, "lambda_min", "sanov-iterate"),
+                           number(resolved, "lambda_max", "sanov-iterate"),
+                           integer_at_least(resolved, "lambda_points", 2, "sanov-iterate"))
+    n_list = integer_list(resolved, "n_list", 1, "sanov-iterate")
+    s_points = (None if resolved["s_points"] is None
+                else integer_at_least(resolved, "s_points", 2, "sanov-iterate"))
+    cap = integer_at_least(resolved, "cap", 1, "sanov-iterate")
     limit = mean_field_limit(F, g, c_grid, lam_grid, grid)
     rows = []
-    for n in number_list(resolved, "n_list", "sanov-iterate"):
-        val = iterate_L(F, g, int(n), grid, s_points=resolved["s_points"],
-                        cap=int(resolved["cap"]))
-        rows.append((int(n), val, limit, abs(val - limit)))
+    for n in n_list:
+        val = iterate_L(F, g, n, grid, s_points=s_points, cap=cap)
+        rows.append((n, val, limit, abs(val - limit)))
     csv_text = csv_body(("n", "prelimit", "limit", "gap"), rows)
     return resolved, csv_text, {"limit": limit}, EXIT_OK, {}
 
@@ -136,15 +144,9 @@ def _run_schrodinger_sweep(cfg):
     g = build_generator(require(resolved, "generator", "schrodinger-sweep"))
     mu = build_measure(require(resolved, "mu", "schrodinger-sweep"), "mu")
     nu = build_measure(require(resolved, "nu", "schrodinger-sweep"), "nu")
-    mollified = resolved["mollified"]
-    if not isinstance(mollified, bool):
-        raise ConfigError(f"key 'mollified' in schrodinger-sweep must be true or false, "
-                          f"got {mollified!r}")
-    eps_list = number_list(resolved, "eps_list", "schrodinger-sweep")
-    if not all(math.isfinite(e) and (e > 0 or e == 0 and not mollified) for e in eps_list):
-        floor = "> 0 when mollified" if mollified else ">= 0"
-        raise ConfigError(f"key 'eps_list' in schrodinger-sweep must hold finite numbers "
-                          f"{floor}, got {resolved['eps_list']!r}")
+    mollified = boolean(resolved, "mollified", "schrodinger-sweep")
+    # an unmollified sweep may reach eps = 0, the transport problem itself
+    eps_list = positive_list(resolved, "eps_list", "schrodinger-sweep", allow_zero=not mollified)
     report = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified,
                                n_time=integer_at_least(resolved, "n_time", 1,
                                                        "schrodinger-sweep"))
@@ -154,16 +156,24 @@ def _run_schrodinger_sweep(cfg):
 
 
 def _build_control(section):
-    kind = require(section, "kind", "control")
+    kind = choice(section, "kind", ("constant", "pull_toward"), "control")
     if kind == "constant":
-        return FeedbackControl.constant(float(require(section, "value", "control")))
-    if kind == "pull_toward":
-        center = float(section.get("center", 0.0))
-        bound = float(section.get("bound", 3.0))
-        return FeedbackControl.state_feedback(
-            lambda t, x: center - x, bound=bound, label=f"pull_toward({center:g})"
-        )
-    raise ConfigError(f"unknown control kind '{kind}'")
+        return FeedbackControl.constant(number(section, "value", "control"))
+    center = number(section, "center", "control", default=0.0)
+    bound = positive_number(section, "bound", "control", default=3.0)
+    return FeedbackControl.state_feedback(
+        lambda t, x: center - x, bound=bound, label=f"pull_toward({center:g})"
+    )
+
+
+def _oracle(section):
+    """The PDE value at the origin that an ``oracle`` section describes, as a
+    function to call once the estimate is in."""
+    g = build_generator(require(section, "generator", "oracle"), "oracle.generator")
+    f = build_scalar_function(require(section, "terminal", "oracle"), "oracle.terminal")
+    grid = build_grid(require(section, "grid", "oracle"), "oracle.grid")
+    viscosity = positive_number(section, "viscosity", "oracle", default=1.0)
+    return lambda: solve_semilinear(f, g, viscosity, grid).initial_value_at_origin
 
 
 def _path_batch(resolved, seed, context):
@@ -173,32 +183,26 @@ def _path_batch(resolved, seed, context):
 
 def _run_mc_estimate(cfg):
     resolved = _resolve(cfg, {"n": 1, "paths": 1_000_000, "steps": 8, "oracle": None})
-    seed = int(require(resolved, "seed", "mc-estimate"))
-    estimator = require(resolved, "estimator", "mc-estimate")
+    seed = integer_at_least(resolved, "seed", 0, "mc-estimate")
+    estimator = choice(resolved, "estimator", ("log-mean-exp", "cramer", "girsanov"),
+                       "mc-estimate")
     F = build_functional(require(resolved, "functional", "mc-estimate"))
-    n = positive_number(resolved["n"], "n", "mc-estimate")
+    n = positive_number(resolved, "n", "mc-estimate")
     batch = _path_batch(resolved, seed, "mc-estimate")
+    oracle = _oracle(resolved["oracle"]) if resolved["oracle"] else None
     if estimator == "log-mean-exp":
         est, se = log_mean_exp(F, n, batch)
     elif estimator == "cramer":
         est, se = cramer_average(F, integer_at_least(resolved, "n", 1, "mc-estimate"), batch)
-    elif estimator == "girsanov":
+    else:
         g = build_generator(require(resolved, "generator", "mc-estimate"))
         control = _build_control(require(resolved, "control", "mc-estimate"))
         est, se = girsanov_lower_bound(F, g, control, batch)
-    else:
-        raise ConfigError(f"unknown estimator '{estimator}'")
-    oracle = float("nan")
-    gap = float("nan")
-    if resolved["oracle"]:
-        osec = resolved["oracle"]
-        g = build_generator(require(osec, "generator", "oracle"), "oracle.generator")
-        f = build_scalar_function(require(osec, "terminal", "oracle"), "oracle.terminal")
-        grid = build_grid(require(osec, "grid", "oracle"))
-        fld = solve_semilinear(f, g, float(osec.get("viscosity", 1.0)), grid)
-        oracle = fld.initial_value_at_origin
-        gap = abs(est - oracle)
-    rows = [(estimator, n, est, se, oracle, gap)]
+    value = gap = float("nan")
+    if oracle is not None:
+        value = oracle()
+        gap = abs(est - value)
+    rows = [(estimator, n, est, se, value, gap)]
     csv_text = csv_body(("estimator", "n", "estimate", "se", "oracle", "gap"), rows)
     return resolved, csv_text, {}, EXIT_OK, {}
 
@@ -207,17 +211,18 @@ def _run_bsde_lsmc(cfg):
     """One row per n; ``extras["solves"]`` records each regression ladder."""
     resolved = _resolve(cfg, {"n_list": [1], "steps": 50, "paths": 100_000,
                               "basis_size": 35})
-    seed = int(require(resolved, "seed", "bsde-lsmc"))
+    seed = integer_at_least(resolved, "seed", 0, "bsde-lsmc")
     g = build_generator(require(resolved, "generator", "bsde-lsmc"))
     F = build_functional(require(resolved, "functional", "bsde-lsmc"))
-    n_list = [positive_number(n, "n_list", "bsde-lsmc")
-              for n in number_list(resolved, "n_list", "bsde-lsmc")]
+    n_list = positive_list(resolved, "n_list", "bsde-lsmc")
     basis_size = integer_at_least(resolved, "basis_size", 2, "bsde-lsmc")
+    batch = _path_batch(resolved, seed, "bsde-lsmc")
     rows, solves = [], []
     for n in n_list:
-        batch = _path_batch(resolved, seed + int(n), "bsde-lsmc")
         started = time.perf_counter()
-        sol = lsmc_bsde(F, g, n, batch, basis_size=basis_size)
+        # each n draws its paths from the seed offset by n's integer part
+        sol = lsmc_bsde(F, g, n, replace(batch, seed=seed + math.floor(n)),
+                        basis_size=basis_size)
         knots = sol.basis_sizes if sol.basis == "hat" else ()
         solves.append({
             "n": n, "basis": sol.basis,
@@ -247,13 +252,15 @@ def _run_ti_check(cfg):
 def _run_bridge_check(cfg):
     resolved = _resolve(cfg, {"x": 0.0, "y": 1.0, "epsilon": 0.01, "delta": 1.0,
                               "r": 1.5, "steps": 512, "paths": 100_000})
-    seed = int(require(resolved, "seed", "bridge-check"))
+    seed = integer_at_least(resolved, "seed", 0, "bridge-check")
     batch = _path_batch(resolved, seed, "bridge-check")
+    r = number(resolved, "r", "bridge-check")
     chk = bridge_moment_check(
-        float(resolved["x"]), float(resolved["y"]), float(resolved["epsilon"]),
-        float(resolved["delta"]), float(resolved["r"]), batch,
+        number(resolved, "x", "bridge-check"), number(resolved, "y", "bridge-check"),
+        number_at_least(resolved, "epsilon", 0.0, "bridge-check"),
+        positive_number(resolved, "delta", "bridge-check"), r, batch,
     )
-    rows = [(float(resolved["r"]), chk.empirical, chk.standard_error, chk.bound,
+    rows = [(r, chk.empirical, chk.standard_error, chk.bound,
              chk.constant, float(chk.empirical <= chk.bound))]
     csv_text = csv_body(("r", "empirical", "se", "bound", "constant", "within_bound"), rows)
     code = EXIT_OK if chk.empirical <= chk.bound else EXIT_NUMERICAL
@@ -277,21 +284,12 @@ def run(cfg: dict, out_dir, source: str = "<config>") -> int:
     started = time.time()
     out = Path(out_dir)
     try:
-        kind = require(cfg, "kind", "config")
-        if kind not in EXPERIMENT_KINDS:
-            raise ConfigError(
-                f"unknown experiment kind '{kind}'; choices: {EXPERIMENT_KINDS}"
-            )
-        if kind in _SEED_REQUIRED:
-            require(cfg, "seed", kind)
+        kind = choice(cfg, "kind", _RUNNERS)
         resolved, csv_text, extras, code, aux = _RUNNERS[kind](cfg)
-    except ConfigError as err:
-        print(f"{source}: configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except CflError as err:
         print(f"{source}: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as err:
+    except ValueError as err:  # a ConfigError, or a solver rejecting its input
         print(f"{source}: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as err:

@@ -1,6 +1,13 @@
 """Experiment configuration: a nested key-value (YAML) document mapped onto
 solver inputs, with validation errors that name the offending key.
 
+This is the one module that turns a config value into a Python value.  Each
+reader takes ``(cfg, key, context)``, reads ``cfg[key]`` once and names
+``key`` and its section ``context`` when the value is missing or invalid.
+A number is an int or a float, never a bool or a string; a scalar must also
+be finite, while a list leaves finiteness to its consumer (a functional's
+bounds may be infinite, and a measure names its own non-finite entries).
+
 Scalar functions (terminal data, test functions, outer nonlinearities) come
 from a small named registry so that configs stay declarative and runs stay
 reproducible.
@@ -9,6 +16,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 import yaml
@@ -27,28 +35,23 @@ __all__ = [
     "ConfigError",
     "load_config",
     "require",
-    "number_list",
-    "number_pair",
-    "integer_at_least",
+    "choice",
+    "boolean",
+    "number",
     "positive_number",
+    "number_at_least",
+    "integer_at_least",
+    "number_list",
+    "positive_list",
+    "integer_list",
+    "number_pair",
+    "two_column_csv",
     "build_generator",
     "build_scalar_function",
     "build_functional",
     "build_grid",
     "build_measure",
-    "EXPERIMENT_KINDS",
 ]
-
-EXPERIMENT_KINDS = (
-    "pde-sweep",
-    "schilder",
-    "sanov-iterate",
-    "schrodinger-sweep",
-    "mc-estimate",
-    "bsde-lsmc",
-    "ti-check",
-    "bridge-check",
-)
 
 
 class ConfigError(ValueError):
@@ -71,22 +74,99 @@ def require(cfg: dict, key: str, context: str = "config"):
     return cfg[key]
 
 
+# ---------------------------------------------------------------------------
+# Typed readers
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _read(cfg, key, context, default, what, valid):
+    """``cfg[key]`` (or ``default`` when it is absent or null and a default is
+    given), checked by ``valid``; ``what`` describes a valid value."""
+    if default is not _REQUIRED and isinstance(cfg, dict) and cfg.get(key) is None:
+        value = default
+    else:
+        value = require(cfg, key, context)
+    if not valid(value):
+        raise ConfigError(f"key '{key}' in {context} must be {what}, got {value!r}")
+    return value
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    return _is_number(value) and math.isfinite(value)
+
+
+def _is_integer(value):
+    return _is_finite(value) and float(value).is_integer()
+
+
+def _read_list(cfg, key, context, what, item):
+    return _read(cfg, key, context, _REQUIRED, what,
+                 lambda v: isinstance(v, (list, tuple)) and all(item(x) for x in v))
+
+
+def choice(cfg: dict, key: str, choices, context: str = "config", *, default=_REQUIRED):
+    """``cfg[key]``, one of ``choices``."""
+    return _read(cfg, key, context, default, f"one of {sorted(choices)}",
+                 lambda v: isinstance(v, str) and v in choices)
+
+
+def boolean(cfg: dict, key: str, context: str = "config") -> bool:
+    return _read(cfg, key, context, _REQUIRED, "true or false", lambda v: isinstance(v, bool))
+
+
+def number(cfg: dict, key: str, context: str = "config", *, default=_REQUIRED) -> float:
+    """``cfg[key]`` as a finite float."""
+    return float(_read(cfg, key, context, default, "a finite number", _is_finite))
+
+
+def positive_number(cfg: dict, key: str, context: str = "config", *,
+                    default=_REQUIRED) -> float:
+    """``cfg[key]`` as a finite float > 0."""
+    return float(_read(cfg, key, context, default, "a positive number",
+                       lambda v: _is_finite(v) and v > 0))
+
+
+def number_at_least(cfg: dict, key: str, minimum: float, context: str = "config") -> float:
+    """``cfg[key]`` as a finite float no smaller than ``minimum``."""
+    return float(_read(cfg, key, context, _REQUIRED, f"a finite number >= {minimum:g}",
+                       lambda v: _is_finite(v) and v >= minimum))
+
+
+def integer_at_least(cfg: dict, key: str, minimum: int, context: str = "config", *,
+                     default=_REQUIRED) -> int:
+    """``cfg[key]`` as an integer no smaller than ``minimum``; an integral float
+    passes, a fraction or a boolean does not."""
+    return int(_read(cfg, key, context, default, f"an integer >= {minimum}",
+                     lambda v: _is_integer(v) and v >= minimum))
+
+
 def number_list(cfg: dict, key: str, context: str = "config") -> list:
-    """``cfg[key]`` as a list of floats; a scalar, a boolean or a non-number
-    entry names ``key`` in the error."""
-    value = require(cfg, key, context)
-    try:
-        if not isinstance(value, (list, tuple)) or any(isinstance(v, bool) for v in value):
-            raise TypeError
-        return [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' in {context} must be a list of numbers, "
-                          f"got {value!r}") from None
+    """``cfg[key]`` as a list of floats."""
+    return [float(v) for v in _read_list(cfg, key, context, "a list of numbers", _is_number)]
+
+
+def positive_list(cfg: dict, key: str, context: str = "config", *,
+                  allow_zero: bool = False) -> list:
+    """``cfg[key]`` as a list of finite floats > 0 (>= 0 with ``allow_zero``)."""
+    return [float(v) for v in _read_list(
+        cfg, key, context, f"a list of finite numbers {'>=' if allow_zero else '>'} 0",
+        lambda x: _is_finite(x) and (x > 0 or allow_zero and x == 0))]
+
+
+def integer_list(cfg: dict, key: str, minimum: int, context: str = "config") -> list:
+    """``cfg[key]`` as a list of integers no smaller than ``minimum``."""
+    return [int(v) for v in _read_list(cfg, key, context, f"a list of integers >= {minimum}",
+                                       lambda x: _is_integer(x) and x >= minimum)]
 
 
 def number_pair(cfg: dict, key: str, context: str = "config") -> tuple:
-    """``cfg[key]`` as two floats (lo, hi); a list of any other length names
-    ``key`` in the error."""
+    """``cfg[key]`` as two floats (lo, hi)."""
     values = number_list(cfg, key, context)
     if len(values) != 2:
         raise ConfigError(f"key '{key}' in {context} must be a list of two numbers, "
@@ -94,73 +174,95 @@ def number_pair(cfg: dict, key: str, context: str = "config") -> tuple:
     return tuple(values)
 
 
-def integer_at_least(cfg: dict, key: str, minimum: int, context: str = "config") -> int:
-    """``cfg[key]`` as an integer no smaller than ``minimum``; an integral float
-    passes, a fraction or a boolean does not."""
-    value = cfg[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"key '{key}' in {context} must be an integer >= {minimum}, "
-                          f"got {cfg[key]!r}")
-    return value
+def two_column_csv(cfg: dict, key: str, context: str = "config") -> tuple:
+    """The first two columns of the CSV file at path ``cfg[key]``, as two
+    lists of floats.  ``#`` starts a comment; blank lines are skipped."""
+    path = _read(cfg, key, context, _REQUIRED, "a file path", lambda v: isinstance(v, str))
+    where = f"{context}.{key} {path}"
+    first, second = [], []
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as err:
+        raise ConfigError(f"{context}.{key} cannot be read: {err}") from err
+    for line_no, line in enumerate(lines, start=1):
+        data = line.split("#", 1)[0]
+        if not data.strip():
+            continue
+        cells = data.split(",")
+        if len(cells) < 2:
+            raise ConfigError(f"{where}: line {line_no} needs two columns")
+        try:
+            a, b = float(cells[0]), float(cells[1])
+        except ValueError:
+            raise ConfigError(f"{where}: line {line_no} needs two numbers, "
+                              f"got {line!r}") from None
+        first.append(a)
+        second.append(b)
+    return first, second
 
 
-def positive_number(value, key: str, context: str = "config") -> float:
-    """``value`` as a finite float > 0; ``key`` names it in the error."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value <= 0):
-        raise ConfigError(f"key '{key}' in {context} must be a positive number, got {value!r}")
-    return float(value)
+# ---------------------------------------------------------------------------
+# Section builders
+# ---------------------------------------------------------------------------
+
+def _variant(section, context):
+    variant = section.get("variant")
+    if variant == "quadratic":
+        return gen.Quadratic(c=number(section, "c", context, default=1.0))
+    if variant == "power":
+        return gen.PowerLaw(r=number(section, "r", context),
+                            a=number(section, "a", context, default=1.0))
+    if variant == "indicator":
+        return gen.IndicatorInterval(K=number(section, "K", context))
+    if variant == "modulated":
+        return gen.TimeModulated(base=build_generator(section.get("base"), f"{context}.base"),
+                                 weights=tuple(number_list(section, "weights", context)))
+    if variant == "tabulated":
+        if "csv" in section:
+            q, g = two_column_csv(section, "csv", context)
+        else:
+            q, g = number_list(section, "q", context), number_list(section, "g", context)
+        return gen.Tabulated(q=tuple(q), g=tuple(g))
+    raise ConfigError(f"unknown generator variant {variant!r} in {context}")
 
 
 def build_generator(section: dict, context="generator"):
     if not isinstance(section, dict):
-        raise ConfigError(f"{context} section must be a mapping with a 'variant' key, "
+        raise ConfigError(f"{context} must be a mapping with a 'variant' key, "
                           f"got {section!r}")
-    if section.get("variant") == "modulated" and not isinstance(section.get("base"), dict):
-        raise ConfigError(f"{context}.base must be a mapping with a 'variant' key")
     try:
-        return gen.spec_from_config(section)
-    except KeyError as err:
-        raise ConfigError(f"{context} section misses key {err}") from err
+        return _variant(section, context)
+    except ConfigError:
+        raise
     except ValueError as err:
         raise ConfigError(f"{context} section invalid: {err}") from err
 
 
+# kind -> ({parameter: (reader, default)}, function of a float array and the
+# parameters); a function's parameters are read once, when it is built
 _FUNCTIONS = {
-    "constant": lambda p: (lambda x: np.full(np.shape(x), float(p.get("c", 0.0)))),
-    "linear": lambda p: (lambda x: float(p.get("a", 1.0)) * np.asarray(x, dtype=float)),
-    "clipped_linear": lambda p: (
-        lambda x: np.clip(
-            float(p.get("a", 1.0)) * np.asarray(x, dtype=float),
-            float(p.get("lo", -1.0)),
-            float(p.get("hi", 1.0)),
-        )
-    ),
-    "gaussian_bump": lambda p: (
-        lambda x: np.exp(
-            -(((np.asarray(x, dtype=float) - float(p.get("center", 0.0)))
-               / float(p.get("width", 1.0))) ** 2)
-        )
-    ),
-    "tanh": lambda p: (lambda x: np.tanh(np.asarray(x, dtype=float))),
-    "identity": lambda p: (lambda x: np.asarray(x, dtype=float)),
-    "square": lambda p: (lambda x: np.asarray(x, dtype=float) ** 2),
-    "clip_below_one": lambda p: (lambda x: np.minimum(1.0, np.asarray(x, dtype=float))),
-    "negative_square": lambda p: (lambda x: -(np.asarray(x, dtype=float) ** 2)),
+    "constant": ({"c": (number, 0.0)}, lambda x, c: np.full(np.shape(x), c)),
+    "linear": ({"a": (number, 1.0)}, lambda x, a: a * x),
+    "clipped_linear": ({"a": (number, 1.0), "lo": (number, -1.0), "hi": (number, 1.0)},
+                       lambda x, a, lo, hi: np.clip(a * x, lo, hi)),
+    "gaussian_bump": ({"center": (number, 0.0), "width": (positive_number, 1.0)},
+                      lambda x, center, width: np.exp(-(((x - center) / width) ** 2))),
+    "tanh": ({}, np.tanh),
+    "identity": ({}, lambda x: x),
+    "square": ({}, lambda x: x ** 2),
+    "clip_below_one": ({}, lambda x: np.minimum(1.0, x)),
+    "negative_square": ({}, lambda x: -(x ** 2)),
 }
 
 
 def build_scalar_function(section, context="function"):
     if isinstance(section, str):
         section = {"kind": section}
-    kind = require(section, "kind", context)
-    if kind not in _FUNCTIONS:
-        raise ConfigError(
-            f"unknown function kind '{kind}' in {context}; choices: {sorted(_FUNCTIONS)}"
-        )
-    return _FUNCTIONS[kind](section)
+    params, fn = _FUNCTIONS[choice(section, "kind", _FUNCTIONS, context)]
+    values = {name: read(section, name, context, default=default)
+              for name, (read, default) in params.items()}
+    return lambda x: fn(np.asarray(x, dtype=float), **values)
 
 
 def _bounds_of(section, context):
@@ -192,33 +294,28 @@ def build_functional(section: dict, context="functional"):
 
 
 def build_grid(section: dict, context="grid"):
-    x_min = float(require(section, "x_min", context))
-    x_max = float(require(section, "x_max", context))
-    nx = int(require(section, "nx", context))
+    x_min = number(section, "x_min", context)
+    x_max = number(section, "x_max", context)
+    nx = integer_at_least(section, "nx", 3, context)
+    nt = integer_at_least(section, "nt", 1, context, default=1)
+    boundary = choice(section, "boundary", ("clampToTerminal", "oneSidedExtrapolation"),
+                      context, default="clampToTerminal")
     try:
-        return GridSpec(x_min=x_min, x_max=x_max, nx=nx, nt=int(section.get("nt", 1)),
-                        boundary=section.get("boundary", "clampToTerminal"))
+        return GridSpec(x_min=x_min, x_max=x_max, nx=nx, nt=nt, boundary=boundary)
     except ValueError as err:
         raise ConfigError(f"{context} section invalid: {err}") from err
 
 
 def build_measure(section: dict, context="measure"):
-    if isinstance(section, dict) and "csv" in section:
-        try:
-            data = np.loadtxt(section["csv"], delimiter=",", ndmin=2)
-        except OSError as err:
-            raise ConfigError(f"{context}.csv cannot be read: {err}") from err
-        if data.shape[1] < 2:
-            raise ConfigError(f"{context}.csv needs two columns (atom, weight)")
-        try:
-            return DiscreteMeasure.from_arrays(data[:, 0], data[:, 1], renormalize=False)
-        except ValueError as err:
-            raise ConfigError(f"{context}.csv: {err}") from err
-    support = tuple(number_list(section, "atoms", context))
-    weights = tuple(number_list(section, "weights", context))
+    from_csv = isinstance(section, dict) and "csv" in section
+    if from_csv:
+        support, weights = two_column_csv(section, "csv", context)
+    else:
+        support = number_list(section, "atoms", context)
+        weights = number_list(section, "weights", context)
     try:
-        return DiscreteMeasure(support=support, weights=weights)
+        return DiscreteMeasure(support=tuple(support), weights=tuple(weights))
     except ValueError as err:
         # only the finiteness check concerns the atoms; the rest are weight rules
-        key = "weights" if np.all(np.isfinite(support)) else "atoms"
+        key = "csv" if from_csv else "weights" if np.all(np.isfinite(support)) else "atoms"
         raise ConfigError(f"{context}.{key}: {err}") from err

@@ -17,8 +17,7 @@ Each variant is a frozen dataclass that owns its math:
   on [0, inf) and the upwind flux needs one half-line, not two;
 * ``gstar_lipschitz(zmax)``: a bound on |d g*/dz| over |z| <= zmax;
 * ``domain()``, ``lower_bound()`` and ``growth()``: the effective-domain
-  interval, a constant b with g >= -b, and the growth exponent;
-* ``to_config()``: the key-value form read back by :func:`spec_from_config`.
+  interval, a constant b with g >= -b, and the growth exponent.
 
 Callers call these methods directly, on a float or a float array.  The one
 module-level evaluator, :func:`eval_gstar_halfline`, is the input of the
@@ -33,7 +32,6 @@ extended-real rules, so no wrapper type is needed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,10 +50,7 @@ __all__ = [
     "GeneratorSpec",
     "TiReport",
     "eval_gstar_halfline",
-    "discrete_legendre",
     "check_ti",
-    "spec_from_config",
-    "tabulated_from_csv",
 ]
 
 
@@ -122,9 +117,6 @@ class Quadratic(_Symmetric):
     def growth(self):
         return 2.0
 
-    def to_config(self):
-        return {"variant": "quadratic", "c": self.c}
-
 
 @dataclass(frozen=True)
 class PowerLaw(_Symmetric):
@@ -174,9 +166,6 @@ class PowerLaw(_Symmetric):
     def growth(self):
         return self.r
 
-    def to_config(self):
-        return {"variant": "power", "r": self.r, "a": self.a}
-
 
 @dataclass(frozen=True)
 class IndicatorInterval(_Symmetric):
@@ -213,9 +202,6 @@ class IndicatorInterval(_Symmetric):
 
     def growth(self):
         return np.inf
-
-    def to_config(self):
-        return {"variant": "indicator", "K": self.K}
 
 
 @dataclass(frozen=True)
@@ -277,10 +263,6 @@ class TimeModulated:
 
     def growth(self):
         return self.base.growth()
-
-    def to_config(self):
-        return {"variant": "modulated", "base": self.base.to_config(),
-                "weights": list(self.weights)}
 
 
 @dataclass(frozen=True)
@@ -353,9 +335,6 @@ class Tabulated:
     def growth(self):
         return None
 
-    def to_config(self):
-        return {"variant": "tabulated", "q": list(self.q), "g": list(self.g)}
-
 
 GeneratorSpec = Union[Quadratic, PowerLaw, IndicatorInterval, TimeModulated, Tabulated]
 
@@ -424,38 +403,6 @@ def eval_gstar_halfline(spec: GeneratorSpec, t, z, side, out=None):
     """
     val = spec.gstar_halfline(t, np.asarray(z, dtype=float), side, out)
     return val if out is not None or val.ndim else float(val)
-
-
-def discrete_legendre(samples, z_grid):
-    """Exact discrete conjugate max_j (q_j z - g_j) for each z.
-
-    An O(log n) search per dual point via the monotone-argmax property of
-    convex samples: the maximizing node is the first whose right chord slope
-    reaches z.
-
-    Parameters
-    ----------
-    samples : sequence of (q_j, g_j)
-        Strictly increasing q_j with convex g_j (non-decreasing chord slopes).
-    z_grid : sequence of float
-        Dual points; any order.
-
-    Returns
-    -------
-    ndarray of g*(z) values aligned with ``z_grid``.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty sample sequence")
-    z = np.asarray(z_grid, dtype=float)
-    if z.size == 0:
-        raise ValueError("empty z grid")
-    q = np.asarray([s[0] for s in samples], dtype=float)
-    g = np.asarray([s[1] for s in samples], dtype=float)
-    if q.size > 1 and not np.all(np.diff(q) > 0):
-        raise ValueError("q samples must be strictly increasing")
-    _validate_convex_samples(q, g)
-    return _table_conjugate_values(_chord_table(q, g), z)
 
 
 # ---------------------------------------------------------------------------
@@ -553,62 +500,3 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
     clauses["time_integrability"] = (bool(ok), f"trapezoid of sup_|q|<=r g: [{sums}]")
 
     return TiReport(clauses)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def _number(cfg, key, default=None):
-    value = cfg[key] if default is None else cfg.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"key '{key}' must be a number, got {value!r}") from None
-
-
-def _numbers(cfg, key):
-    value = cfg[key]
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"key '{key}' must be a list of numbers, got {value!r}") from None
-
-
-def spec_from_config(cfg: dict) -> GeneratorSpec:
-    """Build a cost function from its key-value form."""
-    variant = cfg.get("variant")
-    if variant == "quadratic":
-        return Quadratic(c=_number(cfg, "c", 1.0))
-    if variant == "power":
-        return PowerLaw(r=_number(cfg, "r"), a=_number(cfg, "a", 1.0))
-    if variant == "indicator":
-        return IndicatorInterval(K=_number(cfg, "K"))
-    if variant == "modulated":
-        return TimeModulated(base=spec_from_config(cfg["base"]), weights=_numbers(cfg, "weights"))
-    if variant == "tabulated":
-        if "csv" in cfg:
-            return tabulated_from_csv(cfg["csv"])
-        return Tabulated(q=_numbers(cfg, "q"), g=_numbers(cfg, "g"))
-    raise ValueError(f"unknown generator variant {variant!r}")
-
-
-def tabulated_from_csv(path) -> Tabulated:
-    """Read a two-column (q, g) CSV into a Tabulated cost.
-
-    An unreadable file or a row without two numbers raises ValueError
-    naming the file (and the line).
-    """
-    qs, gs = [], []
-    try:
-        with open(path, newline="") as fh:
-            for line, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"csv {path}: line {line} needs two columns (q, g)")
-                qs.append(float(row[0]))
-                gs.append(float(row[1]))
-    except OSError as err:
-        raise ValueError(f"csv {path} cannot be read: {err.strerror}") from err
-    return Tabulated(q=tuple(qs), g=tuple(gs))

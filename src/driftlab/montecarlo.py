@@ -595,8 +595,13 @@ def bridge_moment_check(x, y, epsilon, delta, r, batch: PathBatch) -> BridgeMome
     The drift of the bridge at time t is (y - W(t)) / (delta - t); the bound
     is K_r |y-x|^r delta^(1-r) + K_r delta^(1-r/2) epsilon^(r/2).
     """
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     k_r = bridge_constant(r)
-    bound = k_r * abs(y - x) ** r * delta ** (1.0 - r) + k_r * delta ** (1.0 - r / 2.0) * epsilon ** (r / 2.0)
+    bound = (k_r * abs(y - x) ** r * delta ** (1.0 - r)
+             + k_r * delta ** (1.0 - r / 2.0) * epsilon ** (r / 2.0))
     t = np.linspace(0.0, delta, batch.n_steps + 1)
     acc = _RunningMoments()
     remaining = batch.n_paths

@@ -211,6 +211,9 @@ def _optimize_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
     """Maximize F(prefix + tail) - action(tail on [t0, 1]) over tail knots."""
     from scipy.optimize import minimize
 
+    if restarts < 1:
+        raise ValueError("need at least 1 restart")
+
     horizon = 1.0 - t0
     tail_times = t0 + np.linspace(0.0, 1.0, m) * horizon
     seg = np.diff(tail_times)

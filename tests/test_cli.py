@@ -62,6 +62,24 @@ SMALL_TRANSPORT = {
     "eps_list": [0.1],
 }
 
+SMALL_SCHILDER = {
+    "kind": "schilder", "generator": {"variant": "quadratic", "c": 1.0},
+    "functional": {"kind": "terminal", "f": {"kind": "gaussian_bump", "center": 1.0},
+                   "bounds": [0.0, 1.0]},
+    "knots": 5, "restarts": 2, "max_iter": 100, "seed": 5,
+}
+
+SMALL_BRIDGE = {"kind": "bridge-check", "seed": 3, "paths": 2_000, "steps": 64,
+                "r": 1.5, "epsilon": 0.01}
+
+SMALL_GIRSANOV = dict(MC_CONFIG, estimator="girsanov", paths=2_000,
+                      generator={"variant": "quadratic", "c": 1.0},
+                      control={"kind": "pull_toward", "center": 1.0, "bound": 1.2})
+
+SMALL_ORACLE = {"generator": {"variant": "quadratic", "c": 1.0},
+                "terminal": {"kind": "gaussian_bump", "center": 1.0},
+                "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 41}}
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -250,8 +268,26 @@ class TestRun:
         (dict(LSMC_CONFIG, basis_size=1.5), "basis_size"),
         (dict(LSMC_CONFIG, steps=2.5), "steps"),
         (dict(MC_CONFIG, paths=0), "paths"),
+        (dict(MC_CONFIG, seed=1.5), "'seed'"),
+        (dict(MC_CONFIG, seed=-1), "'seed'"),
+        (dict(SMALL_SCHILDER, knots="abc"), "'knots'"),
+        (dict(SMALL_SCHILDER, restarts=0), "'restarts'"),
+        (dict(SMALL_SCHILDER, max_iter=0), "'max_iter'"),
+        (dict(SMALL_BRIDGE, epsilon=-1), "'epsilon'"),
+        (dict(SMALL_BRIDGE, delta=0), "'delta'"),
+        (dict(SMALL_BRIDGE, x="abc"), "'x'"),
+        (dict(SMALL_BRIDGE, y="abc"), "'y'"),
+        (dict(SMALL_BRIDGE, r="abc"), "'r'"),
+        (dict(SMALL_GIRSANOV, control={"kind": "pull_toward", "bound": -1}), "'bound'"),
+        (dict(SMALL_GIRSANOV, control={"kind": "pull_toward", "center": "abc"}), "'center'"),
+        (dict(SMALL_GIRSANOV, control={"kind": "constant", "value": "abc"}), "'value'"),
+        (dict(MC_CONFIG, paths=2_000, oracle=dict(SMALL_ORACLE, viscosity="abc")),
+         "'viscosity'"),
     ], ids=["lsmc-n-zero", "lsmc-n-negative", "mc-n-zero", "cramer-n-fraction",
-            "basis-negative", "basis-zero", "basis-fraction", "steps-fraction", "paths-zero"])
+            "basis-negative", "basis-zero", "basis-fraction", "steps-fraction", "paths-zero",
+            "seed-fraction", "seed-negative", "knots-string", "restarts-zero", "max-iter-zero",
+            "epsilon-negative", "delta-zero", "x-string", "y-string", "r-string",
+            "bound-negative", "center-string", "value-string", "viscosity-string"])
     def test_bad_monte_carlo_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
         cfg = write_config(tmp_path, "cfg.yaml", config)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
@@ -301,9 +337,25 @@ class TestRun:
         (dict(SMALL_PDE_SWEEP, y_step=0), "y_step"),
         (dict(SMALL_PDE_SWEEP, y_step=-1e-3), "y_step"),
         (dict(SMALL_PDE_SWEEP, y_step=1e-9), "y_step"),
+        (dict(SMALL_PDE_SWEEP, grid=dict(SMALL_PDE_SWEEP["grid"], nx=41.7)), "'nx'"),
+        (dict(SMALL_PDE_SWEEP, grid=dict(SMALL_PDE_SWEEP["grid"], nt=0)), "'nt'"),
+        (dict(SMALL_PDE_SWEEP, grid=dict(SMALL_PDE_SWEEP["grid"], x_min="abc")), "'x_min'"),
+        (dict(SMALL_PDE_SWEEP, grid=dict(SMALL_PDE_SWEEP["grid"], x_max="abc")), "'x_max'"),
+        (dict(SMALL_PDE_SWEEP, terminal={"kind": "gaussian_bump", "width": "abc"}), "'width'"),
+        (dict(SMALL_PDE_SWEEP, n_list=[0]), "'n_list'"),
+        (dict(SMALL_SANOV, lambda_points=0), "'lambda_points'"),
+        (dict(SMALL_SANOV, lambda_min="abc"), "'lambda_min'"),
+        (dict(SMALL_SANOV, lambda_max="abc"), "'lambda_max'"),
+        (dict(SMALL_SANOV, c_points=0), "'c_points'"),
+        (dict(SMALL_SANOV, cap="abc"), "'cap'"),
+        (dict(SMALL_SANOV, s_points="abc"), "'s_points'"),
+        (dict(SMALL_SANOV, n_list=[1.5]), "'n_list'"),
     ], ids=["n-time-zero", "n-time-negative", "n-time-fraction", "eps-negative",
             "eps-zero-mollified", "mollified-string", "y-step-zero", "y-step-negative",
-            "y-step-tiny"])
+            "y-step-tiny", "nx-fraction", "nt-zero", "x-min-string", "x-max-string",
+            "width-string", "pde-n-zero", "lambda-points-zero", "lambda-min-string",
+            "lambda-max-string", "c-points-zero", "cap-string", "s-points-string",
+            "sanov-n-fraction"])
     def test_bad_sweep_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
         cfg = write_config(tmp_path, "cfg.yaml", config)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2

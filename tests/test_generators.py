@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from driftlab.config import build_generator
 from driftlab.generators import (
     IndicatorInterval,
     PowerLaw,
@@ -15,10 +16,7 @@ from driftlab.generators import (
     Tabulated,
     TimeModulated,
     check_ti,
-    discrete_legendre,
     eval_gstar_halfline,
-    spec_from_config,
-    tabulated_from_csv,
 )
 
 
@@ -201,15 +199,21 @@ class TestHalfline:
                 np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
 
 
+def table_conjugate(samples, z):
+    """The tabulated cost's conjugate max_j (q_j z - g_j) at each z."""
+    q, g = zip(*samples)
+    return np.asarray(Tabulated(q=q, g=g).gstar(0.0, np.asarray(z, dtype=float)))
+
+
 class TestDiscreteLegendre:
     def test_quadratic_samples(self):
         q = np.arange(-5.0, 5.0 + 1e-9, 1e-3)
         samples = list(zip(q, 0.5 * q * q))
-        out = discrete_legendre(samples, [1.0])
+        out = table_conjugate(samples, [1.0])
         assert out[0] == pytest.approx(0.5, abs=1e-3)
 
     def test_single_sample_point_indicator(self):
-        out = discrete_legendre([(0.0, 0.0)], [-3.0, 0.0, 7.0])
+        out = table_conjugate([(0.0, 0.0)], [-3.0, 0.0, 7.0])
         np.testing.assert_allclose(out, 0.0)
 
     def test_matches_quadratic_time_double_loop(self):
@@ -217,17 +221,15 @@ class TestDiscreteLegendre:
         g = np.abs(q) ** 1.25
         samples = list(zip(q, g))
         z_grid = np.array([2.0, -1.3, 0.0, 5.5])
-        fast = discrete_legendre(samples, z_grid)
+        fast = table_conjugate(samples, z_grid)
         slow = np.array([max(qj * z - gj for qj, gj in samples) for z in z_grid])
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
-            discrete_legendre([], [0.0])
-        with pytest.raises(ValueError, match="empty"):
-            discrete_legendre([(0.0, 0.0)], [])
+            Tabulated(q=(), g=())
         with pytest.raises(ValueError, match="convex"):
-            discrete_legendre([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)], [0.0])
+            Tabulated(q=(-1.0, 0.0, 1.0), g=(0.0, 1.0, 0.0))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -240,8 +242,8 @@ class TestDiscreteLegendre:
         g = 0.7 * q * q + 0.1 * np.abs(q)
         samples = list(zip(q, g))
         z_grid = np.linspace(-25, 25, 4001)
-        gstar = discrete_legendre(samples, z_grid)
-        back = discrete_legendre(list(zip(z_grid, gstar)), q)
+        gstar = table_conjugate(samples, z_grid)
+        back = table_conjugate(list(zip(z_grid, gstar)), q)
         np.testing.assert_allclose(back, g, atol=2e-2)
 
     def test_nearly_coincident_drifts_are_convex(self):
@@ -249,10 +251,10 @@ class TestDiscreteLegendre:
         # the convexity check must not reject such a convex table
         q = np.array([-1.175494351e-38, -1.1754943508222875e-38, 0.0])
         g = 0.7 * q * q + 0.1 * np.abs(q)
-        out = discrete_legendre(list(zip(q, g)), [-1.0, 0.0, 1.0])
+        out = table_conjugate(list(zip(q, g)), [-1.0, 0.0, 1.0])
         np.testing.assert_allclose(out, [-q[0] * 1.0 - g[0], -g[2], -g[2]], atol=1e-30)
         with pytest.raises(ValueError, match="convex"):
-            discrete_legendre([(0.0, 0.0), (1e-12, 1.0), (1.0, 0.0)], [0.0])
+            Tabulated(q=(0.0, 1e-12, 1.0), g=(0.0, 1.0, 0.0))
 
 
 class TestFenchelYoung:
@@ -314,6 +316,15 @@ MODULATED_BASES = {
     "table": (Tabulated(q=tuple(_TABLE_Q), g=tuple(_TABLE_Q ** 2 - 0.5)), True),
     "linear-table": (Tabulated(q=tuple(_LINEAR_Q), g=tuple(np.abs(_LINEAR_Q))), False),
 }
+# the config form of each base
+MODULATED_BASE_CONFIGS = {
+    "quadratic": {"variant": "quadratic", "c": 1.5},
+    "power": {"variant": "power", "r": 1.5, "a": 0.8},
+    "indicator": {"variant": "indicator", "K": 2.0},
+    "table": {"variant": "tabulated", "q": _TABLE_Q.tolist(), "g": (_TABLE_Q ** 2 - 0.5).tolist()},
+    "linear-table": {"variant": "tabulated", "q": _LINEAR_Q.tolist(),
+                     "g": np.abs(_LINEAR_Q).tolist()},
+}
 
 
 class TestModulated:
@@ -322,8 +333,12 @@ class TestModulated:
     WEIGHTS = (0.5, 3.0, 2.0)
 
     @pytest.fixture(params=sorted(MODULATED_BASES))
-    def case(self, request):
-        base, coercive = MODULATED_BASES[request.param]
+    def name(self, request):
+        return request.param
+
+    @pytest.fixture
+    def case(self, name):
+        base, coercive = MODULATED_BASES[name]
         return base, TimeModulated(base=base, weights=self.WEIGHTS), coercive
 
     def test_check_ti_coercivity_verdict(self, case):
@@ -343,9 +358,11 @@ class TestModulated:
             expected = base.gstar_lipschitz(abs(zmax) / min(self.WEIGHTS))
             assert spec.gstar_lipschitz(abs(zmax)) == expected
 
-    def test_config_round_trip(self, case):
+    def test_config_round_trip(self, name, case):
         _, spec, _ = case
-        assert spec_from_config(spec.to_config()) == spec
+        section = {"variant": "modulated", "base": MODULATED_BASE_CONFIGS[name],
+                   "weights": list(self.WEIGHTS)}
+        assert build_generator(section) == spec
 
 
 class TestLipschitzBound:
@@ -362,20 +379,24 @@ class TestLipschitzBound:
 
 class TestSerialization:
     def test_round_trip(self):
-        specs = [
-            Quadratic(2.0),
-            PowerLaw(1.25, 0.5),
-            IndicatorInterval(1.5),
-            TimeModulated(base=Quadratic(1.0), weights=(1.0, 2.0, 1.0)),
-            Tabulated(q=(-1.0, 0.0, 1.0), g=(1.0, 0.0, 1.0)),
+        cases = [
+            ({"variant": "quadratic", "c": 2.0}, Quadratic(2.0)),
+            ({"variant": "quadratic"}, Quadratic(1.0)),
+            ({"variant": "power", "r": 1.25, "a": 0.5}, PowerLaw(1.25, 0.5)),
+            ({"variant": "indicator", "K": 1.5}, IndicatorInterval(1.5)),
+            ({"variant": "modulated", "base": {"variant": "quadratic", "c": 1.0},
+              "weights": [1.0, 2.0, 1.0]},
+             TimeModulated(base=Quadratic(1.0), weights=(1.0, 2.0, 1.0))),
+            ({"variant": "tabulated", "q": [-1.0, 0.0, 1.0], "g": [1.0, 0.0, 1.0]},
+             Tabulated(q=(-1.0, 0.0, 1.0), g=(1.0, 0.0, 1.0))),
         ]
-        for spec in specs:
-            assert spec_from_config(spec.to_config()) == spec
+        for section, spec in cases:
+            assert build_generator(section) == spec
 
     def test_tabulated_csv(self, tmp_path):
         path = tmp_path / "table.csv"
-        path.write_text("# q, g\n-1.0,1.0\n0.0,0.0\n1.0,1.0\n")
-        tab = tabulated_from_csv(path)
+        path.write_text("# q, g\n-1.0,1.0\n\n0.0,0.0  # the minimum\n1.0,1.0\n")
+        tab = build_generator({"variant": "tabulated", "csv": str(path)})
         assert tab == Tabulated(q=(-1.0, 0.0, 1.0), g=(1.0, 0.0, 1.0))
 
     def test_domain_interval(self):

@@ -355,6 +355,13 @@ class TestBridge:
             for b in blocks[41]:
                 assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("epsilon, delta", [(-1.0, 1.0), (0.01, 0.0), (0.01, -1.0)])
+    def test_moment_check_rejects_bad_noise_or_horizon(self, epsilon, delta):
+        # a negative epsilon made the bound complex; delta = 0 divided by zero
+        with pytest.raises(ValueError, match="epsilon" if epsilon < 0 else "delta"):
+            bridge_moment_check(0.0, 1.0, epsilon, delta, 1.5,
+                                PathBatch(n_steps=4, n_paths=10, seed=1))
+
     def test_constant_quadrature_matches_beta_closed_form(self):
         # the time integral in the constant is Beta(1 + r/2, 1 - r/2)
         for r in (1.2, 1.5, 1.8):

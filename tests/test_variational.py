@@ -137,6 +137,16 @@ class TestMaximize:
         # best reachable endpoint is 1 at zero cost
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
+    def test_rejects_too_few_knots_or_restarts(self):
+        F = TerminalValue(gaussian_bump, bounds=(0, 1))
+        with pytest.raises(ValueError, match="knots"):
+            maximize_schilder(F, QUAD, m=1)
+        # zero restarts left no result to pick and raised an IndexError
+        with pytest.raises(ValueError, match="restart"):
+            maximize_schilder(F, QUAD, restarts=0)
+        with pytest.raises(ValueError, match="restart"):
+            conditional_value(F, QUAD, 0.5, restarts=0)
+
     def test_running_max_clipped(self):
         F = RunningMax(lambda m: np.minimum(1.0, m), bounds=(0, 1))
         res = maximize_schilder(F, QUAD, m=17, restarts=8, seed=4)
