@@ -1,10 +1,12 @@
-"""Pinned report bodies: one small config per CLI kind that takes a cost.
+"""Pinned report bodies: small configs that cover every CLI route.
 
 Across the configs every cost variant appears, including an interval
 indicator and time-modulated costs on PDE routes, and ``ti-check`` runs on
 each variant.  ``schrodinger-sweep`` is pinned on both transport routes: the
-drift-field solver and the quadratic bridge.  Each run's ``report.csv`` must equal, byte for byte, the body
-stored under ``tests/pinned_reports/``.  A change that moves a number on
+drift-field solver and the quadratic bridge.  ``bsde-lsmc`` is pinned on
+both regression bases, and ``mc-estimate`` on all three estimators.  Each
+run's ``report.csv`` must equal, byte for byte, the body stored under
+``tests/pinned_reports/``.  A change that moves a number on
 purpose re-records the bodies and says so.
 """
 
@@ -69,6 +71,27 @@ CONFIGS = {
         "kind": "bsde-lsmc", "generator": modulated(QUADRATIC),
         "functional": TERMINAL_FUNCTIONAL,
         "seed": 6, "n_list": [2], "steps": 8, "paths": 2000, "basis_size": 9,
+    },
+    # the two-statistic (polynomial) basis
+    "bsde-lsmc-running-max": {
+        "kind": "bsde-lsmc", "generator": QUADRATIC,
+        "functional": {"kind": "running_max", "bounds": [0.0, 1.0]},
+        "seed": 7, "n_list": [1, 4], "steps": 16, "paths": 2000,
+    },
+    "mc-estimate-cramer": {
+        "kind": "mc-estimate", "estimator": "cramer", "seed": 9, "n": 4,
+        "functional": TERMINAL_FUNCTIONAL, "paths": 2000, "steps": 16,
+    },
+    "sanov-iterate-quadratic": {
+        "kind": "sanov-iterate", "generator": QUADRATIC,
+        "phi": "tanh", "Phi": "square", "phi_bounds": [-1.0, 1.0],
+        "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 33},
+        "n_list": [1, 2], "c_points": 41, "lambda_points": 31, "s_points": 17,
+    },
+    # two path blocks, so the second block's seeding is pinned too
+    "bridge-check": {
+        "kind": "bridge-check", "seed": 3, "paths": 20_000, "steps": 16,
+        "r": 1.5, "epsilon": 0.01,
     },
     "schilder-tabulated": {
         "kind": "schilder", "generator": TABULATED, "functional": TERMINAL_FUNCTIONAL,
