@@ -5,8 +5,9 @@ This is the one module that turns a config value into a Python value.  Each
 reader takes ``(cfg, key, context)``, reads ``cfg[key]`` once and names
 ``key`` and its section ``context`` when the value is missing or invalid.
 A number is an int or a float, never a bool or a string; a scalar must also
-be finite, while a list leaves finiteness to its consumer (a functional's
-bounds may be infinite, and a measure names its own non-finite entries).
+be finite, while a list, which may not be empty, leaves finiteness to its
+consumer (a functional's bounds may be infinite, and a measure names its own
+non-finite entries).
 
 Scalar functions (terminal data, test functions, outer nonlinearities) come
 from a small named registry so that configs stay declarative and runs stay
@@ -106,8 +107,10 @@ def _is_integer(value):
 
 
 def _read_list(cfg, key, context, what, item):
-    return _read(cfg, key, context, _REQUIRED, what,
-                 lambda v: isinstance(v, (list, tuple)) and all(item(x) for x in v))
+    """``cfg[key]``, a non-empty list of items that pass ``item``; ``what``
+    describes an item."""
+    return _read(cfg, key, context, _REQUIRED, f"a non-empty list of {what}",
+                 lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(item(x) for x in v))
 
 
 def choice(cfg: dict, key: str, choices, context: str = "config", *, default=_REQUIRED):
@@ -148,29 +151,29 @@ def integer_at_least(cfg: dict, key: str, minimum: int, context: str = "config",
 
 def number_list(cfg: dict, key: str, context: str = "config") -> list:
     """``cfg[key]`` as a list of floats."""
-    return [float(v) for v in _read_list(cfg, key, context, "a list of numbers", _is_number)]
+    return [float(v) for v in _read_list(cfg, key, context, "numbers", _is_number)]
 
 
 def positive_list(cfg: dict, key: str, context: str = "config", *,
                   allow_zero: bool = False) -> list:
     """``cfg[key]`` as a list of finite floats > 0 (>= 0 with ``allow_zero``)."""
     return [float(v) for v in _read_list(
-        cfg, key, context, f"a list of finite numbers {'>=' if allow_zero else '>'} 0",
+        cfg, key, context, f"finite numbers {'>=' if allow_zero else '>'} 0",
         lambda x: _is_finite(x) and (x > 0 or allow_zero and x == 0))]
 
 
 def integer_list(cfg: dict, key: str, minimum: int, context: str = "config") -> list:
     """``cfg[key]`` as a list of integers no smaller than ``minimum``."""
-    return [int(v) for v in _read_list(cfg, key, context, f"a list of integers >= {minimum}",
+    return [int(v) for v in _read_list(cfg, key, context, f"integers >= {minimum}",
                                        lambda x: _is_integer(x) and x >= minimum)]
 
 
 def number_pair(cfg: dict, key: str, context: str = "config") -> tuple:
-    """``cfg[key]`` as two floats (lo, hi)."""
+    """``cfg[key]`` as two floats (lo, hi) with lo <= hi."""
     values = number_list(cfg, key, context)
-    if len(values) != 2:
-        raise ConfigError(f"key '{key}' in {context} must be a list of two numbers, "
-                          f"got {cfg[key]!r}")
+    if len(values) != 2 or not values[0] <= values[1]:
+        raise ConfigError(f"key '{key}' in {context} must be a list of two numbers "
+                          f"lo <= hi, got {cfg[key]!r}")
     return tuple(values)
 
 
@@ -287,7 +290,9 @@ def build_functional(section: dict, context="functional"):
         return TimeIntegral(h=lambda t, x: h(x), bounds=bounds)
     if kind == "finite_marginals":
         f = build_scalar_function(require(section, "f", context), f"{context}.f")
-        times = tuple(number_list(section, "times", context))
+        times = tuple(float(t) for t in _read_list(section, "times", context,
+                                                   "numbers in [0, 1]",
+                                                   lambda t: _is_number(t) and 0 <= t <= 1))
         return FiniteMarginals(times=times, f=lambda *vals: f(np.mean(vals, axis=0)),
                                bounds=bounds)
     raise ConfigError(f"unknown functional kind '{kind}' in {context}")

@@ -3,10 +3,10 @@ chopped-path construction, the quadratic-case closed-form estimator
 (1/n) log E exp(n F), drift-insertion lower bounds, least-squares backward
 regression for the scaled BSDE, and Brownian-bridge drift-moment checks.
 
-Paths are generated in fixed-size blocks with per-block seed derivation
+Paths are generated in fixed-size blocks, each from a generator seeded by
 (seed, block index), so every estimate is bit-reproducible from
-(seed, n_steps, n_paths, volatility) regardless of worker scheduling, and
-memory stays bounded for million-path batches.
+(seed, n_steps, n_paths, volatility), and the streaming estimators keep
+memory bounded for million-path batches.
 """
 
 from __future__ import annotations
@@ -69,16 +69,15 @@ class PathBatch:
     def n_blocks(self):
         return (self.n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
 
-    def block_rng(self, block):
-        return np.random.default_rng(np.random.SeedSequence((int(self.seed), int(block))))
+    def iter_blocks(self):
+        """Yield (path count, generator seeded by (seed, block index)) per block."""
+        for b in range(self.n_blocks):
+            yield (min(BLOCK_PATHS, self.n_paths - b * BLOCK_PATHS),
+                   np.random.default_rng(np.random.SeedSequence((int(self.seed), b))))
 
     def iter_increments(self):
         """Yield per-block increment arrays of shape (block, n_steps)."""
-        remaining = self.n_paths
-        for b in range(self.n_blocks):
-            size = min(BLOCK_PATHS, remaining)
-            remaining -= size
-            rng = self.block_rng(b)
+        for size, rng in self.iter_blocks():
             yield rng.standard_normal((size, self.n_steps)) * math.sqrt(self.dt)
 
     def iter_paths(self):
@@ -301,10 +300,45 @@ class LsmcSolution:
 _RANK_TOL = 1e-12
 
 
-def _checked(coef, rank):
-    if not np.all(np.isfinite(coef)):
-        raise RuntimeError("least-squares regression failed: non-finite coefficients")
-    return coef, rank
+class _NormalEquations:
+    """Minimum-norm least squares from the normal equations X^T X c = X^T y,
+    with X^T X factored once (Cholesky) for every target on the same sample.
+
+    A pivot L_ii^2 is the squared distance of column i from the span of the
+    columns before it, so one at most ``_RANK_TOL`` times its diagonal entry
+    marks a dependent column; then the eigendecomposition of X^T X gives the
+    minimum-norm answer and the rank of X, counting eigenvalues at or below
+    ``_RANK_TOL`` times the largest as zero.
+    """
+
+    def __init__(self, gram):
+        from scipy.linalg import lapack
+
+        self.pinv = None
+        self.rank = gram.shape[0]
+        self.factor, info = lapack.dpotrf(gram)
+        if info or np.any(np.diag(self.factor) ** 2 <= _RANK_TOL * np.diag(gram)):
+            # LinAlgError subclasses ValueError, which the CLI reads as bad
+            # input; a failed eigendecomposition is a numerical failure
+            try:
+                w, v = np.linalg.eigh(gram)
+            except np.linalg.LinAlgError as err:
+                raise RuntimeError(f"least-squares regression failed: {err}") from err
+            keep = w > _RANK_TOL * w.max()
+            self.pinv = (v[:, keep] / w[keep]) @ v[:, keep].T
+            self.rank = int(np.count_nonzero(keep))
+
+    def solve(self, rhs):
+        """Coefficients for the right-hand side X^T y."""
+        from scipy.linalg import lapack
+
+        if self.pinv is not None:
+            coef = self.pinv @ rhs
+        else:
+            coef, _ = lapack.dpotrs(self.factor, rhs)
+        if not np.all(np.isfinite(coef)):
+            raise RuntimeError("least-squares regression failed: non-finite coefficients")
+        return coef
 
 
 class _HatBasis:
@@ -314,22 +348,14 @@ class _HatBasis:
     the normal equations well conditioned, which global polynomials do not
     once the driver squares the regressed gradient.  Each sample weighs at
     most two adjacent hats, ``idx`` and ``idx + 1`` with ``1 - t`` and
-    ``t``, so the normal matrix X^T X is symmetric tridiagonal: it is
-    summed by ``bincount`` and factored once (LDL^T) for every target fitted
-    on the same sample, and no (samples x knots) matrix is built.  A single
-    unique value leaves one knot, the constant basis.
-
-    ``fit`` returns the minimum-norm least-squares coefficients and the
-    rank, as ``lstsq`` does.  When X^T X is singular or within rounding of
-    it (a hat no sample weighs, or more hats than distinct samples touch
-    them), LDL^T cannot give that answer, and the tridiagonal matrix's
-    eigendecomposition does: eigenvalues at or below ``_RANK_TOL`` times
-    the largest count as zero.
+    ``t``, so X^T X is tridiagonal and X^T y has two terms per sample: both
+    are summed by ``bincount``, and no (samples x knots) matrix is built.
+    A single unique value leaves one knot, the constant basis.  A hat no
+    sample weighs, or more hats than distinct samples touch them, makes
+    X^T X singular, and the solver takes the minimum-norm answer.
     """
 
     def __init__(self, x, n_knots):
-        from scipy.linalg import eigh_tridiagonal, lapack
-
         knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
         self.size = knots.size
         if knots.size < 2:
@@ -341,22 +367,9 @@ class _HatBasis:
                              0.0, 1.0)
         self.hi = self.idx + 1
         self.s = 1.0 - self.t
-        diag = self._sums(self.s * self.s, self.t * self.t)
-        off = np.bincount(self.idx, self.s * self.t, minlength=self.size - 1)[:self.size - 1]
-        self.pinv = None
-        self.rank = self.size
-        # a pivot is the squared distance of its hat from the span of the
-        # hats before it, so one at rounding level of the diagonal marks a
-        # dependent hat; dpttrf rejects a single row, which the
-        # eigendecomposition takes
-        info = 1
-        if self.size > 1:
-            self.d, self.e, info = lapack.dpttrf(diag, off)
-        if info or np.any(self.d <= _RANK_TOL * diag):
-            w, v = eigh_tridiagonal(diag, off)
-            keep = w > _RANK_TOL * w.max()
-            self.pinv = (v[:, keep] / w[keep]) @ v[:, keep].T
-            self.rank = int(np.count_nonzero(keep))
+        off = np.diag(np.bincount(self.idx, self.s * self.t, minlength=self.size)[:-1], 1)
+        self.solver = _NormalEquations(np.diag(self._sums(self.s * self.s, self.t * self.t))
+                                       + off + off.T)
 
     def _sums(self, lower, upper):
         # per-hat sums of the low-side and high-side weights; the constant
@@ -365,14 +378,8 @@ class _HatBasis:
                 + np.bincount(self.hi, upper, minlength=self.size)[:self.size])
 
     def fit(self, y):
-        """Least-squares coefficients (length ``size``) of y and the rank."""
-        from scipy.linalg import lapack
-
-        rhs = self._sums(self.s * y, self.t * y)
-        if self.pinv is not None:
-            return _checked(self.pinv @ rhs, self.rank)
-        coef, _ = lapack.dpttrs(self.d, self.e, rhs, overwrite_b=1)
-        return _checked(coef, self.rank)
+        """Least-squares coefficients (length ``size``) of y."""
+        return self.solver.solve(self._sums(self.s * y, self.t * y))
 
     def __call__(self, coef):
         # clipping maps the constant basis's missing hat idx + 1 onto hat 0,
@@ -384,49 +391,44 @@ class _PolynomialBasis:
     """Standardized total-degree-3 polynomials in two statistics.
 
     The few columns keep the gradient-regression variance (and with it the
-    convexity bias of the driver) small.  Fitted by ``lstsq``.
+    convexity bias of the driver) small.  The ten features are stored as
+    rows, products of cached powers, so X^T X and X^T y are two products.
     """
 
-    def __init__(self, stats):
-        cols = [np.ones_like(stats[0])]
-        standardized = []
-        for s in stats:
-            sd = float(np.std(s))
-            standardized.append((s - float(np.mean(s))) / (sd if sd > 1e-12 else 1.0))
-        a, b = standardized
-        for d in range(1, 4):
-            for i in range(d + 1):
-                cols.append(a ** (d - i) * b ** i)
-        self.features = np.column_stack(cols)
-        self.size = self.features.shape[1]
+    size = 10
+
+    def __init__(self, first, second):
+        a, b = _standardized(first), _standardized(second)
+        a2, b2 = a * a, b * b
+        self.features = np.stack([np.ones_like(a), a, b, a2, a * b, b2,
+                                  a2 * a, a2 * b, a * b2, b2 * b])
+        self.solver = _NormalEquations(self.features @ self.features.T)
 
     def fit(self, y):
-        # LinAlgError subclasses ValueError, which the CLI reads as bad input;
-        # a failed least-squares solve is a numerical failure
-        try:
-            coef, _, rank, _ = np.linalg.lstsq(self.features, y, rcond=1e-10)
-        except np.linalg.LinAlgError as err:
-            raise RuntimeError(f"least-squares regression failed: {err}") from err
-        return _checked(coef, int(rank))
+        """Least-squares coefficients (length 10) of y."""
+        return self.solver.solve(self.features @ y)
 
     def __call__(self, coef):
-        return self.features @ coef
+        return coef @ self.features
 
 
-def _state_statistics(F, scaled_paths, times):
-    """Statistic columns the terminal functional actually depends on."""
-    state = scaled_paths
+def _standardized(s):
+    sd = float(np.std(s))
+    return (s - float(np.mean(s))) / (sd if sd > 1e-12 else 1.0)
+
+
+def _second_statistic(F, scaled, dt):
+    """The running statistic of the scaled paths that a two-statistic
+    functional depends on besides the state, built in place in ``scaled``;
+    None for a functional of the state alone."""
     if isinstance(F, RunningMax):
-        runmax = np.maximum.accumulate(scaled_paths, axis=1)
-        return lambda k: (state[:, k], runmax[:, k])
+        return np.maximum.accumulate(scaled, axis=1, out=scaled)
     if isinstance(F, TimeIntegral):
-        dt = times[1] - times[0]
-        mid = 0.5 * (scaled_paths[:, 1:] + scaled_paths[:, :-1]) * dt
-        runint = np.concatenate(
-            [np.zeros((scaled_paths.shape[0], 1)), np.cumsum(mid, axis=1)], axis=1
-        )
-        return lambda k: (state[:, k], runint[:, k])
-    return lambda k: (state[:, k],)
+        # the trapezoid rule, step by step
+        np.cumsum(0.5 * (scaled[:, 1:] + scaled[:, :-1]) * dt, axis=1, out=scaled[:, 1:])
+        scaled[:, 0] = 0.0
+        return scaled
+    return None
 
 
 def lsmc_bsde(
@@ -440,25 +442,27 @@ def lsmc_bsde(
 
     At each step the next value is regressed on features of the current
     state statistics: piecewise-linear hats on ``basis_size`` quantile knots
-    of the state, fitted by their tridiagonal normal equations (one LDL^T
-    factorization per step serves both regressions), or, when the
-    functional needs two statistics, standardized total-degree-3
-    polynomials fitted by ``lstsq``.  The gradient proxy comes from the
-    martingale increment regression, and the driver g*(t, sqrt(n) Z) dt is
-    added.  Rank-deficient regressions fall back to a coarser basis;
+    of the state or, when the functional needs a second statistic (running
+    max or time integral), standardized total-degree-3 polynomials in both.
+    Either basis is fitted by its normal equations, factored once per step
+    for both regressions.  The gradient proxy comes from the martingale
+    increment regression, and the driver g*(t, sqrt(n) Z) dt is added.  A
+    rank-deficient hat regression falls back to fewer knots, and
     zero-variance targets short-circuit to constants.  A failed
     least-squares solve or non-finite coefficients raise ``RuntimeError``.
+    Besides the paths, only the scaled paths that the terminal evaluation
+    reads are held; the second statistic is built in place in them, and the
+    state and the increment are formed per step.
     """
     paths = batch.paths()
     times = batch.times
     dt = batch.dt
-    scaled = paths / math.sqrt(n)
-    stats_at = _state_statistics(F, scaled, times)
-    inc = np.diff(paths, axis=1)
-
-    y = np.asarray(evaluate_functional(F, times, scaled), dtype=float)
     sqrt_n = math.sqrt(n)
     m = batch.n_steps
+    scaled = paths / sqrt_n
+    y = np.asarray(evaluate_functional(F, times, scaled), dtype=float)
+    second = _second_statistic(F, scaled, dt)
+    del scaled
 
     # certified truncations from the boundedness certificate: with a
     # nonnegative cost the value process stays inside the bounds of F, and
@@ -480,35 +484,26 @@ def lsmc_bsde(
     basis_sizes = []
     terminal_residual = 0.0
 
-    for k in range(m - 1, -1, -1):
-        if k == 0:
-            z_k = np.full(1, float(np.mean(y * inc[:, 0])) / dt)
-            e_k = np.full(1, float(np.mean(y)))
-            y_val = e_k + dt * g.gstar(times[k], sqrt_n * z_k)
-            y = np.full_like(y, y_val[0])
-            y_ladder[0] = y_val[0]
-            z_ladder[0] = z_k[0]
-            break
+    for k in range(m - 1, 0, -1):
         if float(np.std(y)) < 1e-14:
             e_k = np.full_like(y, y.mean())
             z_k = np.zeros_like(y)
         else:
-            size = basis_size
-            while True:
-                stats = stats_at(k)
-                basis = _HatBasis(stats[0], size) if len(stats) == 1 else _PolynomialBasis(stats)
-                coef_e, rank_e = basis.fit(y)
-                e_k = basis(coef_e)
-                # centering the gradient target by the fitted conditional
-                # mean is unbiased (the mean is measurable at time k) and
-                # removes the O(1/dt) variance of the raw target
-                coef_z, rank_z = basis.fit((y - e_k) * inc[:, k] / dt)
-                healthy = max(3, basis.size // 4)
-                if (min(rank_z, rank_e) >= healthy) or size <= 3:
-                    break
-                size = max(3, size // 2)
-                fallbacks += 1
-            z_k = basis(coef_z)
+            state = paths[:, k] / sqrt_n
+            if second is not None:
+                basis = _PolynomialBasis(state, second[:, k])
+            else:
+                size = basis_size
+                basis = _HatBasis(state, size)
+                while basis.solver.rank < max(3, basis.size // 4) and size > 3:
+                    size = max(3, size // 2)
+                    fallbacks += 1
+                    basis = _HatBasis(state, size)
+            e_k = basis(basis.fit(y))
+            # centering the gradient target by the fitted conditional
+            # mean is unbiased (the mean is measurable at time k) and
+            # removes the O(1/dt) variance of the raw target
+            z_k = basis(basis.fit((y - e_k) * (paths[:, k + 1] - paths[:, k]) / dt))
             basis_sizes.append(basis.size)
             if k == m - 1:
                 terminal_residual = float(np.sqrt(np.mean((y - e_k) ** 2)))
@@ -519,10 +514,13 @@ def lsmc_bsde(
         y = e_k + dt * g.gstar(times[k], sqrt_n * z_k)
         y_ladder[k] = float(np.mean(y))
         z_ladder[k] = float(np.mean(z_k))
+    # at time 0 every path is at the origin, so both regressions are means
+    z_ladder[0] = float(np.mean(y * (paths[:, 1] - paths[:, 0]))) / dt
+    y_ladder[0] = float(np.mean(y)) + dt * g.gstar(times[0], np.full(1, sqrt_n * z_ladder[0]))[0]
 
     return LsmcSolution(
         times=times,
-        basis="hat" if len(stats_at(0)) == 1 else "polynomial",
+        basis="hat" if second is None else "polynomial",
         y0=float(y_ladder[0]),
         y_ladder=y_ladder,
         z_ladder=z_ladder,
@@ -604,11 +602,8 @@ def bridge_moment_check(x, y, epsilon, delta, r, batch: PathBatch) -> BridgeMome
              + k_r * delta ** (1.0 - r / 2.0) * epsilon ** (r / 2.0))
     t = np.linspace(0.0, delta, batch.n_steps + 1)
     acc = _RunningMoments()
-    remaining = batch.n_paths
-    for b in range(batch.n_blocks):
-        size = min(BLOCK_PATHS, remaining)
-        remaining -= size
-        w = _bridge_paths(x, y, epsilon, delta, size, batch.block_rng(b), t)
+    for size, rng in batch.iter_blocks():
+        w = _bridge_paths(x, y, epsilon, delta, size, rng, t)
         drift = (y - w[:, :-1]) / (delta - t[:-1])
         acc.add(np.sum(np.abs(drift) ** r, axis=1) * (t[1] - t[0]))
     empirical, se = acc.mean_se()

@@ -1,7 +1,9 @@
 """End-to-end CLI runs: exit codes, report files, manifests, determinism."""
 
 import ast
+import copy
 import importlib
+import importlib.util
 import inspect
 import json
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
-from driftlab import montecarlo
+from driftlab import cli, montecarlo
 from driftlab.cli import main
 
 
@@ -231,16 +233,18 @@ class TestRun:
 
     def test_failed_regression_exits_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError is a ValueError; it must not read as bad input.
-        # A running-max functional regresses on two statistics, the basis
-        # that is fitted by lstsq
+        # At step 1 a running-max functional's running max is max(0, state),
+        # so its regression is rank-deficient and always takes the solver's
+        # eigendecomposition fallback
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         payload = dict(LSMC_CONFIG, functional={"kind": "running_max", "bounds": [0.0, 1.0]})
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Eigenvalues did not converge" in err
 
     def test_non_finite_hat_regression_exits_3(self, tmp_path, capsys, monkeypatch):
         # the hat basis solves its normal equations directly, which would
@@ -283,11 +287,19 @@ class TestRun:
         (dict(SMALL_GIRSANOV, control={"kind": "constant", "value": "abc"}), "'value'"),
         (dict(MC_CONFIG, paths=2_000, oracle=dict(SMALL_ORACLE, viscosity="abc")),
          "'viscosity'"),
+        (dict(MC_CONFIG, functional={"kind": "finite_marginals", "f": "identity",
+                                     "times": [2.0]}), "'times'"),
+        (dict(MC_CONFIG, functional={"kind": "finite_marginals", "f": "identity",
+                                     "times": []}), "'times'"),
+        (dict(MC_CONFIG, functional=dict(MC_CONFIG["functional"], bounds=[1.0, 0.0])),
+         "'bounds'"),
+        (dict(LSMC_CONFIG, n_list=[]), "'n_list'"),
     ], ids=["lsmc-n-zero", "lsmc-n-negative", "mc-n-zero", "cramer-n-fraction",
             "basis-negative", "basis-zero", "basis-fraction", "steps-fraction", "paths-zero",
             "seed-fraction", "seed-negative", "knots-string", "restarts-zero", "max-iter-zero",
             "epsilon-negative", "delta-zero", "x-string", "y-string", "r-string",
-            "bound-negative", "center-string", "value-string", "viscosity-string"])
+            "bound-negative", "center-string", "value-string", "viscosity-string",
+            "times-outside-unit-interval", "times-empty", "bounds-reversed", "lsmc-n-list-empty"])
     def test_bad_monte_carlo_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
         cfg = write_config(tmp_path, "cfg.yaml", config)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
@@ -350,12 +362,17 @@ class TestRun:
         (dict(SMALL_SANOV, cap="abc"), "'cap'"),
         (dict(SMALL_SANOV, s_points="abc"), "'s_points'"),
         (dict(SMALL_SANOV, n_list=[1.5]), "'n_list'"),
+        (dict(SMALL_TRANSPORT, eps_list=[]), "'eps_list'"),
+        (dict(SMALL_PDE_SWEEP, n_list=[]), "'n_list'"),
+        (dict(SMALL_SANOV, n_list=[]), "'n_list'"),
+        (dict(SMALL_SANOV, phi_bounds=[1.0, -1.0]), "'phi_bounds'"),
     ], ids=["n-time-zero", "n-time-negative", "n-time-fraction", "eps-negative",
             "eps-zero-mollified", "mollified-string", "y-step-zero", "y-step-negative",
             "y-step-tiny", "nx-fraction", "nt-zero", "x-min-string", "x-max-string",
             "width-string", "pde-n-zero", "lambda-points-zero", "lambda-min-string",
             "lambda-max-string", "c-points-zero", "cap-string", "s-points-string",
-            "sanov-n-fraction"])
+            "sanov-n-fraction", "eps-list-empty", "pde-n-list-empty", "sanov-n-list-empty",
+            "phi-bounds-reversed"])
     def test_bad_sweep_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
         cfg = write_config(tmp_path, "cfg.yaml", config)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
@@ -632,6 +649,55 @@ class TestTracedNames:
             fn = getattr(module, attr, None)
             assert inspect.isfunction(fn), name
             assert not attr.startswith("_") and fn.__module__ == module.__name__, name
+
+
+def _load_perfbench(monkeypatch, name):
+    """Load ``perfbench/<name>.py`` by path, registered in ``sys.modules``
+    under ``name`` (as the benchmark imports it) until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, SRC.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK_WORKLOADS = [w["name"] for w in
+                       json.loads((SRC.parent / "BENCHMARK.json").read_text())["workloads"]]
+
+
+class TestTracedBenchmarkPass:
+    """One traced pass of each benchmark workload on its seed-1 configs, as
+    the benchmark's traced run makes it.  That run fails when an expected
+    span never fires or a span's count extractor raises, and counts a report
+    that fails its workload's check as a failed experiment."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+    def test_spans_fire_and_reports_pass_their_checks(self, tmp_path, monkeypatch, name):
+        tracing = _load_perfbench(monkeypatch, "tracing")
+        workloads = _load_perfbench(monkeypatch, "workloads")
+        _load_perfbench(monkeypatch, "oracles")  # the checks import it
+        workload = workloads.WORKLOADS[name]
+        codes = {}
+
+        def run_pass():
+            for label, cfg in workload.configs(1):
+                tracer.experiment = label
+                codes[label] = cli.run(copy.deepcopy(cfg), tmp_path / label, source=label)
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            _, root = tracer.root("bench.pass", run_pass)
+        finally:
+            tracer.uninstall()
+        never_fired = set(workload.spans) - {s.name for s in tracer.spans}
+        assert not never_fired, never_fired
+        assert tracing.layer_metrics(tracer.spans, root)["cli.run_s"] > 0
+        checks = workload.checks(1)
+        for label, code in codes.items():
+            assert code == 0, label
+            problems, _, rows = checks[label]((tmp_path / label / "report.csv").read_text())
+            assert not problems and rows, (label, problems)
 
 
 def _driftlab_object(node, aliases):

@@ -189,6 +189,16 @@ class TestLsmc:
             gaps.append(abs(sol.y0 - 0.5))
         assert gaps[0] > gaps[1] > gaps[2]
 
+    def test_time_integral_matches_gaussian_value(self):
+        # the integral of W is N(0, 1/3), so under the quadratic cost the
+        # value (1/n) log E exp(n F(W / sqrt(n))) is 1/6 at every n; the
+        # fit regresses on the state and the running integral
+        F = TimeIntegral(lambda t, x: x)
+        for n in (1.0, 4.0):
+            sol = lsmc_bsde(F, QUAD, n, PathBatch(n_steps=32, n_paths=20_000, seed=44))
+            assert sol.basis == "polynomial"
+            assert sol.y0 == pytest.approx(1.0 / 6.0, abs=5e-3)
+
     def test_ladder_monotone_structure(self):
         F = TerminalValue(gaussian_bump, bounds=(0.0, 1.0))
         sol = lsmc_bsde(F, QUAD, 1.0, PathBatch(n_steps=25, n_paths=50_000, seed=20))
@@ -224,8 +234,8 @@ HAT_INPUTS = {
     "heavy-ties": (np.repeat([-1.0, 0.0, 0.5, 2.0], [13, 30, 30, 13]), 35),
     "single-value": (np.full(40, 0.3), 9),
     "more-knots-than-paths": (_RNG.standard_normal(20), 50),
-    # singular too, but LDL^T runs through it with a rounding-level pivot
-    "rounding-level-pivot": (np.random.default_rng(8).standard_normal(10), 12),
+    # singular too, but Cholesky runs through it with a rounding-level pivot
+    "rounding-level-pivot": (np.random.default_rng(1).standard_normal(10), 12),
 }
 
 
@@ -236,7 +246,8 @@ class TestHatBasis:
         y = np.sin(2.0 * x) + 0.1 * np.random.default_rng(72).standard_normal(x.size)
         ref_coef, ref_rank, ref_fit, features = reference_hat_fit(x, n_knots, y)
         basis = montecarlo._HatBasis(x, n_knots)
-        coef, rank = basis.fit(y)
+        coef = basis.fit(y)
+        rank = basis.solver.rank
         assert rank == ref_rank
         # lstsq leaves rounding-level values on an all-zero column; the
         # minimum-norm answer there is exactly 0
@@ -252,9 +263,8 @@ class TestHatBasis:
         if name in ("more-knots-than-paths", "rounding-level-pivot"):
             assert rank == x.size < basis.size
         if name == "rounding-level-pivot":
-            gram = features.T @ features
-            _, _, info = lapack.dpttrf(np.diag(gram).copy(), np.diag(gram, 1).copy())
-            assert info == 0
+            _, info = lapack.dpotrf(features.T @ features)
+            assert info == 0 and basis.solver.pinv is not None
 
     @pytest.mark.parametrize("name", sorted(HAT_INPUTS))
     def test_reproduces_piecewise_linear_functions(self, name):
@@ -263,9 +273,9 @@ class TestHatBasis:
         knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
         values = np.cos(3.0 * knots) + knots
         y = np.interp(x, knots, values)
-        coef, _ = basis.fit(y)
+        coef = basis.fit(y)
         np.testing.assert_allclose(basis(coef), y, rtol=1e-12, atol=1e-12)
-        if basis.pinv is None:
+        if basis.solver.pinv is None:
             np.testing.assert_allclose(coef, values, rtol=1e-12, atol=1e-12)
 
     def test_non_finite_target_raises(self):
@@ -274,6 +284,51 @@ class TestHatBasis:
         y[3] = np.nan
         with pytest.raises(RuntimeError, match="least-squares regression failed"):
             montecarlo._HatBasis(x, n_knots).fit(y)
+
+
+def reference_polynomial_fit(first, second, y):
+    """The construction the polynomial basis replaces: the ten columns
+    a^(d-i) b^i of the standardized statistics, column-stacked, and an SVD
+    least-squares solve.  Returns the rank and the fitted values."""
+    standardized = []
+    for s in (first, second):
+        sd = float(np.std(s))
+        standardized.append((s - float(np.mean(s))) / (sd if sd > 1e-12 else 1.0))
+    a, b = standardized
+    features = np.column_stack([np.ones_like(a)] + [a ** (d - i) * b ** i
+                                                    for d in range(1, 4) for i in range(d + 1)])
+    coef, _, rank, _ = np.linalg.lstsq(features, y, rcond=1e-10)
+    return rank, features @ coef
+
+
+def _running_max_sample(k):
+    # state and running max at step k; at step 1 the running max is
+    # max(0, state), so three of the ten columns are dependent
+    paths = PathBatch(n_steps=4, n_paths=5000, seed=5).paths()
+    return paths[:, k], np.maximum.accumulate(paths, axis=1)[:, k]
+
+
+_GAUSS = np.random.default_rng(73).standard_normal((2, 5000))
+POLYNOMIAL_INPUTS = {
+    "correlated-gaussians": ((_GAUSS[0], 0.5 * _GAUSS[0] + _GAUSS[1]), 10),
+    "running-max-step-1": (_running_max_sample(1), 7),
+    "running-max-step-2": (_running_max_sample(2), 10),
+}
+
+
+class TestPolynomialBasis:
+    @pytest.mark.parametrize("name", sorted(POLYNOMIAL_INPUTS))
+    def test_matches_dense_least_squares(self, name):
+        (first, second), rank = POLYNOMIAL_INPUTS[name]
+        y = (np.sin(2.0 * first) + np.minimum(1.0, second)
+             + 0.1 * np.random.default_rng(74).standard_normal(first.size))
+        ref_rank, ref_fit = reference_polynomial_fit(first, second, y)
+        basis = montecarlo._PolynomialBasis(first, second)
+        fit = basis(basis.fit(y))
+        assert basis.solver.rank == ref_rank == rank
+        # the rank-7 sample goes through the eigendecomposition
+        assert (basis.solver.pinv is None) == (rank == 10)
+        np.testing.assert_allclose(fit, ref_fit, rtol=0, atol=1e-10 * np.max(np.abs(ref_fit)))
 
 
 class TestCramerAverage:
