@@ -48,6 +48,7 @@ __all__ = [
     "number_pair",
     "two_column_csv",
     "build_generator",
+    "time_independent_generator",
     "build_scalar_function",
     "build_functional",
     "build_grid",
@@ -242,6 +243,15 @@ def build_generator(section: dict, context="generator"):
         raise ConfigError(f"{context} section invalid: {err}") from err
 
 
+def time_independent_generator(cfg: dict, key: str, context: str = "config"):
+    """``cfg[key]`` built as a drift cost that does not depend on time."""
+    g = build_generator(require(cfg, key, context), key)
+    if gen.is_time_dependent(g):
+        raise ConfigError(f"key '{key}' in {context} must be a time-independent cost, "
+                          f"got the time-modulated variant")
+    return g
+
+
 # kind -> ({parameter: (reader, default)}, function of a float array and the
 # parameters); a function's parameters are read once, when it is built
 _FUNCTIONS = {
@@ -306,9 +316,16 @@ def build_grid(section: dict, context="grid"):
     boundary = choice(section, "boundary", ("clampToTerminal", "oneSidedExtrapolation"),
                       context, default="clampToTerminal")
     try:
-        return GridSpec(x_min=x_min, x_max=x_max, nx=nx, nt=nt, boundary=boundary)
+        grid = GridSpec(x_min=x_min, x_max=x_max, nx=nx, nt=nt, boundary=boundary)
     except ValueError as err:
         raise ConfigError(f"{context} section invalid: {err}") from err
+    # every route reads the solution at x = 0, which a clamped end node or a
+    # point off the grid would answer with the terminal datum
+    if not x_min < 0.0 < x_max:
+        key = "x_min" if x_min >= 0.0 else "x_max"
+        raise ConfigError(f"key '{key}' in {context} must leave the origin inside the grid "
+                          f"(x_min < 0 < x_max), got [{x_min:g}, {x_max:g}]")
+    return grid
 
 
 def build_measure(section: dict, context="measure"):

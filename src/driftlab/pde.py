@@ -15,18 +15,19 @@ step writes into buffers allocated once per march.  Monotonicity gives the
 discrete comparison principle that stands in for minimality of the viscosity
 supersolution at desk scale (Barles-Souganidis convergence).  Diffusion sets
 no step bound, so the step count grows as nx, not nx^2; the one bound left,
-L dt / dx <= 1/2 on the Hamiltonian, is enforced programmatically (a
-violation raises :class:`CflError` carrying the smallest compliant step
-count).  The march keeps only the current and the next time row and returns
-the initial row v(0, .), the only one any caller reads.  The Hopf-Lax search
-runs over its grid in fixed-size chunks.
+L dt / dx <= 1/2 on the Hamiltonian, is met by raising the grid's step count
+to the smallest compliant one.  The march keeps only the current and the
+next time row and returns the initial row v(0, .), the only one any caller
+reads; :meth:`GridSpec.read` interpolates it at a point of the grid.  The
+vanishing-viscosity sweep runs the Hopf-Lax search over its grid in
+fixed-size chunks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .report import ConvergenceReport, ReportRow
 __all__ = [
     "GridSpec",
     "ScalarField",
-    "CflError",
     "stable_nt",
     "solve_semilinear",
     "march_backward",
@@ -45,14 +45,6 @@ __all__ = [
     "vanishing_viscosity_sweep",
     "rho_terminal_mixture",
 ]
-
-
-class CflError(ValueError):
-    """Raised when the requested time step violates the stability bounds."""
-
-    def __init__(self, message, minimal_nt):
-        super().__init__(message)
-        self.minimal_nt = minimal_nt
 
 
 @dataclass(frozen=True)
@@ -83,8 +75,18 @@ class GridSpec:
     def dx(self):
         return (self.x_max - self.x_min) / (self.nx - 1)
 
-    def with_nt(self, nt):
-        return GridSpec(self.x_min, self.x_max, self.nx, int(nt), self.boundary)
+    def read(self, values, points):
+        """``values`` (shape (..., nx), rows on the space nodes) at ``points``,
+        linear in x along the last axis and exact on nodes: shape
+        (...) + shape of ``points``, each row as ``np.interp`` reads it.
+        A point outside [x_min, x_max] raises ValueError, where
+        ``np.interp`` would return the end value."""
+        points = np.asarray(points, dtype=float)
+        if not (self.x_min <= points.min() and points.max() <= self.x_max):
+            raise ValueError(f"point outside the solver grid [{self.x_min:g}, {self.x_max:g}]")
+        values, x = np.asarray(values, dtype=float), self.x
+        rows = [np.interp(points, x, row) for row in values.reshape(-1, self.nx)]
+        return np.reshape(rows, values.shape[:-1] + points.shape)
 
 
 @dataclass(frozen=True)
@@ -93,13 +95,11 @@ class ScalarField:
 
     grid: GridSpec
     values: np.ndarray
-    sigma2: float
     cfl: dict = field(default_factory=dict)
-    discretization_estimate: Optional[float] = None
 
     def value(self, x):
-        """Interpolate v(0, x) linearly in x; exact on nodes."""
-        return float(np.interp(x, self.grid.x, self.values))
+        """v(0, x), linear in x and exact on nodes; x must lie on the grid."""
+        return float(self.grid.read(self.values, x))
 
     @property
     def initial_value_at_origin(self):
@@ -136,12 +136,13 @@ def stable_nt(grid: GridSpec, lip):
     return max(1, int(np.ceil(2.0 * lip / grid.dx)))
 
 
-def march_backward(terminal, g, sigma2, grid: GridSpec, nt=None):
+def march_backward(terminal, g, sigma2, grid: GridSpec):
     """March a terminal array (or stack of them) back to time 0.
 
     ``terminal`` has shape (..., nx); all leading axes are independent
     problems sharing the grid and time step; ``g`` is the drift cost whose
-    conjugate drives the Hamiltonian.  Each step forms
+    conjugate drives the Hamiltonian.  The step count is ``grid.nt``,
+    raised to :func:`stable_nt` when that is larger.  Each step forms
     rhs = v + dt H(t, D-v, D+v) on the interior nodes and solves
     (I - r D2) v_new = rhs with r = sigma^2 dt / (2 dx^2) for all stacked
     rows at once.  Returns the initial row v(0, .), of the same shape as
@@ -159,14 +160,7 @@ def march_backward(terminal, g, sigma2, grid: GridSpec, nt=None):
     zmax = 2.0 * float(np.max(np.abs(np.diff(terminal, axis=-1)) / dx))
     lip = g.gstar_lipschitz(max(zmax, 1e-12))
     minimal = stable_nt(grid, lip)
-    if nt is None:
-        nt = max(grid.nt, minimal)
-    if nt < minimal:
-        raise CflError(
-            f"nt={nt} violates the stability bound L dt / dx <= 1/2 (L={lip:g}); "
-            f"smallest compliant nt is {minimal}",
-            minimal,
-        )
+    nt = max(grid.nt, minimal)
     dt = 1.0 / nt
     r = 0.5 * sigma2 * dt / dx**2
     clamp = grid.boundary == "clampToTerminal"
@@ -228,9 +222,6 @@ def solve_semilinear(
     g: gen.GeneratorSpec,
     viscosity: float,
     grid: GridSpec,
-    *,
-    strict_nt: bool = False,
-    estimate_error: bool = False,
 ) -> ScalarField:
     """Solve the backward semilinear PDE with diffusion ``viscosity``.
 
@@ -243,13 +234,10 @@ def solve_semilinear(
     viscosity : float
         sigma^2 > 0, coefficient of the half-Laplacian.
     grid : GridSpec
-        Space grid and requested step count.  Unless ``strict_nt`` the step
-        count is raised automatically to the smallest value meeting the
-        Hamiltonian bound L dt / dx <= 1/2; diffusion is implicit and sets
-        no bound, so that count does not depend on ``viscosity``.
-    estimate_error : bool
-        Attach a Richardson-style discretization estimate obtained from a
-        companion solve at half resolution.
+        Space grid and requested step count.  The step count is raised
+        automatically to the smallest value meeting the Hamiltonian bound
+        L dt / dx <= 1/2; diffusion is implicit and sets no bound, so that
+        count does not depend on ``viscosity``.
 
     Returns
     -------
@@ -259,24 +247,15 @@ def solve_semilinear(
     """
     if viscosity <= 0:
         raise ValueError("viscosity must be positive")
-    terminal = np.asarray(f(grid.x), dtype=float)
-    values, cfl = march_backward(terminal, g, viscosity, grid, nt=grid.nt if strict_nt else None)
-    est = None
-    if estimate_error:
-        coarse = GridSpec(grid.x_min, grid.x_max, (grid.nx - 1) // 2 + 1, 1, grid.boundary)
-        cvals, _ = march_backward(np.asarray(f(coarse.x), dtype=float), g, viscosity, coarse)
-        v_fine = float(np.interp(0.0, grid.x, values))
-        v_coarse = float(np.interp(0.0, coarse.x, cvals))
-        est = abs(v_fine - v_coarse)
-    return ScalarField(grid=grid.with_nt(cfl["nt"]), values=values, sigma2=viscosity, cfl=cfl,
-                       discretization_estimate=est)
+    values, cfl = march_backward(np.asarray(f(grid.x), dtype=float), g, viscosity, grid)
+    return ScalarField(grid=grid, values=values, cfl=cfl)
 
 
-# grid points per chunk of the Hopf-Lax search, and the most the search of
-# the vanishing-viscosity sweep may hold (14x the default's 1.2 M points).
-# A chunk's 64 kB temporaries are reused from the malloc heap; at 1 << 16
-# points glibc mapped and page-faulted each one afresh (5400 minor faults
-# and about twice the time per 1.2 M-point search)
+# grid points per chunk of the sweep's Hopf-Lax search, and the most that
+# search may hold (14x the default's 1.2 M points).  A chunk's 64 kB
+# temporaries are reused from the malloc heap; at 1 << 16 points glibc
+# mapped and page-faulted each one afresh (5400 minor faults and about twice
+# the time per 1.2 M-point search)
 _HOPF_LAX_CHUNK = 1 << 13
 _MAX_SEARCH_POINTS = 1 << 24
 
@@ -284,9 +263,9 @@ _MAX_SEARCH_POINTS = 1 << 24
 def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid) -> float:
     """Hopf-Lax-Oleinik value sup_y ( f(y) - (1-t) g((y-x)/(1-t)) ).
 
-    The search runs over ``y_grid`` in chunks of fixed size, so its memory
-    does not grow with the grid.  Requires a time-independent cost; at
-    t = 1 the terminal convention returns f(x).
+    The search runs over ``y_grid`` in one pass, so its temporaries are the
+    size of ``y_grid``; a NaN value propagates.  Requires a time-independent
+    cost; at t = 1 the terminal convention returns f(x).
     """
     if gen.is_time_dependent(g):
         raise ValueError("Hopf-Lax form needs a time-independent cost")
@@ -296,14 +275,7 @@ def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid) -> f
     if t >= 1.0:
         return float(f(np.asarray(x)))
     horizon = 1.0 - t
-    # a chunk at a time, so the temporaries stay small for any grid size;
-    # the max of the chunk maxima is the max, and NaN still propagates
-    best = []
-    for lo in range(0, y.size, _HOPF_LAX_CHUNK):
-        yc = y[lo:lo + _HOPF_LAX_CHUNK]
-        vals = np.asarray(f(yc), dtype=float) - horizon * g.cost(t, (yc - x) / horizon)
-        best.append(vals.max())
-    return float(np.max(best))
+    return float(np.max(np.asarray(f(y), dtype=float) - horizon * g.cost(t, (y - x) / horizon)))
 
 
 def _search_chunks(x_min, x_max, y_step):
@@ -378,5 +350,4 @@ def rho_terminal_mixture(
     if np.any(atoms < grid.x_min) or np.any(atoms > grid.x_max):
         raise ValueError("initial atom outside the solver grid")
     fld = solve_semilinear(f, g, epsilon, grid)
-    vals = np.interp(atoms, grid.x, fld.values)
-    return float(np.dot(weights, vals))
+    return float(np.dot(weights, grid.read(fld.values, atoms)))

@@ -12,9 +12,12 @@ for the collapse.
 
 The limit value scalarizes through duality over the scalar statistic
 c = <phi, terminal law>: the cheapest transport cost compatible with a given
-c is the conjugate of lambda -> value(lambda phi), each value being a single
-PDE solve.  The reduction is exact because c is a deterministic function of
-the candidate law.
+c is the conjugate of lambda -> value(lambda phi), all values one collapsed
+pass over the slices lambda phi.  The reduction is exact because c is a
+deterministic function of the candidate law.
+
+:func:`apply_L` is the one place that marches and reads: every stage and the
+dual's batch of solves is one stacked march, read at the origin.
 """
 
 from __future__ import annotations
@@ -61,24 +64,27 @@ def gauss_mean(fn):
     return float(np.sum(_GH_WEIGHTS * fn(math.sqrt(2.0) * _GH_NODES)) / math.sqrt(math.pi))
 
 
-def _march_initial_values(terminal_rows, g, grid):
-    """Backward unit-viscosity PDE for a stack of terminals; values at (0, 0)."""
-    row0, _ = march_backward(terminal_rows, g, 1.0, grid)
-    return np.interp(0.0, grid.x, row0) if row0.ndim == 1 else np.array(
-        [np.interp(0.0, grid.x, r) for r in row0]
-    )
+def _check_phi_bounds(F: MeanFieldFunctional, grid: GridSpec):
+    """Reject phi_bounds that miss a value of phi on the grid: the stage
+    interpolation and the c grid would clamp it without a word."""
+    lo, hi = F.phi_bounds
+    vals = np.asarray(F.phi(grid.x), dtype=float)
+    if not (lo <= vals.min() and vals.max() <= hi):
+        raise ValueError(f"phi_bounds [{lo:g}, {hi:g}] do not contain the values of phi "
+                         f"on the grid, [{vals.min():g}, {vals.max():g}]")
 
 
 def apply_L(slice_fn: Callable, g: gen.GeneratorSpec, grid: GridSpec, s_grid):
     """One collapsed elimination pass: s -> PDE value of x -> slice(x, s).
 
     For each accumulator node s the unit-time backward PDE with terminal
-    x -> slice_fn(x, s) is solved at viscosity 1 and read at (0, 0).
+    x -> slice_fn(x, s) is solved at viscosity 1 and read at (0, 0); all
+    nodes share one march.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    x = grid.x
-    terminals = np.asarray(slice_fn(x[None, :], s_grid[:, None]), dtype=float)
-    return _march_initial_values(terminals, g, grid)
+    terminals = np.asarray(slice_fn(grid.x[None, :], s_grid[:, None]), dtype=float)
+    row0, _ = march_backward(terminals, g, 1.0, grid)
+    return grid.read(row0, 0.0)
 
 
 def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to):
@@ -86,31 +92,22 @@ def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to):
 
     Stage k holds the value given the first k blocks, as a function of the
     accumulated sum of phi over those blocks.  Stage n is the exact terminal
-    n Phi(s / n); each earlier stage is one collapsed PDE pass.
+    n Phi(s / n); each earlier stage is one collapsed PDE pass over the slice
+    x -> stage_{k+1}(s + phi(x)), which interpolates the stage before.
     """
+    _check_phi_bounds(F, grid)
     lo, hi = F.phi_bounds
     phi = F.phi
+    pad = 1e-9 * max(1.0, abs(hi - lo))
 
-    def s_grid_for(k):
-        if k == 0:
-            return np.zeros(1)
-        pad = 1e-9 * max(1.0, abs(hi - lo))
-        return np.linspace(k * lo - pad, k * hi + pad, s_points)
+    def stage(x, s):  # the slice of the exact stage n
+        return n * np.asarray(F.Phi((s + phi(x)) / n), dtype=float)
 
-    prev_grid = None
-    prev_vals = None
     for k in range(n - 1, down_to - 1, -1):
-        sk = s_grid_for(k)
-        x = grid.x
-        if prev_vals is None:
-            # terminal stage: exact closed form n Phi((s + phi(x)) / n)
-            terminals = n * np.asarray(F.Phi((sk[:, None] + phi(x)[None, :]) / n), dtype=float)
-        else:
-            args = sk[:, None] + phi(x)[None, :]
-            terminals = np.interp(args, prev_grid, prev_vals)
-        prev_vals = np.asarray(_march_initial_values(terminals, g, grid), dtype=float)
-        prev_grid = sk
-    return prev_grid, prev_vals
+        s_grid = np.zeros(1) if k == 0 else np.linspace(k * lo - pad, k * hi + pad, s_points)
+        vals = apply_L(stage, g, grid, s_grid)
+        stage = lambda x, s, s_grid=s_grid, vals=vals: np.interp(s + phi(x), s_grid, vals)
+    return s_grid, vals
 
 
 def iterate_L_partial(F: MeanFieldFunctional, g, n: int, k: int, grid: GridSpec,
@@ -141,14 +138,12 @@ def iterate_L(F: MeanFieldFunctional, g, n: int, grid: GridSpec, *,
 def scalar_transport_cost(g, phi: Callable, c_grid, lambda_grid, grid: GridSpec):
     """C(c): cheapest drift cost producing terminal statistic <phi, law> = c.
 
-    Computed as the conjugate of lambda -> value(lambda phi), one batched
-    unit-viscosity PDE solve for all lambda.
+    Computed as the conjugate of lambda -> rho(lambda) = value(lambda phi),
+    one collapsed pass over the slices x -> lambda phi(x).
     """
     lam = np.asarray(lambda_grid, dtype=float)
     c = np.asarray(c_grid, dtype=float)
-    x = grid.x
-    terminals = lam[:, None] * np.asarray(phi(x), dtype=float)[None, :]
-    rho = np.asarray(_march_initial_values(terminals, g, grid), dtype=float)
+    rho = apply_L(lambda x, s: s * np.asarray(phi(x), dtype=float), g, grid, lam)
     return np.max(lam[None, :] * c[:, None] - rho[None, :], axis=1)
 
 
@@ -161,12 +156,21 @@ def _trimmed_c_grid(F: MeanFieldFunctional, c_grid):
     return c
 
 
+def _scalar_limit(F: MeanFieldFunctional, g, c_grid, lambda_grid, grid: GridSpec,
+                  t=0.0, m=0.0) -> float:
+    """sup_c Phi(t m + (1-t) c) - (1-t) C(c): the limit with a share t of
+    the blocks frozen at statistic m."""
+    _check_phi_bounds(F, grid)
+    c = _trimmed_c_grid(F, c_grid)
+    cost = scalar_transport_cost(g, F.phi, c, lambda_grid, grid)
+    mixed = np.asarray(F.Phi(t * m + (1.0 - t) * c), dtype=float)
+    return float(np.max(mixed - (1.0 - t) * cost))
+
+
 def mean_field_limit(F: MeanFieldFunctional, g, c_grid, lambda_grid,
                      grid: GridSpec) -> float:
     """Limit value sup_c ( Phi(c) - C(c) ) of the n-block pre-limits."""
-    c = _trimmed_c_grid(F, c_grid)
-    cost = scalar_transport_cost(g, F.phi, c, lambda_grid, grid)
-    return float(np.max(np.asarray(F.Phi(c), dtype=float) - cost))
+    return _scalar_limit(F, g, c_grid, lambda_grid, grid)
 
 
 def conditional_sanov_limit(t: float, F: MeanFieldFunctional, g, c_grid,
@@ -181,7 +185,4 @@ def conditional_sanov_limit(t: float, F: MeanFieldFunctional, g, c_grid,
     m_p = gauss_mean(F.phi)
     if t >= 1.0:
         return float(F.Phi(m_p))
-    c = _trimmed_c_grid(F, c_grid)
-    cost = scalar_transport_cost(g, F.phi, c, lambda_grid, grid)
-    mixed = np.asarray(F.Phi(t * m_p + (1.0 - t) * c), dtype=float)
-    return float(np.max(mixed - (1.0 - t) * cost))
+    return _scalar_limit(F, g, c_grid, lambda_grid, grid, t, m_p)

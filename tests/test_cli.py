@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
-from driftlab import cli, montecarlo
+from driftlab import cli, montecarlo, pde, sanov
 from driftlab.cli import main
 
 
@@ -81,6 +81,8 @@ SMALL_GIRSANOV = dict(MC_CONFIG, estimator="girsanov", paths=2_000,
 SMALL_ORACLE = {"generator": {"variant": "quadratic", "c": 1.0},
                 "terminal": {"kind": "gaussian_bump", "center": 1.0},
                 "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 41}}
+
+MODULATED = {"variant": "modulated", "base": {"variant": "quadratic"}, "weights": [1.0, 2.0]}
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -366,13 +368,24 @@ class TestRun:
         (dict(SMALL_PDE_SWEEP, n_list=[]), "'n_list'"),
         (dict(SMALL_SANOV, n_list=[]), "'n_list'"),
         (dict(SMALL_SANOV, phi_bounds=[1.0, -1.0]), "'phi_bounds'"),
+        (dict(SMALL_SANOV, phi_bounds=[-0.2, 0.2]), "phi_bounds"),
+        (dict(SMALL_SANOV, n_list=[1, 20], cap=16), "'cap'"),
+        (dict(SMALL_PDE_SWEEP, generator=MODULATED), "'generator' in pde-sweep"),
+        (dict(SMALL_TRANSPORT, generator=MODULATED), "'generator' in schrodinger-sweep"),
+        (dict(SMALL_PDE_SWEEP, grid=dict(SMALL_PDE_SWEEP["grid"], x_min=1.0, x_max=5.0)),
+         "'x_min' in grid"),
+        (dict(SMALL_SANOV, grid=dict(SMALL_SANOV["grid"], x_min=1.0)), "'x_min' in grid"),
+        (dict(MC_CONFIG, paths=2_000, oracle=dict(SMALL_ORACLE, grid=dict(
+            SMALL_ORACLE["grid"], x_min=2.0, x_max=6.0))), "'x_min' in oracle.grid"),
     ], ids=["n-time-zero", "n-time-negative", "n-time-fraction", "eps-negative",
             "eps-zero-mollified", "mollified-string", "y-step-zero", "y-step-negative",
             "y-step-tiny", "nx-fraction", "nt-zero", "x-min-string", "x-max-string",
             "width-string", "pde-n-zero", "lambda-points-zero", "lambda-min-string",
             "lambda-max-string", "c-points-zero", "cap-string", "s-points-string",
             "sanov-n-fraction", "eps-list-empty", "pde-n-list-empty", "sanov-n-list-empty",
-            "phi-bounds-reversed"])
+            "phi-bounds-reversed", "phi-bounds-miss-phi", "n-above-cap", "pde-modulated",
+            "transport-modulated", "pde-grid-off-origin", "sanov-grid-off-origin",
+            "oracle-grid-off-origin"])
     def test_bad_sweep_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
         cfg = write_config(tmp_path, "cfg.yaml", config)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
@@ -698,6 +711,37 @@ class TestTracedBenchmarkPass:
             assert code == 0, label
             problems, _, rows = checks[label]((tmp_path / label / "report.csv").read_text())
             assert not problems and rows, (label, problems)
+
+
+def test_sanov_chain_marches_once_per_stage_and_once_for_the_limit(tmp_path, monkeypatch):
+    """On the benchmark's sanov-chain config, iterate_L for n marches n times
+    and mean_field_limit once: a second march path fails here before it
+    reaches the benchmark."""
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    (label, cfg), = workloads.WORKLOADS["sanov-chain"].configs(1)
+    marches = []
+    march = pde.march_backward
+
+    def counted_march(*args, **kwargs):
+        marches.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "march_backward", counted_march)
+    monkeypatch.setattr(sanov, "march_backward", counted_march)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            before = len(marches)
+            out = fn(*args, **kwargs)
+            calls.append((fn.__name__, len(marches) - before))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(cli, "iterate_L", counted(sanov.iterate_L))
+    monkeypatch.setattr(cli, "mean_field_limit", counted(sanov.mean_field_limit))
+    assert cli.run(copy.deepcopy(cfg), tmp_path / label, source=label) == 0
+    assert calls == [("mean_field_limit", 1)] + [("iterate_L", n) for n in workloads.SC_N]
 
 
 def _driftlab_object(node, aliases):

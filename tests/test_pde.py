@@ -18,7 +18,6 @@ from driftlab.generators import (
     eval_gstar_halfline,
 )
 from driftlab.pde import (
-    CflError,
     GridSpec,
     hopf_lax,
     march_backward,
@@ -35,6 +34,31 @@ QUAD = Quadratic(1.0)
 
 def gaussian_bump(x):
     return np.exp(-((np.asarray(x, dtype=float) - 1.0) ** 2))
+
+
+class TestGridRead:
+    GRID = GridSpec(-3.0, 5.0, 41, 1)
+
+    @pytest.mark.parametrize("point", [0.0, -3.0, 5.0, 0.3, 1.1e-3, 1.6])
+    def test_stack_matches_per_row_interp(self, point):
+        rows = np.random.default_rng(7).standard_normal((6, self.GRID.nx))
+        got = self.GRID.read(rows, point)
+        want = np.array([np.interp(point, self.GRID.x, row) for row in rows])
+        assert got.shape == (6,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_points_match_interp(self):
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal(self.GRID.nx)
+        points = np.concatenate([self.GRID.x, rng.uniform(-3.0, 5.0, 200)])
+        got = self.GRID.read(values, points)
+        assert got.tobytes() == np.interp(points, self.GRID.x, values).tobytes()
+
+    @pytest.mark.parametrize("point", [-3.0 - 1e-9, 5.5, math.nan, [0.0, 6.0]],
+                             ids=["below", "above", "nan", "one-of-two-above"])
+    def test_point_outside_grid_raises(self, point):
+        with pytest.raises(ValueError, match="outside the solver grid"):
+            self.GRID.read(np.zeros((2, self.GRID.nx)), point)
 
 
 class TestSolveSemilinear:
@@ -57,14 +81,18 @@ class TestSolveSemilinear:
         assert fld.values.shape == (grid.nx,)
         np.testing.assert_array_equal(fld.values[[0, -1]], gaussian_bump(grid.x)[[0, -1]])
 
-    def test_cfl_violation_reports_minimal_nt(self):
-        grid = GridSpec(-8.0, 8.0, 321, 5)
-        with pytest.raises(CflError) as err:
-            solve_semilinear(gaussian_bump, QUAD, 1.0, grid, strict_nt=True)
-        minimal = err.value.minimal_nt
-        assert minimal > 5
-        # the advertised minimal step count is accepted
-        solve_semilinear(gaussian_bump, QUAD, 1.0, grid.with_nt(minimal), strict_nt=True)
+    def test_step_count_raised_to_stable_count_and_kept_above_it(self):
+        raised = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 321, 5)).cfl
+        assert raised["nt"] == raised["minimal_nt"] > 5
+        above = raised["minimal_nt"] + 7
+        kept = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 321, above)).cfl
+        assert kept["nt"] == above and kept["minimal_nt"] == raised["minimal_nt"]
+
+    def test_value_off_the_grid_raises(self):
+        fld = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(1.0, 5.0, 41, 1))
+        assert fld.value(1.0) == fld.values[0]
+        with pytest.raises(ValueError, match="outside the solver grid"):
+            fld.initial_value_at_origin
 
     def test_rejects_unbounded_terminal(self):
         grid = GridSpec(-2.0, 2.0, 51, 1)
@@ -89,14 +117,6 @@ class TestSolveSemilinear:
         base = solve_semilinear(gaussian_bump, QUAD, 1.0, grid)
         shifted = solve_semilinear(lambda x: gaussian_bump(x) + 2.5, QUAD, 1.0, grid)
         np.testing.assert_allclose(shifted.values, base.values + 2.5, atol=1e-12)
-
-    def test_grid_refinement_within_estimate(self):
-        coarse = solve_semilinear(
-            gaussian_bump, QUAD, 0.5, GridSpec(-8.0, 8.0, 321, 1), estimate_error=True
-        )
-        fine = solve_semilinear(gaussian_bump, QUAD, 0.5, GridSpec(-8.0, 8.0, 641, 1))
-        change = abs(coarse.initial_value_at_origin - fine.initial_value_at_origin)
-        assert change < coarse.discretization_estimate
 
     def test_stable_nt_satisfies_hyperbolic_bound(self):
         grid = GridSpec(-4.0, 4.0, 201, 1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from driftlab import sanov
 from driftlab.generators import Quadratic
 from driftlab.montecarlo import FeedbackControl, PathBatch, girsanov_lower_bound
 from driftlab.pde import GridSpec, solve_semilinear
@@ -79,6 +80,23 @@ class TestIterateL:
         for n in (2, 4, 8):
             gaps.append(abs(iterate_L(F_SQUARE, QUAD, n, GRID) - limit))
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+class TestPhiBounds:
+    @pytest.mark.parametrize("solve", [
+        lambda F: iterate_L(F, QUAD, 2, GRID),
+        lambda F: mean_field_limit(F, QUAD, C_GRID, LAM_GRID, GRID),
+    ], ids=["iterate", "limit"])
+    def test_bounds_missing_phi_values_rejected_before_any_march(self, monkeypatch, solve):
+        # tanh reaches 0.99998 on GRID; interpolation would clamp it to 0.2
+        F = MeanFieldFunctional(phi=np.tanh, Phi=F_SQUARE.Phi, phi_bounds=(-0.2, 0.2))
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched")
+
+        monkeypatch.setattr(sanov, "march_backward", no_march)
+        with pytest.raises(ValueError, match="phi_bounds"):
+            solve(F)
 
 
 class TestMeanFieldLimit:
