@@ -1,5 +1,6 @@
 """Command-line entry point: wire config files to experiments, emit report
-CSVs plus a JSON manifest that echoes every resolved setting.
+CSVs plus a JSON manifest that echoes every value a run used, the defaults
+the config readers applied included.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-convergence), 4 declared infeasibility.
@@ -8,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -64,38 +66,30 @@ EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
 
 
-def _resolve(cfg: dict, defaults: dict) -> dict:
-    out = dict(defaults)
-    out.update({k: v for k, v in cfg.items() if v is not None})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Runners (config -> CSV text, manifest extras, exit code, aux files)
 # ---------------------------------------------------------------------------
 
 def _run_pde_sweep(cfg):
-    resolved = _resolve(cfg, {"y_step": 1e-5, "n_list": [1, 2, 4, 8, 16, 32, 64]})
-    g = time_independent_generator(resolved, "generator", "pde-sweep")
-    f = build_scalar_function(require(resolved, "terminal", "pde-sweep"), "terminal")
-    grid = build_grid(require(resolved, "grid", "pde-sweep"))
+    g = time_independent_generator(cfg, "generator", "pde-sweep")
+    f = build_scalar_function(cfg, "terminal", "pde-sweep")
+    grid = build_grid(require(cfg, "grid", "pde-sweep"))
+    n_list = integer_list(cfg, "n_list", 1, "pde-sweep", default=[1, 2, 4, 8, 16, 32, 64])
     report = vanishing_viscosity_sweep(
-        f, g, integer_list(resolved, "n_list", 1, "pde-sweep"), grid,
-        y_step=positive_number(resolved, "y_step", "pde-sweep")
+        f, g, n_list, grid, y_step=positive_number(cfg, "y_step", "pde-sweep", default=1e-5)
     )
     csv_text = report.to_csv(header_names=("n", "u_n", "limit", "gap"))
-    return resolved, csv_text, report.meta, EXIT_OK, {}
+    return csv_text, report.meta, EXIT_OK, {}
 
 
 def _run_schilder(cfg):
-    resolved = _resolve(cfg, {"knots": 17, "restarts": 8, "max_iter": 400})
-    seed = integer_at_least(resolved, "seed", 0, "schilder")
-    g = build_generator(require(resolved, "generator", "schilder"))
-    F = build_functional(require(resolved, "functional", "schilder"))
+    seed = integer_at_least(cfg, "seed", 0, "schilder")
+    g = build_generator(require(cfg, "generator", "schilder"))
+    F = build_functional(require(cfg, "functional", "schilder"))
     res = maximize_schilder(
-        F, g, m=integer_at_least(resolved, "knots", 2, "schilder"),
-        restarts=integer_at_least(resolved, "restarts", 1, "schilder"), seed=seed,
-        max_iter=integer_at_least(resolved, "max_iter", 1, "schilder"),
+        F, g, m=integer_at_least(cfg, "knots", 2, "schilder", default=17),
+        restarts=integer_at_least(cfg, "restarts", 1, "schilder", default=8), seed=seed,
+        max_iter=integer_at_least(cfg, "max_iter", 1, "schilder", default=400),
     )
     path_csv = csv_body(("t", "value"), list(zip(res.path.times, res.path.values)))
     result = {
@@ -106,31 +100,33 @@ def _run_schilder(cfg):
     }
     csv_text = csv_body(("quantity", "value"), [("best_value", res.value)])
     code = EXIT_OK if res.converged else EXIT_NUMERICAL
-    return resolved, csv_text, result, code, {"path.csv": path_csv,
-                                              "result.json": json.dumps(result, indent=2)}
+    return csv_text, result, code, {"path.csv": path_csv,
+                                    "result.json": json.dumps(result, indent=2)}
 
 
 def _run_sanov_iterate(cfg):
-    resolved = _resolve(cfg, {
-        "n_list": [1, 2, 4, 8],
-        "c_points": 401,
-        "lambda_min": -6.0, "lambda_max": 6.0, "lambda_points": 241,
-        "s_points": None, "cap": 16,
-    })
-    g = build_generator(require(resolved, "generator", "sanov-iterate"))
-    phi = build_scalar_function(require(resolved, "phi", "sanov-iterate"), "phi")
-    Phi = build_scalar_function(require(resolved, "Phi", "sanov-iterate"), "Phi")
-    lo, hi = number_pair(resolved, "phi_bounds", "sanov-iterate")
+    g = build_generator(require(cfg, "generator", "sanov-iterate"))
+    phi = build_scalar_function(cfg, "phi", "sanov-iterate")
+    Phi = build_scalar_function(cfg, "Phi", "sanov-iterate")
+    lo, hi = number_pair(cfg, "phi_bounds", "sanov-iterate")
     F = MeanFieldFunctional(phi=phi, Phi=Phi, phi_bounds=(lo, hi))
-    grid = build_grid(require(resolved, "grid", "sanov-iterate"))
-    c_grid = np.linspace(lo, hi, integer_at_least(resolved, "c_points", 2, "sanov-iterate"))
-    lam_grid = np.linspace(number(resolved, "lambda_min", "sanov-iterate"),
-                           number(resolved, "lambda_max", "sanov-iterate"),
-                           integer_at_least(resolved, "lambda_points", 2, "sanov-iterate"))
-    n_list = integer_list(resolved, "n_list", 1, "sanov-iterate")
-    s_points = (None if resolved["s_points"] is None
-                else integer_at_least(resolved, "s_points", 2, "sanov-iterate"))
-    cap = integer_at_least(resolved, "cap", 1, "sanov-iterate")
+    grid = build_grid(require(cfg, "grid", "sanov-iterate"))
+    c_grid = np.linspace(lo, hi, integer_at_least(cfg, "c_points", 2, "sanov-iterate",
+                                                  default=401))
+    lam_min = number(cfg, "lambda_min", "sanov-iterate", default=-6.0)
+    lam_max = number(cfg, "lambda_max", "sanov-iterate", default=6.0)
+    # a window without lambda = 0 lets the grid conjugate C(c) fall far below the cost
+    if not lam_min < 0.0 < lam_max:
+        key = "lambda_min" if lam_min >= 0.0 else "lambda_max"
+        raise ConfigError(f"key '{key}' in sanov-iterate must leave 0 inside the window "
+                          f"(lambda_min < 0 < lambda_max), got [{lam_min:g}, {lam_max:g}]")
+    lam_grid = np.linspace(lam_min, lam_max, integer_at_least(
+        cfg, "lambda_points", 2, "sanov-iterate", default=241))
+    n_list = integer_list(cfg, "n_list", 1, "sanov-iterate", default=[1, 2, 4, 8])
+    # absent, the stage count is derived from the grid
+    s_points = (None if cfg.get("s_points") is None
+                else integer_at_least(cfg, "s_points", 2, "sanov-iterate"))
+    cap = integer_at_least(cfg, "cap", 1, "sanov-iterate", default=16)
     if max(n_list) > cap:
         raise ConfigError(f"key 'n_list' in sanov-iterate must have no entry above key "
                           f"'cap' ({cap}), got n={max(n_list)}")
@@ -140,23 +136,22 @@ def _run_sanov_iterate(cfg):
         val = iterate_L(F, g, n, grid, s_points=s_points, cap=cap)
         rows.append((n, val, limit, abs(val - limit)))
     csv_text = csv_body(("n", "prelimit", "limit", "gap"), rows)
-    return resolved, csv_text, {"limit": limit}, EXIT_OK, {}
+    return csv_text, {"limit": limit}, EXIT_OK, {}
 
 
 def _run_schrodinger_sweep(cfg):
-    resolved = _resolve(cfg, {"mollified": True, "n_time": 32})
-    g = time_independent_generator(resolved, "generator", "schrodinger-sweep")
-    mu = build_measure(require(resolved, "mu", "schrodinger-sweep"), "mu")
-    nu = build_measure(require(resolved, "nu", "schrodinger-sweep"), "nu")
-    mollified = boolean(resolved, "mollified", "schrodinger-sweep")
+    g = time_independent_generator(cfg, "generator", "schrodinger-sweep")
+    mu = build_measure(require(cfg, "mu", "schrodinger-sweep"), "mu")
+    nu = build_measure(require(cfg, "nu", "schrodinger-sweep"), "nu")
+    mollified = boolean(cfg, "mollified", "schrodinger-sweep", default=True)
     # an unmollified sweep may reach eps = 0, the transport problem itself
-    eps_list = positive_list(resolved, "eps_list", "schrodinger-sweep", allow_zero=not mollified)
+    eps_list = positive_list(cfg, "eps_list", "schrodinger-sweep", allow_zero=not mollified)
     report = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified,
-                               n_time=integer_at_least(resolved, "n_time", 1,
-                                                       "schrodinger-sweep"))
+                               n_time=integer_at_least(cfg, "n_time", 1, "schrodinger-sweep",
+                                                       default=32))
     csv_text = report.to_csv(("eps", "value", "ot", "gap"))
     infeasible = any(r.aux.get("feasible", 1.0) == 0.0 for r in report.rows)
-    return resolved, csv_text, report.meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
+    return csv_text, report.meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
 
 
 def _build_control(section):
@@ -174,33 +169,29 @@ def _oracle(section):
     """The PDE value at the origin that an ``oracle`` section describes, as a
     function to call once the estimate is in."""
     g = build_generator(require(section, "generator", "oracle"), "oracle.generator")
-    f = build_scalar_function(require(section, "terminal", "oracle"), "oracle.terminal")
+    f = build_scalar_function(section, "terminal", "oracle")
     grid = build_grid(require(section, "grid", "oracle"), "oracle.grid")
     viscosity = positive_number(section, "viscosity", "oracle", default=1.0)
     return lambda: solve_semilinear(f, g, viscosity, grid).initial_value_at_origin
 
 
-def _path_batch(resolved, seed, context):
-    return PathBatch(n_steps=integer_at_least(resolved, "steps", 1, context),
-                     n_paths=integer_at_least(resolved, "paths", 1, context), seed=seed)
-
-
 def _run_mc_estimate(cfg):
-    resolved = _resolve(cfg, {"n": 1, "paths": 1_000_000, "steps": 8, "oracle": None})
-    seed = integer_at_least(resolved, "seed", 0, "mc-estimate")
-    estimator = choice(resolved, "estimator", ("log-mean-exp", "cramer", "girsanov"),
+    seed = integer_at_least(cfg, "seed", 0, "mc-estimate")
+    estimator = choice(cfg, "estimator", ("log-mean-exp", "cramer", "girsanov"),
                        "mc-estimate")
-    F = build_functional(require(resolved, "functional", "mc-estimate"))
-    n = positive_number(resolved, "n", "mc-estimate")
-    batch = _path_batch(resolved, seed, "mc-estimate")
-    oracle = _oracle(resolved["oracle"]) if resolved["oracle"] else None
+    F = build_functional(require(cfg, "functional", "mc-estimate"))
+    n = positive_number(cfg, "n", "mc-estimate", default=1)
+    batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, "mc-estimate", default=8),
+                      n_paths=integer_at_least(cfg, "paths", 1, "mc-estimate",
+                                               default=1_000_000), seed=seed)
+    oracle = _oracle(cfg["oracle"]) if cfg.get("oracle") else None
     if estimator == "log-mean-exp":
         est, se = log_mean_exp(F, n, batch)
     elif estimator == "cramer":
-        est, se = cramer_average(F, integer_at_least(resolved, "n", 1, "mc-estimate"), batch)
+        est, se = cramer_average(F, integer_at_least(cfg, "n", 1, "mc-estimate"), batch)
     else:
-        g = build_generator(require(resolved, "generator", "mc-estimate"))
-        control = _build_control(require(resolved, "control", "mc-estimate"))
+        g = build_generator(require(cfg, "generator", "mc-estimate"))
+        control = _build_control(require(cfg, "control", "mc-estimate"))
         est, se = girsanov_lower_bound(F, g, control, batch)
     value = gap = float("nan")
     if oracle is not None:
@@ -208,19 +199,19 @@ def _run_mc_estimate(cfg):
         gap = abs(est - value)
     rows = [(estimator, n, est, se, value, gap)]
     csv_text = csv_body(("estimator", "n", "estimate", "se", "oracle", "gap"), rows)
-    return resolved, csv_text, {}, EXIT_OK, {}
+    return csv_text, {}, EXIT_OK, {}
 
 
 def _run_bsde_lsmc(cfg):
     """One row per n; ``extras["solves"]`` records each regression ladder."""
-    resolved = _resolve(cfg, {"n_list": [1], "steps": 50, "paths": 100_000,
-                              "basis_size": 35})
-    seed = integer_at_least(resolved, "seed", 0, "bsde-lsmc")
-    g = build_generator(require(resolved, "generator", "bsde-lsmc"))
-    F = build_functional(require(resolved, "functional", "bsde-lsmc"))
-    n_list = positive_list(resolved, "n_list", "bsde-lsmc")
-    basis_size = integer_at_least(resolved, "basis_size", 2, "bsde-lsmc")
-    batch = _path_batch(resolved, seed, "bsde-lsmc")
+    seed = integer_at_least(cfg, "seed", 0, "bsde-lsmc")
+    g = build_generator(require(cfg, "generator", "bsde-lsmc"))
+    F = build_functional(require(cfg, "functional", "bsde-lsmc"))
+    n_list = positive_list(cfg, "n_list", "bsde-lsmc", default=[1])
+    basis_size = integer_at_least(cfg, "basis_size", 2, "bsde-lsmc", default=35)
+    batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, "bsde-lsmc", default=50),
+                      n_paths=integer_at_least(cfg, "paths", 1, "bsde-lsmc", default=100_000),
+                      seed=seed)
     rows, solves = [], []
     for n in n_list:
         started = time.perf_counter()
@@ -238,37 +229,37 @@ def _run_bsde_lsmc(cfg):
         })
         rows.append((n, sol.y0, sol.terminal_residual, float(sol.degree_fallbacks)))
     csv_text = csv_body(("n", "y0", "terminal_residual", "basis_fallbacks"), rows)
-    return resolved, csv_text, {"solves": solves}, EXIT_OK, {}
+    return csv_text, {"solves": solves}, EXIT_OK, {}
 
 
 def _run_ti_check(cfg):
-    resolved = dict(cfg)
-    g = build_generator(require(resolved, "generator", "ti-check"))
+    g = build_generator(require(cfg, "generator", "ti-check"))
     report = gen.check_ti(g)
     rows = [
         (name, float(ok), detail.replace(",", ";"))
         for name, (ok, detail) in report.clauses.items()
     ]
     csv_text = csv_body(("clause", "passed", "detail"), rows)
-    return resolved, csv_text, {"all_passed": report.passed}, EXIT_OK, {}
+    return csv_text, {"all_passed": report.passed}, EXIT_OK, {}
 
 
 def _run_bridge_check(cfg):
-    resolved = _resolve(cfg, {"x": 0.0, "y": 1.0, "epsilon": 0.01, "delta": 1.0,
-                              "r": 1.5, "steps": 512, "paths": 100_000})
-    seed = integer_at_least(resolved, "seed", 0, "bridge-check")
-    batch = _path_batch(resolved, seed, "bridge-check")
-    r = number(resolved, "r", "bridge-check")
+    seed = integer_at_least(cfg, "seed", 0, "bridge-check")
+    batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, "bridge-check", default=512),
+                      n_paths=integer_at_least(cfg, "paths", 1, "bridge-check",
+                                               default=100_000), seed=seed)
+    r = number(cfg, "r", "bridge-check", default=1.5)
     chk = bridge_moment_check(
-        number(resolved, "x", "bridge-check"), number(resolved, "y", "bridge-check"),
-        number_at_least(resolved, "epsilon", 0.0, "bridge-check"),
-        positive_number(resolved, "delta", "bridge-check"), r, batch,
+        number(cfg, "x", "bridge-check", default=0.0),
+        number(cfg, "y", "bridge-check", default=1.0),
+        number_at_least(cfg, "epsilon", 0.0, "bridge-check", default=0.01),
+        positive_number(cfg, "delta", "bridge-check", default=1.0), r, batch,
     )
     rows = [(r, chk.empirical, chk.standard_error, chk.bound,
              chk.constant, float(chk.empirical <= chk.bound))]
     csv_text = csv_body(("r", "empirical", "se", "bound", "constant", "within_bound"), rows)
     code = EXIT_OK if chk.empirical <= chk.bound else EXIT_NUMERICAL
-    return resolved, csv_text, {}, code, {}
+    return csv_text, {}, code, {}
 
 
 _RUNNERS = {
@@ -284,12 +275,15 @@ _RUNNERS = {
 
 
 def run(cfg: dict, out_dir, source: str = "<config>") -> int:
-    """Execute one experiment config; write report.csv and manifest.json."""
+    """Execute one experiment config; write report.csv and manifest.json.
+    The runner reads a deep copy of ``cfg``, into which the config readers
+    write each default they apply; the manifest echoes and hashes the copy."""
     started = time.time()
     out = Path(out_dir)
+    cfg = copy.deepcopy(cfg)
     try:
         kind = choice(cfg, "kind", _RUNNERS)
-        resolved, csv_text, extras, code, aux = _RUNNERS[kind](cfg)
+        csv_text, extras, code, aux = _RUNNERS[kind](cfg)
     except ValueError as err:  # a ConfigError, or a solver rejecting its input
         print(f"{source}: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -301,10 +295,10 @@ def run(cfg: dict, out_dir, source: str = "<config>") -> int:
     (out / "report.csv").write_text(csv_text)
     for name, text in aux.items():
         (out / name).write_text(text)
-    canonical = json.dumps(resolved, sort_keys=True, default=str)
+    canonical = json.dumps(cfg, sort_keys=True, default=str)
     manifest = {
         "kind": kind,
-        "config": resolved,
+        "config": cfg,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "versions": {
             "driftlab": __version__,

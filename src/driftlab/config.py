@@ -9,6 +9,10 @@ be finite, while a list, which may not be empty, leaves finiteness to its
 consumer (a functional's bounds may be infinite, and a measure names its own
 non-finite entries).
 
+A reader's ``default=`` is the one place a default lives: a reader that
+applies one writes it into ``cfg[key]``, so the config a run reads ends up
+holding every value the run used, which the CLI's manifest echoes.
+
 Scalar functions (terminal data, test functions, outer nonlinearities) come
 from a small named registry so that configs stay declarative and runs stay
 reproducible.
@@ -84,12 +88,11 @@ _REQUIRED = object()
 
 
 def _read(cfg, key, context, default, what, valid):
-    """``cfg[key]`` (or ``default`` when it is absent or null and a default is
-    given), checked by ``valid``; ``what`` describes a valid value."""
+    """``cfg[key]``, checked by ``valid`` (``what`` describes a valid value);
+    an absent or null key is first set to ``default`` when one is given."""
     if default is not _REQUIRED and isinstance(cfg, dict) and cfg.get(key) is None:
-        value = default
-    else:
-        value = require(cfg, key, context)
+        cfg[key] = default
+    value = require(cfg, key, context)
     if not valid(value):
         raise ConfigError(f"key '{key}' in {context} must be {what}, got {value!r}")
     return value
@@ -107,10 +110,10 @@ def _is_integer(value):
     return _is_finite(value) and float(value).is_integer()
 
 
-def _read_list(cfg, key, context, what, item):
+def _read_list(cfg, key, context, what, item, default=_REQUIRED):
     """``cfg[key]``, a non-empty list of items that pass ``item``; ``what``
     describes an item."""
-    return _read(cfg, key, context, _REQUIRED, f"a non-empty list of {what}",
+    return _read(cfg, key, context, default, f"a non-empty list of {what}",
                  lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(item(x) for x in v))
 
 
@@ -120,8 +123,8 @@ def choice(cfg: dict, key: str, choices, context: str = "config", *, default=_RE
                  lambda v: isinstance(v, str) and v in choices)
 
 
-def boolean(cfg: dict, key: str, context: str = "config") -> bool:
-    return _read(cfg, key, context, _REQUIRED, "true or false", lambda v: isinstance(v, bool))
+def boolean(cfg: dict, key: str, context: str = "config", *, default=_REQUIRED) -> bool:
+    return _read(cfg, key, context, default, "true or false", lambda v: isinstance(v, bool))
 
 
 def number(cfg: dict, key: str, context: str = "config", *, default=_REQUIRED) -> float:
@@ -136,9 +139,10 @@ def positive_number(cfg: dict, key: str, context: str = "config", *,
                        lambda v: _is_finite(v) and v > 0))
 
 
-def number_at_least(cfg: dict, key: str, minimum: float, context: str = "config") -> float:
+def number_at_least(cfg: dict, key: str, minimum: float, context: str = "config", *,
+                    default=_REQUIRED) -> float:
     """``cfg[key]`` as a finite float no smaller than ``minimum``."""
-    return float(_read(cfg, key, context, _REQUIRED, f"a finite number >= {minimum:g}",
+    return float(_read(cfg, key, context, default, f"a finite number >= {minimum:g}",
                        lambda v: _is_finite(v) and v >= minimum))
 
 
@@ -156,17 +160,18 @@ def number_list(cfg: dict, key: str, context: str = "config") -> list:
 
 
 def positive_list(cfg: dict, key: str, context: str = "config", *,
-                  allow_zero: bool = False) -> list:
+                  allow_zero: bool = False, default=_REQUIRED) -> list:
     """``cfg[key]`` as a list of finite floats > 0 (>= 0 with ``allow_zero``)."""
     return [float(v) for v in _read_list(
         cfg, key, context, f"finite numbers {'>=' if allow_zero else '>'} 0",
-        lambda x: _is_finite(x) and (x > 0 or allow_zero and x == 0))]
+        lambda x: _is_finite(x) and (x > 0 or allow_zero and x == 0), default)]
 
 
-def integer_list(cfg: dict, key: str, minimum: int, context: str = "config") -> list:
+def integer_list(cfg: dict, key: str, minimum: int, context: str = "config", *,
+                 default=_REQUIRED) -> list:
     """``cfg[key]`` as a list of integers no smaller than ``minimum``."""
     return [int(v) for v in _read_list(cfg, key, context, f"integers >= {minimum}",
-                                       lambda x: _is_integer(x) and x >= minimum)]
+                                       lambda x: _is_integer(x) and x >= minimum, default)]
 
 
 def number_pair(cfg: dict, key: str, context: str = "config") -> tuple:
@@ -269,12 +274,18 @@ _FUNCTIONS = {
 }
 
 
-def build_scalar_function(section, context="function"):
+def build_scalar_function(cfg: dict, key: str, context: str = "config", *, default=_REQUIRED):
+    """``cfg[key]``, a function given by its name or by a mapping with its
+    ``kind`` and parameters; a name is written back as that mapping, so the
+    two spellings of one function read back alike."""
+    section = _read(cfg, key, context, default, "a function name or a mapping with a 'kind'",
+                    lambda v: isinstance(v, (str, dict)))
     if isinstance(section, str):
-        section = {"kind": section}
+        section = cfg[key] = {"kind": section}
+    context = f"{context}.{key}"
     params, fn = _FUNCTIONS[choice(section, "kind", _FUNCTIONS, context)]
-    values = {name: read(section, name, context, default=default)
-              for name, (read, default) in params.items()}
+    values = {name: read(section, name, context, default=fallback)
+              for name, (read, fallback) in params.items()}
     return lambda x: fn(np.asarray(x, dtype=float), **values)
 
 
@@ -288,18 +299,15 @@ def build_functional(section: dict, context="functional"):
     kind = require(section, "kind", context)
     bounds = _bounds_of(section, context)
     if kind == "terminal":
-        f = build_scalar_function(require(section, "f", context), f"{context}.f")
-        return TerminalValue(f=f, bounds=bounds)
+        return TerminalValue(f=build_scalar_function(section, "f", context), bounds=bounds)
     if kind == "running_max":
-        tr = build_scalar_function(
-            section.get("transform", "clip_below_one"), f"{context}.transform"
-        )
+        tr = build_scalar_function(section, "transform", context, default="clip_below_one")
         return RunningMax(transform=tr, bounds=bounds)
     if kind == "time_integral":
-        h = build_scalar_function(require(section, "h", context), f"{context}.h")
+        h = build_scalar_function(section, "h", context)
         return TimeIntegral(h=lambda t, x: h(x), bounds=bounds)
     if kind == "finite_marginals":
-        f = build_scalar_function(require(section, "f", context), f"{context}.f")
+        f = build_scalar_function(section, "f", context)
         times = tuple(float(t) for t in _read_list(section, "times", context,
                                                    "numbers in [0, 1]",
                                                    lambda t: _is_number(t) and 0 <= t <= 1))

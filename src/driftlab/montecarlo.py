@@ -5,7 +5,7 @@ regression for the scaled BSDE, and Brownian-bridge drift-moment checks.
 
 Paths are generated in fixed-size blocks, each from a generator seeded by
 (seed, block index), so every estimate is bit-reproducible from
-(seed, n_steps, n_paths, volatility), and the streaming estimators keep
+(seed, n_steps, n_paths), and the streaming estimators keep
 memory bounded for million-path batches.
 """
 
@@ -43,15 +43,13 @@ BLOCK_PATHS = 1 << 14
 class PathBatch:
     """Simulation plan for n_paths Brownian paths on [0, 1] with n_steps steps.
 
-    ``volatility`` multiplies the standard paths (it is the square root of
-    the variance scale).  Increments are i.i.d. N(0, dt) and are produced
-    block by block from seeds derived as (seed, block index).
+    Increments are i.i.d. N(0, dt) and are produced block by block from
+    seeds derived as (seed, block index).
     """
 
     n_steps: int
     n_paths: int
     seed: int
-    volatility: float = 1.0
 
     def __post_init__(self):
         if self.n_steps < 1 or self.n_paths < 1:
@@ -86,8 +84,6 @@ class PathBatch:
             paths = np.empty((inc.shape[0], self.n_steps + 1))
             paths[:, 0] = 0.0
             np.cumsum(inc, axis=1, out=paths[:, 1:])
-            if self.volatility != 1.0:
-                paths *= self.volatility
             yield paths
 
     def paths(self):
@@ -244,7 +240,7 @@ def girsanov_lower_bound(
             if not np.all(np.isfinite(step_cost)):
                 raise ValueError("control drifted outside the cost domain")
             cost += step_cost * dt
-            x[:, k + 1] = x[:, k] + q * dt + batch.volatility * inc[:, k]
+            x[:, k + 1] = x[:, k] + q * dt + inc[:, k]
         vals = np.asarray(evaluate_functional(F, times, x), dtype=float) - cost
         acc.add(vals)
     return acc.mean_se()

@@ -130,7 +130,8 @@ def make_state_grid(mu: DiscreteMeasure, nu: DiscreteMeasure, epsilon):
     grid = np.linspace(lo, hi, n)
     for a in np.unique(atoms):
         grid[int(np.argmin(np.abs(grid - a)))] = a
-    return np.unique(grid)
+    # atoms that share a nearest node each keep a node of their own
+    return np.union1d(grid, atoms)
 
 
 def _cell_edges(grid):

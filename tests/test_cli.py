@@ -377,6 +377,9 @@ class TestRun:
         (dict(SMALL_SANOV, grid=dict(SMALL_SANOV["grid"], x_min=1.0)), "'x_min' in grid"),
         (dict(MC_CONFIG, paths=2_000, oracle=dict(SMALL_ORACLE, grid=dict(
             SMALL_ORACLE["grid"], x_min=2.0, x_max=6.0))), "'x_min' in oracle.grid"),
+        (dict(SMALL_SANOV, lambda_min=1.0, lambda_max=1.0), "'lambda_min' in sanov-iterate"),
+        (dict(SMALL_SANOV, lambda_min=0.5, lambda_max=0.6), "'lambda_min' in sanov-iterate"),
+        (dict(SMALL_SANOV, lambda_min=-1.0, lambda_max=0.0), "'lambda_max' in sanov-iterate"),
     ], ids=["n-time-zero", "n-time-negative", "n-time-fraction", "eps-negative",
             "eps-zero-mollified", "mollified-string", "y-step-zero", "y-step-negative",
             "y-step-tiny", "nx-fraction", "nt-zero", "x-min-string", "x-max-string",
@@ -385,7 +388,8 @@ class TestRun:
             "sanov-n-fraction", "eps-list-empty", "pde-n-list-empty", "sanov-n-list-empty",
             "phi-bounds-reversed", "phi-bounds-miss-phi", "n-above-cap", "pde-modulated",
             "transport-modulated", "pde-grid-off-origin", "sanov-grid-off-origin",
-            "oracle-grid-off-origin"])
+            "oracle-grid-off-origin", "lambda-window-at-one", "lambda-window-positive",
+            "lambda-window-negative"])
     def test_bad_sweep_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
         cfg = write_config(tmp_path, "cfg.yaml", config)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
@@ -395,6 +399,14 @@ class TestRun:
     def test_zero_eps_accepted_unmollified(self, tmp_path):
         payload = dict(SMALL_TRANSPORT, generator={"variant": "power", "r": 1.5, "a": 1.0},
                        eps_list=[0.3, 0.0], mollified=False, n_time=4)
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+
+    def test_atoms_sharing_a_nearest_node_run(self, tmp_path):
+        # 1e-4 apart, both atoms of mu snap to one node of the state grid
+        payload = dict(SMALL_TRANSPORT, generator={"variant": "power", "r": 1.5},
+                       mu={"atoms": [0.0, 1.0e-4], "weights": [0.5, 0.5]},
+                       mollified=False, n_time=4)
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 0
 
@@ -581,6 +593,45 @@ class TestRun:
         path_lines = (out / "path.csv").read_text().strip().splitlines()
         assert path_lines[0] == "t,value"
         assert len(path_lines) == 1 + 9
+
+
+class TestManifestEcho:
+    """The manifest echoes the run's copy of the config, into which each
+    reader writes the default it applies."""
+
+    BARE = {"kind": "pde-sweep", "generator": {"variant": "quadratic"},
+            "terminal": "gaussian_bump", "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 41},
+            "n_list": [1, 4], "y_step": 1e-3}
+    SPELLED = dict(BARE, generator={"variant": "quadratic", "c": 1.0},
+                   terminal={"kind": "gaussian_bump", "center": 0.0, "width": 1.0},
+                   grid=dict(BARE["grid"], nt=1, boundary="clampToTerminal"))
+
+    @staticmethod
+    def run(tmp_path, name, payload):
+        """(manifest, report body) of one CLI run."""
+        out = tmp_path / name
+        cfg = write_config(tmp_path, f"{name}.yaml", payload)
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text()), (out / "report.csv").read_text()
+
+    def test_nested_defaults_are_echoed(self, tmp_path):
+        echo = self.run(tmp_path, "bare", self.BARE)[0]["config"]
+        assert echo["grid"]["nt"] == 1
+        assert echo["grid"]["boundary"] == "clampToTerminal"
+        assert echo["generator"]["c"] == 1.0
+        assert echo["terminal"] == {"kind": "gaussian_bump", "center": 0.0, "width": 1.0}
+
+    def test_omitted_and_spelled_out_defaults_hash_alike(self, tmp_path):
+        bare, bare_body = self.run(tmp_path, "bare", self.BARE)
+        spelled, spelled_body = self.run(tmp_path, "spelled", self.SPELLED)
+        assert bare["config"] == spelled["config"]
+        assert bare["config_sha256"] == spelled["config_sha256"]
+        assert bare_body == spelled_body
+
+    def test_run_leaves_the_callers_config_unchanged(self, tmp_path):
+        cfg = copy.deepcopy(self.BARE)
+        assert cli.run(cfg, tmp_path / "o") == 0
+        assert cfg == self.BARE
 
 
 class TestImportGraph:

@@ -40,11 +40,6 @@ class TestPathBatch:
         b = PathBatch(n_steps=16, n_paths=40_000, seed=5).paths()
         np.testing.assert_array_equal(a, b)
 
-    def test_volatility_scales_paths(self):
-        base = PathBatch(n_steps=8, n_paths=100, seed=1).paths()
-        scaled = PathBatch(n_steps=8, n_paths=100, seed=1, volatility=0.5).paths()
-        np.testing.assert_allclose(scaled, 0.5 * base)
-
     def test_increment_moments(self):
         batch = PathBatch(n_steps=4, n_paths=400_000, seed=2)
         inc = np.concatenate(list(batch.iter_increments()), axis=0)

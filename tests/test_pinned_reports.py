@@ -10,6 +10,7 @@ run's ``report.csv`` must equal, byte for byte, the body stored under
 purpose re-records the bodies and says so.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -131,17 +132,36 @@ for name, generator in {
     CONFIGS[f"ti-check-{name}"] = {"kind": "ti-check", "generator": generator}
 
 
-def run_config(tmp_path, payload):
-    """Run one config through the CLI; returns (exit code, report body)."""
-    cfg = tmp_path / "cfg.yaml"
+def run_config(tmp_path, payload, name="out"):
+    """Run one config through the CLI; returns (exit code, report body,
+    manifest)."""
+    cfg = tmp_path / f"{name}.yaml"
     cfg.write_text(yaml.safe_dump(payload))
-    out = tmp_path / "out"
+    out = tmp_path / name
     code = main(["run", "--config", str(cfg), "--output-dir", str(out)])
-    return code, (out / "report.csv").read_text()
+    return (code, (out / "report.csv").read_text(),
+            json.loads((out / "manifest.json").read_text()))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_report_body_is_pinned(tmp_path, name):
-    code, body = run_config(tmp_path, CONFIGS[name])
+    code, body, _ = run_config(tmp_path, CONFIGS[name])
     assert code == 0
     assert body == (PINNED / f"{name}.csv").read_text()
+
+
+# one config of each experiment kind, each leaving some defaults out
+ECHOED = ["pde-sweep-indicator", "schilder-tabulated", "sanov-iterate-quadratic",
+          "schrodinger-sweep-quadratic", "mc-estimate-cramer", "bsde-lsmc-running-max",
+          "ti-check-power", "bridge-check"]
+
+
+@pytest.mark.parametrize("name", ECHOED)
+def test_echoed_config_reruns_alike(tmp_path, name):
+    """The manifest's config, run again, gives the same body, echo and hash."""
+    code, body, manifest = run_config(tmp_path, CONFIGS[name], "first")
+    assert code == 0 and body == (PINNED / f"{name}.csv").read_text()
+    code, again, echoed = run_config(tmp_path, manifest["config"], "again")
+    assert code == 0 and again == body
+    assert echoed["config"] == manifest["config"]
+    assert echoed["config_sha256"] == manifest["config_sha256"]

@@ -85,6 +85,13 @@ class TestMollify:
         left = sum(w for x, w in zip(out.support, out.weights) if x < 0)
         assert left == pytest.approx(0.3, abs=1e-12)
 
+    def test_atoms_sharing_a_nearest_node_each_keep_one(self):
+        # 1e-4 apart on a grid of step about 0.08, both atoms are nearest one node
+        mu = DiscreteMeasure(support=(0.0, 1.0e-4), weights=(0.5, 0.5))
+        grid = make_state_grid(mu, DiscreteMeasure.point(1.0), 0.1)
+        assert {0.0, 1.0e-4, 1.0} <= set(grid.tolist())
+        assert np.all(np.diff(grid) > 0)
+
     def test_w1_shrinks_monotonically(self):
         nu = DiscreteMeasure(support=(0.0, 1.0), weights=(0.4, 0.6))
         grid = make_state_grid(nu, nu, 0.1)
