@@ -27,6 +27,7 @@ from . import __version__
 from . import generators as gen
 from .config import (
     ConfigError,
+    ReadRecorder,
     boolean,
     build_functional,
     build_generator,
@@ -40,6 +41,7 @@ from .config import (
     number,
     number_at_least,
     number_pair,
+    optional,
     positive_list,
     positive_number,
     require,
@@ -111,32 +113,32 @@ def _run_sanov_iterate(cfg):
     lo, hi = number_pair(cfg, "phi_bounds", "sanov-iterate")
     F = MeanFieldFunctional(phi=phi, Phi=Phi, phi_bounds=(lo, hi))
     grid = build_grid(require(cfg, "grid", "sanov-iterate"))
-    c_grid = np.linspace(lo, hi, integer_at_least(cfg, "c_points", 2, "sanov-iterate",
-                                                  default=401))
     lam_min = number(cfg, "lambda_min", "sanov-iterate", default=-6.0)
     lam_max = number(cfg, "lambda_max", "sanov-iterate", default=6.0)
-    # a window without lambda = 0 lets the grid conjugate C(c) fall far below the cost
+    # a window without lambda = 0 misses the free statistic, where C(c) = 0
     if not lam_min < 0.0 < lam_max:
         key = "lambda_min" if lam_min >= 0.0 else "lambda_max"
         raise ConfigError(f"key '{key}' in sanov-iterate must leave 0 inside the window "
                           f"(lambda_min < 0 < lambda_max), got [{lam_min:g}, {lam_max:g}]")
+    # the rows of the limit's one march
     lam_grid = np.linspace(lam_min, lam_max, integer_at_least(
-        cfg, "lambda_points", 2, "sanov-iterate", default=241))
+        cfg, "lambda_points", 5, "sanov-iterate", default=33))
     n_list = integer_list(cfg, "n_list", 1, "sanov-iterate", default=[1, 2, 4, 8])
     # absent, the stage count is derived from the grid
-    s_points = (None if cfg.get("s_points") is None
+    s_points = (None if optional(cfg, "s_points") is None
                 else integer_at_least(cfg, "s_points", 2, "sanov-iterate"))
     cap = integer_at_least(cfg, "cap", 1, "sanov-iterate", default=16)
     if max(n_list) > cap:
         raise ConfigError(f"key 'n_list' in sanov-iterate must have no entry above key "
                           f"'cap' ({cap}), got n={max(n_list)}")
-    limit = mean_field_limit(F, g, c_grid, lam_grid, grid)
+    diagnostics = {}
+    limit = mean_field_limit(F, g, lam_grid, grid, record=diagnostics)
     rows = []
     for n in n_list:
         val = iterate_L(F, g, n, grid, s_points=s_points, cap=cap)
         rows.append((n, val, limit, abs(val - limit)))
     csv_text = csv_body(("n", "prelimit", "limit", "gap"), rows)
-    return csv_text, {"limit": limit}, EXIT_OK, {}
+    return csv_text, {"limit": limit, **diagnostics}, EXIT_OK, {}
 
 
 def _run_schrodinger_sweep(cfg):
@@ -184,7 +186,8 @@ def _run_mc_estimate(cfg):
     batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, "mc-estimate", default=8),
                       n_paths=integer_at_least(cfg, "paths", 1, "mc-estimate",
                                                default=1_000_000), seed=seed)
-    oracle = _oracle(cfg["oracle"]) if cfg.get("oracle") else None
+    section = optional(cfg, "oracle")
+    oracle = None if section is None else _oracle(section)
     if estimator == "log-mean-exp":
         est, se = log_mean_exp(F, n, batch)
     elif estimator == "cramer":
@@ -274,16 +277,27 @@ _RUNNERS = {
 }
 
 
-def run(cfg: dict, out_dir, source: str = "<config>") -> int:
+def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
     """Execute one experiment config; write report.csv and manifest.json.
     The runner reads a deep copy of ``cfg``, into which the config readers
-    write each default they apply; the manifest echoes and hashes the copy."""
+    write each default they apply; the manifest echoes and hashes the copy.
+    A top-level key that no reader read exits 2 naming it, before any file
+    is written, unless it is in ``ignorable``; such a key is dropped from
+    the echo (the CLI's ``--seed`` reaches kinds that draw no random
+    numbers)."""
     started = time.time()
     out = Path(out_dir)
-    cfg = copy.deepcopy(cfg)
+    cfg = ReadRecorder(copy.deepcopy(cfg))
     try:
         kind = choice(cfg, "kind", _RUNNERS)
         csv_text, extras, code, aux = _RUNNERS[kind](cfg)
+        unread = cfg.unread()
+        for key in unread & set(ignorable):
+            del cfg[key]
+        unread -= set(ignorable)
+        if unread:
+            names = ", ".join(sorted(repr(key) for key in unread))
+            raise ConfigError(f"unknown key {names} in {kind}: no reader of {kind} reads it")
     except ValueError as err:  # a ConfigError, or a solver rejecting its input
         print(f"{source}: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -383,7 +397,8 @@ def main(argv=None) -> int:
             )
             return EXIT_CONFIG
         cfg["kind"] = expected
-    return run(cfg, args.output_dir, source=str(args.config))
+    return run(cfg, args.output_dir, source=str(args.config),
+               ignorable=() if args.seed is None else ("seed",))
 
 
 if __name__ == "__main__":

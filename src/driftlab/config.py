@@ -11,7 +11,11 @@ non-finite entries).
 
 A reader's ``default=`` is the one place a default lives: a reader that
 applies one writes it into ``cfg[key]``, so the config a run reads ends up
-holding every value the run used, which the CLI's manifest echoes.
+holding every value the run used, which the CLI's manifest echoes.  A key
+whose absence means "derived" or "none" is read by :func:`optional`, which
+drops an explicit null, so the two spellings echo alike.  The CLI reads the
+top level of a config through a :class:`ReadRecorder`, which remembers the
+keys looked up, and rejects any key that no reader read.
 
 Scalar functions (terminal data, test functions, outer nonlinearities) come
 from a small named registry so that configs stay declarative and runs stay
@@ -38,8 +42,10 @@ from .variational import (
 
 __all__ = [
     "ConfigError",
+    "ReadRecorder",
     "load_config",
     "require",
+    "optional",
     "choice",
     "boolean",
     "number",
@@ -64,6 +70,31 @@ class ConfigError(ValueError):
     """Invalid or incomplete configuration; the message names the key."""
 
 
+class ReadRecorder(dict):
+    """A config mapping that records every key looked up in it (by index,
+    ``get`` or ``in``), whether the key is present or not."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def unread(self) -> set:
+        """The keys present that nothing has looked up."""
+        return set(self) - self.read
+
+
 def load_config(path) -> dict:
     with open(path) as fh:
         cfg = yaml.safe_load(fh)
@@ -77,6 +108,15 @@ def require(cfg: dict, key: str, context: str = "config"):
         raise ConfigError(f"{context} must be a mapping, got {cfg!r}")
     if key not in cfg or cfg[key] is None:
         raise ConfigError(f"missing required key '{key}' in {context}")
+    return cfg[key]
+
+
+def optional(cfg: dict, key: str):
+    """``cfg[key]``, or None when the key is absent or null; a null is
+    removed, so a config that spells out "none" reads like one without it."""
+    if cfg.get(key) is None:
+        cfg.pop(key, None)
+        return None
     return cfg[key]
 
 
@@ -290,7 +330,7 @@ def build_scalar_function(cfg: dict, key: str, context: str = "config", *, defau
 
 
 def _bounds_of(section, context):
-    if section.get("bounds") is None:
+    if optional(section, "bounds") is None:
         return (-math.inf, math.inf)
     return number_pair(section, "bounds", context)
 

@@ -11,13 +11,20 @@ linear outer function the passes telescope, which is the validation anchor
 for the collapse.
 
 The limit value scalarizes through duality over the scalar statistic
-c = <phi, terminal law>: the cheapest transport cost compatible with a given
-c is the conjugate of lambda -> value(lambda phi), all values one collapsed
-pass over the slices lambda phi.  The reduction is exact because c is a
-deterministic function of the candidate law.
+c = <phi, terminal law>: the cheapest transport cost C(c) compatible with a
+given c is the Legendre transform of the convex function
+rho(lambda) = value(lambda phi).  The reduction is exact because c is a
+deterministic function of the candidate law.  The transform is taken in its
+lambda parametrisation: c = rho'(lambda) runs through the statistics the
+window reaches, and C(rho'(lambda)) = lambda rho'(lambda) - rho(lambda)
+exactly (Dembo and Zeitouni, Large Deviations Techniques and Applications,
+section 2.2).  The limit is then a one-dimensional max over lambda.  One
+march over a uniform lambda stack gives rho at the nodes; rho' comes from
+fourth-order differences, and a cubic Hermite interpolant fills in the
+curve between nodes.
 
 :func:`apply_L` is the one place that marches and reads: every stage and the
-dual's batch of solves is one stacked march, read at the origin.
+dual's lambda stack is one stacked march, read at the origin.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .pde import GridSpec, march_backward
 
 __all__ = [
     "MeanFieldFunctional",
+    "ScalarCurve",
     "apply_L",
     "iterate_L",
     "iterate_L_partial",
@@ -66,7 +74,8 @@ def gauss_mean(fn):
 
 def _check_phi_bounds(F: MeanFieldFunctional, grid: GridSpec):
     """Reject phi_bounds that miss a value of phi on the grid: the stage
-    interpolation and the c grid would clamp it without a word."""
+    interpolation would clamp it, and the limit drop statistics it reaches,
+    without a word."""
     lo, hi = F.phi_bounds
     vals = np.asarray(F.phi(grid.x), dtype=float)
     if not (lo <= vals.min() and vals.max() <= hi):
@@ -74,16 +83,20 @@ def _check_phi_bounds(F: MeanFieldFunctional, grid: GridSpec):
                          f"on the grid, [{vals.min():g}, {vals.max():g}]")
 
 
-def apply_L(slice_fn: Callable, g: gen.GeneratorSpec, grid: GridSpec, s_grid):
+def apply_L(slice_fn: Callable, g: gen.GeneratorSpec, grid: GridSpec, s_grid, *,
+            record=None):
     """One collapsed elimination pass: s -> PDE value of x -> slice(x, s).
 
     For each accumulator node s the unit-time backward PDE with terminal
     x -> slice_fn(x, s) is solved at viscosity 1 and read at (0, 0); all
-    nodes share one march.
+    nodes share one march.  With a dict ``record``, the march's step data
+    (``nt``, ``dt``, ...) are written into it.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     terminals = np.asarray(slice_fn(grid.x[None, :], s_grid[:, None]), dtype=float)
-    row0, _ = march_backward(terminals, g, 1.0, grid)
+    row0, cfl = march_backward(terminals, g, 1.0, grid)
+    if record is not None:
+        record.update(cfl)
     return grid.read(row0, 0.0)
 
 
@@ -135,46 +148,119 @@ def iterate_L(F: MeanFieldFunctional, g, n: int, grid: GridSpec, *,
     return float(vals[0]) / n
 
 
-def scalar_transport_cost(g, phi: Callable, c_grid, lambda_grid, grid: GridSpec):
-    """C(c): cheapest drift cost producing terminal statistic <phi, law> = c.
+# curve points per lambda interval: the sampled max of the limit lies below
+# the max of the interpolated curve by at most half a point's spacing
+# squared times the objective's curvature, about 1e-6 at 33 rows on [-6, 6]
+_CURVE_POINTS = 256
 
-    Computed as the conjugate of lambda -> rho(lambda) = value(lambda phi),
-    one collapsed pass over the slices x -> lambda phi(x).
+
+@dataclass(frozen=True)
+class ScalarCurve:
+    """The transport cost of the statistic c, parametrised by lambda:
+    c = rho'(lambda) and cost = C(c) = lambda c - rho(lambda), sampled along
+    the lambda window by a march of ``nt`` steps."""
+
+    lam: np.ndarray
+    c: np.ndarray
+    cost: np.ndarray
+    nt: int
+
+
+def _node_slopes(rho, h):
+    """rho' at the nodes of a uniform grid of step h, by fourth-order
+    differences: central inside, one-sided at the two nodes at each end."""
+    d = np.empty_like(rho)
+    d[2:-2] = (rho[:-4] - 8.0 * rho[1:-3] + 8.0 * rho[3:-1] - rho[4:]) / (12.0 * h)
+    # the right end reads its five nodes backwards, a step of -h
+    for r, out, step in ((rho[:5], d[:5], h), (rho[:-6:-1], d[:-6:-1], -h)):
+        out[0] = (-25.0 * r[0] + 48.0 * r[1] - 36.0 * r[2] + 16.0 * r[3] - 3.0 * r[4]) / step
+        out[1] = (-3.0 * r[0] - 10.0 * r[1] + 18.0 * r[2] - 6.0 * r[3] + r[4]) / step
+        out[:2] /= 12.0
+    return d
+
+
+def scalar_transport_cost(g, phi: Callable, lambda_grid, grid: GridSpec) -> ScalarCurve:
+    """C(c): cheapest drift cost producing terminal statistic <phi, law> = c,
+    as the curve lambda -> (c, C(c)) with c = rho'(lambda).
+
+    rho(lambda) = value(lambda phi) is one collapsed pass over the slices
+    x -> lambda phi(x) at the nodes of the uniform ``lambda_grid`` (at least
+    5).  rho' at a node comes from fourth-order differences in lambda;
+    between nodes rho is the cubic Hermite interpolant of the node values
+    and slopes, sampled at ``_CURVE_POINTS`` points per interval.  For the
+    convex rho the Legendre transform is exact along the curve:
+    C(rho'(lambda)) = lambda rho'(lambda) - rho(lambda).  Where the
+    interpolant is not convex that value can fall below the Legendre bound
+    lambda_k c - rho(lambda_k) of the interval's end nodes, and the cost is
+    raised to it.
     """
     lam = np.asarray(lambda_grid, dtype=float)
-    c = np.asarray(c_grid, dtype=float)
-    rho = apply_L(lambda x, s: s * np.asarray(phi(x), dtype=float), g, grid, lam)
-    return np.max(lam[None, :] * c[:, None] - rho[None, :], axis=1)
+    h = (lam[-1] - lam[0]) / max(lam.size - 1, 1)
+    if lam.size < 5 or not np.allclose(np.diff(lam), h, rtol=1e-9, atol=0.0) or not h > 0:
+        raise ValueError("need an increasing uniform lambda grid of at least 5 nodes")
+    steps = {}
+    rho = apply_L(lambda x, s: s * np.asarray(phi(x), dtype=float), g, grid, lam, record=steps)
+    d = _node_slopes(rho, h)
+    # cubic Hermite basis on t in [0, 1) and its t-derivatives over h
+    t = np.arange(_CURVE_POINTS) / _CURVE_POINTS
+    t2, t3 = t * t, t * t * t
+    r0, r1, d0, d1 = rho[:-1, None], rho[1:, None], d[:-1, None], d[1:, None]
+    values = ((2.0 * t3 - 3.0 * t2 + 1.0) * r0 + (-2.0 * t3 + 3.0 * t2) * r1
+              + h * ((t3 - 2.0 * t2 + t) * d0 + (t3 - t2) * d1))
+    slopes = ((6.0 * t2 - 6.0 * t) * (r0 - r1) / h
+              + (3.0 * t2 - 4.0 * t + 1.0) * d0 + (3.0 * t2 - 2.0 * t) * d1)
+    lam_t = lam[:-1, None] + h * t
+    # C(c) >= lambda c - rho(lambda) at every lambda, so also at the two end
+    # nodes of a point's interval.  Where the interpolant bends the wrong
+    # way, near a point at which rho'' vanishes (rho ~ |lambda|^3 at 0 for
+    # a cost ~ |q|^1.5), its Legendre value falls below that bound, even
+    # below C = 0 at the free statistic.
+    cost = np.maximum(lam_t * slopes - values,
+                      np.maximum(lam[:-1, None] * slopes - r0, lam[1:, None] * slopes - r1))
+    return ScalarCurve(lam=np.append(lam_t.ravel(), lam[-1]), c=np.append(slopes.ravel(), d[-1]),
+                       cost=np.append(cost.ravel(), lam[-1] * d[-1] - rho[-1]),
+                       nt=int(steps["nt"]))
 
 
-def _trimmed_c_grid(F: MeanFieldFunctional, c_grid):
-    lo, hi = F.phi_bounds
-    c = np.asarray(c_grid, dtype=float)
-    c = c[(c >= lo) & (c <= hi)]
-    if c.size == 0:
-        raise ValueError("c grid misses the reachable statistic range")
-    return c
-
-
-def _scalar_limit(F: MeanFieldFunctional, g, c_grid, lambda_grid, grid: GridSpec,
-                  t=0.0, m=0.0) -> float:
+def _scalar_limit(F: MeanFieldFunctional, g, lambda_grid, grid: GridSpec, t=0.0, m=0.0):
     """sup_c Phi(t m + (1-t) c) - (1-t) C(c): the limit with a share t of
-    the blocks frozen at statistic m."""
+    the blocks frozen at statistic m, over the curve points whose c lies in
+    ``phi_bounds``.  Returns the value and its diagnostics: the maximising
+    lambda, the covered range [rho'(lambda_min), rho'(lambda_max)], the
+    march's step count and whether the max sits at an end of the window,
+    where the sup may lie beyond it."""
     _check_phi_bounds(F, grid)
-    c = _trimmed_c_grid(F, c_grid)
-    cost = scalar_transport_cost(g, F.phi, c, lambda_grid, grid)
-    mixed = np.asarray(F.Phi(t * m + (1.0 - t) * c), dtype=float)
-    return float(np.max(mixed - (1.0 - t) * cost))
+    lo, hi = F.phi_bounds
+    curve = scalar_transport_cost(g, F.phi, lambda_grid, grid)
+    inside = (curve.c >= lo) & (curve.c <= hi)
+    if not inside.any():
+        raise ValueError("the lambda window reaches no statistic inside phi_bounds")
+    mixed = np.asarray(F.Phi(t * m + (1.0 - t) * curve.c), dtype=float)
+    objective = np.where(inside, mixed - (1.0 - t) * curve.cost, -np.inf)
+    best = int(np.argmax(objective))
+    return float(objective[best]), {
+        "lambda_star": float(curve.lam[best]),
+        "c_range": [float(curve.c[0]), float(curve.c[-1])],
+        "nt": curve.nt,
+        "at_edge": best in (0, curve.lam.size - 1),
+    }
 
 
-def mean_field_limit(F: MeanFieldFunctional, g, c_grid, lambda_grid,
-                     grid: GridSpec) -> float:
-    """Limit value sup_c ( Phi(c) - C(c) ) of the n-block pre-limits."""
-    return _scalar_limit(F, g, c_grid, lambda_grid, grid)
+def mean_field_limit(F: MeanFieldFunctional, g, lambda_grid, grid: GridSpec, *,
+                     record=None) -> float:
+    """Limit value sup_c ( Phi(c) - C(c) ) of the n-block pre-limits.
+
+    With a dict ``record``, the limit's diagnostics are written into it:
+    ``lambda_star``, ``c_range``, ``nt`` and ``at_edge``.
+    """
+    value, diagnostics = _scalar_limit(F, g, lambda_grid, grid)
+    if record is not None:
+        record.update(diagnostics)
+    return value
 
 
-def conditional_sanov_limit(t: float, F: MeanFieldFunctional, g, c_grid,
-                            lambda_grid, grid: GridSpec) -> float:
+def conditional_sanov_limit(t: float, F: MeanFieldFunctional, g, lambda_grid,
+                            grid: GridSpec) -> float:
     """Limit of the partly frozen pass: sup_c Phi(t m + (1-t) c) - (1-t) C(c).
 
     ``m`` is the plain Gaussian mean of phi; at t = 1 the value degenerates
@@ -185,4 +271,4 @@ def conditional_sanov_limit(t: float, F: MeanFieldFunctional, g, c_grid,
     m_p = gauss_mean(F.phi)
     if t >= 1.0:
         return float(F.Phi(m_p))
-    return _scalar_limit(F, g, c_grid, lambda_grid, grid, t, m_p)
+    return _scalar_limit(F, g, lambda_grid, grid, t, m_p)[0]

@@ -62,10 +62,9 @@ def sanov_pieces():
     grid = GridSpec(-6.0, 6.0, 241, 1)
     F_sq = MeanFieldFunctional(phi=np.tanh, Phi=lambda c: np.asarray(c) ** 2,
                                phi_bounds=(-1.0, 1.0))
-    c_grid = np.linspace(-1.0, 1.0, 401)
     lam_grid = np.linspace(-6.0, 6.0, 241)
-    limit = mean_field_limit(F_sq, QUAD, c_grid, lam_grid, grid)
-    return grid, F_sq, c_grid, lam_grid, limit
+    limit = mean_field_limit(F_sq, QUAD, lam_grid, grid)
+    return grid, F_sq, lam_grid, limit
 
 
 @criterion(1, "vanishing viscosity gaps shrink to the Hopf-Lax value")
@@ -118,7 +117,7 @@ def test_criterion_03_constrained_hamiltonian():
 
 @criterion(4, "linear empirical functionals telescope through the iterated pass")
 def test_criterion_04_sanov_telescoping(sanov_pieces):
-    grid, _, _, _, _ = sanov_pieces
+    grid, _, _, _ = sanov_pieces
     F_lin = MeanFieldFunctional(phi=np.tanh, Phi=lambda c: c, phi_bounds=(-1.0, 1.0))
     fld = solve_semilinear(lambda x: np.tanh(np.asarray(x)), QUAD, 1.0, grid)
     single = fld.initial_value_at_origin
@@ -130,7 +129,7 @@ def test_criterion_04_sanov_telescoping(sanov_pieces):
 
 @criterion(5, "nonlinear empirical functional converges to the scalarized limit")
 def test_criterion_05_nonlinear_sanov(sanov_pieces):
-    grid, F_sq, c_grid, lam_grid, limit = sanov_pieces
+    grid, F_sq, lam_grid, limit = sanov_pieces
     gaps = [abs(iterate_L(F_sq, QUAD, n, grid) - limit) for n in (2, 4, 8, 16)]
     assert all(a > b for a, b in zip(gaps, gaps[1:])), f"gaps not decreasing: {gaps}"
     assert gaps[-1] <= 5e-2, f"final gap {gaps[-1]:.4f}"
@@ -148,9 +147,9 @@ def test_criterion_05_nonlinear_sanov(sanov_pieces):
 
 @criterion(6, "conditional limits: continuous ladder and LSMC trend to the path oracle")
 def test_criterion_06_conditional_limits(sanov_pieces):
-    grid, F_sq, c_grid, lam_grid, limit = sanov_pieces
+    grid, F_sq, lam_grid, limit = sanov_pieces
     ladder = [
-        conditional_sanov_limit(t, F_sq, QUAD, c_grid, lam_grid, grid)
+        conditional_sanov_limit(t, F_sq, QUAD, lam_grid, grid)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     assert ladder[0] == pytest.approx(limit, abs=1e-12)

@@ -55,7 +55,7 @@ SMALL_SANOV = {
     "kind": "sanov-iterate", "generator": {"variant": "quadratic", "c": 1.0},
     "phi": "tanh", "Phi": "negative_square", "phi_bounds": [-1.0, 1.0],
     "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 33},
-    "n_list": [1, 2], "c_points": 41, "lambda_points": 31, "s_points": 17,
+    "n_list": [1, 2], "lambda_points": 31, "s_points": 17,
 }
 
 SMALL_TRANSPORT = {
@@ -595,6 +595,52 @@ class TestRun:
         assert len(path_lines) == 1 + 9
 
 
+    @pytest.mark.parametrize("config, key", [
+        (dict(SMALL_PDE_SWEEP, y_stpe=1e-3), "'y_stpe'"),
+        (dict(SMALL_PDE_SWEEP, seed=3), "'seed'"),
+        (dict(SMALL_SANOV, c_points=41, lambda_pts=9), "'c_points', 'lambda_pts'"),
+    ], ids=["misspelt", "seed-in-pde-sweep", "two-stale-sanov-keys"])
+    def test_unread_key_exits_2_naming_it(self, tmp_path, capsys, config, key):
+        cfg = write_config(tmp_path, "cfg.yaml", config)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        SMALL_PDE_SWEEP, SMALL_SANOV, SMALL_TRANSPORT,
+        {"kind": "ti-check", "generator": {"variant": "quadratic"}},
+    ], ids=["pde-sweep", "sanov-iterate", "schrodinger-sweep", "ti-check"])
+    def test_seed_option_runs_kinds_that_draw_no_numbers(self, tmp_path, config):
+        cfg = write_config(tmp_path, "cfg.yaml", config)
+        runs = {}
+        for name, extra in (("plain", []), ("seeded", ["--seed", "7"])):
+            out = tmp_path / name
+            assert main(["run", "--config", cfg, "--output-dir", str(out), *extra]) == 0
+            runs[name] = json.loads((out / "manifest.json").read_text())
+        # the unread seed leaves the echo, so both runs hash alike
+        assert "seed" not in runs["seeded"]["config"]
+        assert runs["seeded"]["config_sha256"] == runs["plain"]["config_sha256"]
+
+    def test_seed_option_reaches_kinds_that_read_it(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.yaml", dict(MC_CONFIG, paths=2_000))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output-dir", str(out), "--seed", "12"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 12
+
+    def test_sanov_manifest_records_the_limit_diagnostics(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.yaml", SMALL_SANOV)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        extras = json.loads((out / "manifest.json").read_text())["extras"]
+        assert extras["lambda_star"] == 0.0 and extras["at_edge"] is False
+        lo, hi = extras["c_range"]
+        assert -1.0 <= lo < 0.0 < hi <= 1.0
+        assert extras["nt"] >= 1
+        assert extras["limit"] == pytest.approx(0.0, abs=1e-12)
+
+
 class TestManifestEcho:
     """The manifest echoes the run's copy of the config, into which each
     reader writes the default it applies."""
@@ -632,6 +678,25 @@ class TestManifestEcho:
         cfg = copy.deepcopy(self.BARE)
         assert cli.run(cfg, tmp_path / "o") == 0
         assert cfg == self.BARE
+
+    @pytest.mark.parametrize("payload, null", [
+        (dict(MC_CONFIG, paths=2_000), {"oracle": None}),
+        (SMALL_SANOV, {"s_points": None}),
+        (dict(MC_CONFIG, paths=2_000), {"functional": dict(MC_CONFIG["functional"],
+                                                           bounds=None)}),
+    ], ids=["oracle", "s-points", "functional-bounds"])
+    def test_explicit_null_hashes_like_absent(self, tmp_path, payload, null):
+        (key, value), = null.items()
+        absent = copy.deepcopy(payload)
+        if key == "functional":
+            absent[key].pop("bounds")
+        else:
+            absent.pop(key, None)
+        without, without_body = self.run(tmp_path, "absent", absent)
+        spelled, spelled_body = self.run(tmp_path, "null", dict(payload, **null))
+        assert spelled["config"] == without["config"]
+        assert spelled["config_sha256"] == without["config_sha256"]
+        assert spelled_body == without_body
 
 
 class TestImportGraph:

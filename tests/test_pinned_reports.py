@@ -48,7 +48,7 @@ CONFIGS = {
         "kind": "sanov-iterate", "generator": modulated(POWER),
         "phi": "tanh", "Phi": "negative_square", "phi_bounds": [-1.0, 1.0],
         "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 33},
-        "n_list": [1, 2], "c_points": 41, "lambda_points": 31, "s_points": 17,
+        "n_list": [1, 2], "lambda_points": 31, "s_points": 17,
     },
     "mc-estimate-girsanov-modulated": {
         "kind": "mc-estimate", "estimator": "girsanov", "seed": 7,
@@ -87,7 +87,7 @@ CONFIGS = {
         "kind": "sanov-iterate", "generator": QUADRATIC,
         "phi": "tanh", "Phi": "square", "phi_bounds": [-1.0, 1.0],
         "grid": {"x_min": -4.0, "x_max": 4.0, "nx": 33},
-        "n_list": [1, 2], "c_points": 41, "lambda_points": 31, "s_points": 17,
+        "n_list": [1, 2], "lambda_points": 31, "s_points": 17,
     },
     # two path blocks, so the second block's seeding is pinned too
     "bridge-check": {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftlab import sanov
-from driftlab.generators import Quadratic
+from driftlab.generators import PowerLaw, Quadratic
 from driftlab.montecarlo import FeedbackControl, PathBatch, girsanov_lower_bound
 from driftlab.pde import GridSpec, solve_semilinear
 from driftlab.sanov import (
@@ -21,7 +21,6 @@ from driftlab.variational import TerminalValue
 
 QUAD = Quadratic(1.0)
 GRID = GridSpec(-6.0, 6.0, 241, 1)
-C_GRID = np.linspace(-1.0, 1.0, 401)
 LAM_GRID = np.linspace(-6.0, 6.0, 241)
 
 F_LINEAR = MeanFieldFunctional(phi=np.tanh, Phi=lambda c: c, phi_bounds=(-1.0, 1.0))
@@ -75,7 +74,7 @@ class TestIterateL:
             iterate_L(F_LINEAR, QUAD, 32, GRID)
 
     def test_square_outer_decreases_toward_limit(self):
-        limit = mean_field_limit(F_SQUARE, QUAD, C_GRID, LAM_GRID, GRID)
+        limit = mean_field_limit(F_SQUARE, QUAD, LAM_GRID, GRID)
         gaps = []
         for n in (2, 4, 8):
             gaps.append(abs(iterate_L(F_SQUARE, QUAD, n, GRID) - limit))
@@ -85,7 +84,7 @@ class TestIterateL:
 class TestPhiBounds:
     @pytest.mark.parametrize("solve", [
         lambda F: iterate_L(F, QUAD, 2, GRID),
-        lambda F: mean_field_limit(F, QUAD, C_GRID, LAM_GRID, GRID),
+        lambda F: mean_field_limit(F, QUAD, LAM_GRID, GRID),
     ], ids=["iterate", "limit"])
     def test_bounds_missing_phi_values_rejected_before_any_march(self, monkeypatch, solve):
         # tanh reaches 0.99998 on GRID; interpolation would clamp it to 0.2
@@ -101,21 +100,22 @@ class TestPhiBounds:
 
 class TestMeanFieldLimit:
     def test_identity_outer_collapses_to_single_pde(self):
-        val = mean_field_limit(F_LINEAR, QUAD, C_GRID, LAM_GRID, GRID)
+        val = mean_field_limit(F_LINEAR, QUAD, LAM_GRID, GRID)
         assert val == pytest.approx(rho_of_tanh(), abs=5e-3)
 
     def test_constant_outer(self):
         F = MeanFieldFunctional(phi=np.tanh, Phi=lambda c: np.full(np.shape(c), 0.25),
                                 phi_bounds=(-1.0, 1.0))
-        assert mean_field_limit(F, QUAD, C_GRID, LAM_GRID, GRID) == pytest.approx(0.25, abs=1e-9)
+        assert mean_field_limit(F, QUAD, LAM_GRID, GRID) == pytest.approx(0.25, abs=1e-9)
 
     def test_scalar_cost_convex(self):
-        cost = scalar_transport_cost(QUAD, np.tanh, C_GRID, LAM_GRID, GRID)
-        second = np.diff(cost, 2)
-        assert second.min() >= -1e-8
+        # rho is convex, so c = rho'(lambda) runs up the curve
+        curve = scalar_transport_cost(QUAD, np.tanh, LAM_GRID, GRID)
+        assert np.diff(curve.c).min() >= 0.0
+        assert np.diff(curve.lam).min() > 0.0
 
     def test_dominates_constant_drift_bounds(self):
-        limit = mean_field_limit(F_SQUARE, QUAD, C_GRID, LAM_GRID, GRID)
+        limit = mean_field_limit(F_SQUARE, QUAD, LAM_GRID, GRID)
         batch = PathBatch(n_steps=16, n_paths=100_000, seed=51)
         for a in (-1.0, -0.3, 0.0, 0.4, 1.2):
             # F(law of W + a t) - cost(a), estimated by Monte Carlo through
@@ -129,18 +129,71 @@ class TestMeanFieldLimit:
             assert limit >= lower - 3 * se * 2 * abs(mean_stat) - 1e-4
 
 
+def brute_force_limit(Phi, lam, rho, c):
+    """sup over the c nodes of Phi(c) - max over the lambda nodes of
+    (lambda c - rho(lambda)): the grid conjugate, in chunks of c."""
+    best = -np.inf
+    for chunk in np.array_split(c, 16):
+        cost = np.max(chunk[:, None] * lam[None, :] - rho[None, :], axis=1)
+        best = max(best, float(np.max(Phi(chunk) - cost)))
+    return best
+
+
+class TestLambdaParametrisedLimit:
+    SMALL = GridSpec(-6.0, 6.0, 81, 1)
+    OUTER = {"c": lambda c: c, "c^2": lambda c: c * c, "sin 4c": lambda c: np.sin(4.0 * c),
+             "-c^2": lambda c: -c * c}
+
+    @pytest.mark.parametrize("g", [QUAD, PowerLaw(r=1.5, a=1.0)], ids=["quadratic", "power"])
+    def test_agrees_with_brute_force_conjugate_of_the_same_rho(self, g):
+        # the 33 rows are every 50th row of the fine stack, which marches
+        # the same number of steps, so both conjugate one rho
+        fine = np.linspace(-6.0, 6.0, 1601)
+        rho = apply_L(lambda x, s: s * np.tanh(x), g, self.SMALL, fine)
+        c = np.linspace(-1.0, 1.0, 8001)
+        for name, Phi in self.OUTER.items():
+            F = MeanFieldFunctional(phi=np.tanh, Phi=Phi, phi_bounds=(-1.0, 1.0))
+            limit = mean_field_limit(F, g, np.linspace(-6.0, 6.0, 33), self.SMALL)
+            assert limit == pytest.approx(brute_force_limit(Phi, fine, rho, c), abs=5e-5), name
+
+    @pytest.mark.parametrize("rows", [33, 241])
+    def test_criterion_5_limit_is_zero(self, rows):
+        # C(c) > c^2 away from the free statistic c = 0, where both vanish
+        record = {}
+        limit = mean_field_limit(F_SQUARE, QUAD, np.linspace(-6.0, 6.0, rows), GRID,
+                                 record=record)
+        assert limit == pytest.approx(0.0, abs=1e-12)
+        assert record["lambda_star"] == 0.0 and not record["at_edge"]
+        assert record["c_range"][0] < 0.0 < record["c_range"][1]
+
+    def test_at_edge_when_the_max_leaves_the_window(self):
+        # 3 c^2 outgrows C(c) ~ c^2 / 0.79, so the sup lies past lambda = +-1
+        F = MeanFieldFunctional(phi=np.tanh, Phi=lambda c: 3.0 * np.asarray(c) ** 2,
+                                phi_bounds=(-1.0, 1.0))
+        record = {}
+        mean_field_limit(F, QUAD, np.linspace(-1.0, 1.0, 9), GRID, record=record)
+        assert record["at_edge"]
+        assert abs(record["lambda_star"]) == 1.0
+        assert record["nt"] >= GRID.nt
+
+    def test_rejects_a_grid_without_five_uniform_nodes(self):
+        for lam in (np.linspace(-1.0, 1.0, 4), np.array([-1.0, -0.5, 0.0, 0.2, 1.0])):
+            with pytest.raises(ValueError, match="uniform lambda grid"):
+                scalar_transport_cost(QUAD, np.tanh, lam, GRID)
+
+
 class TestConditionalLimit:
     def test_endpoints(self):
-        limit = mean_field_limit(F_SQUARE, QUAD, C_GRID, LAM_GRID, GRID)
-        at_zero = conditional_sanov_limit(0.0, F_SQUARE, QUAD, C_GRID, LAM_GRID, GRID)
-        at_one = conditional_sanov_limit(1.0, F_SQUARE, QUAD, C_GRID, LAM_GRID, GRID)
+        limit = mean_field_limit(F_SQUARE, QUAD, LAM_GRID, GRID)
+        at_zero = conditional_sanov_limit(0.0, F_SQUARE, QUAD, LAM_GRID, GRID)
+        at_one = conditional_sanov_limit(1.0, F_SQUARE, QUAD, LAM_GRID, GRID)
         assert at_zero == pytest.approx(limit, abs=1e-12)
         m_p = gauss_mean(np.tanh)
         assert at_one == pytest.approx(float(m_p ** 2), abs=1e-12)
 
     def test_continuity_on_ladder(self):
         vals = [
-            conditional_sanov_limit(t, F_SQUARE, QUAD, C_GRID, LAM_GRID, GRID)
+            conditional_sanov_limit(t, F_SQUARE, QUAD, LAM_GRID, GRID)
             for t in (0.0, 0.25, 0.5, 0.75, 1.0)
         ]
         jumps = np.abs(np.diff(vals))
@@ -155,7 +208,7 @@ class TestConditionalLimit:
         z = rng.standard_normal((20_000, k))
         s_samples = np.tanh(z).sum(axis=1)
         mc = float(np.mean(np.interp(s_samples, s_grid, stage_vals))) / n
-        limit = conditional_sanov_limit(0.5, F_SQUARE, QUAD, C_GRID, LAM_GRID, GRID)
+        limit = conditional_sanov_limit(0.5, F_SQUARE, QUAD, LAM_GRID, GRID)
         # n = 8 still carries its pre-limit fluctuation premium
         assert mc == pytest.approx(limit, abs=0.1)
         assert mc >= limit - 1e-9
