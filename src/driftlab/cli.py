@@ -291,12 +291,10 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
     try:
         kind = choice(cfg, "kind", _RUNNERS)
         csv_text, extras, code, aux = _RUNNERS[kind](cfg)
-        unread = cfg.unread()
-        for key in unread & set(ignorable):
+        for key in cfg.unread() & set(ignorable):
             del cfg[key]
-        unread -= set(ignorable)
-        if unread:
-            names = ", ".join(sorted(repr(key) for key in unread))
+        if cfg.unread():
+            names = ", ".join(sorted(repr(key) for key in cfg.unread()))
             raise ConfigError(f"unknown key {names} in {kind}: no reader of {kind} reads it")
     except ValueError as err:  # a ConfigError, or a solver rejecting its input
         print(f"{source}: configuration error: {err}", file=sys.stderr)
