@@ -124,21 +124,22 @@ def _run_sanov_iterate(cfg):
     lam_grid = np.linspace(lam_min, lam_max, integer_at_least(
         cfg, "lambda_points", 5, "sanov-iterate", default=33))
     n_list = integer_list(cfg, "n_list", 1, "sanov-iterate", default=[1, 2, 4, 8])
-    # absent, the stage count is derived from the grid
-    s_points = (None if optional(cfg, "s_points") is None
-                else integer_at_least(cfg, "s_points", 2, "sanov-iterate"))
+    # the nodes of each interpolated stage; its node slopes need 5
+    s_points = integer_at_least(cfg, "s_points", 5, "sanov-iterate", default=33)
     cap = integer_at_least(cfg, "cap", 1, "sanov-iterate", default=16)
     if max(n_list) > cap:
         raise ConfigError(f"key 'n_list' in sanov-iterate must have no entry above key "
                           f"'cap' ({cap}), got n={max(n_list)}")
     diagnostics = {}
     limit = mean_field_limit(F, g, lam_grid, grid, record=diagnostics)
-    rows = []
+    rows, stages = [], []
     for n in n_list:
-        val = iterate_L(F, g, n, grid, s_points=s_points, cap=cap)
+        marches = {"n": n}
+        val = iterate_L(F, g, n, grid, s_points=s_points, cap=cap, record=marches)
         rows.append((n, val, limit, abs(val - limit)))
+        stages.append(marches)
     csv_text = csv_body(("n", "prelimit", "limit", "gap"), rows)
-    return csv_text, {"limit": limit, **diagnostics}, EXIT_OK, {}
+    return csv_text, {"limit": limit, **diagnostics, "stages": stages}, EXIT_OK, {}
 
 
 def _run_schrodinger_sweep(cfg):

@@ -256,7 +256,7 @@ def two_column_csv(cfg: dict, key: str, context: str = "config") -> tuple:
 # ---------------------------------------------------------------------------
 
 def _variant(section, context):
-    variant = section.get("variant")
+    variant = require(section, "variant", context)
     if variant == "quadratic":
         return gen.Quadratic(c=number(section, "c", context, default=1.0))
     if variant == "power":

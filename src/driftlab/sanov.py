@@ -8,7 +8,13 @@ the running sum of phi values, each pass collapses to one 1-D PDE per node
 of an accumulator grid.  Stage k therefore produces a function of the
 accumulated sum s, and the final stage yields the pre-limit scalar.  For a
 linear outer function the passes telescope, which is the validation anchor
-for the collapse.
+for the collapse.  The exact terminal stage n is read in closed form; every
+earlier stage except the last is a viscosity-1 PDE value, smooth in s, so it
+is marched on a fixed number of uniform s nodes (``s_points``, default 33,
+whatever n) and read between them by the cubic Hermite interpolant of its
+node values and fourth-order node slopes, clamped to the end value outside
+its range.  A pre-limit at n thus costs n - 1 marches of ``s_points`` rows
+and one row at s = 0.
 
 The limit value scalarizes through duality over the scalar statistic
 c = <phi, terminal law>: the cheapest transport cost C(c) compatible with a
@@ -21,7 +27,8 @@ exactly (Dembo and Zeitouni, Large Deviations Techniques and Applications,
 section 2.2).  The limit is then a one-dimensional max over lambda.  One
 march over a uniform lambda stack gives rho at the nodes; rho' comes from
 fourth-order differences, and a cubic Hermite interpolant fills in the
-curve between nodes.
+curve between nodes.  The stages and the limit share that one interpolation
+rule (:func:`_node_slopes` and :func:`_hermite`).
 
 :func:`apply_L` is the one place that marches and reads: every stage and the
 dual's lambda stack is one stacked march, read at the origin.
@@ -100,14 +107,61 @@ def apply_L(slice_fn: Callable, g: gen.GeneratorSpec, grid: GridSpec, s_grid, *,
     return grid.read(row0, 0.0)
 
 
-def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to):
+def _node_slopes(values, h):
+    """The derivative at the nodes of a uniform grid of step h, by
+    fourth-order differences: central inside, one-sided at the two nodes at
+    each end (at least 5 nodes)."""
+    d = np.empty_like(values)
+    d[2:-2] = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
+    # the right end reads its five nodes backwards, a step of -h
+    for r, out, twelve_h in ((values[:5], d[:5], 12.0 * h),
+                             (values[:-6:-1], d[:-6:-1], -12.0 * h)):
+        out[0] = (-25.0 * r[0] + 48.0 * r[1] - 36.0 * r[2] + 16.0 * r[3] - 3.0 * r[4]) / twelve_h
+        out[1] = (-3.0 * r[0] - 10.0 * r[1] + 18.0 * r[2] - 6.0 * r[3] + r[4]) / twelve_h
+    return d
+
+
+def _hermite(values, slopes, h, i, t):
+    """The cubic Hermite interpolant of node ``values`` and ``slopes`` on a
+    uniform grid of step h, and its derivative, at the fraction t in [0, 1]
+    of interval i (nodes i and i + 1); i and t broadcast."""
+    t2, t3 = t * t, t * t * t
+    r0, r1, d0, d1 = values[i], values[i + 1], slopes[i], slopes[i + 1]
+    value = ((2.0 * t3 - 3.0 * t2 + 1.0) * r0 + (-2.0 * t3 + 3.0 * t2) * r1
+             + h * ((t3 - 2.0 * t2 + t) * d0 + (t3 - t2) * d1))
+    slope = ((6.0 * t2 - 6.0 * t) * (r0 - r1) / h
+             + (3.0 * t2 - 4.0 * t + 1.0) * d0 + (3.0 * t2 - 2.0 * t) * d1)
+    return value, slope
+
+
+def _cubic_read(nodes, values):
+    """s -> the cubic Hermite interpolant of ``values`` at the uniform
+    ``nodes``, with slopes from :func:`_node_slopes`; a point outside the
+    nodes reads the end value."""
+    h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+    slopes = _node_slopes(values, h)
+    last = nodes.size - 1
+
+    def read(s):
+        u = np.clip((s - nodes[0]) / h, 0.0, last)
+        i = np.minimum(u.astype(np.intp), last - 1)
+        return _hermite(values, slopes, h, i, u - i)[0]
+    return read
+
+
+def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to, record=None):
     """Backward stage recursion; returns (s grid, values) of stage ``down_to``.
 
     Stage k holds the value given the first k blocks, as a function of the
     accumulated sum of phi over those blocks.  Stage n is the exact terminal
     n Phi(s / n); each earlier stage is one collapsed PDE pass over the slice
-    x -> stage_{k+1}(s + phi(x)), which interpolates the stage before.
+    x -> stage_{k+1}(s + phi(x)) at ``s_points`` uniform nodes (one node,
+    s = 0, for k = 0), and the pass before it reads the stage through
+    :func:`_cubic_read`.  With a dict ``record``, ``s_points`` and each
+    stage march's ``nt`` (stage n - 1 first) are written into it.
     """
+    if s_points < 5:
+        raise ValueError(f"need s_points >= 5 for the node slopes, got {s_points}")
     _check_phi_bounds(F, grid)
     lo, hi = F.phi_bounds
     phi = F.phi
@@ -116,35 +170,48 @@ def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to):
     def stage(x, s):  # the slice of the exact stage n
         return n * np.asarray(F.Phi((s + phi(x)) / n), dtype=float)
 
+    nts = []
     for k in range(n - 1, down_to - 1, -1):
         s_grid = np.zeros(1) if k == 0 else np.linspace(k * lo - pad, k * hi + pad, s_points)
-        vals = apply_L(stage, g, grid, s_grid)
-        stage = lambda x, s, s_grid=s_grid, vals=vals: np.interp(s + phi(x), s_grid, vals)
+        steps = {}
+        vals = apply_L(stage, g, grid, s_grid, record=steps)
+        nts.append(int(steps["nt"]))
+        if k > down_to:
+            read = _cubic_read(s_grid, vals)
+            stage = lambda x, s, read=read: read(s + phi(x))
+    if record is not None:
+        record.update(s_points=s_points, nt=nts)
     return s_grid, vals
 
 
 def iterate_L_partial(F: MeanFieldFunctional, g, n: int, k: int, grid: GridSpec,
-                      s_points=None):
+                      s_points: int = 33):
     """Stage-k value function of the n-block pass (stages n down to k+1).
 
     Returns (s_grid, values): the value given the first k blocks as a
-    function of their accumulated phi sum, before the final 1/n scaling.
+    function of their accumulated phi sum, before the final 1/n scaling, at
+    ``s_points`` uniform nodes over [k lo, k hi] (the single node s = 0 for
+    k = 0).  Each stage between n and k is marched on that many nodes and
+    read by the cubic Hermite interpolant of its node values and
+    fourth-order node slopes.
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    s_points = s_points or 64 * n
     return _stage_functions(F, g, n, grid, s_points, down_to=k)
 
 
 def iterate_L(F: MeanFieldFunctional, g, n: int, grid: GridSpec, *,
-              s_points=None, cap: int = 16) -> float:
-    """Pre-limit value: (1/n) times the n-fold collapsed elimination pass."""
+              s_points: int = 33, cap: int = 16, record=None) -> float:
+    """Pre-limit value: (1/n) times the n-fold collapsed elimination pass.
+
+    With a dict ``record``, ``s_points`` and the step count ``nt`` of each
+    stage march (stage n - 1 first, stage 0 last) are written into it.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > cap:
         raise ValueError(f"n={n} exceeds the configured cap {cap}")
-    s_points = s_points or 64 * n
-    _, vals = _stage_functions(F, g, n, grid, s_points, down_to=0)
+    _, vals = _stage_functions(F, g, n, grid, s_points, down_to=0, record=record)
     return float(vals[0]) / n
 
 
@@ -165,18 +232,6 @@ class ScalarCurve:
     c: np.ndarray
     cost: np.ndarray
     nt: int
-
-
-def _node_slopes(rho, h):
-    """rho' at the nodes of a uniform grid of step h, by fourth-order
-    differences: central inside, one-sided at the two nodes at each end."""
-    d = np.empty_like(rho)
-    d[2:-2] = (rho[:-4] - 8.0 * rho[1:-3] + 8.0 * rho[3:-1] - rho[4:]) / (12.0 * h)
-    # the right end reads its five nodes backwards, a step of -h
-    for r, out, twelve_h in ((rho[:5], d[:5], 12.0 * h), (rho[:-6:-1], d[:-6:-1], -12.0 * h)):
-        out[0] = (-25.0 * r[0] + 48.0 * r[1] - 36.0 * r[2] + 16.0 * r[3] - 3.0 * r[4]) / twelve_h
-        out[1] = (-3.0 * r[0] - 10.0 * r[1] + 18.0 * r[2] - 6.0 * r[3] + r[4]) / twelve_h
-    return d
 
 
 def scalar_transport_cost(g, phi: Callable, lambda_grid, grid: GridSpec) -> ScalarCurve:
@@ -201,14 +256,8 @@ def scalar_transport_cost(g, phi: Callable, lambda_grid, grid: GridSpec) -> Scal
     steps = {}
     rho = apply_L(lambda x, s: s * np.asarray(phi(x), dtype=float), g, grid, lam, record=steps)
     d = _node_slopes(rho, h)
-    # cubic Hermite basis on t in [0, 1) and its t-derivatives over h
     t = np.arange(_CURVE_POINTS) / _CURVE_POINTS
-    t2, t3 = t * t, t * t * t
-    r0, r1, d0, d1 = rho[:-1, None], rho[1:, None], d[:-1, None], d[1:, None]
-    values = ((2.0 * t3 - 3.0 * t2 + 1.0) * r0 + (-2.0 * t3 + 3.0 * t2) * r1
-              + h * ((t3 - 2.0 * t2 + t) * d0 + (t3 - t2) * d1))
-    slopes = ((6.0 * t2 - 6.0 * t) * (r0 - r1) / h
-              + (3.0 * t2 - 4.0 * t + 1.0) * d0 + (3.0 * t2 - 2.0 * t) * d1)
+    values, slopes = _hermite(rho, d, h, np.arange(lam.size - 1)[:, None], t)
     lam_t = lam[:-1, None] + h * t
     # C(c) >= lambda c - rho(lambda) at every lambda, so also at the two end
     # nodes of a point's interval.  Where the interpolant bends the wrong
@@ -216,7 +265,8 @@ def scalar_transport_cost(g, phi: Callable, lambda_grid, grid: GridSpec) -> Scal
     # a cost ~ |q|^1.5), its Legendre value falls below that bound, even
     # below C = 0 at the free statistic.
     cost = np.maximum(lam_t * slopes - values,
-                      np.maximum(lam[:-1, None] * slopes - r0, lam[1:, None] * slopes - r1))
+                      np.maximum(lam[:-1, None] * slopes - rho[:-1, None],
+                                 lam[1:, None] * slopes - rho[1:, None]))
     return ScalarCurve(lam=np.append(lam_t.ravel(), lam[-1]), c=np.append(slopes.ravel(), d[-1]),
                        cost=np.append(cost.ravel(), lam[-1] * d[-1] - rho[-1]),
                        nt=int(steps["nt"]))

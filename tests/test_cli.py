@@ -181,8 +181,9 @@ class TestRun:
         ({"variant": "modulated", "base": {"variant": "quadratic"}, "weights": 3}, "'weights'"),
         ({"variant": "tabulated", "q": None, "g": [0.0, 1.0]}, "'q'"),
         ({"variant": "modulated", "base": "quadratic", "weights": [1.0, 2.0]}, "generator.base"),
+        ({"kind": "quadratic"}, "missing required key 'variant'"),
     ], ids=["string", "missing-csv", "one-column-csv", "scalar-weights", "null-q",
-            "string-base"])
+            "string-base", "no-variant"])
     def test_bad_generator_section_exits_2(self, tmp_path, capsys, generator, named):
         (tmp_path / "one_column.csv").write_text("-1.0,1.0\n0.0\n1.0,1.0\n")
         if isinstance(generator, dict) and "csv" in generator:
@@ -363,6 +364,10 @@ class TestRun:
         (dict(SMALL_SANOV, c_points=0), "'c_points'"),
         (dict(SMALL_SANOV, cap="abc"), "'cap'"),
         (dict(SMALL_SANOV, s_points="abc"), "'s_points'"),
+        # the fourth-order node slopes need five nodes
+        (dict(SMALL_SANOV, s_points=2), "'s_points'"),
+        (dict(SMALL_SANOV, s_points=3), "'s_points'"),
+        (dict(SMALL_SANOV, s_points=4), "'s_points'"),
         (dict(SMALL_SANOV, n_list=[1.5]), "'n_list'"),
         (dict(SMALL_TRANSPORT, eps_list=[]), "'eps_list'"),
         (dict(SMALL_PDE_SWEEP, n_list=[]), "'n_list'"),
@@ -385,7 +390,7 @@ class TestRun:
             "y-step-tiny", "nx-fraction", "nt-zero", "x-min-string", "x-max-string",
             "width-string", "pde-n-zero", "lambda-points-zero", "lambda-min-string",
             "lambda-max-string", "c-points-zero", "cap-string", "s-points-string",
-            "sanov-n-fraction", "eps-list-empty", "pde-n-list-empty", "sanov-n-list-empty",
+            "s-points-2", "s-points-3", "s-points-4", "sanov-n-fraction", "eps-list-empty", "pde-n-list-empty", "sanov-n-list-empty",
             "phi-bounds-reversed", "phi-bounds-miss-phi", "n-above-cap", "pde-modulated",
             "transport-modulated", "pde-grid-off-origin", "sanov-grid-off-origin",
             "oracle-grid-off-origin", "lambda-window-at-one", "lambda-window-positive",
@@ -639,6 +644,17 @@ class TestRun:
         assert -1.0 <= lo < 0.0 < hi <= 1.0
         assert extras["nt"] >= 1
         assert extras["limit"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_sanov_manifest_records_the_stage_marches(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.yaml", {k: v for k, v in SMALL_SANOV.items()
+                                                  if k != "s_points"})
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["s_points"] == 33
+        stages = manifest["extras"]["stages"]
+        assert [(s["n"], s["s_points"], len(s["nt"])) for s in stages] == [(1, 33, 1), (2, 33, 2)]
+        assert all(nt >= 1 for s in stages for nt in s["nt"])
 
 
 class TestManifestEcho:

@@ -1,5 +1,8 @@
 """Collapsed iterated-PDE passes, scalarized limits, conditional variant."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,76 @@ class TestIterateL:
         for n in (2, 4, 8):
             gaps.append(abs(iterate_L(F_SQUARE, QUAD, n, GRID) - limit))
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+def _gauss_hermite_prelimit():
+    """``sanov_prelimit`` of ``perfbench/oracles.py`` (numpy only), loaded by
+    path and not registered anywhere."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("_sanov_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sanov_prelimit
+
+
+def linear_prelimit(F, n, grid):
+    """The stage recursion on 64 n nodes per stage, read by ``np.interp``."""
+    lo, hi = F.phi_bounds
+    pad = 1e-9 * max(1.0, hi - lo)
+    stage = lambda x, s: n * np.asarray(F.Phi((s + F.phi(x)) / n))
+    for k in range(n - 1, -1, -1):
+        s_grid = np.zeros(1) if k == 0 else np.linspace(k * lo - pad, k * hi + pad, 64 * n)
+        vals = apply_L(stage, QUAD, grid, s_grid)
+        stage = lambda x, s, s_grid=s_grid, vals=vals: np.interp(s + F.phi(x), s_grid, vals)
+    return float(vals[0]) / n
+
+
+F_SIN = MeanFieldFunctional(phi=np.tanh, Phi=lambda c: np.sin(4.0 * np.asarray(c)),
+                            phi_bounds=(-1.0, 1.0))
+
+
+class TestCubicStages:
+    """Stages k < n on 33 uniform s nodes, read by cubic Hermite."""
+
+    @pytest.mark.parametrize("F", [F_SQUARE, F_SIN], ids=["square", "sin4c"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_agrees_with_the_linear_64n_recursion(self, F, n):
+        cubic = iterate_L(F, QUAD, n, GRID)
+        linear = linear_prelimit(F, n, GRID)
+        assert cubic == pytest.approx(linear, abs=3e-5)
+        # both carry the same PDE grid error against Gauss-Hermite
+        ref = _gauss_hermite_prelimit()(n, 1.0, F.phi, F.Phi, F.phi_bounds)
+        assert abs(cubic - ref) <= abs(linear - ref) + 3e-5
+
+    def test_n16_marches_15_stacks_of_33_rows_and_one_row(self, monkeypatch):
+        grid = GridSpec(-4.0, 4.0, 33, 1)
+        rows = []
+        march = sanov.march_backward
+
+        def counted_march(terminal, *args, **kwargs):
+            rows.append(np.shape(terminal)[0])
+            return march(terminal, *args, **kwargs)
+
+        monkeypatch.setattr(sanov, "march_backward", counted_march)
+        record = {}
+        iterate_L(F_SQUARE, QUAD, 16, grid, record=record)
+        assert rows == [33] * 15 + [1]
+        assert record["s_points"] == 33 and len(record["nt"]) == 16
+        assert all(isinstance(nt, int) and nt >= 1 for nt in record["nt"])
+
+    @pytest.mark.parametrize("s_points", [2, 3, 4])
+    def test_fewer_than_five_nodes_rejected(self, s_points):
+        with pytest.raises(ValueError, match="s_points"):
+            iterate_L(F_SQUARE, QUAD, 2, GRID, s_points=s_points)
+
+    def test_read_reproduces_a_cubic_and_clamps_outside(self):
+        nodes = np.linspace(-1.0, 2.0, 7)
+        cubic = lambda s: 0.5 * s ** 3 - s ** 2 + 3.0 * s - 1.0
+        read = sanov._cubic_read(nodes, cubic(nodes))
+        s = np.linspace(-1.0, 2.0, 101)
+        np.testing.assert_allclose(read(s), cubic(s), atol=1e-12)
+        assert read(np.array([-3.0]))[0] == cubic(-1.0)
+        assert read(np.array([5.0]))[0] == cubic(2.0)
 
 
 class TestPhiBounds:
