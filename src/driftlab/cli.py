@@ -69,7 +69,8 @@ EXIT_INFEASIBLE = 4
 
 
 # ---------------------------------------------------------------------------
-# Runners (config -> CSV text, manifest extras, exit code, aux files)
+# Runners: each reads and checks its whole config, then returns the solve, a
+# call of no arguments giving (CSV text, manifest extras, exit code, aux files)
 # ---------------------------------------------------------------------------
 
 def _run_pde_sweep(cfg):
@@ -77,33 +78,32 @@ def _run_pde_sweep(cfg):
     f = build_scalar_function(cfg, "terminal", "pde-sweep")
     grid = build_grid(require(cfg, "grid", "pde-sweep"))
     n_list = integer_list(cfg, "n_list", 1, "pde-sweep", default=[1, 2, 4, 8, 16, 32, 64])
-    report = vanishing_viscosity_sweep(
-        f, g, n_list, grid, y_step=positive_number(cfg, "y_step", "pde-sweep", default=1e-5)
-    )
-    csv_text = report.to_csv(header_names=("n", "u_n", "limit", "gap"))
-    return csv_text, report.meta, EXIT_OK, {}
+    y_step = positive_number(cfg, "y_step", "pde-sweep", default=1e-5)
+
+    def solve():
+        report = vanishing_viscosity_sweep(f, g, n_list, grid, y_step=y_step)
+        return report.to_csv(header_names=("n", "u_n", "limit", "gap")), report.meta, EXIT_OK, {}
+    return solve
 
 
 def _run_schilder(cfg):
     seed = integer_at_least(cfg, "seed", 0, "schilder")
     g = build_generator(require(cfg, "generator", "schilder"))
     F = build_functional(require(cfg, "functional", "schilder"))
-    res = maximize_schilder(
-        F, g, m=integer_at_least(cfg, "knots", 2, "schilder", default=17),
-        restarts=integer_at_least(cfg, "restarts", 1, "schilder", default=8), seed=seed,
-        max_iter=integer_at_least(cfg, "max_iter", 1, "schilder", default=400),
-    )
-    path_csv = csv_body(("t", "value"), list(zip(res.path.times, res.path.values)))
-    result = {
-        "value": res.value,
-        "converged": res.converged,
-        "restarts": res.restarts,
-        "best_restart": res.best_restart,
-    }
-    csv_text = csv_body(("quantity", "value"), [("best_value", res.value)])
-    code = EXIT_OK if res.converged else EXIT_NUMERICAL
-    return csv_text, result, code, {"path.csv": path_csv,
-                                    "result.json": json.dumps(result, indent=2)}
+    m = integer_at_least(cfg, "knots", 2, "schilder", default=17)
+    restarts = integer_at_least(cfg, "restarts", 1, "schilder", default=8)
+    max_iter = integer_at_least(cfg, "max_iter", 1, "schilder", default=400)
+
+    def solve():
+        res = maximize_schilder(F, g, m=m, restarts=restarts, seed=seed, max_iter=max_iter)
+        path_csv = csv_body(("t", "value"), list(zip(res.path.times, res.path.values)))
+        result = {"value": res.value, "converged": res.converged,
+                  "restarts": res.restarts, "best_restart": res.best_restart}
+        csv_text = csv_body(("quantity", "value"), [("best_value", res.value)])
+        code = EXIT_OK if res.converged else EXIT_NUMERICAL
+        return csv_text, result, code, {"path.csv": path_csv,
+                                        "result.json": json.dumps(result, indent=2)}
+    return solve
 
 
 def _run_sanov_iterate(cfg):
@@ -126,20 +126,19 @@ def _run_sanov_iterate(cfg):
     n_list = integer_list(cfg, "n_list", 1, "sanov-iterate", default=[1, 2, 4, 8])
     # the nodes of each interpolated stage; its node slopes need 5
     s_points = integer_at_least(cfg, "s_points", 5, "sanov-iterate", default=33)
-    cap = integer_at_least(cfg, "cap", 1, "sanov-iterate", default=16)
-    if max(n_list) > cap:
-        raise ConfigError(f"key 'n_list' in sanov-iterate must have no entry above key "
-                          f"'cap' ({cap}), got n={max(n_list)}")
-    diagnostics = {}
-    limit = mean_field_limit(F, g, lam_grid, grid, record=diagnostics)
-    rows, stages = [], []
-    for n in n_list:
-        marches = {"n": n}
-        val = iterate_L(F, g, n, grid, s_points=s_points, cap=cap, record=marches)
-        rows.append((n, val, limit, abs(val - limit)))
-        stages.append(marches)
-    csv_text = csv_body(("n", "prelimit", "limit", "gap"), rows)
-    return csv_text, {"limit": limit, **diagnostics, "stages": stages}, EXIT_OK, {}
+
+    def solve():
+        diagnostics = {}
+        limit = mean_field_limit(F, g, lam_grid, grid, record=diagnostics)
+        rows, stages = [], []
+        for n in n_list:
+            marches = {"n": n}
+            val = iterate_L(F, g, n, grid, s_points=s_points, record=marches)
+            rows.append((n, val, limit, abs(val - limit)))
+            stages.append(marches)
+        csv_text = csv_body(("n", "prelimit", "limit", "gap"), rows)
+        return csv_text, {"limit": limit, **diagnostics, "stages": stages}, EXIT_OK, {}
+    return solve
 
 
 def _run_schrodinger_sweep(cfg):
@@ -149,12 +148,14 @@ def _run_schrodinger_sweep(cfg):
     mollified = boolean(cfg, "mollified", "schrodinger-sweep", default=True)
     # an unmollified sweep may reach eps = 0, the transport problem itself
     eps_list = positive_list(cfg, "eps_list", "schrodinger-sweep", allow_zero=not mollified)
-    report = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified,
-                               n_time=integer_at_least(cfg, "n_time", 1, "schrodinger-sweep",
-                                                       default=32))
-    csv_text = report.to_csv(("eps", "value", "ot", "gap"))
-    infeasible = any(r.aux.get("feasible", 1.0) == 0.0 for r in report.rows)
-    return csv_text, report.meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
+    n_time = integer_at_least(cfg, "n_time", 1, "schrodinger-sweep", default=32)
+
+    def solve():
+        report = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified, n_time=n_time)
+        csv_text = report.to_csv(("eps", "value", "ot", "gap"))
+        infeasible = any(r.aux.get("feasible", 1.0) == 0.0 for r in report.rows)
+        return csv_text, report.meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
+    return solve
 
 
 def _build_control(section):
@@ -183,27 +184,27 @@ def _run_mc_estimate(cfg):
     estimator = choice(cfg, "estimator", ("log-mean-exp", "cramer", "girsanov"),
                        "mc-estimate")
     F = build_functional(require(cfg, "functional", "mc-estimate"))
-    n = positive_number(cfg, "n", "mc-estimate", default=1)
+    # the Cramer average runs over n independent copies
+    n = (integer_at_least(cfg, "n", 1, "mc-estimate", default=1) if estimator == "cramer"
+         else positive_number(cfg, "n", "mc-estimate", default=1))
     batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, "mc-estimate", default=8),
                       n_paths=integer_at_least(cfg, "paths", 1, "mc-estimate",
                                                default=1_000_000), seed=seed)
     section = optional(cfg, "oracle")
     oracle = None if section is None else _oracle(section)
-    if estimator == "log-mean-exp":
-        est, se = log_mean_exp(F, n, batch)
-    elif estimator == "cramer":
-        est, se = cramer_average(F, integer_at_least(cfg, "n", 1, "mc-estimate"), batch)
-    else:
+    if estimator == "girsanov":
         g = build_generator(require(cfg, "generator", "mc-estimate"))
         control = _build_control(require(cfg, "control", "mc-estimate"))
-        est, se = girsanov_lower_bound(F, g, control, batch)
-    value = gap = float("nan")
-    if oracle is not None:
-        value = oracle()
-        gap = abs(est - value)
-    rows = [(estimator, n, est, se, value, gap)]
-    csv_text = csv_body(("estimator", "n", "estimate", "se", "oracle", "gap"), rows)
-    return csv_text, {}, EXIT_OK, {}
+        estimate = lambda: girsanov_lower_bound(F, g, control, batch)
+    else:
+        estimate = lambda: (cramer_average if estimator == "cramer" else log_mean_exp)(F, n, batch)
+
+    def solve():
+        est, se = estimate()
+        value = float("nan") if oracle is None else oracle()
+        return csv_body(("estimator", "n", "estimate", "se", "oracle", "gap"),
+                        [(estimator, n, est, se, value, abs(est - value))]), {}, EXIT_OK, {}
+    return solve
 
 
 def _run_bsde_lsmc(cfg):
@@ -216,35 +217,39 @@ def _run_bsde_lsmc(cfg):
     batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, "bsde-lsmc", default=50),
                       n_paths=integer_at_least(cfg, "paths", 1, "bsde-lsmc", default=100_000),
                       seed=seed)
-    rows, solves = [], []
-    for n in n_list:
-        started = time.perf_counter()
-        # each n draws its paths from the seed offset by n's integer part
-        sol = lsmc_bsde(F, g, n, replace(batch, seed=seed + math.floor(n)),
-                        basis_size=basis_size)
-        knots = sol.basis_sizes if sol.basis == "hat" else ()
-        solves.append({
-            "n": n, "basis": sol.basis,
-            "knots_min": min(knots) if knots else None,
-            "knots_max": max(knots) if knots else None,
-            "regression_steps": len(sol.basis_sizes),
-            "fallbacks": sol.degree_fallbacks,
-            "wall_s": time.perf_counter() - started,
-        })
-        rows.append((n, sol.y0, sol.terminal_residual, float(sol.degree_fallbacks)))
-    csv_text = csv_body(("n", "y0", "terminal_residual", "basis_fallbacks"), rows)
-    return csv_text, {"solves": solves}, EXIT_OK, {}
+
+    def solve():
+        rows, solves = [], []
+        for n in n_list:
+            started = time.perf_counter()
+            # each n draws its paths from the seed offset by n's integer part
+            sol = lsmc_bsde(F, g, n, replace(batch, seed=seed + math.floor(n)),
+                            basis_size=basis_size)
+            knots = sol.basis_sizes if sol.basis == "hat" else ()
+            solves.append({
+                "n": n, "basis": sol.basis,
+                "knots_min": min(knots) if knots else None,
+                "knots_max": max(knots) if knots else None,
+                "regression_steps": len(sol.basis_sizes),
+                "fallbacks": sol.degree_fallbacks,
+                "wall_s": time.perf_counter() - started,
+            })
+            rows.append((n, sol.y0, sol.terminal_residual, float(sol.degree_fallbacks)))
+        csv_text = csv_body(("n", "y0", "terminal_residual", "basis_fallbacks"), rows)
+        return csv_text, {"solves": solves}, EXIT_OK, {}
+    return solve
 
 
 def _run_ti_check(cfg):
     g = build_generator(require(cfg, "generator", "ti-check"))
-    report = gen.check_ti(g)
-    rows = [
-        (name, float(ok), detail.replace(",", ";"))
-        for name, (ok, detail) in report.clauses.items()
-    ]
-    csv_text = csv_body(("clause", "passed", "detail"), rows)
-    return csv_text, {"all_passed": report.passed}, EXIT_OK, {}
+
+    def solve():
+        report = gen.check_ti(g)
+        rows = [(name, float(ok), detail.replace(",", ";"))
+                for name, (ok, detail) in report.clauses.items()]
+        extras = {"all_passed": report.passed}
+        return csv_body(("clause", "passed", "detail"), rows), extras, EXIT_OK, {}
+    return solve
 
 
 def _run_bridge_check(cfg):
@@ -253,17 +258,18 @@ def _run_bridge_check(cfg):
                       n_paths=integer_at_least(cfg, "paths", 1, "bridge-check",
                                                default=100_000), seed=seed)
     r = number(cfg, "r", "bridge-check", default=1.5)
-    chk = bridge_moment_check(
-        number(cfg, "x", "bridge-check", default=0.0),
-        number(cfg, "y", "bridge-check", default=1.0),
-        number_at_least(cfg, "epsilon", 0.0, "bridge-check", default=0.01),
-        positive_number(cfg, "delta", "bridge-check", default=1.0), r, batch,
-    )
-    rows = [(r, chk.empirical, chk.standard_error, chk.bound,
-             chk.constant, float(chk.empirical <= chk.bound))]
-    csv_text = csv_body(("r", "empirical", "se", "bound", "constant", "within_bound"), rows)
-    code = EXIT_OK if chk.empirical <= chk.bound else EXIT_NUMERICAL
-    return csv_text, {}, code, {}
+    args = (number(cfg, "x", "bridge-check", default=0.0),
+            number(cfg, "y", "bridge-check", default=1.0),
+            number_at_least(cfg, "epsilon", 0.0, "bridge-check", default=0.01),
+            positive_number(cfg, "delta", "bridge-check", default=1.0), r, batch)
+
+    def solve():
+        chk = bridge_moment_check(*args)
+        within = chk.empirical <= chk.bound
+        rows = [(r, chk.empirical, chk.standard_error, chk.bound, chk.constant, float(within))]
+        csv_text = csv_body(("r", "empirical", "se", "bound", "constant", "within_bound"), rows)
+        return csv_text, {}, EXIT_OK if within else EXIT_NUMERICAL, {}
+    return solve
 
 
 _RUNNERS = {
@@ -280,23 +286,25 @@ _RUNNERS = {
 
 def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
     """Execute one experiment config; write report.csv and manifest.json.
-    The runner reads a deep copy of ``cfg``, into which the config readers
-    write each default they apply; the manifest echoes and hashes the copy.
-    A top-level key that no reader read exits 2 naming it, before any file
-    is written, unless it is in ``ignorable``; such a key is dropped from
-    the echo (the CLI's ``--seed`` reaches kinds that draw no random
-    numbers)."""
+    Read, check, then solve: the kind's runner reads a deep copy of ``cfg``,
+    into which the config readers write each default they apply, and returns
+    its solve.  Before that runs, a key no reader read exits 2 naming it, a
+    key inside a section by its dotted path (``grid.n_t``), unless it is a
+    top-level key in ``ignorable``, which is dropped from the echo (the
+    CLI's ``--seed`` reaches kinds that draw no random numbers).  The
+    manifest echoes and hashes the copy."""
     started = time.time()
     out = Path(out_dir)
     cfg = ReadRecorder(copy.deepcopy(cfg))
     try:
         kind = choice(cfg, "kind", _RUNNERS)
-        csv_text, extras, code, aux = _RUNNERS[kind](cfg)
+        solve = _RUNNERS[kind](cfg)
         for key in cfg.unread() & set(ignorable):
             del cfg[key]
         if cfg.unread():
             names = ", ".join(sorted(repr(key) for key in cfg.unread()))
             raise ConfigError(f"unknown key {names} in {kind}: no reader of {kind} reads it")
+        csv_text, extras, code, aux = solve()
     except ValueError as err:  # a ConfigError, or a solver rejecting its input
         print(f"{source}: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

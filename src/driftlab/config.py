@@ -13,9 +13,10 @@ A reader's ``default=`` is the one place a default lives: a reader that
 applies one writes it into ``cfg[key]``, so the config a run reads ends up
 holding every value the run used, which the CLI's manifest echoes.  A key
 whose absence means "derived" or "none" is read by :func:`optional`, which
-drops an explicit null, so the two spellings echo alike.  The CLI reads the
-top level of a config through a :class:`ReadRecorder`, which remembers the
-keys looked up, and rejects any key that no reader read.
+drops an explicit null, so the two spellings echo alike.  The CLI reads a
+config through a :class:`ReadRecorder`, which remembers the keys looked up
+at the top level and inside every section, and rejects any key that no
+reader read before it solves anything.
 
 Scalar functions (terminal data, test functions, outer nonlinearities) come
 from a small named registry so that configs stay declarative and runs stay
@@ -72,11 +73,16 @@ class ConfigError(ValueError):
 
 class ReadRecorder(dict):
     """A config mapping that records every key looked up in it (by index,
-    ``get`` or ``in``), whether the key is present or not."""
+    ``get`` or ``in``), whether the key is present or not.  Each mapping it
+    holds is wrapped as a ReadRecorder too, once, when it is built, so the
+    sections record their own reads."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.read = set()
+        for key, value in self.items():
+            if isinstance(value, dict):
+                self[key] = ReadRecorder(value)
 
     def __getitem__(self, key):
         self.read.add(key)
@@ -91,8 +97,16 @@ class ReadRecorder(dict):
         return super().__contains__(key)
 
     def unread(self) -> set:
-        """The keys present that nothing has looked up."""
-        return set(self) - self.read
+        """The keys present that nothing has looked up, and by dotted path
+        (``grid.n_t``) those inside each section whose key was looked up; a
+        section that nothing looked up is one unread key."""
+        paths = set()
+        for key, value in self.items():
+            if key not in self.read:
+                paths.add(key)
+            elif isinstance(value, ReadRecorder):
+                paths |= {f"{key}.{inner}" for inner in value.unread()}
+        return paths
 
 
 def load_config(path) -> dict:

@@ -43,7 +43,6 @@ __all__ = [
     "march_backward",
     "hopf_lax",
     "vanishing_viscosity_sweep",
-    "rho_terminal_mixture",
 ]
 
 
@@ -331,23 +330,3 @@ def vanishing_viscosity_sweep(
         "hopf_lax_y_step": y_step,
     }
     return ConvergenceReport(kind="pde-sweep", rows=rows, meta=meta)
-
-
-def rho_terminal_mixture(
-    f: Callable,
-    g: gen.GeneratorSpec,
-    mu,
-    epsilon: float,
-    grid: GridSpec,
-) -> float:
-    """Initial-law mixture of PDE values: sum_x mu(x) v(0, x).
-
-    The PDE does not depend on the starting atom, so a single solve with
-    diffusion ``epsilon`` is read at every atom location.
-    """
-    atoms = np.asarray(mu.support, dtype=float)
-    weights = np.asarray(mu.weights, dtype=float)
-    if np.any(atoms < grid.x_min) or np.any(atoms > grid.x_max):
-        raise ValueError("initial atom outside the solver grid")
-    fld = solve_semilinear(f, g, epsilon, grid)
-    return float(np.dot(weights, grid.read(fld.values, atoms)))

@@ -201,7 +201,7 @@ def iterate_L_partial(F: MeanFieldFunctional, g, n: int, k: int, grid: GridSpec,
 
 
 def iterate_L(F: MeanFieldFunctional, g, n: int, grid: GridSpec, *,
-              s_points: int = 33, cap: int = 16, record=None) -> float:
+              s_points: int = 33, record=None) -> float:
     """Pre-limit value: (1/n) times the n-fold collapsed elimination pass.
 
     With a dict ``record``, ``s_points`` and the step count ``nt`` of each
@@ -209,8 +209,6 @@ def iterate_L(F: MeanFieldFunctional, g, n: int, grid: GridSpec, *,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the configured cap {cap}")
     _, vals = _stage_functions(F, g, n, grid, s_points, down_to=0, record=record)
     return float(vals[0]) / n
 

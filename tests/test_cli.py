@@ -362,7 +362,6 @@ class TestRun:
         (dict(SMALL_SANOV, lambda_min="abc"), "'lambda_min'"),
         (dict(SMALL_SANOV, lambda_max="abc"), "'lambda_max'"),
         (dict(SMALL_SANOV, c_points=0), "'c_points'"),
-        (dict(SMALL_SANOV, cap="abc"), "'cap'"),
         (dict(SMALL_SANOV, s_points="abc"), "'s_points'"),
         # the fourth-order node slopes need five nodes
         (dict(SMALL_SANOV, s_points=2), "'s_points'"),
@@ -374,7 +373,6 @@ class TestRun:
         (dict(SMALL_SANOV, n_list=[]), "'n_list'"),
         (dict(SMALL_SANOV, phi_bounds=[1.0, -1.0]), "'phi_bounds'"),
         (dict(SMALL_SANOV, phi_bounds=[-0.2, 0.2]), "phi_bounds"),
-        (dict(SMALL_SANOV, n_list=[1, 20], cap=16), "'cap'"),
         (dict(SMALL_PDE_SWEEP, generator=MODULATED), "'generator' in pde-sweep"),
         (dict(SMALL_TRANSPORT, generator=MODULATED), "'generator' in schrodinger-sweep"),
         (dict(SMALL_PDE_SWEEP, grid=dict(SMALL_PDE_SWEEP["grid"], x_min=1.0, x_max=5.0)),
@@ -389,9 +387,9 @@ class TestRun:
             "eps-zero-mollified", "mollified-string", "y-step-zero", "y-step-negative",
             "y-step-tiny", "nx-fraction", "nt-zero", "x-min-string", "x-max-string",
             "width-string", "pde-n-zero", "lambda-points-zero", "lambda-min-string",
-            "lambda-max-string", "c-points-zero", "cap-string", "s-points-string",
+            "lambda-max-string", "c-points-zero", "s-points-string",
             "s-points-2", "s-points-3", "s-points-4", "sanov-n-fraction", "eps-list-empty", "pde-n-list-empty", "sanov-n-list-empty",
-            "phi-bounds-reversed", "phi-bounds-miss-phi", "n-above-cap", "pde-modulated",
+            "phi-bounds-reversed", "phi-bounds-miss-phi", "pde-modulated",
             "transport-modulated", "pde-grid-off-origin", "sanov-grid-off-origin",
             "oracle-grid-off-origin", "lambda-window-at-one", "lambda-window-positive",
             "lambda-window-negative"])
@@ -603,9 +601,14 @@ class TestRun:
     @pytest.mark.parametrize("config, key", [
         (dict(SMALL_PDE_SWEEP, y_stpe=1e-3), "'y_stpe'"),
         (dict(SMALL_PDE_SWEEP, seed=3), "'seed'"),
-        (dict(SMALL_SANOV, c_points=41, lambda_pts=9), "'c_points', 'lambda_pts'"),
-    ], ids=["misspelt", "seed-in-pde-sweep", "two-stale-sanov-keys"])
-    def test_unread_key_exits_2_naming_it(self, tmp_path, capsys, config, key):
+        (dict(SMALL_SANOV, c_points=41, lambda_pts=9, cap=16),
+         "'c_points', 'cap', 'lambda_pts'"),
+        (dict(SMALL_PDE_SWEEP, grid=dict(SMALL_PDE_SWEEP["grid"], n_t=400)), "'grid.n_t'"),
+        (dict(SMALL_GIRSANOV, control={"kind": "constant", "value": 0.5, "center": 1.0}),
+         "'control.center'"),
+    ], ids=["misspelt", "seed-in-pde-sweep", "two-stale-sanov-keys", "misspelt-in-grid",
+            "center-on-constant-control"])
+    def test_unread_key_exits_2_naming_it(self, tmp_path, capsys, no_solver, config, key):
         cfg = write_config(tmp_path, "cfg.yaml", config)
         out = tmp_path / "o"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2

@@ -21,13 +21,11 @@ from driftlab.pde import (
     GridSpec,
     hopf_lax,
     march_backward,
-    rho_terminal_mixture,
     solve_semilinear,
     stable_nt,
     vanishing_viscosity_sweep,
 )
 from driftlab.sanov import gauss_mean
-from driftlab.schrodinger import DiscreteMeasure
 
 QUAD = Quadratic(1.0)
 
@@ -458,28 +456,8 @@ class TestViscositySweep:
 
 
 class TestTerminalMixture:
-    def test_single_atom_matches_plain_solve(self):
-        grid = GridSpec(-8.0, 8.0, 401, 1)
-        mu = DiscreteMeasure.point(0.0)
-        val = rho_terminal_mixture(gaussian_bump, QUAD, mu, 1.0, grid)
-        fld = solve_semilinear(gaussian_bump, QUAD, 1.0, grid)
-        assert val == pytest.approx(fld.initial_value_at_origin, abs=1e-12)
-
-    def test_even_symmetry(self):
-        grid = GridSpec(-8.0, 8.0, 401, 1)
-        f_even = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
-        mu = DiscreteMeasure(support=(-1.0, 1.0), weights=(0.5, 0.5))
-        val = rho_terminal_mixture(f_even, QUAD, mu, 1.0, grid)
-        fld = solve_semilinear(f_even, QUAD, 1.0, grid)
-        left, right = fld.value(-1.0), fld.value(1.0)
-        assert left == pytest.approx(right, abs=1e-9)
-        assert val == pytest.approx(right, abs=1e-9)
-
-    def test_atom_outside_grid_rejected(self):
-        grid = GridSpec(-2.0, 2.0, 101, 1)
-        mu = DiscreteMeasure(support=(0.0, 3.0), weights=(0.5, 0.5))
-        with pytest.raises(ValueError, match="atom"):
-            rho_terminal_mixture(gaussian_bump, QUAD, mu, 1.0, grid)
+    """An initial-law mixture of PDE values, sum_x mu(x) v(0, x), read off one
+    solve at atoms away from the origin."""
 
     def test_weighted_sum_against_per_atom_monte_carlo(self):
         # per-atom oracle: log mean exp of f(x + W(1)) by direct simulation
@@ -487,11 +465,12 @@ class TestTerminalMixture:
         from driftlab.variational import TerminalValue
 
         grid = GridSpec(-8.0, 8.0, 1601, 1)
-        mu = DiscreteMeasure(support=(0.0, 0.5), weights=(0.3, 0.7))
-        val = rho_terminal_mixture(gaussian_bump, QUAD, mu, 1.0, grid)
+        atoms, weights = (0.0, 0.5), (0.3, 0.7)
+        fld = solve_semilinear(gaussian_bump, QUAD, 1.0, grid)
+        val = sum(weight * fld.value(atom) for atom, weight in zip(atoms, weights))
         total = 0.0
         total_se = 0.0
-        for atom, weight in zip(mu.support, mu.weights):
+        for atom, weight in zip(atoms, weights):
             F = TerminalValue(lambda x, a=atom: gaussian_bump(np.asarray(x) + a))
             est, se = log_mean_exp(F, 1.0, PathBatch(n_steps=8, n_paths=400_000, seed=71))
             total += weight * est

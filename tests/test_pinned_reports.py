@@ -7,7 +7,8 @@ drift-field solver and the quadratic bridge.  ``bsde-lsmc`` is pinned on
 both regression bases, and ``mc-estimate`` on all three estimators.  Each
 run's ``report.csv`` must equal, byte for byte, the body stored under
 ``tests/pinned_reports/``.  A change that moves a number on
-purpose re-records the bodies and says so.
+purpose re-records the bodies and says so.  The same configs, each with a
+misspelt key in one of its sections, must exit 2 before any solver runs.
 """
 
 import json
@@ -165,3 +166,30 @@ def test_echoed_config_reruns_alike(tmp_path, name):
     assert code == 0 and again == body
     assert echoed["config"] == manifest["config"]
     assert echoed["config_sha256"] == manifest["config_sha256"]
+
+
+def _sections(payload, path=()):
+    """The key path of every mapping inside ``payload``, nested ones included."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield path + (key,)
+            yield from _sections(value, path + (key,))
+
+
+@pytest.mark.parametrize("name, path", [
+    (name, path) for name in sorted(CONFIGS) for path in _sections(CONFIGS[name])
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else v)
+def test_misspelt_key_in_a_section_exits_2_before_any_solver(tmp_path, capsys, no_solver,
+                                                            name, path):
+    payload = json.loads(json.dumps(CONFIGS[name]))  # no section shared between paths
+    section = payload
+    for key in path:
+        section = section[key]
+    section["zz_typo"] = 1.0
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(payload))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key '{'.'.join(path)}.zz_typo'" in err
+    assert not out.exists()

@@ -72,10 +72,6 @@ class TestIterateL:
             val = iterate_L(F_LINEAR, QUAD, n, GRID)
             assert val == pytest.approx(target, abs=1e-3)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            iterate_L(F_LINEAR, QUAD, 32, GRID)
-
     def test_square_outer_decreases_toward_limit(self):
         limit = mean_field_limit(F_SQUARE, QUAD, LAM_GRID, GRID)
         gaps = []
