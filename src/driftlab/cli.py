@@ -81,8 +81,8 @@ def _run_pde_sweep(cfg):
     y_step = positive_number(cfg, "y_step", "pde-sweep", default=1e-5)
 
     def solve():
-        report = vanishing_viscosity_sweep(f, g, n_list, grid, y_step=y_step)
-        return report.to_csv(header_names=("n", "u_n", "limit", "gap")), report.meta, EXIT_OK, {}
+        rows, meta = vanishing_viscosity_sweep(f, g, n_list, grid, y_step=y_step)
+        return csv_body(("n", "u_n", "limit", "gap"), rows), meta, EXIT_OK, {}
     return solve
 
 
@@ -151,10 +151,10 @@ def _run_schrodinger_sweep(cfg):
     n_time = integer_at_least(cfg, "n_time", 1, "schrodinger-sweep", default=32)
 
     def solve():
-        report = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified, n_time=n_time)
-        csv_text = report.to_csv(("eps", "value", "ot", "gap"))
-        infeasible = any(r.aux.get("feasible", 1.0) == 0.0 for r in report.rows)
-        return csv_text, report.meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
+        rows, meta = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified, n_time=n_time)
+        csv_text = csv_body(("eps", "value", "ot", "gap", "feasible"), rows)
+        infeasible = any(feasible == 0.0 for *_, feasible in rows)
+        return csv_text, meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
     return solve
 
 

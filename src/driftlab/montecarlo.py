@@ -274,17 +274,15 @@ class LsmcSolution:
     """Backward-regression solution ladder.
 
     ``basis`` names the feature basis (``"hat"`` or ``"polynomial"``);
-    ``y_ladder`` is the in-sample mean of the value process per time node;
-    ``z_ladder`` the gradient proxy.  ``basis_sizes`` holds the number of
-    basis functions (for hats, distinct knots) of each fitted regression
-    step, from the last step back.
+    ``y_ladder`` is the in-sample mean of the value process per time node.
+    ``basis_sizes`` holds the number of basis functions (for hats, distinct
+    knots) of each fitted regression step, from the last step back.
     """
 
     times: np.ndarray
     basis: str
     y0: float
     y_ladder: np.ndarray
-    z_ladder: np.ndarray
     terminal_residual: float
     degree_fallbacks: int = 0
     basis_sizes: tuple = ()
@@ -473,9 +471,7 @@ def lsmc_bsde(
         spread, z_cap = np.inf, np.inf
 
     y_ladder = np.empty(m + 1)
-    z_ladder = np.empty(m + 1)
     y_ladder[m] = float(y.mean())
-    z_ladder[m] = 0.0
     fallbacks = 0
     basis_sizes = []
     terminal_residual = 0.0
@@ -509,17 +505,15 @@ def lsmc_bsde(
                 z_k = np.clip(z_k, -z_cap / sqrt_n, z_cap / sqrt_n)
         y = e_k + dt * g.gstar(times[k], sqrt_n * z_k)
         y_ladder[k] = float(np.mean(y))
-        z_ladder[k] = float(np.mean(z_k))
     # at time 0 every path is at the origin, so both regressions are means
-    z_ladder[0] = float(np.mean(y * (paths[:, 1] - paths[:, 0]))) / dt
-    y_ladder[0] = float(np.mean(y)) + dt * g.gstar(times[0], np.full(1, sqrt_n * z_ladder[0]))[0]
+    z0 = float(np.mean(y * (paths[:, 1] - paths[:, 0]))) / dt
+    y_ladder[0] = float(np.mean(y)) + dt * g.gstar(times[0], np.full(1, sqrt_n * z0))[0]
 
     return LsmcSolution(
         times=times,
         basis="hat" if second is None else "polynomial",
         y0=float(y_ladder[0]),
         y_ladder=y_ladder,
-        z_ladder=z_ladder,
         terminal_residual=terminal_residual,
         degree_fallbacks=fallbacks,
         basis_sizes=tuple(basis_sizes),

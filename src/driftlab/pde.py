@@ -33,7 +33,6 @@ import numpy as np
 
 from . import generators as gen
 from .parallel import run_parallel
-from .report import ConvergenceReport, ReportRow
 
 __all__ = [
     "GridSpec",
@@ -299,12 +298,14 @@ def vanishing_viscosity_sweep(
     grid: GridSpec,
     *,
     y_step: float = 1e-5,
-) -> ConvergenceReport:
+):
     """Solve with diffusion 1/n for each n and report gaps to the Hopf-Lax value.
 
-    The limit value is a dense grid search of the Hopf-Lax form over the grid
-    domain with step ``y_step``; the search grid is generated one chunk at a
-    time and never held whole.
+    Returns ``(rows, meta)``: one row ``(n, u_n, limit, gap)`` per n, in
+    ascending n, and the run facts for the manifest (grid, scheme, each
+    march's step data, the search step).  The limit value is a dense grid
+    search of the Hopf-Lax form over the grid domain with step ``y_step``;
+    the search grid is generated one chunk at a time and never held whole.
     """
     n_list = sorted(int(n) for n in n_list)
     if not y_step > 0 or (grid.x_max - grid.x_min) / y_step > _MAX_SEARCH_POINTS:
@@ -319,14 +320,11 @@ def vanishing_viscosity_sweep(
         return fld.initial_value_at_origin, fld.cfl
 
     results = run_parallel(solve_one, n_list)
-    rows = [
-        ReportRow(index=n, prelimit=v, limit=limit, gap=abs(v - limit))
-        for n, (v, _) in zip(n_list, results)
-    ]
+    rows = [(n, v, limit, abs(v - limit)) for n, (v, _) in zip(n_list, results)]
     meta = {
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "nx": grid.nx},
         "scheme": "IMEX monotone: implicit centered diffusion, explicit upwind Hamiltonian",
         "cfl": {str(n): cfl for n, (_, cfl) in zip(n_list, results)},
         "hopf_lax_y_step": y_step,
     }
-    return ConvergenceReport(kind="pde-sweep", rows=rows, meta=meta)
+    return rows, meta

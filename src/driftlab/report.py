@@ -1,5 +1,6 @@
-"""Convergence reports: rows of (index, pre-limit value, limit, gap) plus
-auxiliary diagnostics, with byte-stable CSV bodies.
+"""Report CSV bodies: the one writer every runner hands its header and
+plain-tuple rows to, and the cell-wise comparison of two bodies.  The
+runner alone decides the columns and the order of the rows.
 
 Floats are rendered with 17 significant digits so that CSV bodies are
 bit-reproducible and round-trip float64 exactly.
@@ -10,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 
-__all__ = ["ReportRow", "ConvergenceReport", "format_float", "csv_body"]
+__all__ = ["format_float", "csv_body"]
 
 
 def format_float(x) -> str:
@@ -36,37 +36,6 @@ def csv_body(header, rows) -> str:
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else format_float(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    index: float
-    prelimit: float
-    limit: float
-    gap: float
-    aux: dict = field(default_factory=dict)
-
-
-@dataclass
-class ConvergenceReport:
-    """Ordered experiment rows with the standard (index, value, limit, gap) core.
-
-    ``meta`` carries run facts for the manifest (grids, scheme, stability
-    numbers); it never enters the CSV body.
-    """
-
-    kind: str
-    rows: list
-    meta: dict = field(default_factory=dict)
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: r.index)
-
-    def to_csv(self, header_names=("index", "prelimit", "limit", "gap")) -> str:
-        aux_keys = sorted({k for r in self.rows for k in r.aux})
-        rows = [[r.index, r.prelimit, r.limit, r.gap] + [r.aux.get(k, "") for k in aux_keys]
-                for r in self.sorted_rows()]
-        return csv_body(list(header_names) + aux_keys, rows)
 
 
 def compare_csv_texts(text_a: str, text_b: str):

@@ -270,16 +270,14 @@ def scalar_transport_cost(g, phi: Callable, lambda_grid, grid: GridSpec) -> Scal
                        nt=int(steps["nt"]))
 
 
-def _scalar_limit(F: MeanFieldFunctional, g, lambda_grid, grid: GridSpec, t=0.0, m=0.0):
+def _scalar_limit(F: MeanFieldFunctional, curve: ScalarCurve, t=0.0, m=0.0):
     """sup_c Phi(t m + (1-t) c) - (1-t) C(c): the limit with a share t of
-    the blocks frozen at statistic m, over the curve points whose c lies in
-    ``phi_bounds``.  Returns the value and its diagnostics: the maximising
-    lambda, the covered range [rho'(lambda_min), rho'(lambda_max)], the
-    march's step count and whether the max sits at an end of the window,
-    where the sup may lie beyond it."""
-    _check_phi_bounds(F, grid)
+    the blocks frozen at statistic m, over the points of ``curve`` whose c
+    lies in ``phi_bounds``.  Returns the value and its diagnostics: the
+    maximising lambda, the covered range [rho'(lambda_min),
+    rho'(lambda_max)], the march's step count and whether the max sits at an
+    end of the window, where the sup may lie beyond it."""
     lo, hi = F.phi_bounds
-    curve = scalar_transport_cost(g, F.phi, lambda_grid, grid)
     inside = (curve.c >= lo) & (curve.c <= hi)
     if not inside.any():
         raise ValueError("the lambda window reaches no statistic inside phi_bounds")
@@ -301,22 +299,30 @@ def mean_field_limit(F: MeanFieldFunctional, g, lambda_grid, grid: GridSpec, *,
     With a dict ``record``, the limit's diagnostics are written into it:
     ``lambda_star``, ``c_range``, ``nt`` and ``at_edge``.
     """
-    value, diagnostics = _scalar_limit(F, g, lambda_grid, grid)
+    _check_phi_bounds(F, grid)
+    value, diagnostics = _scalar_limit(F, scalar_transport_cost(g, F.phi, lambda_grid, grid))
     if record is not None:
         record.update(diagnostics)
     return value
 
 
-def conditional_sanov_limit(t: float, F: MeanFieldFunctional, g, lambda_grid,
-                            grid: GridSpec) -> float:
-    """Limit of the partly frozen pass: sup_c Phi(t m + (1-t) c) - (1-t) C(c).
+def conditional_sanov_limit(ts, F: MeanFieldFunctional, g, lambda_grid,
+                            grid: GridSpec) -> list:
+    """Limits of the partly frozen pass along the ladder ``ts``, one per t:
+    sup_c Phi(t m + (1-t) c) - (1-t) C(c).
 
     ``m`` is the plain Gaussian mean of phi; at t = 1 the value degenerates
-    to Phi(m), at t = 0 it is the unconditional limit.
+    to Phi(m), at t = 0 it is the unconditional limit.  Every t below 1
+    reads the one curve C of a single lambda march; a ladder of only t = 1
+    makes no march.
     """
-    if not 0.0 <= t <= 1.0:
+    ts = list(ts)
+    if not all(0.0 <= t <= 1.0 for t in ts):
         raise ValueError("t must lie in [0, 1]")
+    _check_phi_bounds(F, grid)
     m_p = gauss_mean(F.phi)
-    if t >= 1.0:
-        return float(F.Phi(m_p))
-    return _scalar_limit(F, g, lambda_grid, grid, t, m_p)[0]
+    frozen = float(F.Phi(m_p))
+    if all(t >= 1.0 for t in ts):
+        return [frozen] * len(ts)
+    curve = scalar_transport_cost(g, F.phi, lambda_grid, grid)
+    return [frozen if t >= 1.0 else _scalar_limit(F, curve, t, m_p)[0] for t in ts]

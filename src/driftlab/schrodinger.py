@@ -19,8 +19,8 @@ Routes implemented here:
   the forward and adjoint passes read those tables.  The march kernel has
   its subnormal entries zeroed once per solve;
 * the mollifier of the target law and the small-noise sweep over both the
-  mollified and raw-target modes, whose report carries one diagnostics
-  record per noise level in ``meta["solves"]``.
+  mollified and raw-target modes, which returns plain-tuple report rows and
+  one diagnostics record per noise level in ``meta["solves"]``.
 
 Raw (un-mollified) atomic targets are reachable only when the cost grows
 strictly slower than quadratically; for quadratic or faster growth the
@@ -38,7 +38,6 @@ import numpy as np
 
 from . import generators as gen
 from .parallel import run_parallel
-from .report import ConvergenceReport, ReportRow
 
 __all__ = [
     "DiscreteMeasure",
@@ -287,9 +286,11 @@ class SinkhornSolution:
 # step becomes a long gradient step that the halvings cut back.
 _LEVENBERG = 1e-12
 _MAX_HALVINGS = 64
+# the largest row or column marginal error of a converged solve
+_MARGINAL_TOL = 1e-9
 
 
-def sinkhorn_bridge(instance: "TransportInstance", *, tol=1e-9, max_iter=200) -> SinkhornSolution:
+def sinkhorn_bridge(instance: "TransportInstance", *, max_iter=200) -> SinkhornSolution:
     """Quadratic-cost stochastic transport by a Newton solve of the semi-dual.
 
     Minimizes the relative entropy of the coupling with respect to the
@@ -310,14 +311,15 @@ def sinkhorn_bridge(instance: "TransportInstance", *, tol=1e-9, max_iter=200) ->
     shrinks the largest row-marginal error by the Armijo fraction; a step
     that had to be cut is cut on while that raises F further.  A system
     that cannot be solved, a step that no halving keeps, or ``max_iter``
-    Newton steps end the solve unconverged.
+    Newton steps end the solve unconverged; it converges once both marginal
+    errors are below ``_MARGINAL_TOL``.
     """
     if not isinstance(instance.g, gen.Quadratic):
         raise ValueError("Sinkhorn route needs a quadratic drift cost")
     eps = instance.epsilon
     if eps <= 0:
         raise ValueError("need epsilon > 0")
-    target = instance.target()
+    target = instance.target
     a_full = np.asarray(instance.mu.weights)
     b_full = np.asarray(target.weights)
     rows = np.flatnonzero(a_full > 0)
@@ -342,7 +344,7 @@ def sinkhorn_bridge(instance: "TransportInstance", *, tol=1e-9, max_iter=200) ->
         grad = a - row_sums
         row_err = float(np.abs(grad).max())
         err = max(row_err, float(np.abs(pi.sum(axis=0) - b).max()))
-        if err < tol or steps == max_iter:
+        if err < _MARGINAL_TOL or steps == max_iter:
             break
         jac = np.diag(row_sums) - (pi / b) @ pi.T
         step = np.zeros(a.size)
@@ -384,7 +386,7 @@ def sinkhorn_bridge(instance: "TransportInstance", *, tol=1e-9, max_iter=200) ->
         iterations=steps,
         marginal_error=err,
         backtracks=backtracks,
-        converged=err < tol,
+        converged=err < _MARGINAL_TOL,
     )
 
 
@@ -402,9 +404,12 @@ def _lse(arr, axis):
 class TransportInstance:
     """Stochastic transport instance on a state grid.
 
-    ``exact_target`` selects the raw-target (un-mollified) mode, where the
-    terminal law must match ``nu`` exactly; otherwise the caller supplies a
-    mollified target via :meth:`with_target` (the sweep does this).
+    The terminal law to reach is ``target``.  When ``mollified`` (the
+    default) it is ``nu`` convolved with the noise of variance ``epsilon``
+    and projected on the state grid, which needs epsilon > 0; otherwise it
+    is ``nu`` itself, the raw-target mode, which :func:`solve_transport`
+    declares unreachable upfront for quadratic-or-faster cost growth.
+    ``state_grid`` and ``target`` are built once, from the other fields.
     """
 
     mu: DiscreteMeasure
@@ -412,48 +417,28 @@ class TransportInstance:
     g: gen.GeneratorSpec
     epsilon: float
     n_time: int = 32
-    state_grid: Optional[np.ndarray] = None
-    exact_target: bool = False
-    mollified: Optional[DiscreteMeasure] = None
+    mollified: bool = True
+    state_grid: np.ndarray = field(init=False)
+    target: DiscreteMeasure = field(init=False)
 
     def __post_init__(self):
         if gen.is_time_dependent(self.g):
             raise ValueError("transport instances need a time-independent cost")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.state_grid is None:
-            object.__setattr__(
-                self, "state_grid", make_state_grid(self.mu, self.nu, self.epsilon)
-            )
-
-    def target(self) -> DiscreteMeasure:
-        if self.mollified is not None:
-            return self.mollified
-        return self.nu
-
-    def with_mollified_target(self):
-        target, _ = mollify(self.nu, self.epsilon, self.state_grid)
-        return TransportInstance(
-            mu=self.mu,
-            nu=self.nu,
-            g=self.g,
-            epsilon=self.epsilon,
-            n_time=self.n_time,
-            state_grid=self.state_grid,
-            exact_target=False,
-            mollified=target,
-        )
+        grid = make_state_grid(self.mu, self.nu, self.epsilon)
+        object.__setattr__(self, "state_grid", grid)
+        object.__setattr__(self, "target", mollify(self.nu, self.epsilon, grid)[0]
+                           if self.mollified else self.nu)
 
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Drift field, marginal flow, and diagnostics of a transport solve."""
+    """Marginal flow and diagnostics of a transport solve."""
 
     value: float
-    drifts: Optional[np.ndarray]
     marginals: Optional[np.ndarray]
     feasible: bool
-    terminal_error: float
     kkt_residual: float
     iterations: int
     diagnostics: dict = field(default_factory=dict)
@@ -617,17 +602,15 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
 
     g = instance.g
     eps = instance.epsilon
-    grid = np.asarray(instance.state_grid, dtype=float)
-    target = instance.target()
-    if instance.exact_target:
+    grid = instance.state_grid
+    target = instance.target
+    if not instance.mollified:
         growth = g.growth()
         if growth is None or growth >= 2.0:
             return FlowSolution(
                 value=math.inf,
-                drifts=None,
                 marginals=None,
                 feasible=False,
-                terminal_error=math.inf,
                 kkt_residual=math.inf,
                 iterations=0,
                 diagnostics={
@@ -699,17 +682,15 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
     repair = _repair_cost(grid, masses[-1], target, g, dt)
     if math.isinf(repair):
         return FlowSolution(
-            value=math.inf, drifts=q, marginals=masses, feasible=False,
-            terminal_error=feas, kkt_residual=math.inf, iterations=evaluations,
+            value=math.inf, marginals=masses, feasible=False,
+            kkt_residual=math.inf, iterations=evaluations,
             diagnostics={"reason": "terminal repair outside the cost domain", **rounds_info},
         )
     masses[-1] = nu_vec
     return FlowSolution(
         value=float(running + repair),
-        drifts=q,
         marginals=masses,
         feasible=True,
-        terminal_error=0.0,  # exact after the charged repair
         kkt_residual=float(np.abs(np.asarray(objective_and_grad(q.ravel())[1])).max()),
         iterations=evaluations,
         diagnostics={"running_cost": running, "repair_cost": repair, **rounds_info},
@@ -735,18 +716,19 @@ def _solve_record(eps, sol):
 
 
 def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
-                      mollified: bool = True, *, n_time=32) -> ConvergenceReport:
+                      mollified: bool = True, *, n_time=32):
     """Per-noise-level transport values against the zero-noise oracle.
 
     Quadratic costs ride the semi-dual Newton (``sinkhorn``) route in
     mollified mode; everything else, and every raw-target run, goes through
-    the drift-field solver.
-    Rows carry a feasibility flag; raw atomic targets under quadratic growth
-    are infeasible at every noise level, which is the point of the
-    mollification.  A zero noise level reports the zero-noise limit itself,
-    the OT value (route ``ot-oracle``), without a solve.  ``meta["solves"]``
-    holds one record per noise level with the route and its solver
-    diagnostics.
+    the drift-field solver.  Returns ``(rows, meta)``: one row
+    ``(eps, value, ot, gap, feasible)`` per noise level, in ascending eps
+    (the strictly decreasing ladder reversed), with ``feasible`` 1.0 or 0.0.
+    Raw atomic targets under quadratic growth are infeasible at every noise
+    level, which is the point of the mollification.  A zero noise level
+    reports the zero-noise limit itself, the OT value (route ``ot-oracle``),
+    without a solve.  ``meta["solves"]`` holds one record per noise level,
+    in solve order, with the route and its solver diagnostics.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -756,14 +738,9 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
     def solve_one(eps):
         if eps == 0:
             return None
-        instance = TransportInstance(
-            mu=mu, nu=nu, g=g, epsilon=eps, n_time=n_time,
-            exact_target=not mollified,
-        )
-        if not mollified:
-            return solve_transport(instance)
-        instance = instance.with_mollified_target()
-        if isinstance(g, gen.Quadratic):
+        instance = TransportInstance(mu=mu, nu=nu, g=g, epsilon=eps, n_time=n_time,
+                                     mollified=mollified)
+        if mollified and isinstance(g, gen.Quadratic):
             return sinkhorn_bridge(instance)
         return solve_transport(instance)
 
@@ -773,9 +750,6 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
         value = ot_value if sol is None else sol.value
         feasible = math.isfinite(value) if sol is None else sol.feasible
         gap = abs(value - ot_value) if math.isfinite(value) else math.inf
-        rows.append(
-            ReportRow(index=eps, prelimit=value, limit=ot_value, gap=gap,
-                      aux={"feasible": float(feasible)})
-        )
+        rows.append((eps, value, ot_value, gap, float(feasible)))
     meta = {"solves": [_solve_record(eps, sol) for eps, sol in zip(eps_list, solutions)]}
-    return ConvergenceReport(kind="schrodinger-sweep", rows=rows, meta=meta)
+    return rows[::-1], meta

@@ -71,15 +71,15 @@ def sanov_pieces():
 def test_criterion_01_vanishing_viscosity():
     started = time.time()
     grid = GridSpec(-6.0, 6.0, 1201, 1)
-    report = vanishing_viscosity_sweep(gaussian_bump, QUAD, [4, 8, 16, 32, 64], grid)
-    gaps = {int(r.index): r.gap for r in report.rows}
+    rows, _ = vanishing_viscosity_sweep(gaussian_bump, QUAD, [4, 8, 16, 32, 64], grid)
+    gaps = {n: gap for n, _, _, gap in rows}
     tail = [gaps[n] for n in (4, 8, 16, 32, 64)]
     assert all(a >= b for a, b in zip(tail, tail[1:])), f"gaps not non-increasing: {tail}"
     assert gaps[64] <= 5e-2, f"gap at n=64 is {gaps[64]:.4f}"
     # pointwise supremum oracle on a 1e-5 grid
     y = np.arange(-6.0, 6.0 + 1e-5, 1e-5)
     oracle = float(np.max(gaussian_bump(y) - 0.5 * y * y))
-    assert abs(report.rows[0].limit - oracle) <= 1e-6
+    assert abs(rows[0][2] - oracle) <= 1e-6
     assert time.time() - started <= 120.0
 
 
@@ -106,13 +106,15 @@ def test_criterion_02_quadratic_cross_validation():
 @criterion(3, "interval-constrained Hamiltonian converges to the constrained sup")
 def test_criterion_03_constrained_hamiltonian():
     grid = GridSpec(-6.0, 6.0, 1201, 1)
-    report = vanishing_viscosity_sweep(
+    rows, _ = vanishing_viscosity_sweep(
         gaussian_bump, IndicatorInterval(1.0), [4, 16, 64, 128], grid
     )
     y = np.arange(-1.0, 1.0 + 1e-6, 1e-6)
     constrained_sup = float(gaussian_bump(y).max())
-    assert abs(report.rows[0].limit - constrained_sup) <= 1e-2
-    assert report.sorted_rows()[-1].gap <= 1e-2
+    n, _, limit, gap = rows[-1]
+    assert n == 128
+    assert abs(limit - constrained_sup) <= 1e-2
+    assert gap <= 1e-2
 
 
 @criterion(4, "linear empirical functionals telescope through the iterated pass")
@@ -148,10 +150,7 @@ def test_criterion_05_nonlinear_sanov(sanov_pieces):
 @criterion(6, "conditional limits: continuous ladder and LSMC trend to the path oracle")
 def test_criterion_06_conditional_limits(sanov_pieces):
     grid, F_sq, lam_grid, limit = sanov_pieces
-    ladder = [
-        conditional_sanov_limit(t, F_sq, QUAD, lam_grid, grid)
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0)
-    ]
+    ladder = conditional_sanov_limit((0.0, 0.25, 0.5, 0.75, 1.0), F_sq, QUAD, lam_grid, grid)
     assert ladder[0] == pytest.approx(limit, abs=1e-12)
     m_p = gauss_mean(np.tanh)
     assert ladder[-1] == pytest.approx(float(m_p ** 2), abs=1e-12)
@@ -173,26 +172,27 @@ def test_criterion_06_conditional_limits(sanov_pieces):
 @criterion(7, "mollified bridges converge to transport; raw atomic target infeasible")
 def test_criterion_07_schrodinger_mollified():
     mu, nu = DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0)
-    report = small_noise_sweep(mu, nu, QUAD, [0.1, 0.01, 1e-3], mollified=True)
-    rows = {r.index: r for r in report.rows}
-    assert rows[1e-3].limit == pytest.approx(0.5, abs=1e-12)
-    assert rows[1e-3].gap <= 2e-2, f"gap {rows[1e-3].gap:.4f}"
-    raw = small_noise_sweep(mu, nu, QUAD, [0.1, 0.01, 1e-3], mollified=False)
-    for row in raw.rows:
-        assert row.aux["feasible"] == 0.0
-        assert row.prelimit == np.inf
+    rows, _ = small_noise_sweep(mu, nu, QUAD, [0.1, 0.01, 1e-3], mollified=True)
+    eps, _, ot, gap, _ = rows[0]
+    assert eps == 1e-3
+    assert ot == pytest.approx(0.5, abs=1e-12)
+    assert gap <= 2e-2, f"gap {gap:.4f}"
+    raw, _ = small_noise_sweep(mu, nu, QUAD, [0.1, 0.01, 1e-3], mollified=False)
+    for _, value, _, _, feasible in raw:
+        assert feasible == 0.0
+        assert value == np.inf
 
 
 @criterion(8, "subquadratic raw-target gaps decrease strictly along the noise ladder")
 def test_criterion_08_subquadratic_unmollified():
     mu = DiscreteMeasure(support=(0.0, 2.0), weights=(0.5, 0.5))
     nu = DiscreteMeasure(support=(1.0, 3.0), weights=(0.5, 0.5))
-    report = small_noise_sweep(mu, nu, PowerLaw(r=1.5, a=1.0),
-                               [0.1, 0.03, 0.01], mollified=False)
-    by_eps = {r.index: r for r in report.rows}
-    gaps = [by_eps[e].gap for e in (0.1, 0.03, 0.01)]
+    rows, _ = small_noise_sweep(mu, nu, PowerLaw(r=1.5, a=1.0),
+                                [0.1, 0.03, 0.01], mollified=False)
+    gap_at = {eps: gap for eps, _, _, gap, _ in rows}
+    gaps = [gap_at[e] for e in (0.1, 0.03, 0.01)]
     assert gaps[0] > gaps[1] > gaps[2] > 0, f"gaps: {gaps}"
-    assert all(r.aux["feasible"] == 1.0 for r in report.rows)
+    assert all(feasible == 1.0 for *_, feasible in rows)
 
 
 @criterion(9, "bridge drift moments obey the analytic bound; quadratic moment diverges")

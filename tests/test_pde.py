@@ -415,11 +415,11 @@ class TestHopfLax:
 class TestViscositySweep:
     def test_constant_terminal_all_gaps_tiny(self):
         grid = GridSpec(-4.0, 4.0, 201, 1)
-        rep = vanishing_viscosity_sweep(
+        rows, _ = vanishing_viscosity_sweep(
             lambda x: np.zeros(np.shape(x)), QUAD, [1, 4, 16], grid, y_step=1e-3
         )
-        for row in rep.rows:
-            assert row.gap <= 1e-9
+        for _, _, _, gap in rows:
+            assert gap <= 1e-9
 
     @pytest.mark.parametrize("y_step", [0.0, -1e-3, 1e-9])
     def test_bad_search_step_rejected_before_allocating(self, y_step):
@@ -438,21 +438,24 @@ class TestViscositySweep:
 
     def test_gaussian_bump_gaps_shrink(self):
         grid = GridSpec(-6.0, 6.0, 1201, 1)
-        rep = vanishing_viscosity_sweep(gaussian_bump, QUAD, [1, 2, 4, 8, 16, 32, 64], grid)
-        rows = rep.sorted_rows()
-        gaps = {int(r.index): r.gap for r in rows}
+        rows, _ = vanishing_viscosity_sweep(gaussian_bump, QUAD, [1, 2, 4, 8, 16, 32, 64], grid)
+        assert [row[0] for row in rows] == [1, 2, 4, 8, 16, 32, 64]
+        gaps = {n: gap for n, _, _, gap in rows}
         assert gaps[64] <= 5e-2
         tail = [gaps[n] for n in (4, 8, 16, 32, 64)]
         assert all(a >= b for a, b in zip(tail, tail[1:]))
 
     def test_indicator_limit_is_constrained_sup(self):
         grid = GridSpec(-6.0, 6.0, 1201, 1)
-        rep = vanishing_viscosity_sweep(gaussian_bump, IndicatorInterval(1.0), [4, 16, 64], grid)
+        rows, _ = vanishing_viscosity_sweep(gaussian_bump, IndicatorInterval(1.0), [64, 4, 16],
+                                            grid)
         # independent constrained grid search
         y = np.arange(-1.0, 1.0 + 1e-6, 1e-6)
         target = float(gaussian_bump(y).max())
-        assert rep.rows[0].limit == pytest.approx(target, abs=1e-9)
-        assert rep.sorted_rows()[-1].gap <= 2e-2
+        assert [row[0] for row in rows] == [4, 16, 64]  # ascending n, whatever the input order
+        _, _, limit, gap = rows[-1]
+        assert limit == pytest.approx(target, abs=1e-9)
+        assert gap <= 2e-2
 
 
 class TestTerminalMixture:

@@ -1,15 +1,10 @@
-"""Report serialization: byte-stable CSV, gap recomputation, comparisons."""
+"""Report serialization: byte-stable CSV bodies and their comparison."""
 
 import math
 
 import pytest
 
-from driftlab.report import (
-    ConvergenceReport,
-    ReportRow,
-    compare_csv_texts,
-    format_float,
-)
+from driftlab.report import compare_csv_texts, csv_body, format_float
 
 
 class TestFormatting:
@@ -24,26 +19,12 @@ class TestFormatting:
 
 
 class TestRoundTrip:
-    def test_csv_rows_sorted_by_index(self):
-        rows = [
-            ReportRow(index=4, prelimit=0.59, limit=0.67, gap=999.0),
-            ReportRow(index=2, prelimit=0.55, limit=0.67, gap=0.12),
-        ]
-        text = ConvergenceReport(kind="pde-sweep", rows=rows).to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "index,prelimit,limit,gap"
-        assert [float(line.split(",")[0]) for line in lines[1:]] == [2, 4]
-
     def test_bodies_byte_stable(self):
-        rows = [ReportRow(index=1, prelimit=1.0 / 3.0, limit=0.5, gap=0.5 - 1.0 / 3.0)]
-        a = ConvergenceReport(kind="x", rows=rows).to_csv()
-        b = ConvergenceReport(kind="x", rows=list(rows)).to_csv()
-        assert a == b
-
-    def test_aux_columns_appended(self):
-        rows = [ReportRow(index=1, prelimit=2.0, limit=2.0, gap=0.0, aux={"feasible": 1.0})]
-        text = ConvergenceReport(kind="x", rows=rows).to_csv(("eps", "value", "ot", "gap"))
-        assert text.splitlines()[0] == "eps,value,ot,gap,feasible"
+        header = ("n", "prelimit", "limit", "gap")
+        rows = [(1, 1.0 / 3.0, 0.5, 0.5 - 1.0 / 3.0)]
+        a = csv_body(header, rows)
+        assert a == csv_body(list(header), [list(row) for row in rows])
+        assert a == "n,prelimit,limit,gap\n1,0.33333333333333331,0.5,0.16666666666666669\n"
 
 
 class TestCompareCsv:

@@ -37,6 +37,20 @@ def rho_of_tanh():
     return fld.initial_value_at_origin
 
 
+def _count_marches(monkeypatch):
+    """Route sanov's marches through a counter; returns the list of their
+    stacked row counts."""
+    rows = []
+    march = sanov.march_backward
+
+    def counted_march(terminal, *args, **kwargs):
+        rows.append(np.shape(terminal)[0])
+        return march(terminal, *args, **kwargs)
+
+    monkeypatch.setattr(sanov, "march_backward", counted_march)
+    return rows
+
+
 class TestApplyL:
     def test_state_independent_slice_passes_through(self):
         s_grid = np.linspace(-2.0, 2.0, 21)
@@ -121,14 +135,7 @@ class TestCubicStages:
 
     def test_n16_marches_15_stacks_of_33_rows_and_one_row(self, monkeypatch):
         grid = GridSpec(-4.0, 4.0, 33, 1)
-        rows = []
-        march = sanov.march_backward
-
-        def counted_march(terminal, *args, **kwargs):
-            rows.append(np.shape(terminal)[0])
-            return march(terminal, *args, **kwargs)
-
-        monkeypatch.setattr(sanov, "march_backward", counted_march)
+        rows = _count_marches(monkeypatch)
         record = {}
         iterate_L(F_SQUARE, QUAD, 16, grid, record=record)
         assert rows == [33] * 15 + [1]
@@ -154,7 +161,8 @@ class TestPhiBounds:
     @pytest.mark.parametrize("solve", [
         lambda F: iterate_L(F, QUAD, 2, GRID),
         lambda F: mean_field_limit(F, QUAD, LAM_GRID, GRID),
-    ], ids=["iterate", "limit"])
+        lambda F: conditional_sanov_limit([0.5, 1.0], F, QUAD, LAM_GRID, GRID),
+    ], ids=["iterate", "limit", "conditional"])
     def test_bounds_missing_phi_values_rejected_before_any_march(self, monkeypatch, solve):
         # tanh reaches 0.99998 on GRID; interpolation would clamp it to 0.2
         F = MeanFieldFunctional(phi=np.tanh, Phi=F_SQUARE.Phi, phi_bounds=(-0.2, 0.2))
@@ -254,19 +262,34 @@ class TestLambdaParametrisedLimit:
 class TestConditionalLimit:
     def test_endpoints(self):
         limit = mean_field_limit(F_SQUARE, QUAD, LAM_GRID, GRID)
-        at_zero = conditional_sanov_limit(0.0, F_SQUARE, QUAD, LAM_GRID, GRID)
-        at_one = conditional_sanov_limit(1.0, F_SQUARE, QUAD, LAM_GRID, GRID)
+        at_zero, at_one = conditional_sanov_limit([0.0, 1.0], F_SQUARE, QUAD, LAM_GRID, GRID)
         assert at_zero == pytest.approx(limit, abs=1e-12)
         m_p = gauss_mean(np.tanh)
         assert at_one == pytest.approx(float(m_p ** 2), abs=1e-12)
 
     def test_continuity_on_ladder(self):
-        vals = [
-            conditional_sanov_limit(t, F_SQUARE, QUAD, LAM_GRID, GRID)
-            for t in (0.0, 0.25, 0.5, 0.75, 1.0)
-        ]
+        vals = conditional_sanov_limit((0.0, 0.25, 0.5, 0.75, 1.0), F_SQUARE, QUAD,
+                                       LAM_GRID, GRID)
         jumps = np.abs(np.diff(vals))
         assert jumps.max() <= 0.05
+
+    def test_five_point_ladder_marches_once(self, monkeypatch):
+        rows = _count_marches(monkeypatch)
+        vals = conditional_sanov_limit((0.0, 0.25, 0.5, 0.75, 1.0), F_SQUARE, QUAD,
+                                       LAM_GRID, GRID)
+        assert rows == [LAM_GRID.size]
+        assert len(vals) == 5
+
+    def test_ladder_of_only_t_one_makes_no_march(self, monkeypatch):
+        rows = _count_marches(monkeypatch)
+        vals = conditional_sanov_limit([1.0, 1.0], F_SQUARE, QUAD, LAM_GRID, GRID)
+        assert rows == []
+        assert vals == [float(gauss_mean(np.tanh) ** 2)] * 2
+
+    @pytest.mark.parametrize("ts", [[0.5, -0.1], [1.5]])
+    def test_rejects_a_share_outside_the_unit_interval(self, ts):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            conditional_sanov_limit(ts, F_SQUARE, QUAD, LAM_GRID, GRID)
 
     def test_midpoint_against_partial_pass_monte_carlo(self):
         # pre-limit oracle: stage values of the n = 8 pass frozen at its
@@ -277,7 +300,7 @@ class TestConditionalLimit:
         z = rng.standard_normal((20_000, k))
         s_samples = np.tanh(z).sum(axis=1)
         mc = float(np.mean(np.interp(s_samples, s_grid, stage_vals))) / n
-        limit = conditional_sanov_limit(0.5, F_SQUARE, QUAD, LAM_GRID, GRID)
+        [limit] = conditional_sanov_limit([0.5], F_SQUARE, QUAD, LAM_GRID, GRID)
         # n = 8 still carries its pre-limit fluctuation premium
         assert mc == pytest.approx(limit, abs=0.1)
         assert mc >= limit - 1e-9

@@ -183,7 +183,7 @@ class TestSinkhorn:
             inst = TransportInstance(
                 mu=DiscreteMeasure.point(0.0), nu=DiscreteMeasure.point(0.0),
                 g=Quadratic(1.0), epsilon=eps,
-            ).with_mollified_target()
+            )
             sol = sinkhorn_bridge(inst)
             assert sol.value <= eps * 1.0
             assert sol.value >= -1e-12
@@ -193,7 +193,7 @@ class TestSinkhorn:
             inst = TransportInstance(
                 mu=DiscreteMeasure.point(0.0), nu=DiscreteMeasure.point(1.0),
                 g=Quadratic(1.0), epsilon=eps,
-            ).with_mollified_target()
+            )
             sol = sinkhorn_bridge(inst)
             assert sol.converged
             assert abs(sol.value - 0.5) <= 2e-2
@@ -202,16 +202,16 @@ class TestSinkhorn:
         inst = TransportInstance(
             mu=DiscreteMeasure(support=(0.0, 0.5), weights=(0.3, 0.7)),
             nu=DiscreteMeasure.point(1.0), g=Quadratic(1.0), epsilon=0.05,
-        ).with_mollified_target()
+        )
         sol = sinkhorn_bridge(inst)
         pi = sol.coupling
         assert np.max(np.abs(pi.sum(axis=1) - inst.mu.weights)) < 1e-9
-        assert np.max(np.abs(pi.sum(axis=0) - np.asarray(inst.target().weights))) < 1e-9
+        assert np.max(np.abs(pi.sum(axis=0) - np.asarray(inst.target.weights))) < 1e-9
 
     def test_step_count_bounded_at_small_eps(self):
         mu = DiscreteMeasure(support=(0.0, 0.15), weights=(0.5, 0.5))
         nu = DiscreteMeasure(support=(0.9, 1.1), weights=(0.5, 0.5))
-        inst = TransportInstance(mu=mu, nu=nu, g=Quadratic(1.0), epsilon=0.004).with_mollified_target()
+        inst = TransportInstance(mu=mu, nu=nu, g=Quadratic(1.0), epsilon=0.004)
         sol = sinkhorn_bridge(inst)
         assert sol.converged
         assert 1 <= sol.iterations <= 25
@@ -221,7 +221,7 @@ class TestSinkhorn:
         # the Sinkhorn loop stopped at its 20000-iteration cap here with
         # marginal errors of 3.9e-5 and 7.1e-5
         inst = TransportInstance(mu=self.TWO_ATOMS, nu=self.SHIFTED, g=Quadratic(1.0),
-                                 epsilon=eps).with_mollified_target()
+                                 epsilon=eps)
         sol = sinkhorn_bridge(inst)
         assert sol.converged
         assert sol.marginal_error < 1e-9
@@ -229,7 +229,7 @@ class TestSinkhorn:
 
     def test_step_cap_ends_unconverged(self):
         inst = TransportInstance(mu=self.TWO_ATOMS, nu=self.SHIFTED, g=Quadratic(1.0),
-                                 epsilon=0.03).with_mollified_target()
+                                 epsilon=0.03)
         sol = sinkhorn_bridge(inst, max_iter=2)
         assert sol.iterations == 2
         assert not sol.converged and not sol.feasible
@@ -247,7 +247,7 @@ class TestSinkhorn:
     ], ids=["near-singular-hessian", "plateau"])
     def test_underflowing_rows_converge(self, mu, nu, eps):
         inst = TransportInstance(mu=mu, nu=nu, g=Quadratic(1.0),
-                                 epsilon=eps).with_mollified_target()
+                                 epsilon=eps)
         sol = sinkhorn_bridge(inst)
         assert sol.converged and sol.marginal_error < 1e-9
         assert sol.backtracks > 0
@@ -259,7 +259,7 @@ class TestSinkhorn:
         inst = TransportInstance(
             mu=DiscreteMeasure(support=(-50.0, 0.0, 50.0), weights=(0.25, 0.25, 0.5)),
             nu=DiscreteMeasure(support=(0.0, 0.1, 0.2), weights=(0.25, 0.25, 0.5)),
-            g=Quadratic(1.0), epsilon=1e-3).with_mollified_target()
+            g=Quadratic(1.0), epsilon=1e-3)
         sol = sinkhorn_bridge(inst)
         assert not sol.converged
         assert math.isfinite(sol.value)
@@ -284,7 +284,7 @@ def reference_sinkhorn(instance, tol=1e-9, max_iter=20000):
     """The log-domain Sinkhorn iteration written out plainly, masks on every
     step; returns (value, coupling, iterations, marginal error, converged)."""
     eps = instance.epsilon
-    mu, target = instance.mu, instance.target()
+    mu, target = instance.mu, instance.target
     with np.errstate(divide="ignore"):
         log_k = log_heat_kernel_matrix(np.asarray(mu.support), np.asarray(target.support), eps)
         log_r = np.log(np.asarray(mu.weights))[:, None] + log_k
@@ -326,20 +326,20 @@ class TestSinkhornAgreement:
     @pytest.mark.parametrize("instance", [
         TransportInstance(
             mu=MU, nu=DiscreteMeasure(support=(1.0, 2.5), weights=(0.25, 0.75)),
-            g=Quadratic(1.3), epsilon=0.1).with_mollified_target(),
+            g=Quadratic(1.3), epsilon=0.1),
         # source 0 reaches the cell of target 3 with mass 1e-8 only, so the
         # oracle contracts slowly: about 40000 iterations
         TransportInstance(
             mu=MU, nu=DiscreteMeasure(support=(1.0, 2.0, 3.0), weights=(0.5, 0.0, 0.5)),
-            g=Quadratic(1.0), epsilon=0.2),
+            g=Quadratic(1.0), epsilon=0.2, mollified=False),
         TransportInstance(
             mu=DiscreteMeasure(support=(0.0, 1.0, 2.0), weights=(0.5, 0.0, 0.5)),
             nu=DiscreteMeasure(support=(1.0, 3.0), weights=(0.5, 0.5)),
-            g=Quadratic(1.0), epsilon=0.2),
+            g=Quadratic(1.0), epsilon=0.2, mollified=False),
         # 40 source atoms: a 39 x 39 Newton system
         TransportInstance(
             mu=_many_source_atoms(), nu=DiscreteMeasure(support=(0.0, 1.5), weights=(0.4, 0.6)),
-            g=Quadratic(1.0), epsilon=0.05).with_mollified_target(),
+            g=Quadratic(1.0), epsilon=0.05),
     ], ids=["mollified", "zero-target-atom", "zero-source-atom", "many-source-atoms"])
     def test_value_and_marginals_match_reference(self, instance):
         sol = sinkhorn_bridge(instance)
@@ -347,7 +347,7 @@ class TestSinkhornAgreement:
         assert converged and err < 1e-9
         assert sol.converged and sol.marginal_error < 1e-9
         assert abs(sol.value - value) <= 1e-8
-        a, b = np.asarray(instance.mu.weights), np.asarray(instance.target().weights)
+        a, b = np.asarray(instance.mu.weights), np.asarray(instance.target.weights)
         assert sol.coupling.shape == (a.size, b.size)
         assert np.max(np.abs(sol.coupling.sum(axis=1) - a)) < 1e-9
         assert np.max(np.abs(sol.coupling.sum(axis=0) - b)) < 1e-9
@@ -472,7 +472,7 @@ class TestSolveTransport:
         inst = TransportInstance(
             mu=DiscreteMeasure.point(0.0), nu=DiscreteMeasure.point(0.0),
             g=PowerLaw(r=1.5, a=1.0), epsilon=0.01, n_time=32,
-        ).with_mollified_target()
+        )
         sol = solve_transport(inst)
         assert sol.feasible
         assert sol.value <= 1e-2
@@ -480,7 +480,7 @@ class TestSolveTransport:
     def test_mass_conservation(self):
         inst = TransportInstance(
             mu=DiscreteMeasure.point(0.0), nu=DiscreteMeasure.point(1.0),
-            g=PowerLaw(r=1.5, a=1.0), epsilon=0.05, n_time=16, exact_target=True,
+            g=PowerLaw(r=1.5, a=1.0), epsilon=0.05, n_time=16, mollified=False,
         )
         sol = solve_transport(inst)
         np.testing.assert_allclose(sol.marginals.sum(axis=1), 1.0, atol=1e-10)
@@ -489,7 +489,7 @@ class TestSolveTransport:
         mu = DiscreteMeasure(support=(-0.5, 0.0, 0.6), weights=(0.3, 0.4, 0.3))
         nu = DiscreteMeasure(support=(0.2, 1.0), weights=(0.5, 0.5))
         inst = TransportInstance(mu=mu, nu=nu, g=Quadratic(1.0), epsilon=0.05,
-                                 n_time=32).with_mollified_target()
+                                 n_time=32)
         reference = sinkhorn_bridge(inst)
         sol = solve_transport(inst)
         assert abs(sol.value - reference.value) <= 2e-2
@@ -501,7 +501,7 @@ class TestSolveTransport:
         ot_value, _ = ot_oracle(mu, nu, g)
         for eps in (0.1, 0.01):
             inst = TransportInstance(mu=mu, nu=nu, g=g, epsilon=eps, n_time=32,
-                                     exact_target=True)
+                                     mollified=False)
             sol = solve_transport(inst)
             assert sol.value >= ot_value - 1e-6
 
@@ -515,7 +515,7 @@ class TestSolveTransport:
             mu=DiscreteMeasure.point(0.0),
             nu=DiscreteMeasure(support=(0.5, 1.0), weights=(0.5, 0.5)),
             g=g, epsilon=0.3, n_time=8,
-        ).with_mollified_target()
+        )
         sol = solve_transport(inst)
         assert sol.feasible
         assert math.isfinite(sol.value)
@@ -523,7 +523,7 @@ class TestSolveTransport:
     def test_quadratic_exact_target_infeasible_upfront(self):
         inst = TransportInstance(
             mu=DiscreteMeasure.point(0.0), nu=DiscreteMeasure.point(1.0),
-            g=Quadratic(1.0), epsilon=0.01, exact_target=True,
+            g=Quadratic(1.0), epsilon=0.01, mollified=False,
         )
         sol = solve_transport(inst)
         assert not sol.feasible
@@ -533,46 +533,44 @@ class TestSolveTransport:
 
 class TestSmallNoiseSweep:
     def test_quadratic_mollified_converges(self):
-        rep = small_noise_sweep(
+        rows, _ = small_noise_sweep(
             DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0), Quadratic(1.0),
             [0.1, 0.01, 1e-3], mollified=True,
         )
-        rows = {r.index: r for r in rep.rows}
-        assert rows[1e-3].gap <= 2e-2
-        assert all(r.aux["feasible"] == 1.0 for r in rep.rows)
-        assert rows[1e-3].limit == pytest.approx(0.5)
+        eps, _, ot, gap, _ = rows[0]
+        assert eps == 1e-3 and gap <= 2e-2
+        assert all(feasible == 1.0 for *_, feasible in rows)
+        assert ot == pytest.approx(0.5)
 
     def test_quadratic_unmollified_flagged_infeasible(self):
-        rep = small_noise_sweep(
+        rows, _ = small_noise_sweep(
             DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0), Quadratic(1.0),
             [0.1, 0.01], mollified=False,
         )
-        for row in rep.rows:
-            assert row.aux["feasible"] == 0.0
-            assert row.prelimit == math.inf
+        for _, value, _, _, feasible in rows:
+            assert feasible == 0.0
+            assert value == math.inf
 
     def test_subquadratic_unmollified_gaps_decrease(self):
         mu = DiscreteMeasure(support=(0.0, 2.0), weights=(0.5, 0.5))
         nu = DiscreteMeasure(support=(1.0, 3.0), weights=(0.5, 0.5))
-        rep = small_noise_sweep(mu, nu, PowerLaw(r=1.5, a=1.0),
-                                [0.1, 0.03, 0.01], mollified=False)
-        rows = rep.sorted_rows()
-        gaps = [r.gap for r in rows]  # ascending eps order
+        rows, meta = small_noise_sweep(mu, nu, PowerLaw(r=1.5, a=1.0),
+                                       [0.1, 0.03, 0.01], mollified=False)
+        assert [row[0] for row in rows] == [0.01, 0.03, 0.1]  # ascending eps
+        assert [s["eps"] for s in meta["solves"]] == [0.1, 0.03, 0.01]  # solve order
+        gaps = [row[3] for row in rows]
         assert gaps[0] < gaps[1] < gaps[2]
-        assert all(r.aux["feasible"] == 1.0 for r in rows)
+        assert all(feasible == 1.0 for *_, feasible in rows)
 
     @pytest.mark.parametrize("g, ot", [(PowerLaw(r=1.5, a=1.0), 1.0), (Quadratic(1.0), 0.5)],
                              ids=["power", "quadratic"])
     def test_zero_noise_row_is_the_ot_value(self, g, ot):
         # the drift-field solve at eps 0 read 0.896 (power, below OT) and inf
         # (quadratic, "unreachable at positive noise"); the limit is OT itself
-        rep = small_noise_sweep(DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0), g,
-                                [0.3, 0.0], mollified=False, n_time=4)
-        row = {r.index: r for r in rep.rows}[0.0]
-        assert row.prelimit == row.limit == ot
-        assert row.gap == 0.0
-        assert row.aux["feasible"] == 1.0
-        assert [s["route"] for s in rep.meta["solves"]] == ["drift-field", "ot-oracle"]
+        rows, meta = small_noise_sweep(DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0),
+                                       g, [0.3, 0.0], mollified=False, n_time=4)
+        assert rows[0] == (0.0, ot, ot, 0.0, 1.0)
+        assert [s["route"] for s in meta["solves"]] == ["drift-field", "ot-oracle"]
 
     def test_rejects_non_decreasing_ladder(self):
         with pytest.raises(ValueError, match="decreasing"):
