@@ -253,13 +253,15 @@ class TestSinkhorn:
         assert sol.backtracks > 0
 
     def test_multiscale_instance_ends_unconverged_without_raising(self):
-        # sources 50 apart feeding targets 0.1 apart: the kernel's log gaps
-        # span 1e4 to 1e6, whole rows of the coupling underflow and the
-        # Newton system is singular but for its shift
+        # sources 50 apart feeding targets 0.1 apart, mollified onto the
+        # 1500-node state grid: the kernel's log gaps span 1e4 to 1e6, whole
+        # rows of the coupling underflow and the Newton system is singular
+        # but for its shift (the raw 3-atom target converges in 19 steps)
         inst = TransportInstance(
             mu=DiscreteMeasure(support=(-50.0, 0.0, 50.0), weights=(0.25, 0.25, 0.5)),
             nu=DiscreteMeasure(support=(0.0, 0.1, 0.2), weights=(0.25, 0.25, 0.5)),
-            g=Quadratic(1.0), epsilon=1e-3)
+            g=Quadratic(1.0), epsilon=1e-3, mollified=True)
+        assert len(inst.target.support) == 1500
         sol = sinkhorn_bridge(inst)
         assert not sol.converged
         assert math.isfinite(sol.value)
