@@ -55,6 +55,7 @@ from .montecarlo import (
     girsanov_lower_bound,
     log_mean_exp,
     lsmc_bsde,
+    terminal_route,
 )
 from .pde import solve_semilinear, vanishing_viscosity_sweep
 from .report import compare_csv_texts, csv_body, format_float
@@ -180,6 +181,8 @@ def _oracle(section):
 
 
 def _run_mc_estimate(cfg):
+    """One row; ``extras`` records the sampling route (``terminal``: W(1)
+    alone, ``paths``: whole paths), the path blocks and the normals drawn."""
     seed = integer_at_least(cfg, "seed", 0, "mc-estimate")
     estimator = choice(cfg, "estimator", ("log-mean-exp", "cramer", "girsanov"),
                        "mc-estimate")
@@ -201,9 +204,12 @@ def _run_mc_estimate(cfg):
 
     def solve():
         est, se = estimate()
+        terminal = estimator == "log-mean-exp" and terminal_route(F)
+        extras = {"sampling": "terminal" if terminal else "paths", "blocks": batch.n_blocks,
+                  "normals": batch.n_paths * (1 if terminal else batch.n_steps)}
         value = float("nan") if oracle is None else oracle()
         return csv_body(("estimator", "n", "estimate", "se", "oracle", "gap"),
-                        [(estimator, n, est, se, value, abs(est - value))]), {}, EXIT_OK, {}
+                        [(estimator, n, est, se, value, abs(est - value))]), extras, EXIT_OK, {}
     return solve
 
 

@@ -6,7 +6,9 @@ regression for the scaled BSDE, and Brownian-bridge drift-moment checks.
 Paths are generated in fixed-size blocks, each from a generator seeded by
 (seed, block index), so every estimate is bit-reproducible from
 (seed, n_steps, n_paths), and the streaming estimators keep
-memory bounded for million-path batches.
+memory bounded for million-path batches.  A terminal log-mean-exp estimate
+draws W(1) alone, one normal per path from the same block generators, so it
+is reproducible from (seed, n_paths) and does not depend on n_steps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from typing import Callable
 import numpy as np
 
 from . import generators as gen
-from .variational import PathFunctional, RunningMax, TimeIntegral, evaluate_functional
+from .variational import (
+    PathFunctional,
+    RunningMax,
+    TerminalValue,
+    TimeIntegral,
+    evaluate_functional,
+)
 
 __all__ = [
     "PathBatch",
@@ -27,6 +35,7 @@ __all__ = [
     "BridgeMomentCheck",
     "chopped_paths",
     "log_mean_exp",
+    "terminal_route",
     "girsanov_lower_bound",
     "lsmc_bsde",
     "cramer_average",
@@ -172,6 +181,15 @@ class _RunningMoments:
 # Estimators
 # ---------------------------------------------------------------------------
 
+def terminal_route(F: PathFunctional):
+    """Whether :func:`log_mean_exp` samples F from W(1) alone.
+
+    True for a :class:`TerminalValue`, which reads the end of the path only;
+    every other functional is sampled on whole paths.
+    """
+    return isinstance(F, TerminalValue)
+
+
 def log_mean_exp(F: PathFunctional, n: float, batch: PathBatch):
     """(1/n) log mean exp(n F(W / sqrt(n))) with a delta-method standard error.
 
@@ -179,12 +197,25 @@ def log_mean_exp(F: PathFunctional, n: float, batch: PathBatch):
     penalty functional is the scaled cumulant generator.  The running
     log-sum-exp is max-shifted, so large n degrades the standard error
     rather than overflowing.
+
+    A terminal functional (:func:`terminal_route`) is read on W(1) alone:
+    the sum of the increments is exactly N(0, 1) at any step count, so each
+    block draws one normal per path from its (seed, block index) generator
+    and the estimate does not depend on ``batch.n_steps``.  Every other
+    functional is read on whole paths of the batch grid.
     """
     acc = _StreamingLse()
     scale = 1.0 / math.sqrt(n)
-    for paths in batch.iter_paths():
-        vals = np.asarray(evaluate_functional(F, batch.times, paths * scale), dtype=float)
-        acc.add(n * vals)
+    if terminal_route(F):
+        # one-sample paths at t = 1
+        times = np.ones(1)
+        blocks = (rng.standard_normal((size, 1)) for size, rng in batch.iter_blocks())
+    else:
+        times = batch.times
+        blocks = batch.iter_paths()
+    for values in blocks:
+        values *= scale
+        acc.add(n * np.asarray(evaluate_functional(F, times, values), dtype=float))
     return acc.estimate(n)
 
 
@@ -350,13 +381,22 @@ class _HatBasis:
     """
 
     def __init__(self, x, n_knots):
-        knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
+        # one sort serves both the quantile knots and the cell of each sample
+        order = np.argsort(x)
+        xs = x[order]
+        knots = np.unique(np.quantile(xs, np.linspace(0.0, 1.0, n_knots)))
         self.size = knots.size
         if knots.size < 2:
             self.idx = np.zeros(x.size, dtype=np.intp)
             self.t = np.zeros(x.size)
         else:
-            self.idx = np.clip(np.searchsorted(knots, x) - 1, 0, knots.size - 2)
+            # the knots strictly below each sample, np.searchsorted(knots, x):
+            # knot j lies strictly below the sorted samples from position
+            # np.searchsorted(xs, knots[j], side="right") on
+            first = np.searchsorted(xs, knots, side="right")
+            below = np.empty(x.size, dtype=np.intp)
+            below[order] = np.cumsum(np.bincount(first, minlength=x.size + 1)[:x.size])
+            self.idx = np.clip(below - 1, 0, knots.size - 2)
             self.t = np.clip((x - knots[self.idx]) / (knots[self.idx + 1] - knots[self.idx]),
                              0.0, 1.0)
         self.hi = self.idx + 1

@@ -584,9 +584,11 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
     enforced by an augmented-Lagrangian outer loop: each round minimizes the
     penalized objective by L-BFGS-B, boxed to the drift domain, with analytic
     adjoint gradients, then updates the multiplier and multiplies the
-    penalty by 4.  Each objective evaluation builds the step tables of its
-    drift field once (deposit cells, hat weights, g and g'), and both passes
-    read them.  Whatever terminal mismatch survives the multiplier updates is
+    penalty by 4.  The loop ends at the first feasible round, at the first
+    round in which L-BFGS-B accepts no step, or after ``_MAX_OUTER``
+    rounds.  Each objective evaluation builds the step tables of its drift
+    field once (deposit cells, hat weights, g and g'), and both passes read
+    them.  Whatever terminal mismatch survives the multiplier updates is
     removed by an exact monotone rearrangement onto the target, whose cost is
     charged to the objective, so the returned plan is feasible to machine
     precision and the value is the true cost of an explicit admissible plan.
@@ -674,6 +676,10 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
         if feas < _FEASIBILITY_TOL:
             break
         rho *= 4.0
+        if res.nit == 0:
+            # L-BFGS-B accepted no step from this drift, so the round left
+            # the drift and the marched law as they were
+            break
     rounds_info = {"al_rounds": rounds, "penalty_weight": rho, "pre_repair_terminal_l1": feas,
                    "kernel_flushed": flushed}
 

@@ -448,6 +448,24 @@ class TestRun:
         for line in body.strip().splitlines()[1:]:
             assert line.endswith(",0")
 
+    @pytest.mark.parametrize("payload, sampling, normals", [
+        (MC_CONFIG, "terminal", 50_000),
+        (dict(MC_CONFIG, functional={"kind": "finite_marginals", "times": [1.0],
+                                     "f": {"kind": "gaussian_bump", "center": 1.0}}),
+         "paths", 400_000),
+        (dict(MC_CONFIG, estimator="cramer", n=4), "paths", 400_000),
+        (dict(MC_CONFIG, estimator="girsanov", generator={"variant": "quadratic", "c": 1.0},
+              control={"kind": "constant", "value": 0.0}), "paths", 400_000),
+    ])
+    def test_mc_estimate_manifest_records_the_sampling(self, tmp_path, payload, sampling,
+                                                       normals):
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        extras = json.loads((out / "manifest.json").read_text())["extras"]
+        # 50 000 paths fill four blocks of 2^14
+        assert extras == {"sampling": sampling, "blocks": 4, "normals": normals}
+
     @pytest.mark.parametrize("generator, mollified, route, keys", [
         ({"variant": "power", "r": 1.5, "a": 1.0}, False, "drift-field",
          {"evaluations", "al_rounds", "penalty_weight", "pre_repair_terminal_l1",

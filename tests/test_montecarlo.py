@@ -25,7 +25,7 @@ from driftlab.montecarlo import (
     truncated_quadratic_moment,
 )
 from driftlab.pde import GridSpec, solve_semilinear
-from driftlab.variational import RunningMax, TerminalValue, TimeIntegral
+from driftlab.variational import FiniteMarginals, RunningMax, TerminalValue, TimeIntegral
 
 QUAD = Quadratic(1.0)
 
@@ -120,6 +120,21 @@ class TestLogMeanExp:
         a = log_mean_exp(F, 4.0, PathBatch(n_steps=16, n_paths=100_000, seed=11))
         b = log_mean_exp(F, 4.0, PathBatch(n_steps=16, n_paths=100_000, seed=11))
         assert a == b
+
+
+    def test_terminal_estimate_does_not_depend_on_steps(self):
+        F = TerminalValue(gaussian_bump)
+        coarse = log_mean_exp(F, 4.0, PathBatch(n_steps=4, n_paths=40_000, seed=19))
+        fine = log_mean_exp(F, 4.0, PathBatch(n_steps=16, n_paths=40_000, seed=19))
+        assert coarse == fine
+
+    def test_terminal_route_agrees_with_the_path_route(self):
+        # FiniteMarginals reads the same W(1) off whole paths
+        batch = PathBatch(n_steps=8, n_paths=100_000, seed=20)
+        terminal, se_t = log_mean_exp(TerminalValue(gaussian_bump), 2.0, batch)
+        paths, se_p = log_mean_exp(FiniteMarginals((1.0,), gaussian_bump), 2.0, batch)
+        assert terminal != paths
+        assert abs(terminal - paths) <= 3 * math.hypot(se_t, se_p)
 
 
 class TestGirsanovLowerBound:
@@ -272,6 +287,15 @@ class TestHatBasis:
         np.testing.assert_allclose(basis(coef), y, rtol=1e-12, atol=1e-12)
         if basis.solver.pinv is None:
             np.testing.assert_allclose(coef, values, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(HAT_INPUTS))
+    def test_cells_match_searchsorted(self, name):
+        # samples that sit exactly on a knot (ties) take the cell below it
+        x, n_knots = HAT_INPUTS[name]
+        basis = montecarlo._HatBasis(x, n_knots)
+        knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, n_knots)))
+        cells = np.clip(np.searchsorted(knots, x) - 1, 0, max(knots.size - 2, 0))
+        np.testing.assert_array_equal(basis.idx, cells)
 
     def test_non_finite_target_raises(self):
         x, n_knots = HAT_INPUTS["gaussian"]

@@ -1,6 +1,7 @@
 """Discrete measures, exact transport, Sinkhorn bridge, drift-field solver."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +507,35 @@ class TestSolveTransport:
                                      mollified=False)
             sol = solve_transport(inst)
             assert sol.value >= ot_value - 1e-6
+
+    def test_loop_ends_at_the_first_round_without_a_step(self, monkeypatch):
+        # the pinned raw-target instance at eps 0.1: its fourth round accepts
+        # no step, and six more rounds from the same drift left the value as
+        # it was
+        import scipy.optimize
+
+        steps = []
+        minimize = scipy.optimize.minimize
+
+        def recorded(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            steps.append(res.nit)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+        inst = TransportInstance(
+            mu=DiscreteMeasure.point(0.0),
+            nu=DiscreteMeasure(support=(0.5, 1.0), weights=(0.5, 0.5)),
+            g=PowerLaw(r=1.5, a=0.8), epsilon=0.1, n_time=4, mollified=False,
+        )
+        sol = solve_transport(inst)
+        assert steps[-1] == 0 and all(steps[:-1])
+        assert sol.diagnostics["al_rounds"] == len(steps) < 10
+        assert sol.diagnostics["penalty_weight"] == 32.0 * 4.0 ** len(steps)
+        pinned = Path(__file__).parent / "pinned_reports" / "schrodinger-sweep-power-raw.csv"
+        row = pinned.read_text().splitlines()[1].split(",")
+        assert row[0] == "0.10000000000000001"
+        assert sol.value == float(row[1])
 
     @pytest.mark.xfail(strict=True, reason="the leftover terminal mismatch is repaired in one "
                        "time step, which needs drifts outside a bounded cost domain")
