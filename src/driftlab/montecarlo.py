@@ -390,9 +390,9 @@ class _HatBasis:
             self.idx = np.zeros(x.size, dtype=np.intp)
             self.t = np.zeros(x.size)
         else:
-            # the knots strictly below each sample, np.searchsorted(knots, x):
-            # knot j lies strictly below the sorted samples from position
-            # np.searchsorted(xs, knots[j], side="right") on
+            # np.searchsorted(knots, x), the count of knots strictly below
+            # each sample, read off the sort: knot j is strictly below the
+            # sorted samples from np.searchsorted(xs, knots[j], "right") on
             first = np.searchsorted(xs, knots, side="right")
             below = np.empty(x.size, dtype=np.intp)
             below[order] = np.cumsum(np.bincount(first, minlength=x.size + 1)[:x.size])

@@ -677,8 +677,10 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
             break
         rho *= 4.0
         if res.nit == 0:
-            # L-BFGS-B accepted no step from this drift, so the round left
-            # the drift and the marched law as they were
+            # L-BFGS-B took no step, so the drift and its value are the
+            # last round's; a round from the same drift under a higher
+            # penalty has not been seen to step, and each such round costs
+            # a failed line search
             break
     rounds_info = {"al_rounds": rounds, "penalty_weight": rho, "pre_repair_terminal_l1": feas,
                    "kernel_flushed": flushed}
