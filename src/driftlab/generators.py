@@ -15,7 +15,9 @@ Each variant is a frozen dataclass that owns its math:
   the latter written into ``out`` when one is given;
 * ``even``: whether g is even in q, so that g* is even and non-decreasing
   on [0, inf) and the upwind flux needs one half-line, not two;
-* ``gstar_lipschitz(zmax)``: a bound on |d g*/dz| over |z| <= zmax;
+* ``gstar_lipschitz(zmax)``: a bound on |d g*/dz| over |z| <= zmax, the
+  working gradient range, not over the whole line (for a table, the
+  largest |q| at the argmax nodes of -zmax and zmax);
 * ``domain()``, ``lower_bound()`` and ``growth()``: the effective-domain
   interval, a constant b with g >= -b, and the growth exponent.
 
@@ -324,7 +326,10 @@ class Tabulated:
         return _table_conjugate_values(self.halves[int(side > 0)], z, out)
 
     def gstar_lipschitz(self, zmax):
-        return max(abs(self.q[0]), abs(self.q[-1]))
+        # d g*/dz is the argmax drift, non-decreasing in z: its largest
+        # magnitude on [-zmax, zmax] is at an end, found as the conjugate does
+        q, _, slopes = self.table
+        return float(np.max(np.abs(q[np.searchsorted(slopes, (-zmax, zmax), side="left")])))
 
     def domain(self):
         return (self.q[0], self.q[-1])

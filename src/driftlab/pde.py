@@ -15,11 +15,15 @@ step writes into buffers allocated once per march.  Monotonicity gives the
 discrete comparison principle that stands in for minimality of the viscosity
 supersolution at desk scale (Barles-Souganidis convergence).  Diffusion sets
 no step bound, so the step count grows as nx, not nx^2; the one bound left,
-L dt / dx <= 1/2 on the Hamiltonian, is met by raising the grid's step count
-to the smallest compliant one.  The march keeps only the current and the
-next time row and returns the initial row v(0, .), the only one any caller
-reads; :meth:`GridSpec.read` interpolates it at a point of the grid.  The
-vanishing-viscosity sweep runs the Hopf-Lax search over its grid in
+L dt / dx <= 1/2 on the Hamiltonian, with L the cost's bound on |d g*/dz|
+over the terminal's working gradient range, is met by raising the grid's
+step count to the smallest compliant one.  Stacked rows march together,
+each with its own viscosity if need be: their tridiagonal blocks are laid
+end to end in one factorisation and one solve a step.  The march keeps
+only the current and the next time row and returns the initial row
+v(0, .), the only one any caller reads; :meth:`GridSpec.read` interpolates
+it at a point of the grid.  The vanishing-viscosity sweep marches every n
+as one row of a single march and runs the Hopf-Lax search over its grid in
 fixed-size chunks.
 """
 
@@ -96,7 +100,12 @@ class ScalarField:
     cfl: dict = field(default_factory=dict)
 
     def value(self, x):
-        """v(0, x), linear in x and exact on nodes; x must lie on the grid."""
+        """v(0, x), linear in x and exact on nodes; x must lie on the grid.
+        A field of several rows has no single value: it raises ValueError,
+        and :meth:`GridSpec.read` reads every row."""
+        rows = np.size(self.values) // self.grid.nx
+        if rows != 1:
+            raise ValueError(f"value() reads a one-row field; this one has {rows} rows")
         return float(self.grid.read(self.values, x))
 
     @property
@@ -139,21 +148,34 @@ def march_backward(terminal, g, sigma2, grid: GridSpec):
 
     ``terminal`` has shape (..., nx); all leading axes are independent
     problems sharing the grid and time step; ``g`` is the drift cost whose
-    conjugate drives the Hamiltonian.  The step count is ``grid.nt``,
-    raised to :func:`stable_nt` when that is larger.  Each step forms
+    conjugate drives the Hamiltonian.  ``sigma2`` is the diffusion
+    coefficient: a scalar for every row, or an array of the terminal's
+    leading shape, one per row.  The step count is ``grid.nt``, raised to
+    :func:`stable_nt` when that is larger.  Each step forms
     rhs = v + dt H(t, D-v, D+v) on the interior nodes and solves
     (I - r D2) v_new = rhs with r = sigma^2 dt / (2 dx^2) for all stacked
-    rows at once.  Returns the initial row v(0, .), of the same shape as
-    ``terminal``, and the step data (``cfl``), whose ``diffusion_number``
-    is r.  Only two time rows are held at once, and every per-step array
-    (slopes, flux, its scratch, the right-hand side) is allocated once per
-    march; an even cost takes one conjugate evaluation a step, a table two.
+    rows at once: their tridiagonal blocks lie end to end in one system,
+    each block coupled to the next by a zero, so every row is bit for bit
+    its own single-row march.  Returns the initial row v(0, .), of the same
+    shape as ``terminal``, and the step data (``cfl``), whose
+    ``diffusion_number`` is r: a float for a scalar ``sigma2``, else an
+    array of the leading shape.  Only two time rows are held at once, and
+    every per-step array (slopes, flux, its scratch, the right-hand side)
+    is allocated once per march; an even cost takes one conjugate
+    evaluation a step, a table two.
     """
     from scipy.linalg import lapack
 
     terminal = np.asarray(terminal, dtype=float)
     if not np.all(np.isfinite(terminal)):
         raise ValueError("terminal datum must be finite on the grid")
+    per_row = np.ndim(sigma2) > 0
+    if per_row and np.shape(sigma2) != terminal.shape[:-1]:
+        raise ValueError(f"sigma2 has shape {np.shape(sigma2)}, not the terminal's leading "
+                         f"shape {terminal.shape[:-1]}")
+    sigma2 = np.asarray(sigma2, dtype=float) if per_row else float(sigma2)
+    if not np.all((sigma2 > 0) & (sigma2 < np.inf)):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
     nx, dx = grid.nx, grid.dx
     zmax = 2.0 * float(np.max(np.abs(np.diff(terminal, axis=-1)) / dx))
     lip = g.gstar_lipschitz(max(zmax, 1e-12))
@@ -167,29 +189,34 @@ def march_backward(terminal, g, sigma2, grid: GridSpec):
     # nodes, whose second difference that rule makes vanish, so their rows
     # are identity rows.  Each fixed node moves to the right-hand side of
     # its free neighbour, which leaves the symmetric positive-definite
-    # Toeplitz matrix I - r D2 on the free nodes, factored once (LDL^T;
-    # diagonally dominant, so the factorisation cannot fail).
+    # Toeplitz matrix I - r D2 on each row's free nodes.  The rows' blocks
+    # are factored once, as one block-diagonal system (LDL^T; diagonally
+    # dominant, so the factorisation cannot fail); a zero off-diagonal
+    # leaves each block's factor and solve exactly those of the block alone.
     lo = 1 if clamp else 2
     free = slice(lo, nx - lo)
     m = max(nx - 2 * lo, 0)
-    # dpttrf rejects a single row, so the system is padded with decoupled
-    # identity rows, which also take the inflow when no node is free
-    width = max(m, 2)
-    diag = np.ones(width)
-    diag[:m] = 1.0 + 2.0 * r
-    off = np.zeros(width - 1)
-    off[:m - 1] = -r
-    diag, off, _ = lapack.dpttrf(diag, off)
     stack = terminal.reshape(-1, nx)
     rows = len(stack)
+    r_rows = np.broadcast_to(r, terminal.shape[:-1]).reshape(rows)
+    # dpttrf rejects a single row, so each block is padded with decoupled
+    # identity rows, which also take the inflow when no node is free
+    width = max(m, 2)
+    diag = np.ones((rows, width))
+    diag[:, :m] = 1.0 + 2.0 * r_rows[:, None]
+    # a block's off-diagonal fills only its first m - 1 entries: the rest,
+    # and the entry joining it to the next block, stay zero
+    off = np.zeros((rows, width))
+    off[:, :max(m - 1, 0)] = -r_rows[:, None]
+    diag, off, _ = lapack.dpttrf(diag.ravel(), off.ravel()[:-1])
     v, nxt = stack.copy(), np.empty_like(stack)
     nxt[:, [0, -1]] = stack[:, [0, -1]]
     # one difference per cell: D-v at node i is slope[i - 1], D+v is slope[i]
     slope = np.empty((rows, nx - 1))
     # the flux on the interior nodes, and the scratch it is built in
     flux, work = np.empty((rows, nx - 2)), np.empty((rows, nx - 2))
-    # C-ordered, so its transpose is the F-ordered right-hand side that
-    # LAPACK overwrites with the solution
+    # C-ordered, so its flat view is the blocks' right-hand side end to
+    # end, which LAPACK overwrites with the solution
     rhs = np.zeros((rows, width))
     for k in range(nt - 1, -1, -1):
         np.subtract(v[:, 1:], v[:, :-1], out=slope)
@@ -202,9 +229,9 @@ def march_backward(terminal, g, sigma2, grid: GridSpec):
             # the identity rows' nodes 1 and nx - 2 take v + dt H as it is
             np.add(flux[:, 0], v[:, 1], out=nxt[:, 1])
             np.add(flux[:, -1], v[:, -2], out=nxt[:, -2])
-        rhs[:, 0] += r * nxt[:, lo - 1]
-        rhs[:, m - 1] += r * nxt[:, nx - lo]
-        lapack.dpttrs(diag, off, rhs.T, overwrite_b=1)
+        rhs[:, 0] += r_rows * nxt[:, lo - 1]
+        rhs[:, m - 1] += r_rows * nxt[:, nx - lo]
+        lapack.dpttrs(diag, off, rhs.reshape(-1), overwrite_b=1)
         nxt[:, free] = rhs[:, :m]
         if not clamp:
             nxt[:, 0] = 2.0 * nxt[:, 1] - nxt[:, 2]
@@ -218,7 +245,7 @@ def march_backward(terminal, g, sigma2, grid: GridSpec):
 def solve_semilinear(
     f: Callable,
     g: gen.GeneratorSpec,
-    viscosity: float,
+    viscosity,
     grid: GridSpec,
 ) -> ScalarField:
     """Solve the backward semilinear PDE with diffusion ``viscosity``.
@@ -229,8 +256,10 @@ def solve_semilinear(
         Terminal datum, finite on the grid.
     g : GeneratorSpec
         Drift cost; its conjugate drives the Hamiltonian.
-    viscosity : float
-        sigma^2 > 0, coefficient of the half-Laplacian.
+    viscosity : float or array
+        sigma^2 > 0, coefficient of the half-Laplacian.  An array solves one
+        row per entry, all in one march (:func:`march_backward`), each row
+        bit for bit the solve at that entry alone.
     grid : GridSpec
         Space grid and requested step count.  The step count is raised
         automatically to the smallest value meeting the Hamiltonian bound
@@ -240,12 +269,14 @@ def solve_semilinear(
     Returns
     -------
     ScalarField
-        Initial row v(0, .); the drift-penalized value of f(W(1)) is
-        ``field.value(0)``.
+        Initial row v(0, .), or rows of shape ``viscosity.shape + (nx,)``;
+        the drift-penalized value of f(W(1)) is ``field.value(0)`` for a
+        scalar ``viscosity``, and ``grid.read(field.values, 0.0)`` reads
+        every row.
     """
-    if viscosity <= 0:
-        raise ValueError("viscosity must be positive")
-    values, cfl = march_backward(np.asarray(f(grid.x), dtype=float), g, viscosity, grid)
+    terminal = np.asarray(f(grid.x), dtype=float)
+    terminal = np.broadcast_to(terminal, np.shape(viscosity) + terminal.shape)
+    values, cfl = march_backward(terminal, g, viscosity, grid)
     return ScalarField(grid=grid, values=values, cfl=cfl)
 
 
@@ -301,30 +332,31 @@ def vanishing_viscosity_sweep(
 ):
     """Solve with diffusion 1/n for each n and report gaps to the Hopf-Lax value.
 
-    Returns ``(rows, meta)``: one row ``(n, u_n, limit, gap)`` per n, in
-    ascending n, and the run facts for the manifest (grid, scheme, each
-    march's step data, the search step).  The limit value is a dense grid
-    search of the Hopf-Lax form over the grid domain with step ``y_step``;
-    the search grid is generated one chunk at a time and never held whole.
+    All n share one march, one row per n.  Returns ``(rows, meta)``: one
+    row ``(n, u_n, limit, gap)`` per n, in ascending n, and the run facts
+    for the manifest (grid, scheme, each n's step data, the search step).
+    The limit value is a dense grid search of the Hopf-Lax form over the
+    grid domain with step ``y_step``; the search grid is generated one
+    chunk at a time and never held whole.
     """
     n_list = sorted(int(n) for n in n_list)
+    if not n_list:
+        raise ValueError("need at least one n")
     if not y_step > 0 or (grid.x_max - grid.x_min) / y_step > _MAX_SEARCH_POINTS:
         raise ValueError(f"y_step must be positive and give a Hopf-Lax search grid of at "
                          f"most {_MAX_SEARCH_POINTS} points, got {y_step!r}")
     # one chunk of the search grid at a time; np.max keeps a NaN chunk maximum
-    limit = float(np.max([hopf_lax(f, g, 0.0, 0.0, y)
-                          for y in _search_chunks(grid.x_min, grid.x_max, y_step)]))
-
-    def solve_one(n):
-        fld = solve_semilinear(f, g, 1.0 / n, grid)
-        return fld.initial_value_at_origin, fld.cfl
-
-    results = run_parallel(solve_one, n_list)
-    rows = [(n, v, limit, abs(v - limit)) for n, (v, _) in zip(n_list, results)]
+    limit = float(np.max(run_parallel(lambda y: hopf_lax(f, g, 0.0, 0.0, y),
+                                      _search_chunks(grid.x_min, grid.x_max, y_step))))
+    # every n in one march, row i at diffusion 1 / n_i
+    fld = solve_semilinear(f, g, 1.0 / np.array(n_list, dtype=float), grid)
+    values = grid.read(fld.values, 0.0).tolist()
+    rows = [(n, v, limit, abs(v - limit)) for n, v in zip(n_list, values)]
     meta = {
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "nx": grid.nx},
         "scheme": "IMEX monotone: implicit centered diffusion, explicit upwind Hamiltonian",
-        "cfl": {str(n): cfl for n, (_, cfl) in zip(n_list, results)},
+        "cfl": {str(n): {**fld.cfl, "diffusion_number": float(r)}
+                for n, r in zip(n_list, fld.cfl["diffusion_number"])},
         "hopf_lax_y_step": y_step,
     }
     return rows, meta

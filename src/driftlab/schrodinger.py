@@ -434,7 +434,12 @@ class TransportInstance:
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Marginal flow and diagnostics of a transport solve."""
+    """Marginal flow and diagnostics of a transport solve.
+
+    ``kkt_residual`` is the largest augmented-Lagrangian gradient entry at
+    the exit multiplier and penalty, which grows with the rounds run; the
+    manifest calls it ``lagrangian_grad_max``.
+    """
 
     value: float
     marginals: Optional[np.ndarray]
@@ -711,7 +716,9 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
 
 def _solve_record(eps, sol):
     """Manifest record of one noise level: the route taken and its counts,
-    residuals and convergence flags."""
+    residuals and convergence flags.  The drift-field record's
+    ``lagrangian_grad_max`` is ``FlowSolution.kkt_residual``: it grows with
+    the rounds run and is no measure of stationarity."""
     if sol is None:
         return {"eps": eps, "route": "ot-oracle"}
     if isinstance(sol, SinkhornSolution):
@@ -719,7 +726,7 @@ def _solve_record(eps, sol):
                 "backtracks": sol.backtracks, "marginal_error": sol.marginal_error,
                 "converged": sol.converged}
     return {"eps": eps, "route": "drift-field", "feasible": sol.feasible,
-            "evaluations": sol.iterations, "kkt_residual": sol.kkt_residual,
+            "evaluations": sol.iterations, "lagrangian_grad_max": sol.kkt_residual,
             **sol.diagnostics}
 
 

@@ -469,7 +469,7 @@ class TestRun:
     @pytest.mark.parametrize("generator, mollified, route, keys", [
         ({"variant": "power", "r": 1.5, "a": 1.0}, False, "drift-field",
          {"evaluations", "al_rounds", "penalty_weight", "pre_repair_terminal_l1",
-          "repair_cost", "kkt_residual", "feasible", "kernel_flushed"}),
+          "repair_cost", "lagrangian_grad_max", "feasible", "kernel_flushed"}),
         ({"variant": "quadratic", "c": 1.0}, True, "sinkhorn",
          {"iterations", "backtracks", "marginal_error", "converged"}),
     ])

@@ -377,6 +377,50 @@ class TestLipschitzBound:
             assert slopes.max() <= spec.gstar_lipschitz(3.0) + 1e-9
 
 
+# tables for the step bound: chord slopes run from -1.5 to 5.5, from none
+# at all, and from -39.5 to 39.5
+_ASYM_Q = np.linspace(-1.0, 3.0, 41)
+STEP_BOUND_TABLES = {
+    "asymmetric": Tabulated(q=tuple(_ASYM_Q), g=tuple(_ASYM_Q ** 2 + 0.5 * _ASYM_Q)),
+    "single-node": Tabulated(q=(0.7,), g=(0.2,)),
+    "wide": Tabulated(q=tuple(np.linspace(-40.0, 40.0, 81)),
+                      g=tuple(0.5 * np.linspace(-40.0, 40.0, 81) ** 2)),
+}
+
+
+class TestTableStepBound:
+    """``Tabulated.gstar_lipschitz(zmax)`` bounds |d g*/dz| on [-zmax, zmax],
+    not on the whole line."""
+
+    @pytest.mark.parametrize("name", list(STEP_BOUND_TABLES))
+    @pytest.mark.parametrize("zmax", [0.37, 1.3, 7.3, 60.0])
+    def test_bound_covers_every_argmax_and_no_more_than_the_table(self, name, zmax):
+        spec = STEP_BOUND_TABLES[name]
+        q, g = np.asarray(spec.q), np.asarray(spec.g)
+        z = np.linspace(-zmax, zmax, 2001)
+        argmax = q[np.argmax(q[None, :] * z[:, None] - g[None, :], axis=1)]
+        bound = spec.gstar_lipschitz(zmax)
+        assert isinstance(bound, float)
+        assert np.abs(argmax).max() <= bound <= max(abs(q[0]), abs(q[-1]))
+
+    def test_bound_falls_with_the_range(self):
+        spec = STEP_BOUND_TABLES["wide"]
+        # zmax inside the chord slopes (the argmax of 2.2 is the node 2),
+        # then beyond the last one
+        assert spec.gstar_lipschitz(2.2) == 2.0
+        assert spec.gstar_lipschitz(60.0) == 40.0
+        # g' = 2q + 1/2: the argmax nodes of -0.37 and 0.37 are -0.4 and -0.1
+        assert STEP_BOUND_TABLES["asymmetric"].gstar_lipschitz(0.37) == abs(_ASYM_Q[6])
+        assert STEP_BOUND_TABLES["single-node"].gstar_lipschitz(0.37) == 0.7
+
+    @pytest.mark.parametrize("name", list(STEP_BOUND_TABLES))
+    def test_modulated_table_inherits_the_bound(self, name):
+        base = STEP_BOUND_TABLES[name]
+        spec = TimeModulated(base=base, weights=(2.0, 0.5, 1.0))
+        for zmax in (0.37, 1.3, 60.0):
+            assert spec.gstar_lipschitz(zmax) == base.gstar_lipschitz(zmax / 0.5)
+
+
 class TestSerialization:
     def test_round_trip(self):
         cases = [

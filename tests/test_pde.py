@@ -86,6 +86,18 @@ class TestSolveSemilinear:
         kept = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 321, above)).cfl
         assert kept["nt"] == above and kept["minimal_nt"] == raised["minimal_nt"]
 
+    def test_value_of_a_multi_row_field_names_the_rows(self):
+        fld = solve_semilinear(gaussian_bump, QUAD, np.array([1.0, 0.5, 0.25]),
+                               GridSpec(-4.0, 4.0, 41, 1))
+        assert fld.values.shape == (3, 41)
+        with pytest.raises(ValueError, match="3 rows"):
+            fld.value(0.0)
+
+    @pytest.mark.parametrize("viscosity", [0.0, -0.5, math.nan])
+    def test_viscosity_not_positive_rejected(self, viscosity):
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            solve_semilinear(gaussian_bump, QUAD, viscosity, GridSpec(-4.0, 4.0, 41, 1))
+
     def test_value_off_the_grid_raises(self):
         fld = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(1.0, 5.0, 41, 1))
         assert fld.value(1.0) == fld.values[0]
@@ -290,6 +302,110 @@ class TestMarchBackward:
         assert peak < 10 * terminal.nbytes
 
 
+_STACK_Q = np.linspace(-3.0, 3.0, 61)
+STACK_SPECS = {
+    "quadratic": Quadratic(1.3),
+    "tabulated": Tabulated(q=tuple(_STACK_Q), g=tuple(0.5 * _STACK_Q**2 + 0.2 * np.abs(_STACK_Q))),
+    "modulated-tabulated": TimeModulated(
+        base=Tabulated(q=tuple(_STACK_Q), g=tuple(0.5 * _STACK_Q**2)), weights=(1.0, 2.0, 1.5)),
+}
+
+
+def _per_row_marches(terminal, spec, sigma2, grid):
+    """One single-row march per row, the oracle of a stacked march."""
+    rows = [march_backward(t, spec, s, grid)
+            for t, s in zip(terminal.reshape(-1, grid.nx), np.ravel(sigma2))]
+    return np.reshape([v for v, _ in rows], terminal.shape), [cfl for _, cfl in rows]
+
+
+class TestStackedViscosity:
+    """A per-row ``sigma2`` marches every row in one system; each row is bit
+    for bit its own single-row march."""
+
+    SIGMA2 = np.array([[4.0, 1.0, 0.25], [1.0 / 64.0, 0.7, 2.5]])
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    @pytest.mark.parametrize("boundary, nx", [
+        ("clampToTerminal", 61), ("oneSidedExtrapolation", 61),
+        # padded grids, where fewer than two nodes are free
+        ("clampToTerminal", 3), ("oneSidedExtrapolation", 4), ("oneSidedExtrapolation", 5),
+    ])
+    def test_each_row_is_its_single_row_march(self, name, boundary, nx):
+        spec = STACK_SPECS[name]
+        grid = GridSpec(-3.0, 3.0, nx, 1, boundary)
+        x = grid.x
+        # rows with different terminals share the step count: grid.nt rules
+        terminal = np.stack([np.sin(a * x) + 0.1 * x for a in (0.5, 1.0, 1.5, 2.0, 0.2, 0.9)])
+        terminal = terminal.reshape(2, 3, nx)
+        grid = GridSpec(-3.0, 3.0, nx, 3 * stable_nt(grid, spec.gstar_lipschitz(20.0)), boundary)
+        values, cfl = march_backward(terminal, spec, self.SIGMA2, grid)
+        expected, single = _per_row_marches(terminal, spec, self.SIGMA2, grid)
+        assert {c["nt"] for c in single} == {cfl["nt"]} == {grid.nt}
+        assert np.array_equal(values, expected)
+        assert cfl["diffusion_number"].shape == self.SIGMA2.shape
+        assert cfl["diffusion_number"].ravel().tolist() == [c["diffusion_number"] for c in single]
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    def test_one_terminal_at_many_viscosities(self, name):
+        # the sweep's shape: one terminal, a row per viscosity, the step
+        # count from the terminal itself
+        spec = STACK_SPECS[name]
+        grid = GridSpec(-3.0, 3.0, 61, 1)
+        sigma2 = 1.0 / np.array([1.0, 2.0, 4.0, 8.0, 64.0])
+        terminal = np.broadcast_to(gaussian_bump(grid.x), sigma2.shape + (grid.nx,))
+        values, cfl = march_backward(terminal, spec, sigma2, grid)
+        expected, single = _per_row_marches(terminal, spec, sigma2, grid)
+        assert {c["nt"] for c in single} == {cfl["nt"]}
+        assert np.array_equal(values, expected)
+
+    def test_scalar_equals_an_array_of_it(self):
+        grid = GridSpec(-3.0, 3.0, 61, 1)
+        terminal = np.stack([np.sin(a * grid.x) for a in (0.5, 1.0, 2.0)])
+        values, cfl = march_backward(terminal, QUAD, 0.8, grid)
+        per_row, _ = march_backward(terminal, QUAD, np.full(3, 0.8), grid)
+        assert np.array_equal(values, per_row)
+        assert type(cfl["diffusion_number"]) is float
+
+    @settings(max_examples=25, deadline=None)
+    @given(sigma2=st.lists(st.floats(1e-4, 1e3), min_size=1, max_size=6),
+           boundary=st.sampled_from(["clampToTerminal", "oneSidedExtrapolation"]))
+    def test_random_viscosities(self, sigma2, boundary):
+        grid = GridSpec(-3.0, 3.0, 41, 1, boundary)
+        sigma2 = np.array(sigma2)
+        terminal = np.stack([np.sin((1.0 + 0.3 * i) * grid.x) for i in range(sigma2.size)])
+        grid = GridSpec(-3.0, 3.0, 41, 200, boundary)
+        values, _ = march_backward(terminal, STACK_SPECS["tabulated"], sigma2, grid)
+        expected, _ = _per_row_marches(terminal, STACK_SPECS["tabulated"], sigma2, grid)
+        assert np.array_equal(values, expected)
+
+    @pytest.mark.parametrize("sigma2", [np.ones(3), np.ones((2, 1)), np.ones((1, 2))])
+    def test_sigma2_of_another_shape_rejected(self, sigma2):
+        grid = GridSpec(-3.0, 3.0, 21, 1)
+        terminal = np.zeros((2, grid.nx))
+        with pytest.raises(ValueError, match=r"sigma2 has shape \(.*\), not the terminal's"):
+            march_backward(terminal, QUAD, sigma2, grid)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+    def test_entry_not_positive_and_finite_rejected(self, bad, per_row):
+        grid = GridSpec(-3.0, 3.0, 21, 1)
+        terminal = np.zeros((3, grid.nx))
+        sigma2 = np.array([1.0, bad, 2.0]) if per_row else bad
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            march_backward(terminal, QUAD, sigma2, grid)
+
+    def test_benchmark_table_steps_by_its_working_range(self):
+        # 801 nodes of q^2/2 on [-4, 4]: the step bound comes from the
+        # argmax nodes of the terminal's slope range, not from q = +-4
+        q = [-4.0 + 8.0 * j / 800 for j in range(801)]
+        table = Tabulated(q=tuple(q), g=tuple(0.5 * v * v for v in q))
+        grid = GridSpec(-6.0, 6.0, 601, 1)
+        terminal = np.exp(-((grid.x - 1.0) ** 2))
+        _, tab = march_backward(terminal, table, 1.0, grid)
+        _, quad = march_backward(terminal, Quadratic(1.0), 1.0, grid)
+        assert (tab["nt"], quad["nt"]) == (173, 172)
+
+
 def _slopes():
     """Difference quotients of any size and sign, with both zeros."""
     magnitude = st.one_of(
@@ -428,6 +544,10 @@ class TestViscositySweep:
         with pytest.raises(ValueError, match="y_step"):
             vanishing_viscosity_sweep(gaussian_bump, QUAD, [1], grid, y_step=y_step)
 
+    def test_empty_n_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one n"):
+            vanishing_viscosity_sweep(gaussian_bump, QUAD, [], GridSpec(-4.0, 4.0, 41, 1))
+
     @pytest.mark.parametrize("x_min, x_max, y_step",
                              [(-6.0, 6.0, 1e-5), (-4.0, 4.0, 1e-3), (-4.0, 4.0, 1e-4)])
     def test_search_chunks_are_np_arange(self, x_min, x_max, y_step):
@@ -435,6 +555,31 @@ class TestViscositySweep:
         assert all(c.size == pde._HOPF_LAX_CHUNK for c in chunks[:-1])
         whole = np.arange(x_min, x_max + y_step, y_step)
         assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("spec", [QUAD, STACK_SPECS["tabulated"]],
+                             ids=["quadratic", "tabulated"])
+    def test_one_march_for_all_n_each_row_its_own_solve(self, spec, monkeypatch):
+        calls = []
+        march = pde.march_backward
+
+        def counted(terminal, *args, **kwargs):
+            calls.append(np.shape(terminal))
+            return march(terminal, *args, **kwargs)
+
+        monkeypatch.setattr(pde, "march_backward", counted)
+        grid = GridSpec(-3.0, 3.0, 121, 1)
+        n_list = [64, 1, 2, 4, 8, 16, 32]
+        rows, meta = vanishing_viscosity_sweep(gaussian_bump, spec, n_list, grid, y_step=1e-3)
+        assert calls == [(7, grid.nx)]
+        monkeypatch.setattr(pde, "march_backward", march)
+        for n, u, _, _ in rows:
+            single = solve_semilinear(gaussian_bump, spec, 1.0 / n, grid)
+            assert u == single.initial_value_at_origin
+            cfl = meta["cfl"][str(n)]
+            assert cfl == single.cfl
+            assert list(cfl) == ["nt", "dt", "dx", "lipschitz", "minimal_nt", "diffusion_number"]
+            assert type(cfl["diffusion_number"]) is float
+            assert cfl["diffusion_number"] == 0.5 * (1.0 / n) * cfl["dt"] / cfl["dx"] ** 2
 
     def test_gaussian_bump_gaps_shrink(self):
         grid = GridSpec(-6.0, 6.0, 1201, 1)
