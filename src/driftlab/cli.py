@@ -99,7 +99,8 @@ def _run_schilder(cfg):
         res = maximize_schilder(F, g, m=m, restarts=restarts, seed=seed, max_iter=max_iter)
         path_csv = csv_body(("t", "value"), list(zip(res.path.times, res.path.values)))
         result = {"value": res.value, "converged": res.converged,
-                  "restarts": res.restarts, "best_restart": res.best_restart}
+                  "restarts": res.restarts, "best_restart": res.best_restart,
+                  "runs": [run._asdict() for run in res.runs]}
         csv_text = csv_body(("quantity", "value"), [("best_value", res.value)])
         code = EXIT_OK if res.converged else EXIT_NUMERICAL
         return csv_text, result, code, {"path.csv": path_csv,

@@ -365,7 +365,8 @@ def build_functional(section: dict, context="functional"):
         times = tuple(float(t) for t in _read_list(section, "times", context,
                                                    "numbers in [0, 1]",
                                                    lambda t: _is_number(t) and 0 <= t <= 1))
-        return FiniteMarginals(times=times, f=lambda *vals: f(np.mean(vals, axis=0)),
+        return FiniteMarginals(times=times,
+                               f=lambda *vals: f(np.mean(np.stack(vals, axis=-1), axis=-1)),
                                bounds=bounds)
     raise ConfigError(f"unknown functional kind '{kind}' in {context}")
 

@@ -4,16 +4,19 @@ piecewise-linear paths.
 The action of a polyline is the time integral of the drift cost along its
 slopes (exact segment sums for time-independent costs, Gauss-Legendre
 quadrature otherwise, +inf as soon as a slope leaves the cost domain).
-Maximization runs a multistart projected quasi-Newton ascent in increment
-space, where box bounds realize the slope-domain projection; every returned
-value is recomputed as F(path) - action(path) on the assembled path, so it
-is a certified lower bound of the supremum.
+Maximization runs a multistart projected quasi-Newton ascent (L-BFGS-B) in
+increment space, where box bounds realize the slope-domain projection.  The
+objective is evaluated on stacks of increment rows: the gradient is scipy's
+forward difference, and a point and its m - 1 difference points are one
+batched evaluation, as are the endpoint scan and each restart's final value.
+Every returned value is recomputed as F(path) - action(path) on the
+assembled path, so it is a certified lower bound of the supremum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "RunningMax",
     "FiniteMarginals",
     "PathFunctional",
+    "RestartRun",
     "SchilderResult",
     "evaluate_functional",
     "action",
@@ -171,14 +175,16 @@ def _interp_along_last(times, values, t):
 # ---------------------------------------------------------------------------
 
 def _segment_action(g, seg_start_times, seg_lengths, slopes):
+    """Action of each row of ``slopes`` (shape (..., segments)), summed over
+    its segments; the Gauss-Legendre nodes are added in order from 0."""
     if not gen.is_time_dependent(g):
-        return float(np.sum(seg_lengths * g.cost(0.0, slopes)))
+        return np.sum(seg_lengths * g.cost(0.0, slopes), axis=-1)
     total = 0.0
     half = 0.5 * seg_lengths
     mid = seg_start_times + half
     for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
         tq = mid + xi * half
-        total += float(np.sum(wi * half * g.cost(tq, slopes)))
+        total = total + np.sum(wi * half * g.cost(tq, slopes), axis=-1)
     return total
 
 
@@ -191,12 +197,24 @@ def action(path: PathPolyline, g: gen.GeneratorSpec):
     """
     if path.times.size < 2:
         return 0.0
-    return _segment_action(g, path.times[:-1], np.diff(path.times), path.slopes())
+    return float(_segment_action(g, path.times[:-1], np.diff(path.times), path.slopes()))
 
 
 # ---------------------------------------------------------------------------
 # Maximization
 # ---------------------------------------------------------------------------
+
+class RestartRun(NamedTuple):
+    """One L-BFGS-B ascent: the value recomputed at its end point, its
+    iterations, the points it evaluated (each with its forward-difference
+    gradient) and whether it stopped short of its iteration and evaluation
+    caps."""
+
+    value: float
+    iterations: int
+    points: int
+    converged: bool
+
 
 @dataclass(frozen=True)
 class SchilderResult:
@@ -205,87 +223,137 @@ class SchilderResult:
     converged: bool
     restarts: int
     best_restart: int
+    runs: tuple  # one RestartRun per restart, in restart order
+
+
+# scipy's absolute forward-difference step for L-BFGS-B (its ``eps``), and the
+# relative step its 2-point rule falls back to where x + step == x
+_FD_STEP = 1e-8
+_FD_REL_STEP = np.finfo(np.float64).eps ** 0.5
+
+
+def _forward_steps(x, lower, upper):
+    """The steps of scipy's 2-point rule at x in the box [lower, upper].
+
+    The absolute step, or the relative fallback where it vanishes against x;
+    flipped inward where x + h leaves the box, or the distance to the farther
+    bound where the step fits on neither side.
+    """
+    sign = (x >= 0).astype(float) * 2 - 1
+    h = np.where((x + _FD_STEP) - x == 0, _FD_REL_STEP * sign * np.maximum(1.0, np.abs(x)),
+                 _FD_STEP)
+    lower_dist, upper_dist = x - lower, upper - x
+    stepped = x + h
+    fitting = np.abs(h) <= np.maximum(lower_dist, upper_dist)
+    h = np.where(((stepped < lower) | (stepped > upper)) & fitting, -h, h)
+    return np.where(fitting, h, np.where(upper_dist >= lower_dist, upper_dist, -lower_dist))
+
+
+class _Tail:
+    """The objective of a tail ascent on stacks of increment rows.
+
+    A row holds the m - 1 increments of a tail on the uniform knots of
+    [t0, 1]; its value is F(prefix spliced with the tail) minus the tail
+    action.  Box bounds on the increments keep every slope inside the cost
+    domain and below 16 / (1 - t0) in size.
+    """
+
+    def __init__(self, F, g, prefix, t0, m):
+        if not np.isclose(prefix.end_time, t0):
+            raise ValueError("prefix must end at the conditioning time")
+        self.F, self.g, self.prefix = F, g, prefix
+        self.n = m - 1
+        self.horizon = 1.0 - t0
+        self.tail_times = t0 + np.linspace(0.0, 1.0, m) * self.horizon
+        self.seg = np.diff(self.tail_times)
+        self.start_value = float(prefix.values[-1])
+        # a one-knot prefix at t = 0 only sets the start value
+        self.spliced = prefix.times.size > 1 or t0 != 0.0
+        self.times = (np.concatenate([prefix.times, self.tail_times[1:]]) if self.spliced
+                      else self.tail_times)
+        lo, hi = g.domain()
+        slope_cap = 16.0 / max(self.horizon, 1e-9)
+        self.box = (max(lo, -slope_cap), min(hi, slope_cap))
+        self.lower, self.upper = self.box[0] * self.seg, self.box[1] * self.seg
+
+    def assemble(self, increments):
+        """Path values at ``times`` of each row of ``increments``."""
+        k = increments.shape[0]
+        tail = self.start_value + np.concatenate(
+            [np.zeros((k, 1)), np.cumsum(increments, axis=1)], axis=1)
+        if not self.spliced:
+            return tail
+        head = np.broadcast_to(self.prefix.values, (k, self.prefix.values.size))
+        return np.concatenate([head, tail[:, 1:]], axis=1)
+
+    def values(self, increments):
+        """F minus the tail action, one value per row of ``increments``."""
+        fval = evaluate_functional(self.F, self.times, self.assemble(increments))
+        return fval - _segment_action(self.g, self.tail_times[:-1], self.seg,
+                                      increments / self.seg)
+
+    def loss_and_grad(self, x):
+        """-value at x and its forward-difference gradient, from one batch of
+        x and the n points x + h_i e_i."""
+        h = _forward_steps(x, self.lower, self.upper)
+        rows = np.tile(x, (self.n + 1, 1))
+        probes = np.arange(self.n)
+        rows[probes + 1, probes] = x + h
+        loss = -self.values(rows)
+        return loss[0], (loss[1:] - loss[0]) / ((x + h) - x)
 
 
 def _optimize_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
-    """Maximize F(prefix + tail) - action(tail on [t0, 1]) over tail knots."""
+    """Maximize F(prefix + tail) - action(tail on [t0, 1]) over tail knots.
+
+    Every evaluation is one batched call of :func:`evaluate_functional`: the
+    endpoint scan, each L-BFGS-B point with its gradient, and each restart's
+    final value.
+    """
     from scipy.optimize import minimize
 
     if restarts < 1:
         raise ValueError("need at least 1 restart")
-
-    horizon = 1.0 - t0
-    tail_times = t0 + np.linspace(0.0, 1.0, m) * horizon
-    seg = np.diff(tail_times)
-    if prefix is None:
-        prefix_t = np.array([0.0])
-        prefix_v = np.array([0.0])
-    else:
-        prefix_t, prefix_v = prefix.times, prefix.values
-        if not np.isclose(prefix_t[-1], t0):
-            raise ValueError("prefix must end at the conditioning time")
-    start_value = float(prefix_v[-1])
-
-    def assemble(increments):
-        tail_vals = start_value + np.concatenate([[0.0], np.cumsum(increments)])
-        if prefix_t.size == 1 and t0 == 0.0:
-            return tail_times, tail_vals
-        t = np.concatenate([prefix_t, tail_times[1:]])
-        v = np.concatenate([prefix_v, tail_vals[1:]])
-        return t, v
-
-    def objective(increments):
-        t, v = assemble(increments)
-        fval = float(evaluate_functional(F, t, v))
-        return fval - _segment_action(g, tail_times[:-1], seg, increments / seg)
-
-    lo, hi = g.domain()
-    slope_cap = 16.0 / max(horizon, 1e-9)
-    box = (max(lo, -slope_cap), min(hi, slope_cap))
-    bounds = [(box[0] * s, box[1] * s) for s in seg]
-    lower = np.array([b[0] for b in bounds])
-    upper = np.array([b[1] for b in bounds])
+    tail = _Tail(F, g, prefix, t0, m)
+    n, horizon, start_value, box = tail.n, tail.horizon, tail.start_value, tail.box
 
     # straight-line starts toward the best grid-searched endpoints
     targets = np.linspace(start_value + box[0] * horizon, start_value + box[1] * horizon, 257)
-    scored = []
-    for b in targets:
-        inc = np.full(m - 1, (b - start_value) / (m - 1))
-        scored.append((objective(inc), b))
-    scored.sort(key=lambda p: -p[0])
-    endpoint_seeds = [b for _, b in scored[: max(1, (restarts + 1) // 2)]]
+    scan = tail.values(np.repeat(((targets - start_value) / n)[:, None], n, axis=1))
+    ranked = sorted(range(targets.size), key=lambda i: -scan[i])
+    endpoint_seeds = [targets[i] for i in ranked[: max(1, (restarts + 1) // 2)]]
 
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5EED)))
     starts = []
     for i in range(restarts):
         b = endpoint_seeds[i % len(endpoint_seeds)]
-        inc = np.full(m - 1, (b - start_value) / (m - 1))
+        inc = np.full(n, (b - start_value) / n)
         if i >= len(endpoint_seeds):
-            inc = inc + rng.normal(scale=0.3 * horizon / np.sqrt(m - 1), size=m - 1)
-        starts.append(np.clip(inc, lower, upper))
+            inc = inc + rng.normal(scale=0.3 * horizon / np.sqrt(n), size=n)
+        starts.append(np.clip(inc, tail.lower, tail.upper))
 
-    def run_one(args):
-        idx, x0 = args
-        res = minimize(
-            lambda x: -objective(x),
-            x0,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-12},
-        )
-        hit_cap = res.status == 1
-        return idx, res.x, objective(res.x), not hit_cap
+    # scipy counts one evaluation per point when it is handed the gradient, so
+    # its default cap of 15000 scalar evaluations becomes 15000 // (n + 1) points
+    options = {"maxiter": max_iter, "maxfun": 15000 // (n + 1), "ftol": 1e-14, "gtol": 1e-12}
+    bounds = list(zip(tail.lower, tail.upper))
 
-    results = run_parallel(run_one, list(enumerate(starts)))
-    results.sort(key=lambda r: (-r[2], r[0]))
-    best_idx, best_x, best_value, converged = results[0]
-    t, v = assemble(best_x)
+    def run_one(x0):
+        res = minimize(tail.loss_and_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                       options=options)
+        run = RestartRun(value=float(tail.values(res.x[None])[0]), iterations=int(res.nit),
+                         points=int(res.nfev), converged=res.status != 1)
+        return run, res.x
+
+    outcomes = run_parallel(run_one, starts)
+    runs = tuple(run for run, _ in outcomes)
+    best = sorted(range(restarts), key=lambda i: (-runs[i].value, i))[0]
     return SchilderResult(
-        path=PathPolyline(times=t, values=v),
-        value=float(best_value),
-        converged=converged,
+        path=PathPolyline(times=tail.times, values=tail.assemble(outcomes[best][1][None])[0]),
+        value=runs[best].value,
+        converged=runs[best].converged,
         restarts=restarts,
-        best_restart=best_idx,
+        best_restart=best,
+        runs=runs,
     )
 
 
@@ -300,14 +368,17 @@ def maximize_schilder(
 ) -> SchilderResult:
     """Maximize F(path) - action(path) over m-knot polylines started at 0.
 
-    Multistart local ascent with straight lines toward grid-searched endpoint
-    candidates plus seeded Gaussian perturbations; ties across restarts break
-    deterministically toward the lowest restart index.  Non-convergence (an
-    optimizer hitting its iteration cap) is reported on the result flag.
+    Multistart L-BFGS-B ascent with straight lines toward grid-searched
+    endpoint candidates plus seeded Gaussian perturbations; ties across
+    restarts break deterministically toward the lowest restart index.  The
+    gradient is scipy's forward difference, evaluated with its point in one
+    batch.  Non-convergence (an ascent hitting its iteration or evaluation
+    cap) is reported on the result flag, and each restart on ``runs``.
     """
     if m < 2:
         raise ValueError("need at least 2 knots")
-    return _optimize_tail(F, g, None, 0.0, m, restarts, seed, max_iter)
+    return _optimize_tail(F, g, PathPolyline.zero(end_time=0.0), 0.0, m, restarts, seed,
+                          max_iter)
 
 
 def conditional_value(
@@ -324,8 +395,8 @@ def conditional_value(
     """Best F(prefix spliced with a tail) minus the tail action from time t.
 
     At t = 1 the tail is empty and the value is F(prefix) exactly; at t = 0
-    with a zero prefix this coincides with :func:`maximize_schilder` for the
-    same seed and knot count.
+    the tail starts at the prefix's one value, and with a zero prefix this
+    coincides with :func:`maximize_schilder` for the same seed and knot count.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("conditioning time must lie in [0, 1]")
@@ -333,6 +404,4 @@ def conditional_value(
         prefix = PathPolyline.zero(end_time=t)
     if t >= 1.0:
         return float(evaluate_functional(F, prefix.times, prefix.values))
-    if t == 0.0 and prefix.times.size == 1:
-        prefix = None
     return _optimize_tail(F, g, prefix, t, m, restarts, seed, max_iter).value

@@ -614,6 +614,16 @@ class TestRun:
         path_lines = (out / "path.csv").read_text().strip().splitlines()
         assert path_lines[0] == "t,value"
         assert len(path_lines) == 1 + 9
+        # one record per restart, the best one carrying the reported value
+        runs = result["runs"]
+        assert len(runs) == result["restarts"] == 4
+        assert all(set(run) == {"value", "iterations", "points", "converged"} for run in runs)
+        best = runs[result["best_restart"]]
+        assert (best["value"], best["converged"]) == (result["value"], result["converged"])
+        assert all(run["points"] >= run["iterations"] >= 1 for run in runs)
+        extras = json.loads((out / "manifest.json").read_text())["extras"]
+        assert extras["runs"] == runs
+        assert (out / "report.csv").read_text().splitlines()[0] == "quantity,value"
 
 
     @pytest.mark.parametrize("config, key", [
