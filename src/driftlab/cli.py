@@ -205,9 +205,11 @@ def _run_mc_estimate(cfg):
 
     def solve():
         est, se = estimate()
-        terminal = estimator == "log-mean-exp" and terminal_route(F)
+        terminal = estimator != "girsanov" and terminal_route(F)
+        # the Cramer average draws paths of steps / n steps
+        steps = batch.n_steps // n if estimator == "cramer" else batch.n_steps
         extras = {"sampling": "terminal" if terminal else "paths", "blocks": batch.n_blocks,
-                  "normals": batch.n_paths * (1 if terminal else batch.n_steps)}
+                  "normals": batch.n_paths * (1 if terminal else steps)}
         value = float("nan") if oracle is None else oracle()
         return csv_body(("estimator", "n", "estimate", "se", "oracle", "gap"),
                         [(estimator, n, est, se, value, abs(est - value))]), extras, EXIT_OK, {}

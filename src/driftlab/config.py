@@ -311,20 +311,28 @@ def time_independent_generator(cfg: dict, key: str, context: str = "config"):
     return g
 
 
+def _gaussian_bump(x, center, width):
+    z = (x - center) / width
+    return np.exp(-(z * z))
+
+
 # kind -> ({parameter: (reader, default)}, function of a float array and the
-# parameters); a function's parameters are read once, when it is built
+# parameters); a function's parameters are read once, when it is built.
+# Squares are written z * z: a 0-d ``z ** 2`` goes through libm pow, which
+# can differ in the last bit from the array loop, so a point evaluated alone
+# would not match the same point in a batch
 _FUNCTIONS = {
     "constant": ({"c": (number, 0.0)}, lambda x, c: np.full(np.shape(x), c)),
     "linear": ({"a": (number, 1.0)}, lambda x, a: a * x),
     "clipped_linear": ({"a": (number, 1.0), "lo": (number, -1.0), "hi": (number, 1.0)},
                        lambda x, a, lo, hi: np.clip(a * x, lo, hi)),
     "gaussian_bump": ({"center": (number, 0.0), "width": (positive_number, 1.0)},
-                      lambda x, center, width: np.exp(-(((x - center) / width) ** 2))),
+                      _gaussian_bump),
     "tanh": ({}, np.tanh),
     "identity": ({}, lambda x: x),
-    "square": ({}, lambda x: x ** 2),
+    "square": ({}, lambda x: x * x),
     "clip_below_one": ({}, lambda x: np.minimum(1.0, x)),
-    "negative_square": ({}, lambda x: -(x ** 2)),
+    "negative_square": ({}, lambda x: -(x * x)),
 }
 
 

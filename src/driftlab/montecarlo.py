@@ -1,20 +1,21 @@
 """Brownian path simulation and the stochastic estimators built on it:
-chopped-path construction, the quadratic-case closed-form estimator
-(1/n) log E exp(n F), drift-insertion lower bounds, least-squares backward
-regression for the scaled BSDE, and Brownian-bridge drift-moment checks.
+the quadratic-case closed-form estimator (1/n) log E exp(n F) and its
+Cramer form on the average of n paths, drift-insertion lower bounds,
+least-squares backward regression for the scaled BSDE, and Brownian-bridge
+drift-moment checks.
 
-Paths are generated in fixed-size blocks, each from a generator seeded by
-(seed, block index), so every estimate is bit-reproducible from
-(seed, n_steps, n_paths), and the streaming estimators keep
-memory bounded for million-path batches.  A terminal log-mean-exp estimate
-draws W(1) alone, one normal per path from the same block generators, so it
-is reproducible from (seed, n_paths) and does not depend on n_steps.
-"""
+Every path and bridge is generated in fixed-size blocks, each from a
+generator seeded by (seed, block index), so every estimate is
+bit-reproducible from (seed, n_steps, n_paths), and the streaming
+estimators keep memory bounded for million-path batches.  A terminal
+log-mean-exp estimate draws W(1) alone, one normal per path from the same
+block generators, so it is reproducible from (seed, n_paths) and does not
+depend on n_steps."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "FeedbackControl",
     "LsmcSolution",
     "BridgeMomentCheck",
-    "chopped_paths",
     "log_mean_exp",
     "terminal_route",
     "girsanov_lower_bound",
@@ -98,30 +98,6 @@ class PathBatch:
     def paths(self):
         """All paths materialized; intended for small-to-medium batches."""
         return np.concatenate(list(self.iter_paths()), axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Chopped paths
-# ---------------------------------------------------------------------------
-
-def chopped_paths(values, n):
-    """Split paths with n*m steps into n Brownian-rescaled unit-time subpaths.
-
-    Subpath k follows sqrt(n) times the increments of the source path over
-    [(k-1)/n, k/n].  ``values`` has shape (..., n*m + 1); the result has
-    shape (..., n, m + 1).
-    """
-    values = np.asarray(values, dtype=float)
-    steps = values.shape[-1] - 1
-    if steps % n:
-        raise ValueError(f"step count {steps} not divisible by n={n}")
-    m = steps // n
-    inc = np.diff(values, axis=-1).reshape(values.shape[:-1] + (n, m))
-    out = np.empty(values.shape[:-1] + (n, m + 1))
-    out[..., 0] = 0.0
-    np.cumsum(inc, axis=-1, out=out[..., 1:])
-    out *= math.sqrt(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +197,8 @@ def log_mean_exp(F: PathFunctional, n: float, batch: PathBatch):
 
 @dataclass(frozen=True)
 class FeedbackControl:
-    """Bounded feedback drift q(t, history); progressively measurable because
-    the evaluation rule only ever sees the simulated history up to t."""
+    """Bounded feedback drift q(t, x) of the current state; progressively
+    measurable because the rule only ever sees the simulated state at t."""
 
     rule: Callable
     bound: float
@@ -231,18 +207,14 @@ class FeedbackControl:
     @classmethod
     def constant(cls, value):
         v = float(value)
-        return cls(rule=lambda t, hist: np.full(hist.shape[0], v), bound=abs(v),
+        return cls(rule=lambda t, x: np.full(x.shape, v), bound=abs(v),
                    label=f"constant({v:g})")
 
     @classmethod
     def state_feedback(cls, fn, bound, label="state_feedback"):
         """Markov rule q(t, x) of the current state, clipped to the bound."""
         b = float(bound)
-        return cls(
-            rule=lambda t, hist: np.clip(fn(t, hist[:, -1]), -b, b),
-            bound=b,
-            label=label,
-        )
+        return cls(rule=lambda t, x: np.clip(fn(t, x), -b, b), bound=b, label=label)
 
 
 def girsanov_lower_bound(
@@ -264,7 +236,7 @@ def girsanov_lower_bound(
         x = np.zeros((size, batch.n_steps + 1))
         cost = np.zeros(size)
         for k in range(batch.n_steps):
-            q = np.asarray(control.rule(times[k], x[:, : k + 1]), dtype=float)
+            q = np.asarray(control.rule(times[k], x[:, k]), dtype=float)
             if np.any(np.abs(q) > control.bound + 1e-9):
                 raise ValueError("control exceeded its declared bound")
             step_cost = g.cost(times[k], q)
@@ -280,20 +252,16 @@ def girsanov_lower_bound(
 def cramer_average(F: PathFunctional, n: int, batch: PathBatch):
     """(1/n) log mean exp(n F(average of the n chopped subpaths)).
 
-    Requires the batch step count to be divisible by n; quadratic-case
-    estimator like :func:`log_mean_exp` but driven by the block-average path.
+    A path on n_steps = n m steps, cut into its n pieces and each piece
+    rescaled to [0, 1], gives n independent Brownian paths on m steps, and
+    their average is W / sqrt(n) in law on that grid.  So the estimate is
+    :func:`log_mean_exp` on m steps (a terminal functional reads W(1)
+    alone).  Requires the batch step count to be divisible by n.
     """
     steps = batch.n_steps
     if steps % n:
         raise ValueError(f"batch step count {steps} not divisible by n={n}")
-    m = steps // n
-    sub_times = np.linspace(0.0, 1.0, m + 1)
-    acc = _StreamingLse()
-    for paths in batch.iter_paths():
-        avg = chopped_paths(paths, n).mean(axis=-2)
-        vals = np.asarray(evaluate_functional(F, sub_times, avg), dtype=float)
-        acc.add(n * vals)
-    return acc.estimate(n)
+    return log_mean_exp(F, n, replace(batch, n_steps=steps // n))
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +536,21 @@ def simulate_bridge(x, y, epsilon, delta, n_paths, seed, time_grid):
     """Exact-marginal bridge simulation from x at 0 to y at delta.
 
     Sequential conditional-Gaussian transitions on an arbitrary increasing
-    grid inside [0, delta]; no Euler bias in the marginals.
+    grid inside [0, delta]; no Euler bias in the marginals.  The paths are
+    drawn block by block from the (seed, block index) generators of a
+    :class:`PathBatch`, as in :func:`bridge_moment_check`.
     """
     t = np.asarray(time_grid, dtype=float)
     if t[0] != 0.0 or t[-1] > delta + 1e-15:
         raise ValueError("time grid must start at 0 and stay inside [0, delta]")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xB1D6E)))
-    return _bridge_paths(x, y, epsilon, delta, n_paths, rng, t)
+    batch = PathBatch(n_steps=t.size - 1, n_paths=n_paths, seed=seed)
+    return np.concatenate(list(_bridge_blocks(x, y, epsilon, delta, batch, t)), axis=0)
+
+
+def _bridge_blocks(x, y, epsilon, delta, batch, t):
+    """Bridge paths on the checked grid ``t``, one array per block of ``batch``."""
+    for size, rng in batch.iter_blocks():
+        yield _bridge_paths(x, y, epsilon, delta, size, rng, t)
 
 
 def _bridge_paths(x, y, epsilon, delta, n_paths, rng, t):
@@ -632,8 +608,7 @@ def bridge_moment_check(x, y, epsilon, delta, r, batch: PathBatch) -> BridgeMome
              + k_r * delta ** (1.0 - r / 2.0) * epsilon ** (r / 2.0))
     t = np.linspace(0.0, delta, batch.n_steps + 1)
     acc = _RunningMoments()
-    for size, rng in batch.iter_blocks():
-        w = _bridge_paths(x, y, epsilon, delta, size, rng, t)
+    for w in _bridge_blocks(x, y, epsilon, delta, batch, t):
         drift = (y - w[:, :-1]) / (delta - t[:-1])
         acc.add(np.sum(np.abs(drift) ** r, axis=1) * (t[1] - t[0]))
     empirical, se = acc.mean_se()

@@ -275,6 +275,12 @@ class _Tail:
         slope_cap = 16.0 / max(self.horizon, 1e-9)
         self.box = (max(lo, -slope_cap), min(hi, slope_cap))
         self.lower, self.upper = self.box[0] * self.seg, self.box[1] * self.seg
+        # (box * seg) / seg can round past a finite domain end, where the
+        # cost is +inf; such a bound steps inward one ulp at a time
+        while np.any(out := self.lower / self.seg < lo):
+            self.lower[out] = np.nextafter(self.lower[out], np.inf)
+        while np.any(out := self.upper / self.seg > hi):
+            self.upper[out] = np.nextafter(self.upper[out], -np.inf)
 
     def assemble(self, increments):
         """Path values at ``times`` of each row of ``increments``."""

@@ -453,7 +453,12 @@ class TestRun:
         (dict(MC_CONFIG, functional={"kind": "finite_marginals", "times": [1.0],
                                      "f": {"kind": "gaussian_bump", "center": 1.0}}),
          "paths", 400_000),
-        (dict(MC_CONFIG, estimator="cramer", n=4), "paths", 400_000),
+        (dict(MC_CONFIG, estimator="cramer", n=4), "terminal", 50_000),
+        # the Cramer average draws paths of steps / n = 2 steps
+        (dict(MC_CONFIG, estimator="cramer", n=4,
+              functional={"kind": "finite_marginals", "times": [1.0],
+                          "f": {"kind": "gaussian_bump", "center": 1.0}}),
+         "paths", 100_000),
         (dict(MC_CONFIG, estimator="girsanov", generator={"variant": "quadratic", "c": 1.0},
               control={"kind": "constant", "value": 0.0}), "paths", 400_000),
     ])
@@ -686,6 +691,20 @@ class TestRun:
         stages = manifest["extras"]["stages"]
         assert [(s["n"], s["s_points"], len(s["nt"])) for s in stages] == [(1, 33, 1), (2, 33, 2)]
         assert all(nt >= 1 for s in stages for nt in s["nt"])
+
+
+@pytest.mark.parametrize("function", [
+    {"kind": "gaussian_bump", "center": 1.0}, {"kind": "gaussian_bump", "width": 0.7},
+    "square", "negative_square",
+], ids=["bump", "narrow-bump", "square", "negative-square"])
+def test_config_function_of_one_point_is_its_batch_value(function):
+    # a path evaluated alone and the same path in a batch give the same F
+    from driftlab.config import build_scalar_function
+
+    f = build_scalar_function({"f": function}, "f")
+    x = np.random.default_rng(3).normal(scale=2.0, size=100_000)
+    alone = np.array([f(v) for v in x])
+    assert alone.tobytes() == f(x).tobytes()
 
 
 class TestManifestEcho:

@@ -16,7 +16,6 @@ from driftlab.montecarlo import (
     PathBatch,
     bridge_constant,
     bridge_moment_check,
-    chopped_paths,
     cramer_average,
     girsanov_lower_bound,
     log_mean_exp,
@@ -25,7 +24,13 @@ from driftlab.montecarlo import (
     truncated_quadratic_moment,
 )
 from driftlab.pde import GridSpec, solve_semilinear
-from driftlab.variational import FiniteMarginals, RunningMax, TerminalValue, TimeIntegral
+from driftlab.variational import (
+    FiniteMarginals,
+    RunningMax,
+    TerminalValue,
+    TimeIntegral,
+    evaluate_functional,
+)
 
 QUAD = Quadratic(1.0)
 
@@ -46,45 +51,6 @@ class TestPathBatch:
         se = 1.0 / math.sqrt(inc.size)
         assert abs(inc.mean()) <= 3 * se * math.sqrt(batch.dt)
         assert inc.var() == pytest.approx(batch.dt, rel=0.01)
-
-
-class TestChoppedPaths:
-    def test_identity_for_n_one(self):
-        batch = PathBatch(n_steps=8, n_paths=10, seed=3)
-        paths = batch.paths()
-        np.testing.assert_allclose(chopped_paths(paths, 1)[:, 0, :], paths)
-
-    def test_linear_path_rescaling(self):
-        # the straight line t has subpath slope sqrt(n)/n = 1/2 for n = 4
-        t = np.linspace(0.0, 1.0, 9)
-        sub = chopped_paths(t, 4)
-        expected = np.linspace(0.0, 1.0, 3) / 2.0
-        for k in range(4):
-            np.testing.assert_allclose(sub[k], expected, atol=1e-15)
-
-    def test_divisibility_error(self):
-        with pytest.raises(ValueError, match="divisible"):
-            chopped_paths(np.zeros(10), 4)
-
-    def test_chopped_increments_are_standard_brownian(self):
-        n, m = 4, 16
-        batch = PathBatch(n_steps=n * m, n_paths=100_000, seed=4)
-        sub = chopped_paths(batch.paths(), n)
-        inc = np.diff(sub, axis=-1)
-        dt = 1.0 / m
-        var = inc.var()
-        se = math.sqrt(2.0) * dt / math.sqrt(inc.size)
-        assert abs(var - dt) <= 3 * se
-
-    def test_blocks_uncorrelated(self):
-        n, m = 4, 8
-        batch = PathBatch(n_steps=n * m, n_paths=200_000, seed=6)
-        ends = chopped_paths(batch.paths(), n)[..., -1]
-        for i in range(n):
-            for j in range(i + 1, n):
-                cov = np.mean(ends[:, i] * ends[:, j])
-                se = 1.0 / math.sqrt(ends.shape[0])
-                assert abs(cov) <= 3 * se
 
 
 class TestLogMeanExp:
@@ -350,7 +316,47 @@ class TestPolynomialBasis:
         np.testing.assert_allclose(fit, ref_fit, rtol=0, atol=1e-10 * np.max(np.abs(ref_fit)))
 
 
+def chopped_average(F, n, batch):
+    """(1/n) log mean exp(n F) on the average of the n chopped subpaths of
+    each batch path, with its delta-method standard error: subpath k
+    follows sqrt(n) times the increments of the path over [(k-1)/n, k/n]."""
+    m = batch.n_steps // n
+    values = []
+    for paths in batch.iter_paths():
+        inc = np.diff(paths, axis=1).reshape(paths.shape[0], n, m)
+        sub = np.zeros((paths.shape[0], n, m + 1))
+        np.cumsum(inc, axis=-1, out=sub[..., 1:])
+        sub *= math.sqrt(n)
+        values.append(n * evaluate_functional(F, np.linspace(0.0, 1.0, m + 1), sub.mean(axis=1)))
+    x = np.concatenate(values)
+    e = np.exp(x - x.max())
+    return (x.max() + math.log(e.mean())) / n, e.std() / math.sqrt(x.size) / e.mean() / n
+
+
+CRAMER_FUNCTIONALS = {
+    "terminal": TerminalValue(gaussian_bump),
+    "running-max": RunningMax(lambda x: np.minimum(1.0, x)),
+    "time-integral": TimeIntegral(lambda t, x: np.sin(x)),
+}
+
+
 class TestCramerAverage:
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("name", sorted(CRAMER_FUNCTIONALS))
+    def test_matches_the_chopped_path_average(self, name, n):
+        # the average of n independent Brownian paths is W / sqrt(n) in law
+        F = CRAMER_FUNCTIONALS[name]
+        est_c, se_c = chopped_average(F, n, PathBatch(n_steps=16 * n, n_paths=100_000, seed=24))
+        est, se = cramer_average(F, n, PathBatch(n_steps=16 * n, n_paths=100_000, seed=25))
+        assert abs(est - est_c) <= 3 * math.hypot(se, se_c)
+
+    def test_terminal_estimate_does_not_depend_on_steps(self):
+        F = TerminalValue(gaussian_bump)
+        first = cramer_average(F, 4, PathBatch(n_steps=4, n_paths=40_000, seed=26))
+        for steps in (8, 12, 64):
+            assert cramer_average(F, 4, PathBatch(n_steps=steps, n_paths=40_000,
+                                                  seed=26)) == first
+
     def test_constant(self):
         F = TerminalValue(lambda x: np.full(np.shape(x), 0.9))
         est, se = cramer_average(F, 4, PathBatch(n_steps=32, n_paths=10_000, seed=21))

@@ -1,5 +1,7 @@
 """Path polylines, drift actions, and the multistart path maximizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -451,6 +453,27 @@ class TestBatchedAscent:
         assert [run.value for run in res.runs] == values
         if max_iter == 3:
             assert not converged and all(run.iterations == 3 for run in res.runs)
+
+    @pytest.mark.parametrize("cost", ["table-3", "indicator", "quadratic"])
+    def test_box_corners_stay_inside_the_cost_domain(self, cost):
+        # (3 * seg) / seg rounds above 3 on one upper and one lower segment of
+        # a 70-knot tail; a corner there cost +inf, and its forward difference
+        # inf - inf reached L-BFGS-B as NaN
+        q = np.linspace(-3.0, 3.0, 61)
+        g = {"table-3": Tabulated(q=tuple(q), g=tuple(0.5 * q * q)),
+             "indicator": IndicatorInterval(3.0), "quadratic": QUAD}[cost]
+        F = TimeIntegral(lambda t, x: np.sin(x))
+        tail = _Tail(F, g, ZERO, 0.0, 70)
+        lo, hi = g.domain()
+        assert np.all(tail.lower / tail.seg >= lo) and np.all(tail.upper / tail.seg <= hi)
+        assert np.all(np.isfinite(tail.values(np.stack([tail.lower, tail.upper]))))
+        if cost == "quadratic":
+            # an unbounded domain keeps the box bounds bit for bit
+            assert tail.upper.tobytes() == (tail.box[1] * tail.seg).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = maximize_schilder(F, g, m=70, restarts=2, seed=1)
+        assert np.isfinite(res.value)
 
     def test_restart_records(self):
         res = maximize_schilder(TerminalValue(product_bump, bounds=(0, 1)), QUAD, m=9,
