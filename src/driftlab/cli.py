@@ -79,7 +79,7 @@ def _run_pde_sweep(cfg):
     f = build_scalar_function(cfg, "terminal", "pde-sweep")
     grid = build_grid(require(cfg, "grid", "pde-sweep"))
     n_list = integer_list(cfg, "n_list", 1, "pde-sweep", default=[1, 2, 4, 8, 16, 32, 64])
-    y_step = positive_number(cfg, "y_step", "pde-sweep", default=1e-5)
+    y_step = positive_number(cfg, "y_step", "pde-sweep", default=1e-3)
 
     def solve():
         rows, meta = vanishing_viscosity_sweep(f, g, n_list, grid, y_step=y_step)

@@ -23,8 +23,9 @@ end to end in one factorisation and one solve a step.  The march keeps
 only the current and the next time row and returns the initial row
 v(0, .), the only one any caller reads; :meth:`GridSpec.read` interpolates
 it at a point of the grid.  The vanishing-viscosity sweep marches every n
-as one row of a single march and runs the Hopf-Lax search over its grid in
-fixed-size chunks.
+as one row of a single march; its Hopf-Lax limit is the maximum over a
+search grid, refined by golden section on the two cells around the grid's
+maximiser.
 """
 
 from __future__ import annotations
@@ -280,21 +281,24 @@ def solve_semilinear(
     return ScalarField(grid=grid, values=values, cfl=cfl)
 
 
-# grid points per chunk of the sweep's Hopf-Lax search, and the most that
-# search may hold (14x the default's 1.2 M points).  A chunk's 64 kB
-# temporaries are reused from the malloc heap; at 1 << 16 points glibc
-# mapped and page-faulted each one afresh (5400 minor faults and about twice
-# the time per 1.2 M-point search)
-_HOPF_LAX_CHUNK = 1 << 13
-_MAX_SEARCH_POINTS = 1 << 24
+# the most points the sweep's Hopf-Lax search grid may hold; the grid is
+# evaluated in one pass, so this bounds each temporary at 32 MiB
+_MAX_SEARCH_POINTS = 1 << 22
+# golden-section ratio, and the refinement's step cap: 80 steps shrink the
+# bracket 5e16-fold; it stops sooner once the bracket is a few ulps wide
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERATIONS = 80
 
 
-def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid) -> float:
+def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid, *,
+             return_index: bool = False):
     """Hopf-Lax-Oleinik value sup_y ( f(y) - (1-t) g((y-x)/(1-t)) ).
 
     The search runs over ``y_grid`` in one pass, so its temporaries are the
     size of ``y_grid``; a NaN value propagates.  Requires a time-independent
-    cost; at t = 1 the terminal convention returns f(x).
+    cost; at t = 1 the terminal convention returns f(x).  With
+    ``return_index`` (t < 1 only) it returns ``(value, i)``, i the first
+    index of ``y_grid`` attaining the value, or of the first NaN.
     """
     if gen.is_time_dependent(g):
         raise ValueError("Hopf-Lax form needs a time-independent cost")
@@ -302,24 +306,41 @@ def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid) -> f
     if y.size == 0:
         raise ValueError("empty search grid")
     if t >= 1.0:
+        if return_index:
+            raise ValueError("return_index needs a search, at t < 1")
         return float(f(np.asarray(x)))
     horizon = 1.0 - t
-    return float(np.max(np.asarray(f(y), dtype=float) - horizon * g.cost(t, (y - x) / horizon)))
+    vals = np.asarray(f(y), dtype=float) - horizon * g.cost(t, (y - x) / horizon)
+    if return_index:
+        i = int(np.argmax(vals))
+        return float(vals[i]), i
+    return float(np.max(vals))
 
 
-def _search_chunks(x_min, x_max, y_step):
-    """The points of ``np.arange(x_min, x_max + y_step, y_step)``, generated
-    ``_HOPF_LAX_CHUNK`` at a time by numpy's own fill rule: x_min, then
-    x_min + y_step, then x_min + i * ((x_min + y_step) - x_min)."""
-    n = math.ceil((x_max + y_step - x_min) / y_step)
-    delta = (x_min + y_step) - x_min
-    for lo in range(0, n, _HOPF_LAX_CHUNK):
-        y = np.arange(lo, min(lo + _HOPF_LAX_CHUNK, n), dtype=float)
-        y *= delta
-        y += x_min
-        if lo == 0:
-            y[:2] = [x_min, x_min + y_step][:y.size]
-        yield y
+def _golden_section(value, a, b):
+    """Golden-section search for a maximum of ``value`` on [a, b] (Kiefer 1953).
+
+    Returns every value evaluated, the step count and the final bracket.  It
+    stops after ``_GOLDEN_ITERATIONS`` steps, or sooner once its two interior
+    points no longer fall in order strictly inside the bracket.
+    """
+    m1, m2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    v1, v2 = value(m1), value(m2)
+    seen = [v1, v2]
+    steps = 0
+    while steps < _GOLDEN_ITERATIONS and a < m1 < m2 < b:
+        steps += 1
+        if v1 >= v2:  # keep [a, m2]; the old m1 is its upper interior point
+            b, m2, v2 = m2, m1, v1
+            m1 = b - _GOLDEN * (b - a)
+            v1 = value(m1)
+            seen.append(v1)
+        else:  # keep [m1, b]; the old m2 is its lower interior point
+            a, m1, v1 = m1, m2, v2
+            m2 = a + _GOLDEN * (b - a)
+            v2 = value(m2)
+            seen.append(v2)
+    return seen, steps, (a, b)
 
 
 def vanishing_viscosity_sweep(
@@ -328,16 +349,18 @@ def vanishing_viscosity_sweep(
     n_list,
     grid: GridSpec,
     *,
-    y_step: float = 1e-5,
+    y_step: float = 1e-3,
 ):
     """Solve with diffusion 1/n for each n and report gaps to the Hopf-Lax value.
 
     All n share one march, one row per n.  Returns ``(rows, meta)``: one
     row ``(n, u_n, limit, gap)`` per n, in ascending n, and the run facts
-    for the manifest (grid, scheme, each n's step data, the search step).
-    The limit value is a dense grid search of the Hopf-Lax form over the
-    grid domain with step ``y_step``; the search grid is generated one
-    chunk at a time and never held whole.
+    for the manifest (grid, scheme, each n's step data, the search step and
+    the search record).  The limit is the Hopf-Lax form at (0, 0), searched
+    on ``np.arange(x_min, x_max + y_step, y_step)`` and refined by golden
+    section on the two cells around the grid maximiser; it is the largest
+    value either stage evaluated, so never below the grid maximum, and a
+    NaN on the grid propagates.
     """
     n_list = sorted(int(n) for n in n_list)
     if not n_list:
@@ -345,9 +368,13 @@ def vanishing_viscosity_sweep(
     if not y_step > 0 or (grid.x_max - grid.x_min) / y_step > _MAX_SEARCH_POINTS:
         raise ValueError(f"y_step must be positive and give a Hopf-Lax search grid of at "
                          f"most {_MAX_SEARCH_POINTS} points, got {y_step!r}")
-    # one chunk of the search grid at a time; np.max keeps a NaN chunk maximum
-    limit = float(np.max(run_parallel(lambda y: hopf_lax(f, g, 0.0, 0.0, y),
-                                      _search_chunks(grid.x_min, grid.x_max, y_step))))
+    y = np.arange(grid.x_min, grid.x_max + y_step, y_step)
+    grid_max, i = hopf_lax(f, g, 0.0, 0.0, y, return_index=True)
+    bracket = (float(y[max(i - 1, 0)]), float(y[min(i + 1, y.size - 1)]))
+    [(seen, steps, (a, b))] = run_parallel(
+        lambda ends: _golden_section(lambda s: hopf_lax(f, g, 0.0, 0.0, [s]), *ends), [bracket])
+    refined_max = float(np.max(seen))
+    limit = float(np.maximum(grid_max, refined_max))  # keeps a NaN from either stage
     # every n in one march, row i at diffusion 1 / n_i
     fld = solve_semilinear(f, g, 1.0 / np.array(n_list, dtype=float), grid)
     values = grid.read(fld.values, 0.0).tolist()
@@ -358,5 +385,9 @@ def vanishing_viscosity_sweep(
         "cfl": {str(n): {**fld.cfl, "diffusion_number": float(r)}
                 for n, r in zip(n_list, fld.cfl["diffusion_number"])},
         "hopf_lax_y_step": y_step,
+        "hopf_lax_search": {
+            "grid_points": int(y.size), "bracket": list(bracket), "golden_iterations": steps,
+            "bracket_width": b - a, "grid_max": grid_max, "refined_max": refined_max,
+        },
     }
     return rows, meta

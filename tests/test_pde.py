@@ -468,18 +468,20 @@ class TestHamiltonian:
 
 
 class TestHopfLax:
-    def test_chunked_search_matches_one_shot(self):
-        y = np.linspace(-6.0, 6.0, 3 * pde._HOPF_LAX_CHUNK + 17)
-        # the bump's maximiser is in an inner chunk, the ramp's at the last node
+    def test_value_and_index_match_one_shot(self):
+        y = np.linspace(-6.0, 6.0, 3001)
+        # the bump's maximiser is inside the grid, the ramp's at the last node
         for f in (gaussian_bump, lambda s: 2.0 * s):
             for g in (QUAD, FLUX_SPECS["tabulated"], PowerLaw(r=1.5)):
                 for t, x in ((0.0, 0.0), (0.25, 5.0)):
                     horizon = 1.0 - t
-                    one_shot = float(np.max(f(y) - horizon * g.cost(t, (y - x) / horizon)))
-                    assert hopf_lax(f, g, t, x, y) == one_shot
+                    vals = f(y) - horizon * g.cost(t, (y - x) / horizon)
+                    assert hopf_lax(f, g, t, x, y) == float(np.max(vals))
+                    value, i = hopf_lax(f, g, t, x, y, return_index=True)
+                    assert value == float(np.max(vals)) and i == int(np.argmax(vals))
 
-    def test_nan_in_a_later_chunk_propagates(self):
-        y = np.linspace(-6.0, 6.0, 2 * pde._HOPF_LAX_CHUNK + 5)
+    def test_nan_propagates_with_its_index(self):
+        y = np.linspace(-6.0, 6.0, 1001)
 
         def f(s):
             vals = gaussian_bump(s)
@@ -487,6 +489,8 @@ class TestHopfLax:
             return vals
 
         assert math.isnan(hopf_lax(f, QUAD, 0.0, 0.0, y))
+        value, i = hopf_lax(f, QUAD, 0.0, 0.0, y, return_index=True)
+        assert math.isnan(value) and i == y.size - 3
 
     def test_constant_function(self):
         y = np.linspace(-5, 5, 1001)
@@ -497,6 +501,8 @@ class TestHopfLax:
         y = np.linspace(-5, 5, 101)
         val = hopf_lax(gaussian_bump, QUAD, 1.0, 0.3, y)
         assert val == pytest.approx(float(gaussian_bump(0.3)))
+        with pytest.raises(ValueError, match="return_index"):
+            hopf_lax(gaussian_bump, QUAD, 1.0, 0.3, y, return_index=True)
 
     def test_supremum_property_on_grid(self):
         y = np.linspace(-6, 6, 3001)
@@ -548,13 +554,68 @@ class TestViscositySweep:
         with pytest.raises(ValueError, match="at least one n"):
             vanishing_viscosity_sweep(gaussian_bump, QUAD, [], GridSpec(-4.0, 4.0, 41, 1))
 
-    @pytest.mark.parametrize("x_min, x_max, y_step",
-                             [(-6.0, 6.0, 1e-5), (-4.0, 4.0, 1e-3), (-4.0, 4.0, 1e-4)])
-    def test_search_chunks_are_np_arange(self, x_min, x_max, y_step):
-        chunks = list(pde._search_chunks(x_min, x_max, y_step))
-        assert all(c.size == pde._HOPF_LAX_CHUNK for c in chunks[:-1])
-        whole = np.arange(x_min, x_max + y_step, y_step)
-        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    SEARCH_GRID = GridSpec(-3.0, 3.0, 31, 1)
+    # smooth costs: a y_step / 100 search is within 1e-9 of the sup for
+    # bumps of width >= 0.1; the others have a kink or a wall at the max
+    SEARCH_COSTS = {"quadratic": (QUAD, True), "power-3": (FLUX_SPECS["power-3"], True),
+                    "power-1.5": (FLUX_SPECS["power-1.5"], False),
+                    "indicator": (IndicatorInterval(1.5), False),
+                    "tabulated": (FLUX_SPECS["tabulated"], False)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(center=st.floats(-2.5, 2.5), width=st.floats(0.1, 2.0),
+           cost=st.sampled_from(sorted(SEARCH_COSTS)), y_step=st.sampled_from([2.5e-4, 5e-4]))
+    def test_limit_is_refined_grid_search(self, center, width, cost, y_step):
+        g, smooth = self.SEARCH_COSTS[cost]
+
+        def f(s):
+            return np.exp(-(((np.asarray(s, dtype=float) - center) / width) ** 2))
+
+        grid = self.SEARCH_GRID
+        rows, meta = vanishing_viscosity_sweep(f, g, [1], grid, y_step=y_step)
+        limit = rows[0][2]
+        y = np.arange(grid.x_min, grid.x_max + y_step, y_step)
+        dense = float(np.max(f(y) - g.cost(0.0, y)))
+        search = meta["hopf_lax_search"]
+        assert search["grid_points"] == y.size and search["grid_max"] == dense
+        assert limit == max(dense, search["refined_max"]) and limit >= dense
+        lo, hi = search["bracket"]
+        assert hi - lo <= 2.0 * y_step * (1.0 + 1e-9)
+        assert 0.0 <= search["bracket_width"] <= 1e-12
+        local = np.linspace(lo, hi, 201)
+        local_max = float(np.max(f(local) - g.cost(0.0, local)))
+        assert limit >= local_max - 1e-12
+        if smooth:
+            assert limit <= local_max + 1e-9
+
+    def test_default_search_evaluates_grid_once_and_few_more_points(self):
+        grid = GridSpec(-6.0, 6.0, 61, 1)
+        calls = []
+
+        def f(s):
+            calls.append(np.size(s))
+            return gaussian_bump(s)
+
+        _, meta = vanishing_viscosity_sweep(f, QUAD, [1, 4], grid)
+        assert meta["hopf_lax_y_step"] == 1e-3
+        # one call on the march's terminal row, one on the whole search grid
+        assert sorted(calls)[-2:] == [grid.nx, np.arange(-6.0, 6.0 + 1e-3, 1e-3).size]
+        assert sum(calls) - grid.nx <= 12_001 + 200
+        assert len(calls) - 2 == 2 + meta["hopf_lax_search"]["golden_iterations"]
+
+    def test_nan_on_search_grid_propagates(self):
+        grid = GridSpec(-4.0, 4.0, 41, 1)
+        y = np.arange(-4.0, 4.0 + 1e-3, 1e-3)
+
+        def f(s):
+            vals = gaussian_bump(s)
+            vals[s == y[2500]] = np.nan  # off the march's grid
+            return vals
+
+        rows, meta = vanishing_viscosity_sweep(f, QUAD, [1, 4], grid, y_step=1e-3)
+        assert all(math.isfinite(u) for _, u, _, _ in rows)
+        assert all(math.isnan(limit) and math.isnan(gap) for _, _, limit, gap in rows)
+        assert math.isnan(meta["hopf_lax_search"]["grid_max"])
 
     @pytest.mark.parametrize("spec", [QUAD, STACK_SPECS["tabulated"]],
                              ids=["quadratic", "tabulated"])
