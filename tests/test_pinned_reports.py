@@ -151,6 +151,16 @@ def test_report_body_is_pinned(tmp_path, name):
     assert body == (PINNED / f"{name}.csv").read_text()
 
 
+def test_tabulated_sweep_limit_is_the_schilder_value(tmp_path):
+    """Two routes to sup_y f(y) - g(y) for the tabulated cost: the viscosity
+    sweep's refined Hopf-Lax search and the Schilder ascent over paths."""
+    _, sweep, _ = run_config(tmp_path, CONFIGS["pde-sweep-tabulated"], "sweep")
+    _, schilder, _ = run_config(tmp_path, CONFIGS["schilder-tabulated"], "schilder")
+    limit = float(sweep.splitlines()[1].split(",")[2])
+    best = float(schilder.splitlines()[1].split(",")[1])
+    assert abs(limit - best) <= 1e-13
+
+
 # one config of each experiment kind, each leaving some defaults out
 ECHOED = ["pde-sweep-indicator", "schilder-tabulated", "sanov-iterate-quadratic",
           "schrodinger-sweep-quadratic", "mc-estimate-cramer", "bsde-lsmc-running-max",
