@@ -540,15 +540,15 @@ def simulate_bridge(x, y, epsilon, delta, n_paths, seed, time_grid):
     drawn block by block from the (seed, block index) generators of a
     :class:`PathBatch`, as in :func:`bridge_moment_check`.
     """
+    batch = PathBatch(n_steps=np.size(time_grid) - 1, n_paths=n_paths, seed=seed)
+    return np.concatenate(list(_bridge_blocks(x, y, epsilon, delta, batch, time_grid)), axis=0)
+
+
+def _bridge_blocks(x, y, epsilon, delta, batch, time_grid):
+    """Bridge paths on ``time_grid``, one array per block of ``batch``."""
     t = np.asarray(time_grid, dtype=float)
     if t[0] != 0.0 or t[-1] > delta + 1e-15:
         raise ValueError("time grid must start at 0 and stay inside [0, delta]")
-    batch = PathBatch(n_steps=t.size - 1, n_paths=n_paths, seed=seed)
-    return np.concatenate(list(_bridge_blocks(x, y, epsilon, delta, batch, t)), axis=0)
-
-
-def _bridge_blocks(x, y, epsilon, delta, batch, t):
-    """Bridge paths on the checked grid ``t``, one array per block of ``batch``."""
     for size, rng in batch.iter_blocks():
         yield _bridge_paths(x, y, epsilon, delta, size, rng, t)
 
@@ -627,11 +627,19 @@ def truncated_quadratic_moment(x, y, epsilon, delta, eta_list, n_paths, seed):
     coarse = np.linspace(0.0, delta / 2.0, 65)
     tail = delta - np.geomspace(delta / 2.0, eta_min, 257)
     t = np.unique(np.concatenate([coarse, tail]))
-    w = simulate_bridge(x, y, epsilon, delta, n_paths, seed, t)
-    drift_sq = ((y - w[:, :-1]) / (delta - t[:-1])) ** 2
     dt = np.diff(t)
-    out = {}
-    for eta in etas:
-        mask = t[:-1] + dt <= delta - eta + 1e-15
-        out[eta] = float(np.mean(np.sum(drift_sq[:, mask] * dt[mask], axis=1)))
-    return out
+    # the steps up to delta - eta are a prefix of the grid, kept[eta] long
+    kept = {eta: int(np.count_nonzero(t[:-1] + dt <= delta - eta + 1e-15)) for eta in etas}
+
+    def block_sums(w):
+        terms = np.subtract(y, w[:, :-1], out=w[:, :-1])  # squared drift times dt, in place
+        terms /= delta - t[:-1]
+        terms *= terms
+        terms *= dt
+        return [np.sum(terms[:, :k], axis=1) for k in kept.values()]
+
+    # map holds no block while it draws the next: one block is alive at a time
+    batch = PathBatch(n_steps=t.size - 1, n_paths=n_paths, seed=seed)
+    per_block = list(map(block_sums, _bridge_blocks(x, y, epsilon, delta, batch, t)))
+    return {eta: float(np.mean(np.concatenate([sums[j] for sums in per_block])))
+            for j, eta in enumerate(kept)}

@@ -1,6 +1,7 @@
 """Path batches, closed-form estimators, LSMC regression, bridge moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -465,3 +466,17 @@ class TestBridge:
             analytic = 3.0 * (1.0 - eta) + math.log(1.0 / eta)
             assert vals[eta] == pytest.approx(analytic, rel=0.05)
         assert vals[1e-4] > 10.0
+
+    def test_quadratic_moment_holds_one_block_at_a_time(self):
+        # two full blocks and one path on the 321-point time grid; holding
+        # every path and its squared drift at once peaked at 8 blocks' bytes
+        block_bytes = BLOCK_PATHS * 321 * 8
+        tracemalloc.start()
+        try:
+            vals = truncated_quadratic_moment(0.0, 2.0, 1.0, 1.0, [1e-1, 1e-4],
+                                              2 * BLOCK_PATHS + 1, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vals[1e-1] < vals[1e-4]
+        assert peak < 1.25 * block_bytes
