@@ -318,28 +318,28 @@ def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid, *,
 
 
 def _golden_section(value, a, b):
-    """Golden-section search for a maximum of ``value`` on [a, b] (Kiefer 1953).
+    """Golden-section search for a maximum on [a, b] (Kiefer 1953).
 
-    Returns every value evaluated, the step count and the final bracket.  It
-    stops after ``_GOLDEN_ITERATIONS`` steps, or sooner once its two interior
+    ``value(points)`` returns the maximum over ``points`` and the first index
+    attaining it; each step evaluates its two interior points in one call.
+    Returns every such maximum, the step count and the final bracket.  It
+    stops after ``_GOLDEN_ITERATIONS`` steps, or sooner once the interior
     points no longer fall in order strictly inside the bracket.
     """
-    m1, m2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    v1, v2 = value(m1), value(m2)
-    seen = [v1, v2]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    best, i = value([c, d])
+    seen = [best]
     steps = 0
-    while steps < _GOLDEN_ITERATIONS and a < m1 < m2 < b:
+    while steps < _GOLDEN_ITERATIONS and a < c < d < b:
         steps += 1
-        if v1 >= v2:  # keep [a, m2]; the old m1 is its upper interior point
-            b, m2, v2 = m2, m1, v1
-            m1 = b - _GOLDEN * (b - a)
-            v1 = value(m1)
-            seen.append(v1)
-        else:  # keep [m1, b]; the old m2 is its lower interior point
-            a, m1, v1 = m1, m2, v2
-            m2 = a + _GOLDEN * (b - a)
-            v2 = value(m2)
-            seen.append(v2)
+        if i == 0:  # keep [a, d]; c becomes its upper interior point
+            b, d = d, c
+            c = b - _GOLDEN * (b - a)
+        else:  # keep [c, b]; d becomes its lower interior point
+            a, c = c, d
+            d = a + _GOLDEN * (b - a)
+        best, i = value([c, d])
+        seen.append(best)
     return seen, steps, (a, b)
 
 
@@ -372,7 +372,9 @@ def vanishing_viscosity_sweep(
     grid_max, i = hopf_lax(f, g, 0.0, 0.0, y, return_index=True)
     bracket = (float(y[max(i - 1, 0)]), float(y[min(i + 1, y.size - 1)]))
     [(seen, steps, (a, b))] = run_parallel(
-        lambda ends: _golden_section(lambda s: hopf_lax(f, g, 0.0, 0.0, [s]), *ends), [bracket])
+        lambda ends: _golden_section(
+            lambda points: hopf_lax(f, g, 0.0, 0.0, points, return_index=True), *ends),
+        [bracket])
     refined_max = float(np.max(seen))
     limit = float(np.maximum(grid_max, refined_max))  # keeps a NaN from either stage
     # every n in one march, row i at diffusion 1 / n_i
