@@ -636,10 +636,10 @@ def truncated_quadratic_moment(x, y, epsilon, delta, eta_list, n_paths, seed):
         terms /= delta - t[:-1]
         terms *= terms
         terms *= dt
-        return [np.sum(terms[:, :k], axis=1) for k in kept.values()]
+        return np.stack([np.sum(terms[:, :k], axis=1) for k in kept.values()])
 
     # map holds no block while it draws the next: one block is alive at a time
     batch = PathBatch(n_steps=t.size - 1, n_paths=n_paths, seed=seed)
-    per_block = list(map(block_sums, _bridge_blocks(x, y, epsilon, delta, batch, t)))
-    return {eta: float(np.mean(np.concatenate([sums[j] for sums in per_block])))
-            for j, eta in enumerate(kept)}
+    sums = np.concatenate(list(map(block_sums, _bridge_blocks(x, y, epsilon, delta, batch, t))),
+                          axis=1)
+    return {eta: float(np.mean(row)) for eta, row in zip(kept, sums)}
