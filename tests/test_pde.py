@@ -575,12 +575,14 @@ class TestViscositySweep:
         rows, meta = vanishing_viscosity_sweep(f, g, [1], grid, y_step=y_step)
         limit = rows[0][2]
         y = np.arange(grid.x_min, grid.x_max + y_step, y_step)
-        dense = float(np.max(f(y) - g.cost(0.0, y)))
+        vals = f(y) - g.cost(0.0, y)
+        dense, i = float(np.max(vals)), int(np.argmax(vals))
         search = meta["hopf_lax_search"]
         assert search["grid_points"] == y.size and search["grid_max"] == dense
         assert limit == max(dense, search["refined_max"]) and limit >= dense
-        lo, hi = search["bracket"]
-        assert hi - lo <= 2.0 * y_step * (1.0 + 1e-9)
+        # the refinement brackets the two cells around the grid maximiser
+        lo, hi = y[max(i - 1, 0)], y[min(i + 1, y.size - 1)]
+        assert search["bracket"] == [lo, hi]
         assert 0.0 <= search["bracket_width"] <= 1e-12
         local = np.linspace(lo, hi, 201)
         local_max = float(np.max(f(local) - g.cost(0.0, local)))
