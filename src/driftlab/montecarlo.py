@@ -334,6 +334,32 @@ class _NormalEquations:
         return coef
 
 
+def _sorted_quantiles(xs, n_points):
+    """``np.quantile(xs, np.linspace(0, 1, n_points))`` of the sorted sample
+    xs, read off its order statistics with numpy's "linear" rule (Hyndman &
+    Fan type 7) and no partition of a copy.
+
+    The same operations as numpy's: virtual index (n - 1) q, neighbours
+    floor and floor + 1 with both mapped to the last sample at the top, and
+    its two-branch lerp.  The values are numpy's bit for bit; only a sample
+    that holds both -0.0 and +0.0 may give a zero of the other sign, since
+    numpy reads whichever of the tied zeros its partition leaves in place.
+    """
+    virtual = (xs.size - 1) * np.linspace(0.0, 1.0, n_points)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= xs.size - 1
+    prev[top] = -1
+    nxt[top] = -1
+    prev = prev.astype(np.intp)
+    gamma = virtual - prev
+    a, b = xs[prev], xs[nxt.astype(np.intp)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 class _HatBasis:
     """Piecewise-linear hats on quantile-spaced knots of one statistic.
 
@@ -352,21 +378,24 @@ class _HatBasis:
         # one sort serves both the quantile knots and the cell of each sample
         order = np.argsort(x)
         xs = x[order]
-        knots = np.unique(np.quantile(xs, np.linspace(0.0, 1.0, n_knots)))
+        knots = np.unique(_sorted_quantiles(xs, n_knots))
         self.size = knots.size
         if knots.size < 2:
             self.idx = np.zeros(x.size, dtype=np.intp)
             self.t = np.zeros(x.size)
         else:
-            # np.searchsorted(knots, x), the count of knots strictly below
-            # each sample, read off the sort: knot j is strictly below the
-            # sorted samples from np.searchsorted(xs, knots[j], "right") on
+            # np.searchsorted(knots, x) - 1, clipped to a cell, read off the
+            # sort: knot j is strictly below the sorted samples from
+            # first[j] = np.searchsorted(xs, knots[j], "right") on, so the
+            # sorted samples with c knots below them run from first[c - 1]
+            # to first[c], and their cell is c - 1 clipped
             first = np.searchsorted(xs, knots, side="right")
-            below = np.empty(x.size, dtype=np.intp)
-            below[order] = np.cumsum(np.bincount(first, minlength=x.size + 1)[:x.size])
-            self.idx = np.clip(below - 1, 0, knots.size - 2)
-            self.t = np.clip((x - knots[self.idx]) / (knots[self.idx + 1] - knots[self.idx]),
-                             0.0, 1.0)
+            cells = np.clip(np.arange(-1, knots.size), 0, knots.size - 2)
+            self.idx = np.empty(x.size, dtype=np.intp)
+            self.idx[order] = np.repeat(cells, np.diff(first, prepend=0, append=x.size))
+            self.t = x - knots[self.idx]
+            self.t /= np.diff(knots)[self.idx]
+            np.clip(self.t, 0.0, 1.0, out=self.t)
         self.hi = self.idx + 1
         self.s = 1.0 - self.t
         off = np.diag(np.bincount(self.idx, self.s * self.t, minlength=self.size)[:-1], 1)
@@ -508,9 +537,10 @@ def lsmc_bsde(
             if k == m - 1:
                 terminal_residual = float(np.sqrt(np.mean((y - e_k) ** 2)))
         if np.isfinite(spread):
-            e_k = np.clip(e_k, lo, hi)
+            # both are fresh arrays, clipped in place
+            np.clip(e_k, lo, hi, out=e_k)
             if np.isfinite(z_cap):
-                z_k = np.clip(z_k, -z_cap / sqrt_n, z_cap / sqrt_n)
+                np.clip(z_k, -z_cap / sqrt_n, z_cap / sqrt_n, out=z_k)
         y = e_k + dt * g.gstar(times[k], sqrt_n * z_k)
         y_ladder[k] = float(np.mean(y))
     # at time 0 every path is at the origin, so both regressions are means

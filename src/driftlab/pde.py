@@ -357,10 +357,11 @@ def vanishing_viscosity_sweep(
     row ``(n, u_n, limit, gap)`` per n, in ascending n, and the run facts
     for the manifest (grid, scheme, each n's step data, the search step and
     the search record).  The limit is the Hopf-Lax form at (0, 0), searched
-    on ``np.arange(x_min, x_max + y_step, y_step)`` and refined by golden
-    section on the two cells around the grid maximiser; it is the largest
-    value either stage evaluated, so never below the grid maximum, and a
-    NaN on the grid propagates.
+    on the points of ``np.arange(x_min, x_max + y_step, y_step)`` below
+    ``x_max`` and on ``x_max`` itself, so never off the domain, and refined
+    by golden section on the two cells around the grid maximiser; it is the
+    largest value either stage evaluated, so never below the grid maximum,
+    and a NaN on the grid propagates.
     """
     n_list = sorted(int(n) for n in n_list)
     if not n_list:
@@ -369,6 +370,8 @@ def vanishing_viscosity_sweep(
         raise ValueError(f"y_step must be positive and give a Hopf-Lax search grid of at "
                          f"most {_MAX_SEARCH_POINTS} points, got {y_step!r}")
     y = np.arange(grid.x_min, grid.x_max + y_step, y_step)
+    # arange's last points can lie above x_max, off the domain
+    y = np.append(y[y < grid.x_max], grid.x_max)
     grid_max, i = hopf_lax(f, g, 0.0, 0.0, y, return_index=True)
     bracket = (float(y[max(i - 1, 0)]), float(y[min(i + 1, y.size - 1)]))
     [(seen, steps, (a, b))] = run_parallel(

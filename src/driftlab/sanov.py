@@ -36,6 +36,7 @@ dual's lambda stack is one stacked march, read at the origin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -57,7 +58,12 @@ __all__ = [
     "gauss_mean",
 ]
 
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)
+
+@functools.cache
+def _gauss_hermite():
+    # built on first use: numpy.polynomial and the nodes cost every process
+    # that imports this module several ms, and only gauss_mean reads them
+    return np.polynomial.hermite.hermgauss(96)
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,8 @@ class MeanFieldFunctional:
 
 def gauss_mean(fn):
     """E fn(Z) for standard Gaussian Z by Gauss-Hermite quadrature."""
-    return float(np.sum(_GH_WEIGHTS * fn(math.sqrt(2.0) * _GH_NODES)) / math.sqrt(math.pi))
+    nodes, weights = _gauss_hermite()
+    return float(np.sum(weights * fn(math.sqrt(2.0) * nodes)) / math.sqrt(math.pi))
 
 
 def _check_phi_bounds(F: MeanFieldFunctional, grid: GridSpec):

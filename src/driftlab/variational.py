@@ -15,6 +15,7 @@ assembled path, so it is a certified lower bound of the supremum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -38,7 +39,12 @@ __all__ = [
     "conditional_value",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+@functools.cache
+def _gauss_legendre():
+    # built on first use, so that importing this module loads no
+    # numpy.polynomial
+    return np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +158,7 @@ def evaluate_functional(F: PathFunctional, times, values):
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
         total = 0.0
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
+        for xi, wi in zip(*_gauss_legendre()):
             tq = mid + xi * half
             frac = (tq - t0) / (t1 - t0)
             vq = values[..., :-1] + frac * np.diff(values, axis=-1)
@@ -182,7 +188,7 @@ def _segment_action(g, seg_start_times, seg_lengths, slopes):
     total = 0.0
     half = 0.5 * seg_lengths
     mid = seg_start_times + half
-    for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
+    for xi, wi in zip(*_gauss_legendre()):
         tq = mid + xi * half
         total = total + np.sum(wi * half * g.cost(tq, slopes), axis=-1)
     return total

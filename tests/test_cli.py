@@ -770,23 +770,33 @@ class TestImportGraph:
 
     Checked in a fresh interpreter, since the test modules themselves load
     scipy.stats, scipy.optimize and scipy.integrate.  Of the heavy ones
-    (stats, special, optimize, integrate) the PDE routes need none.
+    (stats, special, optimize, integrate) the PDE routes need none.  The
+    quadrature nodes are built on first use: ``import driftlab.cli`` loads
+    no ``numpy.polynomial``, and the PDE routes build no nodes.  (Their runs
+    do load ``numpy.polynomial``: scipy.linalg's array-API shim imports all
+    of numpy.)
     """
 
     def test_pde_routes_load_no_heavy_scipy(self, tmp_path):
         configs = {"pde-sweep": SMALL_PDE_SWEEP, "sanov-iterate": SMALL_SANOV}
         code = f"""
             import json, sys
-            from driftlab import cli
+            from driftlab import cli, sanov, variational
 
-            def scipy_subpackages():
+            def heavy_modules():
                 names = {{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}}
                 return sorted(n for n in names if not n.startswith("_") and n != "version")
 
-            loaded = {{"import driftlab.cli": scipy_subpackages()}}
+            def quadrature_nodes():
+                return [name for name, build in (("gauss-hermite", sanov._gauss_hermite),
+                                                 ("gauss-legendre", variational._gauss_legendre))
+                        if build.cache_info().currsize]
+
+            loaded = {{"import driftlab.cli": heavy_modules()
+                       + ["numpy.polynomial"] * ("numpy.polynomial" in sys.modules)}}
             for kind, cfg in json.loads({json.dumps(configs)!r}).items():
                 assert cli.run(cfg, {str(tmp_path)!r} + "/" + kind) == 0, kind
-                loaded[kind] = scipy_subpackages()
+                loaded[kind] = heavy_modules() + quadrature_nodes()
             print(json.dumps(loaded))
         """
         done = run_python(["-c", textwrap.dedent(code)])

@@ -215,6 +215,13 @@ HAT_INPUTS = {
     "rounding-level-pivot": (np.random.default_rng(1).standard_normal(10), 12),
 }
 
+# the samples at -0.0 sit on the first knot, which the quantile lerp makes
+# +0.0, so their weight t is -0.0 (x - knot), kept only by a clip that
+# returns its input where it equals the bound
+SIGNED_HAT_INPUTS = dict(HAT_INPUTS, **{"negative-zero-minimum": (
+    np.random.default_rng(76).permutation(np.repeat([-0.0, 0.5, 1.0, 3.0], [20, 30, 30, 20])),
+    9)})
+
 
 class TestHatBasis:
     @pytest.mark.parametrize("name", sorted(HAT_INPUTS))
@@ -270,6 +277,88 @@ class TestHatBasis:
         y[3] = np.nan
         with pytest.raises(RuntimeError, match="least-squares regression failed"):
             montecarlo._HatBasis(x, n_knots).fit(y)
+
+    @pytest.mark.parametrize("name", sorted(SIGNED_HAT_INPUTS))
+    def test_matches_quantile_and_clip_construction(self, name):
+        # knots read off the sort and in-place clips change no bit of the
+        # cells, the weights, the rank or either fit of a regression step
+        x, n_knots = SIGNED_HAT_INPUTS[name]
+        basis = montecarlo._HatBasis(x, n_knots)
+        ref = quantile_hat_basis(x, n_knots)
+        assert basis.size == ref.size
+        assert basis.solver.rank == ref.solver.rank
+        np.testing.assert_array_equal(basis.idx, ref.idx)
+        assert_same_bits(basis.t, ref.t)
+        y = np.sin(2.0 * x) + 0.1 * np.random.default_rng(73).standard_normal(x.size)
+        value = ref(ref.fit(y))
+        gradient_target = (y - value) * np.random.default_rng(74).standard_normal(x.size)
+        for target in (y, gradient_target):
+            coef = basis.fit(target)
+            assert_same_bits(coef, ref.fit(target))
+            assert_same_bits(basis(coef), ref(ref.fit(target)))
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def quantile_hat_basis(x, n_knots):
+    """The hat basis built as before its knots were read off the sort:
+    ``np.quantile`` knots and out-of-place ``np.clip`` cells and weights."""
+    basis = object.__new__(montecarlo._HatBasis)
+    order = np.argsort(x)
+    xs = x[order]
+    knots = np.unique(np.quantile(xs, np.linspace(0.0, 1.0, n_knots)))
+    basis.size = knots.size
+    if knots.size < 2:
+        basis.idx = np.zeros(x.size, dtype=np.intp)
+        basis.t = np.zeros(x.size)
+    else:
+        first = np.searchsorted(xs, knots, side="right")
+        below = np.empty(x.size, dtype=np.intp)
+        below[order] = np.cumsum(np.bincount(first, minlength=x.size + 1)[:x.size])
+        basis.idx = np.clip(below - 1, 0, knots.size - 2)
+        basis.t = np.clip((x - knots[basis.idx]) / (knots[basis.idx + 1] - knots[basis.idx]),
+                          0.0, 1.0)
+    basis.hi = basis.idx + 1
+    basis.s = 1.0 - basis.t
+    off = np.diag(np.bincount(basis.idx, basis.s * basis.t, minlength=basis.size)[:-1], 1)
+    basis.solver = montecarlo._NormalEquations(
+        np.diag(basis._sums(basis.s * basis.s, basis.t * basis.t)) + off + off.T)
+    return basis
+
+
+def _quantile_sample(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "gaussian":
+        return rng.standard_normal(n)
+    if kind == "tied":
+        return rng.integers(-2, 3, n).astype(float)
+    if kind == "constant":
+        return np.full(n, 0.7)
+    if kind == "negative-zero":
+        return rng.choice([-1.5, -0.0, 2.0], n)
+    return np.full(n, -0.0)  # "constant-negative-zero"
+
+
+class TestSortedQuantiles:
+    @pytest.mark.parametrize("kind", ["gaussian", "tied", "constant", "negative-zero",
+                                      "constant-negative-zero"])
+    @pytest.mark.parametrize("n_points", [2, 3, 35, 50])
+    @pytest.mark.parametrize("n", [1, 2, 3, 35, 36, 10_000])
+    def test_equals_numpy_linear_quantile(self, n, n_points, kind):
+        xs = np.sort(_quantile_sample(kind, n))
+        assert_same_bits(montecarlo._sorted_quantiles(xs, n_points),
+                         np.quantile(xs, np.linspace(0.0, 1.0, n_points)))
+
+    def test_mixed_signed_zeros_match_in_value(self):
+        # numpy partitions a copy, so which of the tied -0.0 and +0.0 it
+        # reads is its partition's choice; the values still agree
+        xs = np.sort(np.random.default_rng(75).choice([-1.0, -0.0, 0.0, 1.0], 10_000))
+        for n_points in (2, 3, 35, 50):
+            np.testing.assert_array_equal(montecarlo._sorted_quantiles(xs, n_points),
+                                          np.quantile(xs, np.linspace(0.0, 1.0, n_points)))
 
 
 def reference_polynomial_fit(first, second, y):

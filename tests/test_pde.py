@@ -534,6 +534,13 @@ class TestHopfLax:
         assert val <= float(gaussian_bump(0.5)) + 1e-12
 
 
+def search_grid(grid, y_step):
+    """The Hopf-Lax search grid: np.arange's points from x_min in steps of
+    y_step that lie below x_max, then x_max itself."""
+    y = np.arange(grid.x_min, grid.x_max + y_step, y_step)
+    return np.append(y[y < grid.x_max], grid.x_max)
+
+
 class TestViscositySweep:
     def test_constant_terminal_all_gaps_tiny(self):
         grid = GridSpec(-4.0, 4.0, 201, 1)
@@ -574,7 +581,7 @@ class TestViscositySweep:
         grid = self.SEARCH_GRID
         rows, meta = vanishing_viscosity_sweep(f, g, [1], grid, y_step=y_step)
         limit = rows[0][2]
-        y = np.arange(grid.x_min, grid.x_max + y_step, y_step)
+        y = search_grid(grid, y_step)
         vals = f(y) - g.cost(0.0, y)
         dense, i = float(np.max(vals)), int(np.argmax(vals))
         search = meta["hopf_lax_search"]
@@ -601,15 +608,43 @@ class TestViscositySweep:
         _, meta = vanishing_viscosity_sweep(f, QUAD, [1, 4], grid)
         assert meta["hopf_lax_y_step"] == 1e-3
         # one call on the march's terminal row, one on the whole search grid
-        assert sorted(calls)[-2:] == [grid.nx, np.arange(-6.0, 6.0 + 1e-3, 1e-3).size]
+        assert sorted(calls)[-2:] == [grid.nx, search_grid(grid, 1e-3).size] == [61, 12_001]
         assert sum(calls) - grid.nx <= 12_001 + 200
         # then one call on each golden step's two interior points
         steps = meta["hopf_lax_search"]["golden_iterations"]
         assert sorted(calls)[:-2] == [2] * (1 + steps)
 
+    @pytest.mark.parametrize("x_max, y_step", [(1.0, 1e-3), (6.0, 1e-3), (5.65, 1e-3),
+                                               (3.0, 5e-4)])
+    def test_search_stays_on_the_domain(self, x_max, y_step):
+        # f - g peaks 0.4 y_step beyond x_max, where np.arange(x_min,
+        # x_max + y_step, y_step) puts search points; on the domain f - g
+        # rises to x_max, so the limit is its value there
+        peak = x_max + 0.4 * y_step
+        grid = GridSpec(-x_max, x_max, 41, 1)
+
+        def f(s):
+            return 50.0 * np.exp(-(((np.asarray(s, dtype=float) - peak) / 0.01) ** 2))
+
+        seen = []
+
+        def recorded(s):
+            seen.append(np.array(s, dtype=float, copy=True))
+            return f(s)
+
+        rows, meta = vanishing_viscosity_sweep(recorded, QUAD, [1], grid, y_step=y_step)
+        edge = hopf_lax(f, QUAD, 0.0, 0.0, [x_max])
+        assert rows[0][2] == pytest.approx(edge, rel=1e-14)
+        assert hopf_lax(f, QUAD, 0.0, 0.0, [peak]) > edge + 1e-4
+        searched = np.concatenate(seen)
+        assert searched.max() == x_max and searched.min() >= -x_max
+        search = meta["hopf_lax_search"]
+        assert search["bracket"][1] == x_max
+        assert search["grid_points"] == search_grid(grid, y_step).size
+
     def test_nan_on_search_grid_propagates(self):
         grid = GridSpec(-4.0, 4.0, 41, 1)
-        y = np.arange(-4.0, 4.0 + 1e-3, 1e-3)
+        y = search_grid(grid, 1e-3)
 
         def f(s):
             vals = gaussian_bump(s)
