@@ -1,6 +1,8 @@
 """Command-line entry point: wire config files to experiments, emit report
 CSVs plus a JSON manifest that echoes every value a run used, the defaults
-the config readers applied included.
+the config readers applied included, and carries the run's trace: one
+record per solver call, in call order, that each solver writes itself
+(:func:`driftlab.report.record`).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-convergence), 4 declared infeasibility.
@@ -55,10 +57,9 @@ from .montecarlo import (
     girsanov_lower_bound,
     log_mean_exp,
     lsmc_bsde,
-    terminal_route,
 )
 from .pde import solve_semilinear, vanishing_viscosity_sweep
-from .report import compare_csv_texts, csv_body, format_float
+from .report import compare_csv_texts, csv_body, format_float, recording
 from .sanov import MeanFieldFunctional, iterate_L, mean_field_limit
 from .schrodinger import small_noise_sweep
 from .variational import maximize_schilder
@@ -71,7 +72,7 @@ EXIT_INFEASIBLE = 4
 
 # ---------------------------------------------------------------------------
 # Runners: each reads and checks its whole config, then returns the solve, a
-# call of no arguments giving (CSV text, manifest extras, exit code, aux files)
+# call of no arguments giving (CSV text, exit code, aux files)
 # ---------------------------------------------------------------------------
 
 def _run_pde_sweep(cfg):
@@ -82,8 +83,8 @@ def _run_pde_sweep(cfg):
     y_step = positive_number(cfg, "y_step", "pde-sweep", default=1e-3)
 
     def solve():
-        rows, meta = vanishing_viscosity_sweep(f, g, n_list, grid, y_step=y_step)
-        return csv_body(("n", "u_n", "limit", "gap"), rows), meta, EXIT_OK, {}
+        rows = vanishing_viscosity_sweep(f, g, n_list, grid, y_step=y_step)
+        return csv_body(("n", "u_n", "limit", "gap"), rows), EXIT_OK, {}
     return solve
 
 
@@ -98,13 +99,9 @@ def _run_schilder(cfg):
     def solve():
         res = maximize_schilder(F, g, m=m, restarts=restarts, seed=seed, max_iter=max_iter)
         path_csv = csv_body(("t", "value"), list(zip(res.path.times, res.path.values)))
-        result = {"value": res.value, "converged": res.converged,
-                  "restarts": res.restarts, "best_restart": res.best_restart,
-                  "runs": [run._asdict() for run in res.runs]}
         csv_text = csv_body(("quantity", "value"), [("best_value", res.value)])
         code = EXIT_OK if res.converged else EXIT_NUMERICAL
-        return csv_text, result, code, {"path.csv": path_csv,
-                                        "result.json": json.dumps(result, indent=2)}
+        return csv_text, code, {"path.csv": path_csv}
     return solve
 
 
@@ -130,16 +127,12 @@ def _run_sanov_iterate(cfg):
     s_points = integer_at_least(cfg, "s_points", 5, "sanov-iterate", default=33)
 
     def solve():
-        diagnostics = {}
-        limit = mean_field_limit(F, g, lam_grid, grid, record=diagnostics)
-        rows, stages = [], []
+        limit = mean_field_limit(F, g, lam_grid, grid)
+        rows = []
         for n in n_list:
-            marches = {"n": n}
-            val = iterate_L(F, g, n, grid, s_points=s_points, record=marches)
+            val = iterate_L(F, g, n, grid, s_points=s_points)
             rows.append((n, val, limit, abs(val - limit)))
-            stages.append(marches)
-        csv_text = csv_body(("n", "prelimit", "limit", "gap"), rows)
-        return csv_text, {"limit": limit, **diagnostics, "stages": stages}, EXIT_OK, {}
+        return csv_body(("n", "prelimit", "limit", "gap"), rows), EXIT_OK, {}
     return solve
 
 
@@ -153,10 +146,10 @@ def _run_schrodinger_sweep(cfg):
     n_time = integer_at_least(cfg, "n_time", 1, "schrodinger-sweep", default=32)
 
     def solve():
-        rows, meta = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified, n_time=n_time)
+        rows = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified, n_time=n_time)
         csv_text = csv_body(("eps", "value", "ot", "gap", "feasible"), rows)
         infeasible = any(feasible == 0.0 for *_, feasible in rows)
-        return csv_text, meta, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
+        return csv_text, EXIT_INFEASIBLE if infeasible else EXIT_OK, {}
     return solve
 
 
@@ -182,8 +175,6 @@ def _oracle(section):
 
 
 def _run_mc_estimate(cfg):
-    """One row; ``extras`` records the sampling route (``terminal``: W(1)
-    alone, ``paths``: whole paths), the path blocks and the normals drawn."""
     seed = integer_at_least(cfg, "seed", 0, "mc-estimate")
     estimator = choice(cfg, "estimator", ("log-mean-exp", "cramer", "girsanov"),
                        "mc-estimate")
@@ -205,19 +196,13 @@ def _run_mc_estimate(cfg):
 
     def solve():
         est, se = estimate()
-        terminal = estimator != "girsanov" and terminal_route(F)
-        # the Cramer average draws paths of steps / n steps
-        steps = batch.n_steps // n if estimator == "cramer" else batch.n_steps
-        extras = {"sampling": "terminal" if terminal else "paths", "blocks": batch.n_blocks,
-                  "normals": batch.n_paths * (1 if terminal else steps)}
         value = float("nan") if oracle is None else oracle()
         return csv_body(("estimator", "n", "estimate", "se", "oracle", "gap"),
-                        [(estimator, n, est, se, value, abs(est - value))]), extras, EXIT_OK, {}
+                        [(estimator, n, est, se, value, abs(est - value))]), EXIT_OK, {}
     return solve
 
 
 def _run_bsde_lsmc(cfg):
-    """One row per n; ``extras["solves"]`` records each regression ladder."""
     seed = integer_at_least(cfg, "seed", 0, "bsde-lsmc")
     g = build_generator(require(cfg, "generator", "bsde-lsmc"))
     F = build_functional(require(cfg, "functional", "bsde-lsmc"))
@@ -228,24 +213,14 @@ def _run_bsde_lsmc(cfg):
                       seed=seed)
 
     def solve():
-        rows, solves = [], []
+        rows = []
         for n in n_list:
-            started = time.perf_counter()
             # each n draws its paths from the seed offset by n's integer part
             sol = lsmc_bsde(F, g, n, replace(batch, seed=seed + math.floor(n)),
                             basis_size=basis_size)
-            knots = sol.basis_sizes if sol.basis == "hat" else ()
-            solves.append({
-                "n": n, "basis": sol.basis,
-                "knots_min": min(knots) if knots else None,
-                "knots_max": max(knots) if knots else None,
-                "regression_steps": len(sol.basis_sizes),
-                "fallbacks": sol.degree_fallbacks,
-                "wall_s": time.perf_counter() - started,
-            })
             rows.append((n, sol.y0, sol.terminal_residual, float(sol.degree_fallbacks)))
         csv_text = csv_body(("n", "y0", "terminal_residual", "basis_fallbacks"), rows)
-        return csv_text, {"solves": solves}, EXIT_OK, {}
+        return csv_text, EXIT_OK, {}
     return solve
 
 
@@ -256,8 +231,7 @@ def _run_ti_check(cfg):
         report = gen.check_ti(g)
         rows = [(name, float(ok), detail.replace(",", ";"))
                 for name, (ok, detail) in report.clauses.items()]
-        extras = {"all_passed": report.passed}
-        return csv_body(("clause", "passed", "detail"), rows), extras, EXIT_OK, {}
+        return csv_body(("clause", "passed", "detail"), rows), EXIT_OK, {}
     return solve
 
 
@@ -277,7 +251,7 @@ def _run_bridge_check(cfg):
         within = chk.empirical <= chk.bound
         rows = [(r, chk.empirical, chk.standard_error, chk.bound, chk.constant, float(within))]
         csv_text = csv_body(("r", "empirical", "se", "bound", "constant", "within_bound"), rows)
-        return csv_text, {}, EXIT_OK if within else EXIT_NUMERICAL, {}
+        return csv_text, EXIT_OK if within else EXIT_NUMERICAL, {}
     return solve
 
 
@@ -301,7 +275,8 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
     key inside a section by its dotted path (``grid.n_t``), unless it is a
     top-level key in ``ignorable``, which is dropped from the echo (the
     CLI's ``--seed`` reaches kinds that draw no random numbers).  The
-    manifest echoes and hashes the copy."""
+    manifest echoes and hashes the copy, and holds in ``trace`` every
+    record the solve's solvers made, in call order."""
     started = time.time()
     out = Path(out_dir)
     cfg = ReadRecorder(copy.deepcopy(cfg))
@@ -313,7 +288,8 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
         if cfg.unread():
             names = ", ".join(sorted(repr(key) for key in cfg.unread()))
             raise ConfigError(f"unknown key {names} in {kind}: no reader of {kind} reads it")
-        csv_text, extras, code, aux = solve()
+        with recording() as trace:
+            csv_text, code, aux = solve()
     except ValueError as err:  # a ConfigError, or a solver rejecting its input
         print(f"{source}: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -339,9 +315,11 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
         # the BLAS thread setting this run saw (driftlab/__init__.py sets a
         # default of 1); it decides what cpu time against wall time means
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "extras": extras,
+        "trace": trace,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
+    # every trace value must be JSON-native: a leaked numpy array raises here
+    # instead of reaching the manifest as its repr
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return code
 
 
@@ -372,25 +350,6 @@ def main(argv=None) -> int:
     cmp_p.add_argument("report_b")
     cmp_p.add_argument("--tolerance", type=float, default=0.0)
 
-    # per-module sugar: `driftlab pde sweep --config ...` etc.
-    aliases = {
-        "pde": ("sweep", "pde-sweep"),
-        "variational": ("maximize", "schilder"),
-        "sanov": ("iterate", "sanov-iterate"),
-        "schrodinger": ("sweep", "schrodinger-sweep"),
-        "mc": ("estimate", "mc-estimate"),
-        "bsde": ("lsmc", "bsde-lsmc"),
-        "ti": ("check", "ti-check"),
-        "bridge": ("check", "bridge-check"),
-    }
-    for name, (action, kind) in aliases.items():
-        p = sub.add_parser(name)
-        p.add_argument("action", choices=[action])
-        p.add_argument("--config", required=True)
-        p.add_argument("--output-dir", default="out")
-        p.add_argument("--seed", type=int, default=None)
-        p.set_defaults(alias_kind=kind)
-
     args = parser.parse_args(argv)
     if args.command == "compare":
         return compare(args.report_a, args.report_b, args.tolerance)
@@ -402,17 +361,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if args.seed is not None:
         cfg["seed"] = args.seed
-    expected = getattr(args, "alias_kind", None)
-    if expected is not None:
-        declared = cfg.get("kind", expected)
-        if declared != expected:
-            print(
-                f"{args.config}: configuration error: config kind '{declared}' does "
-                f"not match subcommand (expects '{expected}')",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        cfg["kind"] = expected
     return run(cfg, args.output_dir, source=str(args.config),
                ignorable=() if args.seed is None else ("seed",))
 

@@ -41,7 +41,7 @@ from typing import Union
 
 import numpy as np
 
-from .report import format_float
+from .report import format_float, record
 
 __all__ = [
     "Quadratic",
@@ -441,7 +441,7 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
     midpoint convexity on sampled triples, zero in the domain interior, and
     time integrability of the bounded-drift supremum.  The growth clause
     samples |q| in {2^0, ..., 2^20} only, so it is a finite heuristic rather
-    than a proof.
+    than a proof.  The run's trace gets ``all_passed``.
     """
     clauses = {}
     t_grid = np.linspace(0.0, 1.0, 33)
@@ -504,4 +504,6 @@ def check_ti(spec: GeneratorSpec) -> TiReport:
     sums = ", ".join(format_float(s) for s in sups)
     clauses["time_integrability"] = (bool(ok), f"trapezoid of sup_|q|<=r g: [{sums}]")
 
-    return TiReport(clauses)
+    report = TiReport(clauses)
+    record("check_ti", all_passed=report.passed)
+    return report

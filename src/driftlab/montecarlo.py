@@ -15,12 +15,14 @@ depend on n_steps."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import generators as gen
+from .report import record
 from .variational import (
     PathFunctional,
     RunningMax,
@@ -85,7 +87,9 @@ class PathBatch:
     def iter_increments(self):
         """Yield per-block increment arrays of shape (block, n_steps)."""
         for size, rng in self.iter_blocks():
-            yield rng.standard_normal((size, self.n_steps)) * math.sqrt(self.dt)
+            inc = rng.standard_normal((size, self.n_steps))
+            inc *= math.sqrt(self.dt)
+            yield inc
 
     def iter_paths(self):
         """Yield per-block path arrays of shape (block, n_steps + 1)."""
@@ -96,8 +100,10 @@ class PathBatch:
             yield paths
 
     def paths(self):
-        """All paths materialized; intended for small-to-medium batches."""
-        return np.concatenate(list(self.iter_paths()), axis=0)
+        """All paths materialized; intended for small-to-medium batches.  A
+        batch of one block is that block itself, not a copy of it."""
+        blocks = list(self.iter_paths())
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +185,14 @@ def log_mean_exp(F: PathFunctional, n: float, batch: PathBatch):
     block draws one normal per path from its (seed, block index) generator
     and the estimate does not depend on ``batch.n_steps``.  Every other
     functional is read on whole paths of the batch grid.
+    The run's trace gets the sampling route (``terminal``: W(1) alone,
+    ``paths``: whole paths), the blocks, the normals drawn and the effective
+    sample size ``ess`` = (sum w)^2 / sum w^2 of the weights w = exp(n F).
     """
     acc = _StreamingLse()
     scale = 1.0 / math.sqrt(n)
-    if terminal_route(F):
+    terminal = terminal_route(F)
+    if terminal:
         # one-sample paths at t = 1
         times = np.ones(1)
         blocks = (rng.standard_normal((size, 1)) for size, rng in batch.iter_blocks())
@@ -192,6 +202,9 @@ def log_mean_exp(F: PathFunctional, n: float, batch: PathBatch):
     for values in blocks:
         values *= scale
         acc.add(n * np.asarray(evaluate_functional(F, times, values), dtype=float))
+    record("log_mean_exp", sampling="terminal" if terminal else "paths",
+           blocks=batch.n_blocks, normals=batch.n_paths * (1 if terminal else batch.n_steps),
+           ess=acc.s1 * acc.s1 / acc.s2)  # the weights' shift by their max cancels
     return acc.estimate(n)
 
 
@@ -226,7 +239,8 @@ def girsanov_lower_bound(
     """Monte Carlo mean of F(W + drift) - accumulated drift cost.
 
     Euler drift insertion on the batch grid; the result is a lower bound of
-    the drift-penalized value of F up to Monte Carlo error.
+    the drift-penalized value of F up to Monte Carlo error.  The run's trace
+    gets the sampling route (whole ``paths``), the blocks and the normals.
     """
     dt = batch.dt
     times = batch.times
@@ -246,6 +260,8 @@ def girsanov_lower_bound(
             x[:, k + 1] = x[:, k] + q * dt + inc[:, k]
         vals = np.asarray(evaluate_functional(F, times, x), dtype=float) - cost
         acc.add(vals)
+    record("girsanov_lower_bound", sampling="paths", blocks=batch.n_blocks,
+           normals=batch.n_paths * batch.n_steps)
     return acc.mean_se()
 
 
@@ -483,8 +499,11 @@ def lsmc_bsde(
     least-squares solve or non-finite coefficients raise ``RuntimeError``.
     Besides the paths, only the scaled paths that the terminal evaluation
     reads are held; the second statistic is built in place in them, and the
-    state and the increment are formed per step.
+    state and the increment are formed per step.  The run's trace gets n,
+    the basis, the hat knot counts' range, the regression steps, the
+    fallbacks and the wall time.
     """
+    started = time.perf_counter()
     paths = batch.paths()
     times = batch.times
     dt = batch.dt
@@ -547,9 +566,14 @@ def lsmc_bsde(
     z0 = float(np.mean(y * (paths[:, 1] - paths[:, 0]))) / dt
     y_ladder[0] = float(np.mean(y)) + dt * g.gstar(times[0], np.full(1, sqrt_n * z0))[0]
 
+    kind = "hat" if second is None else "polynomial"
+    knots = basis_sizes if kind == "hat" else ()
+    record("lsmc_bsde", n=n, basis=kind, knots_min=min(knots) if knots else None,
+           knots_max=max(knots) if knots else None, regression_steps=len(basis_sizes),
+           fallbacks=fallbacks, wall_s=time.perf_counter() - started)
     return LsmcSolution(
         times=times,
-        basis="hat" if second is None else "polynomial",
+        basis=kind,
         y0=float(y_ladder[0]),
         y_ladder=y_ladder,
         terminal_residual=terminal_residual,

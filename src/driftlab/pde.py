@@ -38,6 +38,7 @@ import numpy as np
 
 from . import generators as gen
 from .parallel import run_parallel
+from .report import record
 
 __all__ = [
     "GridSpec",
@@ -160,10 +161,11 @@ def march_backward(terminal, g, sigma2, grid: GridSpec):
     its own single-row march.  Returns the initial row v(0, .), of the same
     shape as ``terminal``, and the step data (``cfl``), whose
     ``diffusion_number`` is r: a float for a scalar ``sigma2``, else an
-    array of the leading shape.  Only two time rows are held at once, and
-    every per-step array (slopes, flux, its scratch, the right-hand side)
-    is allocated once per march; an even cost takes one conjugate
-    evaluation a step, a table two.
+    array of the leading shape.  The step data and the row count go to the
+    run's trace (:func:`driftlab.report.record`), r as a list when it is an
+    array.  Only two time rows are held at once, and every per-step array
+    (slopes, flux, its scratch, the right-hand side) is allocated once per
+    march; an even cost takes one conjugate evaluation a step, a table two.
     """
     from scipy.linalg import lapack
 
@@ -238,9 +240,9 @@ def march_backward(terminal, g, sigma2, grid: GridSpec):
             nxt[:, 0] = 2.0 * nxt[:, 1] - nxt[:, 2]
             nxt[:, -1] = 2.0 * nxt[:, -2] - nxt[:, -3]
         v, nxt = nxt, v
-    cfl = {"nt": nt, "dt": dt, "dx": dx, "lipschitz": lip, "minimal_nt": minimal,
-           "diffusion_number": r}
-    return v.reshape(terminal.shape), cfl
+    cfl = {"nt": nt, "dt": dt, "dx": dx, "lipschitz": lip, "minimal_nt": minimal}
+    record("march_backward", rows=rows, **cfl, diffusion_number=np.asarray(r).tolist())
+    return v.reshape(terminal.shape), {**cfl, "diffusion_number": r}
 
 
 def solve_semilinear(
@@ -353,15 +355,15 @@ def vanishing_viscosity_sweep(
 ):
     """Solve with diffusion 1/n for each n and report gaps to the Hopf-Lax value.
 
-    All n share one march, one row per n.  Returns ``(rows, meta)``: one
-    row ``(n, u_n, limit, gap)`` per n, in ascending n, and the run facts
-    for the manifest (grid, scheme, each n's step data, the search step and
-    the search record).  The limit is the Hopf-Lax form at (0, 0), searched
-    on the points of ``np.arange(x_min, x_max + y_step, y_step)`` below
-    ``x_max`` and on ``x_max`` itself, so never off the domain, and refined
-    by golden section on the two cells around the grid maximiser; it is the
-    largest value either stage evaluated, so never below the grid maximum,
-    and a NaN on the grid propagates.
+    All n share one march, one row per n.  Returns one row
+    ``(n, u_n, limit, gap)`` per n, in ascending n.  The limit is the
+    Hopf-Lax form at (0, 0), searched on the points of
+    ``np.arange(x_min, x_max + y_step, y_step)`` below ``x_max`` and on
+    ``x_max`` itself, so never off the domain, and refined by golden section
+    on the two cells around the grid maximiser; it is the largest value
+    either stage evaluated, so never below the grid maximum, and a NaN on
+    the grid propagates.  The search goes to the run's trace, before the
+    march's own record.
     """
     n_list = sorted(int(n) for n in n_list)
     if not n_list:
@@ -380,19 +382,12 @@ def vanishing_viscosity_sweep(
         [bracket])
     refined_max = float(np.max(seen))
     limit = float(np.maximum(grid_max, refined_max))  # keeps a NaN from either stage
+    record("vanishing_viscosity_sweep", n_list=n_list,
+           grid={"x_min": grid.x_min, "x_max": grid.x_max, "nx": grid.nx},
+           y_step=y_step, grid_points=int(y.size), bracket=list(bracket),
+           golden_iterations=steps, bracket_width=b - a, grid_max=grid_max,
+           refined_max=refined_max)
     # every n in one march, row i at diffusion 1 / n_i
     fld = solve_semilinear(f, g, 1.0 / np.array(n_list, dtype=float), grid)
     values = grid.read(fld.values, 0.0).tolist()
-    rows = [(n, v, limit, abs(v - limit)) for n, v in zip(n_list, values)]
-    meta = {
-        "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "nx": grid.nx},
-        "scheme": "IMEX monotone: implicit centered diffusion, explicit upwind Hamiltonian",
-        "cfl": {str(n): {**fld.cfl, "diffusion_number": float(r)}
-                for n, r in zip(n_list, fld.cfl["diffusion_number"])},
-        "hopf_lax_y_step": y_step,
-        "hopf_lax_search": {
-            "grid_points": int(y.size), "bracket": list(bracket), "golden_iterations": steps,
-            "bracket_width": b - a, "grid_max": grid_max, "refined_max": refined_max,
-        },
-    }
-    return rows, meta
+    return [(n, v, limit, abs(v - limit)) for n, v in zip(n_list, values)]

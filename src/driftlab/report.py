@@ -4,15 +4,46 @@ runner alone decides the columns and the order of the rows.
 
 Floats are rendered with 17 significant digits so that CSV bodies are
 bit-reproducible and round-trip float64 exactly.
+
+A run's trace, which its manifest holds: each solver calls :func:`record`
+once per call with what it alone knows (step counts, residuals, flags).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
 import io
 import math
+import time
 
-__all__ = ["format_float", "csv_body"]
+__all__ = ["format_float", "csv_body", "record", "recording"]
+
+# (perf_counter at the block's start, its list of records), or None
+_TRACE = contextvars.ContextVar("driftlab_trace", default=None)
+
+
+def record(solver: str, **fields):
+    """Append ``{"solver", "at_s", **fields}`` to the innermost open trace,
+    ``at_s`` being the seconds since its :func:`recording` block began; a
+    no-op outside one.  The fields must be JSON-native values."""
+    active = _TRACE.get()
+    if active is not None:
+        began, trace = active
+        trace.append({"solver": solver, "at_s": time.perf_counter() - began, **fields})
+
+
+@contextlib.contextmanager
+def recording():
+    """Open a trace: yields the list that every :func:`record` inside the
+    block appends to, in call order."""
+    trace = []
+    token = _TRACE.set((time.perf_counter(), trace))
+    try:
+        yield trace
+    finally:
+        _TRACE.reset(token)
 
 
 def format_float(x) -> str:

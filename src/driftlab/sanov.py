@@ -45,6 +45,7 @@ import numpy as np
 
 from . import generators as gen
 from .pde import GridSpec, march_backward
+from .report import record
 
 __all__ = [
     "MeanFieldFunctional",
@@ -97,20 +98,16 @@ def _check_phi_bounds(F: MeanFieldFunctional, grid: GridSpec):
                          f"on the grid, [{vals.min():g}, {vals.max():g}]")
 
 
-def apply_L(slice_fn: Callable, g: gen.GeneratorSpec, grid: GridSpec, s_grid, *,
-            record=None):
+def apply_L(slice_fn: Callable, g: gen.GeneratorSpec, grid: GridSpec, s_grid):
     """One collapsed elimination pass: s -> PDE value of x -> slice(x, s).
 
     For each accumulator node s the unit-time backward PDE with terminal
     x -> slice_fn(x, s) is solved at viscosity 1 and read at (0, 0); all
-    nodes share one march.  With a dict ``record``, the march's step data
-    (``nt``, ``dt``, ...) are written into it.
+    nodes share one march, which records its step data in the run's trace.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     terminals = np.asarray(slice_fn(grid.x[None, :], s_grid[:, None]), dtype=float)
-    row0, cfl = march_backward(terminals, g, 1.0, grid)
-    if record is not None:
-        record.update(cfl)
+    row0, _ = march_backward(terminals, g, 1.0, grid)
     return grid.read(row0, 0.0)
 
 
@@ -156,7 +153,7 @@ def _cubic_read(nodes, values):
     return read
 
 
-def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to, record=None):
+def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to):
     """Backward stage recursion; returns (s grid, values) of stage ``down_to``.
 
     Stage k holds the value given the first k blocks, as a function of the
@@ -164,8 +161,7 @@ def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to, reco
     n Phi(s / n); each earlier stage is one collapsed PDE pass over the slice
     x -> stage_{k+1}(s + phi(x)) at ``s_points`` uniform nodes (one node,
     s = 0, for k = 0), and the pass before it reads the stage through
-    :func:`_cubic_read`.  With a dict ``record``, ``s_points`` and each
-    stage march's ``nt`` (stage n - 1 first) are written into it.
+    :func:`_cubic_read`.
     """
     if s_points < 5:
         raise ValueError(f"need s_points >= 5 for the node slopes, got {s_points}")
@@ -177,17 +173,12 @@ def _stage_functions(F: MeanFieldFunctional, g, n, grid, s_points, down_to, reco
     def stage(x, s):  # the slice of the exact stage n
         return n * np.asarray(F.Phi((s + phi(x)) / n), dtype=float)
 
-    nts = []
     for k in range(n - 1, down_to - 1, -1):
         s_grid = np.zeros(1) if k == 0 else np.linspace(k * lo - pad, k * hi + pad, s_points)
-        steps = {}
-        vals = apply_L(stage, g, grid, s_grid, record=steps)
-        nts.append(int(steps["nt"]))
+        vals = apply_L(stage, g, grid, s_grid)
         if k > down_to:
             read = _cubic_read(s_grid, vals)
             stage = lambda x, s, read=read: read(s + phi(x))
-    if record is not None:
-        record.update(s_points=s_points, nt=nts)
     return s_grid, vals
 
 
@@ -208,15 +199,17 @@ def iterate_L_partial(F: MeanFieldFunctional, g, n: int, k: int, grid: GridSpec,
 
 
 def iterate_L(F: MeanFieldFunctional, g, n: int, grid: GridSpec, *,
-              s_points: int = 33, record=None) -> float:
+              s_points: int = 33) -> float:
     """Pre-limit value: (1/n) times the n-fold collapsed elimination pass.
 
-    With a dict ``record``, ``s_points`` and the step count ``nt`` of each
-    stage march (stage n - 1 first, stage 0 last) are written into it.
+    Its n stage marches (stage n - 1 first, stage 0 last) record their step
+    data in the run's trace, and then the pass records ``n`` and
+    ``s_points``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    _, vals = _stage_functions(F, g, n, grid, s_points, down_to=0, record=record)
+    _, vals = _stage_functions(F, g, n, grid, s_points, down_to=0)
+    record("iterate_L", n=n, s_points=s_points)
     return float(vals[0]) / n
 
 
@@ -231,12 +224,11 @@ _CURVE_POINTS = 256
 class ScalarCurve:
     """The transport cost of the statistic c, parametrised by lambda:
     c = rho'(lambda) and cost = C(c) = lambda c - rho(lambda), sampled along
-    the lambda window by a march of ``nt`` steps."""
+    the lambda window."""
 
     lam: np.ndarray
     c: np.ndarray
     cost: np.ndarray
-    nt: int
 
 
 def scalar_transport_cost(g, phi: Callable, lambda_grid, grid: GridSpec) -> ScalarCurve:
@@ -258,8 +250,7 @@ def scalar_transport_cost(g, phi: Callable, lambda_grid, grid: GridSpec) -> Scal
     h = (lam[-1] - lam[0]) / max(lam.size - 1, 1)
     if lam.size < 5 or not h > 0 or not np.allclose(np.diff(lam), h, rtol=1e-9, atol=0.0):
         raise ValueError("need an increasing uniform lambda grid of at least 5 nodes")
-    steps = {}
-    rho = apply_L(lambda x, s: s * np.asarray(phi(x), dtype=float), g, grid, lam, record=steps)
+    rho = apply_L(lambda x, s: s * np.asarray(phi(x), dtype=float), g, grid, lam)
     d = _node_slopes(rho, h)
     t = np.arange(_CURVE_POINTS) / _CURVE_POINTS
     values, slopes = _hermite(rho, d, h, np.arange(lam.size - 1)[:, None], t)
@@ -273,8 +264,7 @@ def scalar_transport_cost(g, phi: Callable, lambda_grid, grid: GridSpec) -> Scal
                       np.maximum(lam[:-1, None] * slopes - rho[:-1, None],
                                  lam[1:, None] * slopes - rho[1:, None]))
     return ScalarCurve(lam=np.append(lam_t.ravel(), lam[-1]), c=np.append(slopes.ravel(), d[-1]),
-                       cost=np.append(cost.ravel(), lam[-1] * d[-1] - rho[-1]),
-                       nt=int(steps["nt"]))
+                       cost=np.append(cost.ravel(), lam[-1] * d[-1] - rho[-1]))
 
 
 def _scalar_limit(F: MeanFieldFunctional, curve: ScalarCurve, t=0.0, m=0.0):
@@ -282,8 +272,8 @@ def _scalar_limit(F: MeanFieldFunctional, curve: ScalarCurve, t=0.0, m=0.0):
     the blocks frozen at statistic m, over the points of ``curve`` whose c
     lies in ``phi_bounds``.  Returns the value and its diagnostics: the
     maximising lambda, the covered range [rho'(lambda_min),
-    rho'(lambda_max)], the march's step count and whether the max sits at an
-    end of the window, where the sup may lie beyond it."""
+    rho'(lambda_max)] and whether the max sits at an end of the window,
+    where the sup may lie beyond it."""
     lo, hi = F.phi_bounds
     inside = (curve.c >= lo) & (curve.c <= hi)
     if not inside.any():
@@ -294,22 +284,20 @@ def _scalar_limit(F: MeanFieldFunctional, curve: ScalarCurve, t=0.0, m=0.0):
     return float(objective[best]), {
         "lambda_star": float(curve.lam[best]),
         "c_range": [float(curve.c[0]), float(curve.c[-1])],
-        "nt": curve.nt,
         "at_edge": best in (0, curve.lam.size - 1),
     }
 
 
-def mean_field_limit(F: MeanFieldFunctional, g, lambda_grid, grid: GridSpec, *,
-                     record=None) -> float:
+def mean_field_limit(F: MeanFieldFunctional, g, lambda_grid, grid: GridSpec) -> float:
     """Limit value sup_c ( Phi(c) - C(c) ) of the n-block pre-limits.
 
-    With a dict ``record``, the limit's diagnostics are written into it:
-    ``lambda_star``, ``c_range``, ``nt`` and ``at_edge``.
+    After the lambda march's own record, the limit records its diagnostics
+    in the run's trace: ``lambda_star``, ``c_range``, ``at_edge`` and the
+    ``limit`` itself.
     """
     _check_phi_bounds(F, grid)
     value, diagnostics = _scalar_limit(F, scalar_transport_cost(g, F.phi, lambda_grid, grid))
-    if record is not None:
-        record.update(diagnostics)
+    record("mean_field_limit", **diagnostics, limit=value)
     return value
 
 

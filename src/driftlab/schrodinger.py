@@ -19,8 +19,9 @@ Routes implemented here:
   the forward and adjoint passes read those tables.  The march kernel has
   its subnormal entries zeroed once per solve;
 * the mollifier of the target law and the small-noise sweep over both the
-  mollified and raw-target modes, which returns plain-tuple report rows and
-  one diagnostics record per noise level in ``meta["solves"]``.
+  mollified and raw-target modes, which returns plain-tuple report rows;
+  each noise level's solve records its route, counts, residuals and
+  convergence flags in the run's trace (:func:`driftlab.report.record`).
 
 Raw (un-mollified) atomic targets are reachable only when the cost grows
 strictly slower than quadratically; for quadratic or faster growth the
@@ -38,6 +39,7 @@ import numpy as np
 
 from . import generators as gen
 from .parallel import run_parallel
+from .report import record
 
 __all__ = [
     "DiscreteMeasure",
@@ -380,6 +382,8 @@ def sinkhorn_bridge(instance: "TransportInstance", *, max_iter=200) -> SinkhornS
     entropy = float(np.sum(pi[mask] * (np.log(pi[mask]) - log_r[mask])))
     coupling = np.zeros((a_full.size, b_full.size))
     coupling[np.ix_(rows, cols)] = pi
+    record("sinkhorn_bridge", eps=eps, route="sinkhorn", iterations=steps,
+           backtracks=backtracks, marginal_error=err, converged=err < _MARGINAL_TOL)
     return SinkhornSolution(
         value=instance.g.c * eps * entropy,
         coupling=coupling,
@@ -605,6 +609,14 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
     acting as free noise, so the value is no bound on the OT cost (it can
     fall below it); ``small_noise_sweep`` reports the OT value there instead.
     """
+    sol = _solve_flow(instance)
+    record("solve_transport", eps=instance.epsilon, route="drift-field", feasible=sol.feasible,
+           evaluations=sol.iterations, lagrangian_grad_max=sol.kkt_residual, **sol.diagnostics)
+    return sol
+
+
+def _solve_flow(instance: TransportInstance) -> FlowSolution:
+    """The drift-field solve of :func:`solve_transport`, unrecorded."""
     from scipy.optimize import Bounds, minimize
 
     g = instance.g
@@ -714,36 +726,20 @@ def solve_transport(instance: TransportInstance) -> FlowSolution:
 # Small-noise sweep
 # ---------------------------------------------------------------------------
 
-def _solve_record(eps, sol):
-    """Manifest record of one noise level: the route taken and its counts,
-    residuals and convergence flags.  The drift-field record's
-    ``lagrangian_grad_max`` is ``FlowSolution.kkt_residual``: it grows with
-    the rounds run and is no measure of stationarity."""
-    if sol is None:
-        return {"eps": eps, "route": "ot-oracle"}
-    if isinstance(sol, SinkhornSolution):
-        return {"eps": eps, "route": "sinkhorn", "iterations": sol.iterations,
-                "backtracks": sol.backtracks, "marginal_error": sol.marginal_error,
-                "converged": sol.converged}
-    return {"eps": eps, "route": "drift-field", "feasible": sol.feasible,
-            "evaluations": sol.iterations, "lagrangian_grad_max": sol.kkt_residual,
-            **sol.diagnostics}
-
-
 def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
                       mollified: bool = True, *, n_time=32):
     """Per-noise-level transport values against the zero-noise oracle.
 
     Quadratic costs ride the semi-dual Newton (``sinkhorn``) route in
     mollified mode; everything else, and every raw-target run, goes through
-    the drift-field solver.  Returns ``(rows, meta)``: one row
-    ``(eps, value, ot, gap, feasible)`` per noise level, in ascending eps
-    (the strictly decreasing ladder reversed), with ``feasible`` 1.0 or 0.0.
-    Raw atomic targets under quadratic growth are infeasible at every noise
-    level, which is the point of the mollification.  A zero noise level
-    reports the zero-noise limit itself, the OT value (route ``ot-oracle``),
-    without a solve.  ``meta["solves"]`` holds one record per noise level,
-    in solve order, with the route and its solver diagnostics.
+    the drift-field solver.  Returns one row ``(eps, value, ot, gap,
+    feasible)`` per noise level, in ascending eps (the strictly decreasing
+    ladder reversed), with ``feasible`` 1.0 or 0.0.  Raw atomic targets
+    under quadratic growth are infeasible at every noise level, which is the
+    point of the mollification.  A zero noise level reports the zero-noise
+    limit itself, the OT value, without a solve, and records the route
+    ``ot-oracle`` in the run's trace; every other level's solve records its
+    own route, in solve order.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -752,6 +748,7 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
 
     def solve_one(eps):
         if eps == 0:
+            record("small_noise_sweep", eps=eps, route="ot-oracle")
             return None
         instance = TransportInstance(mu=mu, nu=nu, g=g, epsilon=eps, n_time=n_time,
                                      mollified=mollified)
@@ -766,5 +763,4 @@ def small_noise_sweep(mu: DiscreteMeasure, nu: DiscreteMeasure, g, eps_list,
         feasible = math.isfinite(value) if sol is None else sol.feasible
         gap = abs(value - ot_value) if math.isfinite(value) else math.inf
         rows.append((eps, value, ot_value, gap, float(feasible)))
-    meta = {"solves": [_solve_record(eps, sol) for eps, sol in zip(eps_list, solutions)]}
-    return rows[::-1], meta
+    return rows[::-1]

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import generators as gen
 from .parallel import run_parallel
+from .report import record
 
 __all__ = [
     "PathPolyline",
@@ -320,7 +321,8 @@ def _optimize_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
 
     Every evaluation is one batched call of :func:`evaluate_functional`: the
     endpoint scan, each L-BFGS-B point with its gradient, and each restart's
-    final value.
+    final value.  The run's trace gets the best value, its convergence flag,
+    the restart count, the best restart and every restart's run.
     """
     from scipy.optimize import minimize
 
@@ -359,6 +361,8 @@ def _optimize_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
     outcomes = run_parallel(run_one, starts)
     runs = tuple(run for run, _ in outcomes)
     best = sorted(range(restarts), key=lambda i: (-runs[i].value, i))[0]
+    record("optimize_tail", value=runs[best].value, converged=runs[best].converged,
+           restarts=restarts, best_restart=best, runs=[run._asdict() for run in runs])
     return SchilderResult(
         path=PathPolyline(times=tail.times, values=tail.assemble(outcomes[best][1][None])[0]),
         value=runs[best].value,

@@ -71,7 +71,7 @@ def sanov_pieces():
 def test_criterion_01_vanishing_viscosity():
     started = time.time()
     grid = GridSpec(-6.0, 6.0, 1201, 1)
-    rows, _ = vanishing_viscosity_sweep(gaussian_bump, QUAD, [4, 8, 16, 32, 64], grid)
+    rows = vanishing_viscosity_sweep(gaussian_bump, QUAD, [4, 8, 16, 32, 64], grid)
     gaps = {n: gap for n, _, _, gap in rows}
     tail = [gaps[n] for n in (4, 8, 16, 32, 64)]
     assert all(a >= b for a, b in zip(tail, tail[1:])), f"gaps not non-increasing: {tail}"
@@ -106,7 +106,7 @@ def test_criterion_02_quadratic_cross_validation():
 @criterion(3, "interval-constrained Hamiltonian converges to the constrained sup")
 def test_criterion_03_constrained_hamiltonian():
     grid = GridSpec(-6.0, 6.0, 1201, 1)
-    rows, _ = vanishing_viscosity_sweep(
+    rows = vanishing_viscosity_sweep(
         gaussian_bump, IndicatorInterval(1.0), [4, 16, 64, 128], grid
     )
     y = np.arange(-1.0, 1.0 + 1e-6, 1e-6)
@@ -172,12 +172,12 @@ def test_criterion_06_conditional_limits(sanov_pieces):
 @criterion(7, "mollified bridges converge to transport; raw atomic target infeasible")
 def test_criterion_07_schrodinger_mollified():
     mu, nu = DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0)
-    rows, _ = small_noise_sweep(mu, nu, QUAD, [0.1, 0.01, 1e-3], mollified=True)
+    rows = small_noise_sweep(mu, nu, QUAD, [0.1, 0.01, 1e-3], mollified=True)
     eps, _, ot, gap, _ = rows[0]
     assert eps == 1e-3
     assert ot == pytest.approx(0.5, abs=1e-12)
     assert gap <= 2e-2, f"gap {gap:.4f}"
-    raw, _ = small_noise_sweep(mu, nu, QUAD, [0.1, 0.01, 1e-3], mollified=False)
+    raw = small_noise_sweep(mu, nu, QUAD, [0.1, 0.01, 1e-3], mollified=False)
     for _, value, _, _, feasible in raw:
         assert feasible == 0.0
         assert value == np.inf
@@ -187,8 +187,8 @@ def test_criterion_07_schrodinger_mollified():
 def test_criterion_08_subquadratic_unmollified():
     mu = DiscreteMeasure(support=(0.0, 2.0), weights=(0.5, 0.5))
     nu = DiscreteMeasure(support=(1.0, 3.0), weights=(0.5, 0.5))
-    rows, _ = small_noise_sweep(mu, nu, PowerLaw(r=1.5, a=1.0),
-                                [0.1, 0.03, 0.01], mollified=False)
+    rows = small_noise_sweep(mu, nu, PowerLaw(r=1.5, a=1.0),
+                             [0.1, 0.03, 0.01], mollified=False)
     gap_at = {eps: gap for eps, _, _, gap, _ in rows}
     gaps = [gap_at[e] for e in (0.1, 0.03, 0.01)]
     assert gaps[0] > gaps[1] > gaps[2] > 0, f"gaps: {gaps}"

@@ -28,6 +28,12 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def trace_of(out, solver):
+    """The records of one solver in the trace of the run written to ``out``."""
+    trace = json.loads((out / "manifest.json").read_text())["trace"]
+    return [r for r in trace if r["solver"] == solver]
+
+
 PDE_SWEEP = {
     "kind": "pde-sweep",
     "generator": {"variant": "quadratic", "c": 1.0},
@@ -418,7 +424,7 @@ class TestRun:
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
-        solves = json.loads((out / "manifest.json").read_text())["extras"]["solves"]
+        solves = trace_of(out, "lsmc_bsde")
         assert [s["n"] for s in solves] == [1.0, 4.0]
         for record in solves:
             assert record["basis"] == "hat"
@@ -467,9 +473,11 @@ class TestRun:
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
-        extras = json.loads((out / "manifest.json").read_text())["extras"]
+        trace = json.loads((out / "manifest.json").read_text())["trace"]
         # 50 000 paths fill four blocks of 2^14
-        assert extras == {"sampling": sampling, "blocks": 4, "normals": normals}
+        (sampled,) = trace
+        assert {k: sampled[k] for k in ("sampling", "blocks", "normals")} == {
+            "sampling": sampling, "blocks": 4, "normals": normals}
 
     @pytest.mark.parametrize("generator, mollified, route, keys", [
         ({"variant": "power", "r": 1.5, "a": 1.0}, False, "drift-field",
@@ -489,7 +497,7 @@ class TestRun:
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
-        solves = json.loads((out / "manifest.json").read_text())["extras"]["solves"]
+        solves = json.loads((out / "manifest.json").read_text())["trace"]
         assert [s["eps"] for s in solves] == [0.3, 0.2]
         for record in solves:
             assert record["route"] == route
@@ -508,7 +516,8 @@ class TestRun:
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
-        solves = json.loads((out / "manifest.json").read_text())["extras"]["solves"]
+        solves = trace_of(out, "sinkhorn_bridge")
+        assert len(solves) == 4
         assert all(s["converged"] and s["marginal_error"] < 1e-9 for s in solves)
 
     def test_unconverged_newton_solve_exits_4(self, tmp_path):
@@ -523,7 +532,7 @@ class TestRun:
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 4
-        (record,) = json.loads((out / "manifest.json").read_text())["extras"]["solves"]
+        (record,) = json.loads((out / "manifest.json").read_text())["trace"]
         assert record["route"] == "sinkhorn"
         assert record["converged"] is False
         assert 1e-9 <= record["marginal_error"] < 1.0
@@ -549,21 +558,11 @@ class TestRun:
         assert h(out_a) != h(out_b)
         assert h(out_a) == h(out_c)
 
-    def test_module_alias_subcommand(self, tmp_path):
-        cfg = write_config(tmp_path, "cfg.yaml", PDE_SWEEP)
-        out = tmp_path / "out"
-        assert main(["pde", "sweep", "--config", cfg, "--output-dir", str(out)]) == 0
-
-    def test_alias_kind_mismatch_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "cfg.yaml", MC_CONFIG)
-        code = main(["pde", "sweep", "--config", cfg, "--output-dir", str(tmp_path / "o")])
-        assert code == 2
-
     def test_ti_check_runs(self, tmp_path):
         payload = {"kind": "ti-check", "generator": {"variant": "indicator", "K": 2.0}}
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         out = tmp_path / "out"
-        assert main(["ti", "check", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
         body = (out / "report.csv").read_text()
         assert "coercivity" in body
 
@@ -572,7 +571,7 @@ class TestRun:
                    "r": 1.5, "epsilon": 0.01}
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         out = tmp_path / "out"
-        assert main(["bridge", "check", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
         assert (out / "report.csv").read_text().strip().splitlines()[1].endswith(",1")
 
     def test_measures_load_from_two_column_csv(self, tmp_path):
@@ -589,8 +588,7 @@ class TestRun:
         }
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         out = tmp_path / "out"
-        assert main(["schrodinger", "sweep", "--config", cfg,
-                     "--output-dir", str(out)]) == 0
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
         assert (out / "report.csv").read_text().startswith("eps,value,ot,gap,feasible")
 
     def test_error_message_carries_config_path(self, tmp_path, capsys):
@@ -612,9 +610,8 @@ class TestRun:
         }
         cfg = write_config(tmp_path, "cfg.yaml", payload)
         out = tmp_path / "out"
-        assert main(["variational", "maximize", "--config", cfg,
-                     "--output-dir", str(out)]) == 0
-        result = json.loads((out / "result.json").read_text())
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        (result,) = trace_of(out, "optimize_tail")
         assert 0.5 < result["value"] < 0.8
         path_lines = (out / "path.csv").read_text().strip().splitlines()
         assert path_lines[0] == "t,value"
@@ -626,8 +623,7 @@ class TestRun:
         best = runs[result["best_restart"]]
         assert (best["value"], best["converged"]) == (result["value"], result["converged"])
         assert all(run["points"] >= run["iterations"] >= 1 for run in runs)
-        extras = json.loads((out / "manifest.json").read_text())["extras"]
-        assert extras["runs"] == runs
+        assert not (out / "result.json").exists()
         assert (out / "report.csv").read_text().splitlines()[0] == "quantity,value"
 
 
@@ -674,12 +670,16 @@ class TestRun:
         cfg = write_config(tmp_path, "cfg.yaml", SMALL_SANOV)
         out = tmp_path / "o"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
-        extras = json.loads((out / "manifest.json").read_text())["extras"]
-        assert extras["lambda_star"] == 0.0 and extras["at_edge"] is False
-        lo, hi = extras["c_range"]
+        trace = json.loads((out / "manifest.json").read_text())["trace"]
+        # the limit's lambda march, then the limit
+        march, limit = trace[:2]
+        assert march["solver"] == "march_backward" and march["rows"] == 31
+        assert march["nt"] >= 1
+        assert limit["solver"] == "mean_field_limit"
+        assert limit["lambda_star"] == 0.0 and limit["at_edge"] is False
+        lo, hi = limit["c_range"]
         assert -1.0 <= lo < 0.0 < hi <= 1.0
-        assert extras["nt"] >= 1
-        assert extras["limit"] == pytest.approx(0.0, abs=1e-12)
+        assert limit["limit"] == pytest.approx(0.0, abs=1e-12)
 
     def test_sanov_manifest_records_the_stage_marches(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.yaml", {k: v for k, v in SMALL_SANOV.items()
@@ -688,9 +688,19 @@ class TestRun:
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["s_points"] == 33
-        stages = manifest["extras"]["stages"]
-        assert [(s["n"], s["s_points"], len(s["nt"])) for s in stages] == [(1, 33, 1), (2, 33, 2)]
-        assert all(nt >= 1 for s in stages for nt in s["nt"])
+        # after the limit, each n's stage marches and then its pass
+        stages, marches = [], []
+        for record in manifest["trace"][2:]:
+            if record["solver"] == "march_backward":
+                marches.append(record["nt"])
+            else:
+                assert record["solver"] == "iterate_L"
+                stages.append((record["n"], record["s_points"], marches))
+                marches = []
+        assert [(n, s_points, len(nts)) for n, s_points, nts in stages] == [(1, 33, 1),
+                                                                           (2, 33, 2)]
+        assert not marches
+        assert all(nt >= 1 for *_, nts in stages for nt in nts)
 
 
 @pytest.mark.parametrize("function", [
@@ -934,6 +944,29 @@ def test_sanov_chain_marches_once_per_stage_and_once_for_the_limit(tmp_path, mon
     monkeypatch.setattr(cli, "mean_field_limit", counted(sanov.mean_field_limit))
     assert cli.run(copy.deepcopy(cfg), tmp_path / label, source=label) == 0
     assert calls == [("mean_field_limit", 1)] + [("iterate_L", n) for n in workloads.SC_N]
+
+
+@pytest.mark.parametrize("config", [
+    SMALL_PDE_SWEEP, SMALL_SANOV, dict(MC_CONFIG, paths=2_000, oracle=SMALL_ORACLE),
+], ids=["pde-sweep", "sanov-iterate", "mc-estimate-oracle"])
+def test_trace_holds_one_record_per_march(tmp_path, monkeypatch, config):
+    """Each march_backward call, the mc-estimate oracle's included, leaves
+    exactly one march record, with its step data, in the run's trace."""
+    calls = []
+    march = pde.march_backward
+
+    def counted_march(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "march_backward", counted_march)
+    monkeypatch.setattr(sanov, "march_backward", counted_march)
+    out = tmp_path / "o"
+    assert cli.run(copy.deepcopy(config), out) == 0
+    marches = trace_of(out, "march_backward")
+    assert calls and len(marches) == len(calls)
+    assert all(set(m) == {"solver", "at_s", "rows", "nt", "dt", "dx", "lipschitz",
+                          "minimal_nt", "diffusion_number"} for m in marches)
 
 
 def _driftlab_object(node, aliases):

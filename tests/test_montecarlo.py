@@ -25,6 +25,7 @@ from driftlab.montecarlo import (
     truncated_quadratic_moment,
 )
 from driftlab.pde import GridSpec, solve_semilinear
+from driftlab.report import recording
 from driftlab.variational import (
     FiniteMarginals,
     RunningMax,
@@ -45,6 +46,20 @@ class TestPathBatch:
         a = PathBatch(n_steps=16, n_paths=40_000, seed=5).paths()
         b = PathBatch(n_steps=16, n_paths=40_000, seed=5).paths()
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n_paths", [1_000, BLOCK_PATHS + 1_000])
+    def test_paths_and_increments_are_the_block_draws(self, n_paths):
+        # one block or two: paths() is the cumulated sqrt(dt)-scaled draws of
+        # each block's (seed, block index) generator, bit for bit
+        batch = PathBatch(n_steps=8, n_paths=n_paths, seed=4)
+        draws = [rng.standard_normal((size, 8)) * math.sqrt(batch.dt)
+                 for size, rng in batch.iter_blocks()]
+        for inc, draw in zip(batch.iter_increments(), draws, strict=True):
+            np.testing.assert_array_equal(inc, draw)
+        expected = np.concatenate(draws, axis=0).cumsum(axis=1)
+        paths = batch.paths()
+        np.testing.assert_array_equal(paths[:, 0], 0.0)
+        np.testing.assert_array_equal(paths[:, 1:], expected)
 
     def test_increment_moments(self):
         batch = PathBatch(n_steps=4, n_paths=400_000, seed=2)
@@ -94,6 +109,21 @@ class TestLogMeanExp:
         coarse = log_mean_exp(F, 4.0, PathBatch(n_steps=4, n_paths=40_000, seed=19))
         fine = log_mean_exp(F, 4.0, PathBatch(n_steps=16, n_paths=40_000, seed=19))
         assert coarse == fine
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_effective_sample_size_collapses_at_large_n(self, seed):
+        # the weights exp(n F) crowd onto the few paths nearest the bump's
+        # peak as n grows: about 88 000 of 100 000 paths carry the n = 1
+        # estimate, and 1.5 to 2.8 the n = 64 one at these seeds
+        ess = {}
+        for n in (1.0, 64.0):
+            with recording() as trace:
+                log_mean_exp(TerminalValue(gaussian_bump), n,
+                             PathBatch(n_steps=8, n_paths=100_000, seed=seed))
+            (record,) = trace
+            ess[n] = record["ess"]
+        assert ess[1.0] >= 0.5 * 100_000
+        assert ess[64.0] <= 10.0
 
     def test_terminal_route_agrees_with_the_path_route(self):
         # FiniteMarginals reads the same W(1) off whole paths

@@ -25,6 +25,7 @@ from driftlab.pde import (
     stable_nt,
     vanishing_viscosity_sweep,
 )
+from driftlab.report import recording
 from driftlab.sanov import gauss_mean
 
 QUAD = Quadratic(1.0)
@@ -541,10 +542,20 @@ def search_grid(grid, y_step):
     return np.append(y[y < grid.x_max], grid.x_max)
 
 
+def traced_sweep(*args, **kwargs):
+    """The sweep's rows and its two trace records: the Hopf-Lax search, then
+    the one march of every n."""
+    with recording() as trace:
+        rows = vanishing_viscosity_sweep(*args, **kwargs)
+    search, march = trace
+    assert (search["solver"], march["solver"]) == ("vanishing_viscosity_sweep", "march_backward")
+    return rows, search, march
+
+
 class TestViscositySweep:
     def test_constant_terminal_all_gaps_tiny(self):
         grid = GridSpec(-4.0, 4.0, 201, 1)
-        rows, _ = vanishing_viscosity_sweep(
+        rows = vanishing_viscosity_sweep(
             lambda x: np.zeros(np.shape(x)), QUAD, [1, 4, 16], grid, y_step=1e-3
         )
         for _, _, _, gap in rows:
@@ -579,12 +590,11 @@ class TestViscositySweep:
             return np.exp(-(((np.asarray(s, dtype=float) - center) / width) ** 2))
 
         grid = self.SEARCH_GRID
-        rows, meta = vanishing_viscosity_sweep(f, g, [1], grid, y_step=y_step)
+        rows, search, _ = traced_sweep(f, g, [1], grid, y_step=y_step)
         limit = rows[0][2]
         y = search_grid(grid, y_step)
         vals = f(y) - g.cost(0.0, y)
         dense, i = float(np.max(vals)), int(np.argmax(vals))
-        search = meta["hopf_lax_search"]
         assert search["grid_points"] == y.size and search["grid_max"] == dense
         assert limit == max(dense, search["refined_max"]) and limit >= dense
         # the refinement brackets the two cells around the grid maximiser
@@ -605,13 +615,13 @@ class TestViscositySweep:
             calls.append(np.size(s))
             return gaussian_bump(s)
 
-        _, meta = vanishing_viscosity_sweep(f, QUAD, [1, 4], grid)
-        assert meta["hopf_lax_y_step"] == 1e-3
+        _, search, _ = traced_sweep(f, QUAD, [1, 4], grid)
+        assert search["y_step"] == 1e-3
         # one call on the march's terminal row, one on the whole search grid
         assert sorted(calls)[-2:] == [grid.nx, search_grid(grid, 1e-3).size] == [61, 12_001]
         assert sum(calls) - grid.nx <= 12_001 + 200
         # then one call on each golden step's two interior points
-        steps = meta["hopf_lax_search"]["golden_iterations"]
+        steps = search["golden_iterations"]
         assert sorted(calls)[:-2] == [2] * (1 + steps)
 
     @pytest.mark.parametrize("x_max, y_step", [(1.0, 1e-3), (6.0, 1e-3), (5.65, 1e-3),
@@ -632,13 +642,12 @@ class TestViscositySweep:
             seen.append(np.array(s, dtype=float, copy=True))
             return f(s)
 
-        rows, meta = vanishing_viscosity_sweep(recorded, QUAD, [1], grid, y_step=y_step)
+        rows, search, _ = traced_sweep(recorded, QUAD, [1], grid, y_step=y_step)
         edge = hopf_lax(f, QUAD, 0.0, 0.0, [x_max])
         assert rows[0][2] == pytest.approx(edge, rel=1e-14)
         assert hopf_lax(f, QUAD, 0.0, 0.0, [peak]) > edge + 1e-4
         searched = np.concatenate(seen)
         assert searched.max() == x_max and searched.min() >= -x_max
-        search = meta["hopf_lax_search"]
         assert search["bracket"][1] == x_max
         assert search["grid_points"] == search_grid(grid, y_step).size
 
@@ -651,10 +660,10 @@ class TestViscositySweep:
             vals[s == y[2500]] = np.nan  # off the march's grid
             return vals
 
-        rows, meta = vanishing_viscosity_sweep(f, QUAD, [1, 4], grid, y_step=1e-3)
+        rows, search, _ = traced_sweep(f, QUAD, [1, 4], grid, y_step=1e-3)
         assert all(math.isfinite(u) for _, u, _, _ in rows)
         assert all(math.isnan(limit) and math.isnan(gap) for _, _, limit, gap in rows)
-        assert math.isnan(meta["hopf_lax_search"]["grid_max"])
+        assert math.isnan(search["grid_max"])
 
     @pytest.mark.parametrize("spec", [QUAD, STACK_SPECS["tabulated"]],
                              ids=["quadratic", "tabulated"])
@@ -669,21 +678,25 @@ class TestViscositySweep:
         monkeypatch.setattr(pde, "march_backward", counted)
         grid = GridSpec(-3.0, 3.0, 121, 1)
         n_list = [64, 1, 2, 4, 8, 16, 32]
-        rows, meta = vanishing_viscosity_sweep(gaussian_bump, spec, n_list, grid, y_step=1e-3)
+        rows, search, record = traced_sweep(gaussian_bump, spec, n_list, grid, y_step=1e-3)
         assert calls == [(7, grid.nx)]
         monkeypatch.setattr(pde, "march_backward", march)
-        for n, u, _, _ in rows:
+        assert list(record) == ["solver", "at_s", "rows", "nt", "dt", "dx", "lipschitz",
+                                "minimal_nt", "diffusion_number"]
+        # the march's rows follow the sweep's ascending n, one diffusion number each
+        assert search["n_list"] == [n for n, *_ in rows] == sorted(n_list)
+        assert record["rows"] == len(record["diffusion_number"]) == 7
+        steps = {k: record[k] for k in ("nt", "dt", "dx", "lipschitz", "minimal_nt")}
+        for (n, u, _, _), r in zip(rows, record["diffusion_number"], strict=True):
             single = solve_semilinear(gaussian_bump, spec, 1.0 / n, grid)
             assert u == single.initial_value_at_origin
-            cfl = meta["cfl"][str(n)]
-            assert cfl == single.cfl
-            assert list(cfl) == ["nt", "dt", "dx", "lipschitz", "minimal_nt", "diffusion_number"]
-            assert type(cfl["diffusion_number"]) is float
-            assert cfl["diffusion_number"] == 0.5 * (1.0 / n) * cfl["dt"] / cfl["dx"] ** 2
+            assert single.cfl == {**steps, "diffusion_number": r}
+            assert type(r) is float
+            assert r == 0.5 * (1.0 / n) * record["dt"] / record["dx"] ** 2
 
     def test_gaussian_bump_gaps_shrink(self):
         grid = GridSpec(-6.0, 6.0, 1201, 1)
-        rows, _ = vanishing_viscosity_sweep(gaussian_bump, QUAD, [1, 2, 4, 8, 16, 32, 64], grid)
+        rows = vanishing_viscosity_sweep(gaussian_bump, QUAD, [1, 2, 4, 8, 16, 32, 64], grid)
         assert [row[0] for row in rows] == [1, 2, 4, 8, 16, 32, 64]
         gaps = {n: gap for n, _, _, gap in rows}
         assert gaps[64] <= 5e-2
@@ -692,8 +705,8 @@ class TestViscositySweep:
 
     def test_indicator_limit_is_constrained_sup(self):
         grid = GridSpec(-6.0, 6.0, 1201, 1)
-        rows, _ = vanishing_viscosity_sweep(gaussian_bump, IndicatorInterval(1.0), [64, 4, 16],
-                                            grid)
+        rows = vanishing_viscosity_sweep(gaussian_bump, IndicatorInterval(1.0), [64, 4, 16],
+                                         grid)
         # independent constrained grid search
         y = np.arange(-1.0, 1.0 + 1e-6, 1e-6)
         target = float(gaussian_bump(y).max())

@@ -1,10 +1,11 @@
-"""Report serialization: byte-stable CSV bodies and their comparison."""
+"""Report serialization: byte-stable CSV bodies, their comparison, and the
+run trace that solvers record into."""
 
 import math
 
 import pytest
 
-from driftlab.report import compare_csv_texts, csv_body, format_float
+from driftlab.report import compare_csv_texts, csv_body, format_float, record, recording
 
 
 class TestFormatting:
@@ -44,3 +45,28 @@ class TestCompareCsv:
     def test_header_mismatch_raises(self):
         with pytest.raises(ValueError, match="header"):
             compare_csv_texts("a,b\n1,2\n", "a,c\n1,2\n")
+
+
+class TestTrace:
+    def test_record_outside_a_block_is_dropped(self):
+        record("solver", value=1)
+        with recording() as trace:
+            pass
+        assert trace == []
+
+    def test_records_land_in_call_order_with_their_time(self):
+        with recording() as trace:
+            record("first", value=1)
+            record("second", flags=[True, False])
+        assert [r["solver"] for r in trace] == ["first", "second"]
+        assert trace[0]["value"] == 1 and trace[1]["flags"] == [True, False]
+        assert 0.0 <= trace[0]["at_s"] <= trace[1]["at_s"]
+
+    def test_inner_block_holds_its_own_records(self):
+        with recording() as outer:
+            record("outer")
+            with recording() as inner:
+                record("inner")
+            record("outer again")
+        assert [r["solver"] for r in inner] == ["inner"]
+        assert [r["solver"] for r in outer] == ["outer", "outer again"]

@@ -10,6 +10,7 @@ from driftlab import sanov
 from driftlab.generators import PowerLaw, Quadratic
 from driftlab.montecarlo import FeedbackControl, PathBatch, girsanov_lower_bound
 from driftlab.pde import GridSpec, solve_semilinear
+from driftlab.report import recording
 from driftlab.sanov import (
     MeanFieldFunctional,
     apply_L,
@@ -136,11 +137,13 @@ class TestCubicStages:
     def test_n16_marches_15_stacks_of_33_rows_and_one_row(self, monkeypatch):
         grid = GridSpec(-4.0, 4.0, 33, 1)
         rows = _count_marches(monkeypatch)
-        record = {}
-        iterate_L(F_SQUARE, QUAD, 16, grid, record=record)
+        with recording() as trace:
+            iterate_L(F_SQUARE, QUAD, 16, grid)
         assert rows == [33] * 15 + [1]
-        assert record["s_points"] == 33 and len(record["nt"]) == 16
-        assert all(isinstance(nt, int) and nt >= 1 for nt in record["nt"])
+        *marches, record = trace
+        assert (record["solver"], record["n"], record["s_points"]) == ("iterate_L", 16, 33)
+        assert [m["rows"] for m in marches] == rows
+        assert all(isinstance(m["nt"], int) and m["nt"] >= 1 for m in marches)
 
     @pytest.mark.parametrize("s_points", [2, 3, 4])
     def test_fewer_than_five_nodes_rejected(self, s_points):
@@ -236,10 +239,10 @@ class TestLambdaParametrisedLimit:
     @pytest.mark.parametrize("rows", [33, 241])
     def test_criterion_5_limit_is_zero(self, rows):
         # C(c) > c^2 away from the free statistic c = 0, where both vanish
-        record = {}
-        limit = mean_field_limit(F_SQUARE, QUAD, np.linspace(-6.0, 6.0, rows), GRID,
-                                 record=record)
-        assert limit == pytest.approx(0.0, abs=1e-12)
+        with recording() as trace:
+            limit = mean_field_limit(F_SQUARE, QUAD, np.linspace(-6.0, 6.0, rows), GRID)
+        _, record = trace
+        assert record["limit"] == limit == pytest.approx(0.0, abs=1e-12)
         assert record["lambda_star"] == 0.0 and not record["at_edge"]
         assert record["c_range"][0] < 0.0 < record["c_range"][1]
 
@@ -247,11 +250,12 @@ class TestLambdaParametrisedLimit:
         # 3 c^2 outgrows C(c) ~ c^2 / 0.79, so the sup lies past lambda = +-1
         F = MeanFieldFunctional(phi=np.tanh, Phi=lambda c: 3.0 * np.asarray(c) ** 2,
                                 phi_bounds=(-1.0, 1.0))
-        record = {}
-        mean_field_limit(F, QUAD, np.linspace(-1.0, 1.0, 9), GRID, record=record)
+        with recording() as trace:
+            mean_field_limit(F, QUAD, np.linspace(-1.0, 1.0, 9), GRID)
+        march, record = trace
         assert record["at_edge"]
         assert abs(record["lambda_star"]) == 1.0
-        assert record["nt"] >= GRID.nt
+        assert march["rows"] == 9 and march["nt"] >= GRID.nt
 
     def test_rejects_a_grid_without_five_uniform_nodes(self):
         for lam in (np.linspace(-1.0, 1.0, 4), np.array([-1.0, -0.5, 0.0, 0.2, 1.0])):

@@ -16,6 +16,7 @@ from driftlab.generators import (
     Quadratic,
     Tabulated,
 )
+from driftlab.report import recording
 from driftlab.schrodinger import (
     DiscreteMeasure,
     TransportInstance,
@@ -565,7 +566,7 @@ class TestSolveTransport:
 
 class TestSmallNoiseSweep:
     def test_quadratic_mollified_converges(self):
-        rows, _ = small_noise_sweep(
+        rows = small_noise_sweep(
             DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0), Quadratic(1.0),
             [0.1, 0.01, 1e-3], mollified=True,
         )
@@ -575,7 +576,7 @@ class TestSmallNoiseSweep:
         assert ot == pytest.approx(0.5)
 
     def test_quadratic_unmollified_flagged_infeasible(self):
-        rows, _ = small_noise_sweep(
+        rows = small_noise_sweep(
             DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0), Quadratic(1.0),
             [0.1, 0.01], mollified=False,
         )
@@ -586,10 +587,11 @@ class TestSmallNoiseSweep:
     def test_subquadratic_unmollified_gaps_decrease(self):
         mu = DiscreteMeasure(support=(0.0, 2.0), weights=(0.5, 0.5))
         nu = DiscreteMeasure(support=(1.0, 3.0), weights=(0.5, 0.5))
-        rows, meta = small_noise_sweep(mu, nu, PowerLaw(r=1.5, a=1.0),
-                                       [0.1, 0.03, 0.01], mollified=False)
+        with recording() as trace:
+            rows = small_noise_sweep(mu, nu, PowerLaw(r=1.5, a=1.0), [0.1, 0.03, 0.01],
+                                     mollified=False)
         assert [row[0] for row in rows] == [0.01, 0.03, 0.1]  # ascending eps
-        assert [s["eps"] for s in meta["solves"]] == [0.1, 0.03, 0.01]  # solve order
+        assert [s["eps"] for s in trace] == [0.1, 0.03, 0.01]  # solve order
         gaps = [row[3] for row in rows]
         assert gaps[0] < gaps[1] < gaps[2]
         assert all(feasible == 1.0 for *_, feasible in rows)
@@ -599,10 +601,12 @@ class TestSmallNoiseSweep:
     def test_zero_noise_row_is_the_ot_value(self, g, ot):
         # the drift-field solve at eps 0 read 0.896 (power, below OT) and inf
         # (quadratic, "unreachable at positive noise"); the limit is OT itself
-        rows, meta = small_noise_sweep(DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0),
-                                       g, [0.3, 0.0], mollified=False, n_time=4)
+        with recording() as trace:
+            rows = small_noise_sweep(DiscreteMeasure.point(0.0), DiscreteMeasure.point(1.0),
+                                     g, [0.3, 0.0], mollified=False, n_time=4)
         assert rows[0] == (0.0, ot, ot, 0.0, 1.0)
-        assert [s["route"] for s in meta["solves"]] == ["drift-field", "ot-oracle"]
+        assert [(s["eps"], s["route"]) for s in trace] == [(0.3, "drift-field"),
+                                                            (0.0, "ot-oracle")]
 
     def test_rejects_non_decreasing_ladder(self):
         with pytest.raises(ValueError, match="decreasing"):
