@@ -276,7 +276,10 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
     top-level key in ``ignorable``, which is dropped from the echo (the
     CLI's ``--seed`` reaches kinds that draw no random numbers).  The
     manifest echoes and hashes the copy, and holds in ``trace`` every
-    record the solve's solvers made, in call order."""
+    record the solve's solvers made, in call order, and the exit code.  A
+    solve that raises writes no report, only the manifest, with the trace
+    made before the failure and the message under ``error``; a config
+    error found before the solve writes nothing."""
     started = time.time()
     out = Path(out_dir)
     cfg = ReadRecorder(copy.deepcopy(cfg))
@@ -288,19 +291,26 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
         if cfg.unread():
             names = ", ".join(sorted(repr(key) for key in cfg.unread()))
             raise ConfigError(f"unknown key {names} in {kind}: no reader of {kind} reads it")
-        with recording() as trace:
-            csv_text, code, aux = solve()
-    except ValueError as err:  # a ConfigError, or a solver rejecting its input
+    except ValueError as err:  # a ConfigError, or a reader rejecting its input
         print(f"{source}: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as err:
-        print(f"{source}: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+
+    error = None
+    with recording() as trace:
+        try:
+            csv_text, code, aux = solve()
+        except ValueError as err:  # a solver rejecting its input
+            code, error = EXIT_CONFIG, f"configuration error: {err}"
+        except RuntimeError as err:
+            code, error = EXIT_NUMERICAL, f"numerical failure: {err}"
 
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(csv_text)
-    for name, text in aux.items():
-        (out / name).write_text(text)
+    if error is None:
+        (out / "report.csv").write_text(csv_text)
+        for name, text in aux.items():
+            (out / name).write_text(text)
+    else:
+        print(f"{source}: {error}", file=sys.stderr)
     canonical = json.dumps(cfg, sort_keys=True, default=str)
     manifest = {
         "kind": kind,
@@ -315,6 +325,9 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
         # the BLAS thread setting this run saw (driftlab/__init__.py sets a
         # default of 1); it decides what cpu time against wall time means
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "exit_code": code,
+        # a failed solve's message; the trace then ends where it failed
+        **({} if error is None else {"error": error}),
         "trace": trace,
     }
     # every trace value must be JSON-native: a leaked numpy array raises here

@@ -25,14 +25,15 @@ v(0, .), the only one any caller reads; :meth:`GridSpec.read` interpolates
 it at a point of the grid.  The vanishing-viscosity sweep marches every n
 as one row of a single march; its Hopf-Lax limit is the maximum over a
 search grid, refined by golden section on the two cells around the grid's
-maximiser.
+maximiser (:func:`maximize_on_line`, which the Schilder straight-tail
+search shares).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,9 @@ __all__ = [
     "hopf_lax",
     "vanishing_viscosity_sweep",
 ]
+# maximize_on_line, shared with variational, stays out of __all__: the
+# benchmark tracer spans every name listed here, and its callers' spans
+# cover it
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,6 @@ class ScalarField:
 
     grid: GridSpec
     values: np.ndarray
-    cfl: dict = field(default_factory=dict)
 
     def value(self, x):
         """v(0, x), linear in x and exact on nodes; x must lie on the grid.
@@ -279,8 +282,8 @@ def solve_semilinear(
     """
     terminal = np.asarray(f(grid.x), dtype=float)
     terminal = np.broadcast_to(terminal, np.shape(viscosity) + terminal.shape)
-    values, cfl = march_backward(terminal, g, viscosity, grid)
-    return ScalarField(grid=grid, values=values, cfl=cfl)
+    values, _ = march_backward(terminal, g, viscosity, grid)
+    return ScalarField(grid=grid, values=values)
 
 
 # the most points the sweep's Hopf-Lax search grid may hold; the grid is
@@ -324,13 +327,14 @@ def _golden_section(value, a, b):
 
     ``value(points)`` returns the maximum over ``points`` and the first index
     attaining it; each step evaluates its two interior points in one call.
-    Returns every such maximum, the step count and the final bracket.  It
-    stops after ``_GOLDEN_ITERATIONS`` steps, or sooner once the interior
-    points no longer fall in order strictly inside the bracket.
+    Returns every such maximum with the point attaining it, the step count
+    and the final bracket.  It stops after ``_GOLDEN_ITERATIONS`` steps, or
+    sooner once the interior points no longer fall in order strictly inside
+    the bracket.
     """
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     best, i = value([c, d])
-    seen = [best]
+    seen, points = [best], [(c, d)[i]]
     steps = 0
     while steps < _GOLDEN_ITERATIONS and a < c < d < b:
         steps += 1
@@ -342,7 +346,53 @@ def _golden_section(value, a, b):
             d = a + _GOLDEN * (b - a)
         best, i = value([c, d])
         seen.append(best)
-    return seen, steps, (a, b)
+        points.append((c, d)[i])
+    return seen, points, steps, (a, b)
+
+
+class LineMaximum(NamedTuple):
+    """The result of :func:`maximize_on_line`: the maximum and where it was
+    attained, each stage's maximum, the grid's size, the bracket refined,
+    the refinement's step count, its final bracket width, and whether it
+    stopped before its step cap."""
+
+    value: float
+    point: float
+    grid_max: float
+    refined_max: float
+    grid_points: int
+    bracket: tuple
+    golden_iterations: int
+    bracket_width: float
+    converged: bool
+
+
+def maximize_on_line(value, lo, hi, step):
+    """Maximum of a function of one variable on [lo, hi].
+
+    ``value(points)`` returns the maximum over ``points`` and the first index
+    attaining it.  One call covers the points of
+    ``np.arange(lo, hi + step, step)`` below ``hi`` and ``hi`` itself, so
+    never a point off [lo, hi]; golden section (:func:`_golden_section`)
+    then refines the two cells around the grid maximiser, mapped through
+    :func:`run_parallel`.  The maximum is the largest value either stage
+    evaluated, so never below the grid maximum, and a NaN from either stage
+    propagates.
+    """
+    y = np.arange(lo, hi + step, step)
+    # arange's last points can lie above hi
+    y = np.append(y[y < hi], hi)
+    grid_max, i = value(y)
+    bracket = (float(y[max(i - 1, 0)]), float(y[min(i + 1, y.size - 1)]))
+    [(seen, points, steps, (a, b))] = run_parallel(
+        lambda ends: _golden_section(value, *ends), [bracket])
+    j = int(np.argmax(seen))  # the first NaN, as np.max(seen) propagates it
+    refined_max = float(seen[j])
+    best = float(np.maximum(grid_max, refined_max))  # keeps a NaN from either stage
+    point = float(y[i]) if grid_max >= refined_max else float(points[j])
+    return LineMaximum(value=best, point=point, grid_max=grid_max, refined_max=refined_max,
+                       grid_points=int(y.size), bracket=bracket, golden_iterations=steps,
+                       bracket_width=b - a, converged=steps < _GOLDEN_ITERATIONS)
 
 
 def vanishing_viscosity_sweep(
@@ -357,13 +407,10 @@ def vanishing_viscosity_sweep(
 
     All n share one march, one row per n.  Returns one row
     ``(n, u_n, limit, gap)`` per n, in ascending n.  The limit is the
-    Hopf-Lax form at (0, 0), searched on the points of
-    ``np.arange(x_min, x_max + y_step, y_step)`` below ``x_max`` and on
-    ``x_max`` itself, so never off the domain, and refined by golden section
-    on the two cells around the grid maximiser; it is the largest value
-    either stage evaluated, so never below the grid maximum, and a NaN on
-    the grid propagates.  The search goes to the run's trace, before the
-    march's own record.
+    Hopf-Lax form at (0, 0), maximised over y in [x_min, x_max] by
+    :func:`maximize_on_line` on a grid of step ``y_step``, so never off the
+    domain; a NaN on the grid propagates.  The search goes to the run's
+    trace, before the march's own record.
     """
     n_list = sorted(int(n) for n in n_list)
     if not n_list:
@@ -371,22 +418,15 @@ def vanishing_viscosity_sweep(
     if not y_step > 0 or (grid.x_max - grid.x_min) / y_step > _MAX_SEARCH_POINTS:
         raise ValueError(f"y_step must be positive and give a Hopf-Lax search grid of at "
                          f"most {_MAX_SEARCH_POINTS} points, got {y_step!r}")
-    y = np.arange(grid.x_min, grid.x_max + y_step, y_step)
-    # arange's last points can lie above x_max, off the domain
-    y = np.append(y[y < grid.x_max], grid.x_max)
-    grid_max, i = hopf_lax(f, g, 0.0, 0.0, y, return_index=True)
-    bracket = (float(y[max(i - 1, 0)]), float(y[min(i + 1, y.size - 1)]))
-    [(seen, steps, (a, b))] = run_parallel(
-        lambda ends: _golden_section(
-            lambda points: hopf_lax(f, g, 0.0, 0.0, points, return_index=True), *ends),
-        [bracket])
-    refined_max = float(np.max(seen))
-    limit = float(np.maximum(grid_max, refined_max))  # keeps a NaN from either stage
+    search = maximize_on_line(
+        lambda points: hopf_lax(f, g, 0.0, 0.0, points, return_index=True),
+        grid.x_min, grid.x_max, y_step)
     record("vanishing_viscosity_sweep", n_list=n_list,
            grid={"x_min": grid.x_min, "x_max": grid.x_max, "nx": grid.nx},
-           y_step=y_step, grid_points=int(y.size), bracket=list(bracket),
-           golden_iterations=steps, bracket_width=b - a, grid_max=grid_max,
-           refined_max=refined_max)
+           y_step=y_step, grid_points=search.grid_points, bracket=list(search.bracket),
+           golden_iterations=search.golden_iterations, bracket_width=search.bracket_width,
+           grid_max=search.grid_max, refined_max=search.refined_max)
+    limit = search.value
     # every n in one march, row i at diffusion 1 / n_i
     fld = solve_semilinear(f, g, 1.0 / np.array(n_list, dtype=float), grid)
     values = grid.read(fld.values, 0.0).tolist()

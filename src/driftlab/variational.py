@@ -4,11 +4,15 @@ piecewise-linear paths.
 The action of a polyline is the time integral of the drift cost along its
 slopes (exact segment sums for time-independent costs, Gauss-Legendre
 quadrature otherwise, +inf as soon as a slope leaves the cost domain).
-Maximization runs a multistart projected quasi-Newton ascent (L-BFGS-B) in
-increment space, where box bounds realize the slope-domain projection.  The
-objective is evaluated on stacks of increment rows: the gradient is scipy's
-forward difference, and a point and its m - 1 difference points are one
-batched evaluation, as are the endpoint scan and each restart's final value.
+Where a straight tail is optimal (a time-independent cost under a terminal
+functional, or under a running max when the cost is least at q = 0) the
+maximization is a one-dimensional search over the end point, the viscosity
+sweep's grid pass and golden-section refinement.  Every other input runs a
+multistart projected quasi-Newton ascent (L-BFGS-B) in increment space,
+where box bounds realize the slope-domain projection.  Its objective is
+evaluated on stacks of increment rows: the gradient is scipy's forward
+difference, and a point and its m - 1 difference points are one batched
+evaluation, as are the endpoint scan and each restart's final value.
 Every returned value is recomputed as F(path) - action(path) on the
 assembled path, so it is a certified lower bound of the supremum.
 """
@@ -23,6 +27,7 @@ import numpy as np
 
 from . import generators as gen
 from .parallel import run_parallel
+from .pde import maximize_on_line
 from .report import record
 
 __all__ = [
@@ -225,11 +230,14 @@ class RestartRun(NamedTuple):
 
 @dataclass(frozen=True)
 class SchilderResult:
+    """The best path found and its value.  A straight-tail search has no
+    restarts: ``restarts`` 0, ``best_restart`` None and no ``runs``."""
+
     path: PathPolyline
     value: float
     converged: bool
     restarts: int
-    best_restart: int
+    best_restart: Optional[int]
     runs: tuple  # one RestartRun per restart, in restart order
 
 
@@ -319,6 +327,81 @@ class _Tail:
 def _optimize_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
     """Maximize F(prefix + tail) - action(tail on [t0, 1]) over tail knots.
 
+    Where a straight tail is optimal (:func:`_straight_is_best`) that is one
+    search over its end point (:func:`_straight_tail`); every other input
+    runs the multistart ascent (:func:`_ascend_tail`).  The knot count and
+    restart count are checked first, on either route.
+    """
+    if m < 2:
+        raise ValueError("need at least 2 knots")
+    if restarts < 1:
+        raise ValueError("need at least 1 restart")
+    if _straight_is_best(F, g):
+        return _straight_tail(F, g, prefix, t0, m)
+    return _ascend_tail(F, g, prefix, t0, m, restarts, seed, max_iter)
+
+
+def _straight_is_best(F, g):
+    """Whether a straight tail beats every other for F under g.
+
+    For a time-independent convex cost, Jensen's inequality puts the action
+    of any tail from x to y at or above h g((y - x) / h), the straight
+    line's, with h the tail's span: so for a terminal functional a straight
+    tail is optimal.  A running max M >= x costs at least as much to reach
+    when g is least at q = 0: the climb costs at least s g((M - x) / s) over
+    its span s, the rest at least (h - s) g(0), and by convexity the two
+    together at least h g((M - x) / h), the straight line to M.  g is least
+    at 0 exactly when g(0) = -g*(0) = min g.
+    """
+    if gen.is_time_dependent(g):
+        return False
+    if isinstance(F, TerminalValue):
+        return True
+    return isinstance(F, RunningMax) and float(g.cost(0.0, 0.0)) <= -float(g.gstar(0.0, 0.0))
+
+
+# the straight tail's end-point search grid step, the sweep's Hopf-Lax default
+_END_STEP = 1e-3
+
+
+def _straight_tail(F, g, prefix, t0, m):
+    """The best straight tail, from the prefix's end x over the ascent's box.
+
+    One search (:func:`driftlab.pde.maximize_on_line`) over the end point y
+    in [x + h box_lo, x + h box_hi], a point's value being F on the prefix
+    spliced with the one segment from x to y, by :func:`evaluate_functional`,
+    minus h g((y - x) / h).  The result is the straight line to the best y
+    on the tail's knots, its value recomputed as F minus the action of that
+    path, so still a certified lower bound.  ``converged`` says that the
+    refinement stopped before its step cap; no restart runs.  The run's
+    trace gets the value, the flag and the search's size.
+    """
+    tail = _Tail(F, g, prefix, t0, m)
+    x, h, box = tail.start_value, tail.horizon, tail.box
+    times = np.append(prefix.times, 1.0)
+    head = prefix.values[None, :]
+
+    def value(ends):
+        ends = np.asarray(ends, dtype=float)
+        paths = np.concatenate([np.repeat(head, ends.size, axis=0), ends[:, None]], axis=1)
+        vals = evaluate_functional(F, times, paths) - h * g.cost(0.0, (ends - x) / h)
+        i = int(np.argmax(vals))
+        return float(vals[i]), i
+
+    search = maximize_on_line(value, x + h * box[0], x + h * box[1], _END_STEP)
+    increments = np.clip(np.full(tail.n, (search.point - x) / tail.n), tail.lower, tail.upper)
+    best = float(tail.values(increments[None])[0])
+    record("optimize_tail", route="straight-line", value=best, converged=search.converged,
+           restarts=0, runs=[], grid_points=search.grid_points,
+           golden_iterations=search.golden_iterations, bracket_width=search.bracket_width)
+    path = PathPolyline(times=tail.times, values=tail.assemble(increments[None])[0])
+    return SchilderResult(path=path, value=best, converged=search.converged, restarts=0,
+                          best_restart=None, runs=())
+
+
+def _ascend_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
+    """Multistart L-BFGS-B ascent over the tail's increments.
+
     Every evaluation is one batched call of :func:`evaluate_functional`: the
     endpoint scan, each L-BFGS-B point with its gradient, and each restart's
     final value.  The run's trace gets the best value, its convergence flag,
@@ -326,8 +409,6 @@ def _optimize_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
     """
     from scipy.optimize import minimize
 
-    if restarts < 1:
-        raise ValueError("need at least 1 restart")
     tail = _Tail(F, g, prefix, t0, m)
     n, horizon, start_value, box = tail.n, tail.horizon, tail.start_value, tail.box
 
@@ -361,8 +442,9 @@ def _optimize_tail(F, g, prefix, t0, m, restarts, seed, max_iter):
     outcomes = run_parallel(run_one, starts)
     runs = tuple(run for run, _ in outcomes)
     best = sorted(range(restarts), key=lambda i: (-runs[i].value, i))[0]
-    record("optimize_tail", value=runs[best].value, converged=runs[best].converged,
-           restarts=restarts, best_restart=best, runs=[run._asdict() for run in runs])
+    record("optimize_tail", route="ascent", value=runs[best].value,
+           converged=runs[best].converged, restarts=restarts, best_restart=best,
+           runs=[run._asdict() for run in runs])
     return SchilderResult(
         path=PathPolyline(times=tail.times, values=tail.assemble(outcomes[best][1][None])[0]),
         value=runs[best].value,
@@ -384,15 +466,18 @@ def maximize_schilder(
 ) -> SchilderResult:
     """Maximize F(path) - action(path) over m-knot polylines started at 0.
 
-    Multistart L-BFGS-B ascent with straight lines toward grid-searched
-    endpoint candidates plus seeded Gaussian perturbations; ties across
-    restarts break deterministically toward the lowest restart index.  The
-    gradient is scipy's forward difference, evaluated with its point in one
-    batch.  Non-convergence (an ascent hitting its iteration or evaluation
-    cap) is reported on the result flag, and each restart on ``runs``.
+    Where a straight line is optimal (see the module docstring) it is the
+    best straight line, found by a search over its end point, with
+    ``restarts`` 0 on the result; ``converged`` then says that the search's
+    refinement stopped before its step cap.  Otherwise a multistart L-BFGS-B
+    ascent with straight lines toward grid-searched endpoint candidates plus
+    seeded Gaussian perturbations; ties across restarts break
+    deterministically toward the lowest restart index.  The gradient is
+    scipy's forward difference, evaluated with its point in one batch.
+    Non-convergence (an ascent hitting its iteration or evaluation cap) is
+    reported on the result flag, and each restart on ``runs``.  ``m`` and
+    ``restarts`` are checked on either route.
     """
-    if m < 2:
-        raise ValueError("need at least 2 knots")
     return _optimize_tail(F, g, PathPolyline.zero(end_time=0.0), 0.0, m, restarts, seed,
                           max_iter)
 
@@ -413,6 +498,8 @@ def conditional_value(
     At t = 1 the tail is empty and the value is F(prefix) exactly; at t = 0
     the tail starts at the prefix's one value, and with a zero prefix this
     coincides with :func:`maximize_schilder` for the same seed and knot count.
+    The tail takes :func:`maximize_schilder`'s route: the best straight tail
+    from the prefix's end where one is optimal, else the ascent.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("conditioning time must lie in [0, 1]")

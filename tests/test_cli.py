@@ -20,6 +20,7 @@ import yaml
 
 from driftlab import cli, montecarlo, pde, sanov
 from driftlab.cli import main
+from driftlab.report import format_float
 
 
 def write_config(tmp_path, name, payload):
@@ -244,16 +245,36 @@ class TestRun:
         # numpy's LinAlgError is a ValueError; it must not read as bad input.
         # At step 1 a running-max functional's running max is max(0, state),
         # so its regression is rank-deficient and always takes the solver's
-        # eigendecomposition fallback
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # eigendecomposition fallback, which fails from the second n on
+        solved = []
+        eigh, lsmc = np.linalg.eigh, cli.lsmc_bsde
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        payload = dict(LSMC_CONFIG, functional={"kind": "running_max", "bounds": [0.0, 1.0]})
+        def fail_after_the_first_solve(*args, **kwargs):
+            if solved:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(*args, **kwargs)
+
+        def counted(*args, **kwargs):
+            sol = lsmc(*args, **kwargs)
+            solved.append(sol)
+            return sol
+
+        monkeypatch.setattr(np.linalg, "eigh", fail_after_the_first_solve)
+        monkeypatch.setattr(cli, "lsmc_bsde", counted)
+        payload = dict(LSMC_CONFIG, functional={"kind": "running_max", "bounds": [0.0, 1.0]},
+                       n_list=[1, 4])
         cfg = write_config(tmp_path, "cfg.yaml", payload)
-        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "Eigenvalues did not converge" in err
+        # the manifest keeps what the failed run did before the failure
+        assert not (out / "report.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 3
+        assert manifest["error"].startswith("numerical failure: ")
+        assert "Eigenvalues did not converge" in manifest["error"]
+        assert [r["n"] for r in trace_of(out, "lsmc_bsde")] == [1]
 
     def test_non_finite_hat_regression_exits_3(self, tmp_path, capsys, monkeypatch):
         # the hat basis solves its normal equations directly, which would
@@ -599,10 +620,12 @@ class TestRun:
         assert "no_seed.yaml" in capsys.readouterr().err
 
     def test_schilder_writes_path_and_value(self, tmp_path):
+        # the bump of the path's end as a one-time marginal, so the ascent runs
         payload = {
             "kind": "schilder",
             "generator": {"variant": "quadratic", "c": 1.0},
-            "functional": {"kind": "terminal", "f": {"kind": "gaussian_bump", "center": 1.0},
+            "functional": {"kind": "finite_marginals", "times": [1.0],
+                           "f": {"kind": "gaussian_bump", "center": 1.0},
                            "bounds": [0.0, 1.0]},
             "knots": 9,
             "restarts": 4,
@@ -612,6 +635,7 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
         (result,) = trace_of(out, "optimize_tail")
+        assert result["route"] == "ascent"
         assert 0.5 < result["value"] < 0.8
         path_lines = (out / "path.csv").read_text().strip().splitlines()
         assert path_lines[0] == "t,value"
@@ -625,6 +649,29 @@ class TestRun:
         assert all(run["points"] >= run["iterations"] >= 1 for run in runs)
         assert not (out / "result.json").exists()
         assert (out / "report.csv").read_text().splitlines()[0] == "quantity,value"
+
+    def test_terminal_schilder_writes_the_best_straight_line(self, tmp_path):
+        payload = dict(SMALL_SCHILDER, knots=9, restarts=4)
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        (result,) = trace_of(out, "optimize_tail")
+        assert (result["route"], result["restarts"], result["runs"]) == ("straight-line", 0, [])
+        # the grid's points below the box's upper end 16, and 16 itself
+        below = np.count_nonzero(np.arange(-16.0, 16.0 + 1e-3, 1e-3) < 16.0)
+        assert result["converged"] and result["grid_points"] == below + 1
+        assert 0 < result["golden_iterations"] < 80 and result["bracket_width"] < 1e-8
+        assert 0.5 < result["value"] < 0.8
+        report = (out / "report.csv").read_text().splitlines()
+        assert report == ["quantity,value", f"best_value,{format_float(result['value'])}"]
+        rows = [[float(v) for v in line.split(",")]
+                for line in (out / "path.csv").read_text().splitlines()[1:]]
+        t, values = np.array(rows).T
+        assert t.tolist() == np.linspace(0.0, 1.0, 9).tolist()
+        np.testing.assert_allclose(values, values[-1] * t, rtol=0, atol=1e-15)
+        # the config's restarts, seed and max_iter are still read and echoed
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["restarts"], config["seed"], config["max_iter"]) == (4, 5, 100)
 
 
     @pytest.mark.parametrize("config, key", [
@@ -780,11 +827,12 @@ class TestImportGraph:
 
     Checked in a fresh interpreter, since the test modules themselves load
     scipy.stats, scipy.optimize and scipy.integrate.  Of the heavy ones
-    (stats, special, optimize, integrate) the PDE routes need none.  The
-    quadrature nodes are built on first use: ``import driftlab.cli`` loads
-    no ``numpy.polynomial``, and the PDE routes build no nodes.  (Their runs
-    do load ``numpy.polynomial``: scipy.linalg's array-API shim imports all
-    of numpy.)
+    (stats, special, optimize, integrate) the PDE routes need none, and a
+    ``schilder`` run that takes the straight-line search needs no optimize.
+    The quadrature nodes are built on first use: ``import driftlab.cli``
+    loads no ``numpy.polynomial``, and the PDE routes build no nodes.
+    (Their runs do load ``numpy.polynomial``: scipy.linalg's array-API shim
+    imports all of numpy.)
     """
 
     def test_pde_routes_load_no_heavy_scipy(self, tmp_path):
@@ -813,6 +861,36 @@ class TestImportGraph:
         assert done.returncode == 0, done.stderr
         for stage, names in json.loads(done.stdout).items():
             assert set(names) <= {"linalg"}, (stage, names)
+
+    def test_straight_line_schilder_runs_load_no_scipy_optimize(self, tmp_path):
+        # a running max and a terminal functional under a quadratic cost take
+        # the straight-line search; a time integral still runs the ascent
+        configs = {
+            "running-max": dict(SMALL_SCHILDER, functional={"kind": "running_max"}),
+            "terminal": SMALL_SCHILDER,
+            "time-integral": dict(SMALL_SCHILDER, functional={"kind": "time_integral",
+                                                              "h": "tanh"}),
+        }
+        code = f"""
+            import json, sys
+            from driftlab import cli
+
+            seen = {{}}
+            for name, cfg in json.loads({json.dumps(configs)!r}).items():
+                out = {str(tmp_path)!r} + "/" + name
+                code = cli.run(cfg, out)
+                with open(out + "/manifest.json") as fh:
+                    routes = [r["route"] for r in json.load(fh)["trace"]]
+                seen[name] = [code, routes, "scipy.optimize" in sys.modules]
+            print(json.dumps(seen))
+        """
+        done = run_python(["-c", textwrap.dedent(code)])
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "running-max": [0, ["straight-line"], False],
+            "terminal": [0, ["straight-line"], False],
+            "time-integral": [0, ["ascent"], True],
+        }
 
 
 class TestBlasThreads:

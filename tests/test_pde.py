@@ -35,6 +35,16 @@ def gaussian_bump(x):
     return np.exp(-((np.asarray(x, dtype=float) - 1.0) ** 2))
 
 
+def solve_traced(f, g, viscosity, grid):
+    """solve_semilinear's field and the step data of its one march, read from
+    the run's trace: nt, dt, dx, lipschitz, minimal_nt, diffusion_number."""
+    with recording() as trace:
+        fld = solve_semilinear(f, g, viscosity, grid)
+    [march] = trace
+    assert march["solver"] == "march_backward"
+    return fld, {k: v for k, v in march.items() if k not in ("solver", "at_s", "rows")}
+
+
 class TestGridRead:
     GRID = GridSpec(-3.0, 5.0, 41, 1)
 
@@ -81,10 +91,10 @@ class TestSolveSemilinear:
         np.testing.assert_array_equal(fld.values[[0, -1]], gaussian_bump(grid.x)[[0, -1]])
 
     def test_step_count_raised_to_stable_count_and_kept_above_it(self):
-        raised = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 321, 5)).cfl
+        _, raised = solve_traced(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 321, 5))
         assert raised["nt"] == raised["minimal_nt"] > 5
         above = raised["minimal_nt"] + 7
-        kept = solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 321, above)).cfl
+        _, kept = solve_traced(gaussian_bump, QUAD, 1.0, GridSpec(-8.0, 8.0, 321, above))
         assert kept["nt"] == above and kept["minimal_nt"] == raised["minimal_nt"]
 
     def test_value_of_a_multi_row_field_names_the_rows(self):
@@ -138,12 +148,12 @@ class TestSolveSemilinear:
 
     def test_step_count_independent_of_viscosity(self):
         grid = GridSpec(-6.0, 6.0, 601, 1)
-        counts = {solve_semilinear(gaussian_bump, QUAD, s2, grid).cfl["nt"]
+        counts = {solve_traced(gaussian_bump, QUAD, s2, grid)[1]["nt"]
                   for s2 in (1.0 / 64, 1.0, 64.0)}
         assert len(counts) == 1
 
     def test_step_count_grows_linearly_in_nx(self):
-        nts = [solve_semilinear(gaussian_bump, QUAD, 1.0, GridSpec(-6.0, 6.0, nx, 1)).cfl["nt"]
+        nts = [solve_traced(gaussian_bump, QUAD, 1.0, GridSpec(-6.0, 6.0, nx, 1))[1]["nt"]
                for nx in (301, 601, 1201)]
         for coarse, fine in zip(nts, nts[1:]):
             assert 1.8 <= fine / coarse <= 2.2
@@ -153,9 +163,9 @@ class TestSolveSemilinear:
         grid = GridSpec(-8.0, 8.0, 801, 1)
         f1 = lambda x: np.tanh(np.asarray(x, dtype=float))
         f2 = lambda x: np.tanh(np.asarray(x, dtype=float)) + 0.3 * np.exp(-np.asarray(x) ** 2)
-        v1 = solve_semilinear(f1, QUAD, 4.0, grid)
+        v1, steps = solve_traced(f1, QUAD, 4.0, grid)
         v2 = solve_semilinear(f2, QUAD, 4.0, grid)
-        assert v1.cfl["diffusion_number"] > 10
+        assert steps["diffusion_number"] > 10
         assert np.all(v1.values <= v2.values + 1e-12)
         assert np.all(np.diff(v1.values) >= -1e-12)
 
@@ -688,9 +698,9 @@ class TestViscositySweep:
         assert record["rows"] == len(record["diffusion_number"]) == 7
         steps = {k: record[k] for k in ("nt", "dt", "dx", "lipschitz", "minimal_nt")}
         for (n, u, _, _), r in zip(rows, record["diffusion_number"], strict=True):
-            single = solve_semilinear(gaussian_bump, spec, 1.0 / n, grid)
+            single, single_steps = solve_traced(gaussian_bump, spec, 1.0 / n, grid)
             assert u == single.initial_value_at_origin
-            assert single.cfl == {**steps, "diffusion_number": r}
+            assert single_steps == {**steps, "diffusion_number": r}
             assert type(r) is float
             assert r == 0.5 * (1.0 / n) * record["dt"] / record["dx"] ** 2
 

@@ -18,13 +18,16 @@ from driftlab.generators import (
     is_time_dependent,
 )
 from driftlab.pde import hopf_lax
+from driftlab.report import recording
 from driftlab.variational import (
     PathPolyline,
     RunningMax,
     TerminalValue,
     TimeIntegral,
+    _ascend_tail,
     _forward_steps,
     _optimize_tail,
+    _straight_is_best,
     _Tail,
     action,
     conditional_value,
@@ -153,15 +156,24 @@ class TestMaximize:
         # best reachable endpoint is 1 at zero cost
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
-    def test_rejects_too_few_knots_or_restarts(self):
-        F = TerminalValue(gaussian_bump, bounds=(0, 1))
-        with pytest.raises(ValueError, match="knots"):
-            maximize_schilder(F, QUAD, m=1)
-        # zero restarts left no result to pick and raised an IndexError
-        with pytest.raises(ValueError, match="restart"):
-            maximize_schilder(F, QUAD, restarts=0)
-        with pytest.raises(ValueError, match="restart"):
-            conditional_value(F, QUAD, 0.5, restarts=0)
+    def test_rejects_too_few_knots_or_restarts(self, monkeypatch):
+        # checked before either route evaluates anything: the straight-line
+        # search (terminal) and the ascent (time integral)
+        def searched(*args):
+            raise AssertionError("a search ran before the knots and restarts were checked")
+
+        monkeypatch.setattr(variational, "evaluate_functional", searched)
+        for F in (TerminalValue(gaussian_bump, bounds=(0, 1)),
+                  TimeIntegral(lambda t, x: np.sin(x))):
+            with pytest.raises(ValueError, match="knots"):
+                maximize_schilder(F, QUAD, m=1)
+            with pytest.raises(ValueError, match="knots"):
+                conditional_value(F, QUAD, 0.5, m=1)
+            # zero restarts left no result to pick and raised an IndexError
+            with pytest.raises(ValueError, match="restart"):
+                maximize_schilder(F, QUAD, restarts=0)
+            with pytest.raises(ValueError, match="restart"):
+                conditional_value(F, QUAD, 0.5, restarts=0)
 
     def test_running_max_clipped(self):
         F = RunningMax(lambda m: np.minimum(1.0, m), bounds=(0, 1))
@@ -171,10 +183,13 @@ class TestMaximize:
 
 class TestConditionalValue:
     def test_t_zero_equals_maximize(self):
-        F = TerminalValue(gaussian_bump, bounds=(0, 1))
-        res = maximize_schilder(F, QUAD, m=17, restarts=8, seed=1)
-        val = conditional_value(F, QUAD, 0.0, m=17, restarts=8, seed=1)
-        assert val == res.value
+        for F, route in ((TerminalValue(gaussian_bump, bounds=(0, 1)), "straight-line"),
+                         (TimeIntegral(lambda t, x: gaussian_bump(x)), "ascent")):
+            with recording() as trace:
+                res = maximize_schilder(F, QUAD, m=17, restarts=8, seed=1)
+                val = conditional_value(F, QUAD, 0.0, m=17, restarts=8, seed=1)
+            assert val == res.value
+            assert [r["route"] for r in trace] == [route] * 2
 
     def test_t_one_returns_prefix_value(self):
         prefix = PathPolyline(times=np.array([0.0, 1.0]), values=np.array([0.0, 0.9]))
@@ -426,8 +441,8 @@ class TestBatchedAscent:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "minimize", recorded)
-        maximize_schilder(TerminalValue(product_bump), QUAD, m=17, restarts=2, seed=1,
-                          max_iter=7)
+        maximize_schilder(TimeIntegral(lambda t, x: product_bump(x)), QUAD, m=17, restarts=2,
+                          seed=1, max_iter=7)
         assert [kw["options"]["maxfun"] for kw in seen] == [15000 // 17] * 2
         assert all(kw["jac"] is True and kw["options"]["maxiter"] == 7 for kw in seen)
 
@@ -444,7 +459,7 @@ class TestBatchedAscent:
                                                       max_iter):
         F, m = FUNCTIONALS[functional]
         prefix, t0 = (PREFIX, 0.4) if prefixed else (ZERO, 0.0)
-        res = _optimize_tail(F, COSTS[cost], prefix, t0, m, 3, 4, max_iter)
+        res = _ascend_tail(F, COSTS[cost], prefix, t0, m, 3, 4, max_iter)
         value, path, converged, values = reference_tail(F, COSTS[cost], prefix, t0, m, 3, 4,
                                                         max_iter)
         assert res.value == value
@@ -476,8 +491,8 @@ class TestBatchedAscent:
         assert np.isfinite(res.value)
 
     def test_restart_records(self):
-        res = maximize_schilder(TerminalValue(product_bump, bounds=(0, 1)), QUAD, m=9,
-                                restarts=5, seed=2, max_iter=400)
+        res = _ascend_tail(TerminalValue(product_bump, bounds=(0, 1)), QUAD, ZERO, 0.0, 9, 5,
+                           2, 400)
         assert len(res.runs) == res.restarts == 5
         best = res.runs[res.best_restart]
         assert (best.value, best.converged) == (res.value, res.converged)
@@ -485,8 +500,9 @@ class TestBatchedAscent:
         assert all(run.points >= run.iterations >= 1 and run.converged for run in res.runs)
 
     def test_one_evaluation_per_point(self, monkeypatch):
-        # the benchmark's schilder config: the endpoint scan, one call per
-        # L-BFGS-B point (its gradient included) and one per restart's value
+        # the ascent on the benchmark's schilder config: the endpoint scan, one
+        # call per L-BFGS-B point (its gradient included) and one per
+        # restart's value
         calls = []
         inner = variational.evaluate_functional
 
@@ -496,9 +512,113 @@ class TestBatchedAscent:
 
         monkeypatch.setattr(variational, "evaluate_functional", counted)
         F = build_functional({"kind": "running_max"})
-        res = maximize_schilder(F, QUAD, m=17, restarts=8, seed=1)
+        res = _ascend_tail(F, QUAD, ZERO, 0.0, 17, 8, 1, 400)
         points = sum(run.points for run in res.runs)
         assert len(calls) == 1 + points + 8
         assert calls[0] == (257, 17)
         assert calls.count((17, 17)) == points
         assert calls.count((1, 17)) == 8
+
+
+# ---------------------------------------------------------------------------
+# The straight-tail search
+# ---------------------------------------------------------------------------
+
+STRAIGHT = ["terminal", "running-max"]
+PINNED_TABLE = Tabulated(q=(-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0),
+                         g=tuple(0.5 * q * q + 0.1 * abs(q)
+                                 for q in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)))
+# a table least at q = 0.5, not at 0
+_Q_OFF = np.linspace(-2.0, 2.0, 41)
+OFF_ZERO_TABLE = Tabulated(q=tuple(_Q_OFF), g=tuple(0.5 * (_Q_OFF - 0.5) ** 2))
+
+
+def brute_force_tail(F, g, prefix, t0, step=1e-5):
+    """sup over straight tails from the prefix's end x to y, on a dense grid
+    of y over the ascent's box: F on the spliced path minus h g((y - x) / h)."""
+    tail = _Tail(F, g, prefix, t0, 2)
+    x, h = tail.start_value, tail.horizon
+    y = np.arange(x + h * tail.box[0], x + h * tail.box[1], step)
+    # the bounded functionals here peak well inside [-4, 4]
+    y = y[np.abs(y) <= 4.0]
+    if isinstance(F, TerminalValue):
+        f = F.f(y)
+    else:
+        f = F.transform(np.maximum(np.max(prefix.values), y))
+    return float(np.max(f - h * g.cost(0.0, (y - x) / h)))
+
+
+class TestStraightTail:
+    @pytest.mark.parametrize("prefixed", [False, True], ids=["from-zero", "prefix"])
+    @pytest.mark.parametrize("cost", ["quadratic", "power", "indicator", "tabulated"])
+    @pytest.mark.parametrize("functional", STRAIGHT)
+    def test_matches_a_dense_end_point_grid(self, functional, cost, prefixed):
+        F, g = FUNCTIONALS[functional][0], COSTS[cost]
+        prefix, t0 = (PREFIX, 0.4) if prefixed else (ZERO, 0.0)
+        assert _straight_is_best(F, g)
+        res = _optimize_tail(F, g, prefix, t0, 9, 3, 1, 400)
+        brute = brute_force_tail(F, g, prefix, t0)
+        # never below the dense grid, and above it by at most what a 1e-5
+        # grid can miss at a kink
+        assert brute - 1e-12 <= res.value <= brute + 1e-4
+        assert res.converged and res.restarts == 0 and res.runs == ()
+
+    @pytest.mark.parametrize("functional", STRAIGHT)
+    def test_result_is_a_straight_line_and_its_value(self, functional):
+        F = FUNCTIONALS[functional][0]
+        with recording() as trace:
+            res = maximize_schilder(F, TABLE, m=9, restarts=3, seed=2)
+        [rec] = trace
+        assert set(rec) == {"solver", "at_s", "route", "value", "converged", "restarts", "runs",
+                            "grid_points", "golden_iterations", "bracket_width"}
+        assert (rec["route"], rec["restarts"], rec["runs"]) == ("straight-line", 0, [])
+        assert (rec["value"], rec["converged"]) == (res.value, res.converged)
+        assert res.best_restart is None
+        assert res.path.times.tolist() == np.linspace(0.0, 1.0, 9).tolist()
+        np.testing.assert_allclose(np.diff(res.path.values), res.path.values[-1] / 8,
+                                   rtol=0, atol=1e-15)
+        recomputed = float(evaluate_functional(F, res.path.times, res.path.values)) - action(
+            res.path, TABLE)
+        assert res.value == pytest.approx(recomputed, abs=1e-12)
+
+    @pytest.mark.parametrize("config", [
+        # the pinned schilder-tabulated config
+        ({"kind": "terminal", "f": {"kind": "gaussian_bump", "center": 1.0},
+          "bounds": [0.0, 1.0]}, PINNED_TABLE, 5, 2, 3, 100),
+        # the benchmark's schilder config at seeds 1 and 7
+        ({"kind": "running_max"}, QUAD, 17, 8, 1, 400),
+        ({"kind": "running_max"}, QUAD, 17, 8, 7, 400),
+        # acceptance criterion 6's path oracle
+        ({"kind": "running_max", "bounds": [0.0, 1.0]}, QUAD, 17, 8, 606, 400),
+    ], ids=["pinned-tabulated", "benchmark-seed-1", "benchmark-seed-7", "criterion-6"])
+    def test_never_below_the_ascent(self, config):
+        section, g, m, restarts, seed, max_iter = config
+        F = build_functional(section)
+        with recording() as trace:
+            res = maximize_schilder(F, g, m=m, restarts=restarts, seed=seed, max_iter=max_iter)
+        assert trace[0]["route"] == "straight-line"
+        ascent = _ascend_tail(F, g, ZERO, 0.0, m, restarts, seed, max_iter)
+        assert res.value >= ascent.value
+
+    @pytest.mark.parametrize("F, g", [
+        (FUNCTIONALS["running-max"][0], OFF_ZERO_TABLE),
+        (FUNCTIONALS["terminal"][0], COSTS["modulated"]),
+        (FUNCTIONALS["running-max"][0], COSTS["modulated-tabulated"]),
+        (TimeIntegral(lambda t, x: np.sin(x)), QUAD),
+        (_marginals(3), QUAD),
+    ], ids=["running-max-off-zero-table", "terminal-modulated", "running-max-modulated",
+            "time-integral", "marginals"])
+    def test_uncovered_inputs_take_the_ascent(self, F, g):
+        assert not _straight_is_best(F, g)
+        with recording() as trace:
+            res = maximize_schilder(F, g, m=5, restarts=2, seed=1, max_iter=50)
+        assert trace[0]["route"] == "ascent"
+        assert res.restarts == len(res.runs) == 2
+
+    def test_a_terminal_under_a_table_least_away_from_zero_is_straight(self):
+        # Jensen needs no minimum at 0 for a terminal functional
+        assert _straight_is_best(TerminalValue(product_bump), OFF_ZERO_TABLE)
+        res = maximize_schilder(TerminalValue(product_bump), OFF_ZERO_TABLE, m=5)
+        assert res.restarts == 0
+        assert res.value >= brute_force_tail(TerminalValue(product_bump), OFF_ZERO_TABLE,
+                                             ZERO, 0.0) - 1e-12
