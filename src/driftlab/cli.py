@@ -75,6 +75,10 @@ EXIT_INFEASIBLE = 4
 # call of no arguments giving (CSV text, exit code, aux files)
 # ---------------------------------------------------------------------------
 
+# every aux file name a solve may write beside report.csv
+_AUX_FILES = ("path.csv",)
+
+
 def _run_pde_sweep(cfg):
     g = time_independent_generator(cfg, "generator", "pde-sweep")
     f = build_scalar_function(cfg, "terminal", "pde-sweep")
@@ -277,9 +281,10 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
     CLI's ``--seed`` reaches kinds that draw no random numbers).  The
     manifest echoes and hashes the copy, and holds in ``trace`` every
     record the solve's solvers made, in call order, and the exit code.  A
-    solve that raises writes no report, only the manifest, with the trace
-    made before the failure and the message under ``error``; a config
-    error found before the solve writes nothing."""
+    solve that raises writes no report, and removes any report and aux
+    file an earlier run left in ``out_dir``; it writes only the manifest,
+    with the trace made before the failure and the message under
+    ``error``.  A config error found before the solve writes nothing."""
     started = time.time()
     out = Path(out_dir)
     cfg = ReadRecorder(copy.deepcopy(cfg))
@@ -310,6 +315,9 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
         for name, text in aux.items():
             (out / name).write_text(text)
     else:
+        # an earlier run's report must not stand beside this run's manifest
+        for name in ("report.csv", *_AUX_FILES):
+            (out / name).unlink(missing_ok=True)
         print(f"{source}: {error}", file=sys.stderr)
     canonical = json.dumps(cfg, sort_keys=True, default=str)
     manifest = {

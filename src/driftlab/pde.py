@@ -293,6 +293,9 @@ _MAX_SEARCH_POINTS = 1 << 22
 # bracket 5e16-fold; it stops sooner once the bracket is a few ulps wide
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERATIONS = 80
+# a line search has converged once its final bracket is this narrow,
+# relative to the size of its end points (at least 1)
+_BRACKET_RTOL = 1e-12
 
 
 def hopf_lax(f: Callable, g: gen.GeneratorSpec, t: float, x: float, y_grid, *,
@@ -353,8 +356,9 @@ def _golden_section(value, a, b):
 class LineMaximum(NamedTuple):
     """The result of :func:`maximize_on_line`: the maximum and where it was
     attained, each stage's maximum, the grid's size, the bracket refined,
-    the refinement's step count, its final bracket width, and whether it
-    stopped before its step cap."""
+    the refinement's step count, its final bracket width, and whether the
+    search converged: the maximum is a number and the final bracket is at
+    most ``_BRACKET_RTOL`` times max(1, |end|) wide."""
 
     value: float
     point: float
@@ -390,9 +394,12 @@ def maximize_on_line(value, lo, hi, step):
     refined_max = float(seen[j])
     best = float(np.maximum(grid_max, refined_max))  # keeps a NaN from either stage
     point = float(y[i]) if grid_max >= refined_max else float(points[j])
+    # the step cap does not decide: near 0 floats are finer than the capped
+    # bracket, and a flat top can hold the search there
+    converged = bool(np.isfinite(best)) and b - a <= _BRACKET_RTOL * max(1.0, abs(a), abs(b))
     return LineMaximum(value=best, point=point, grid_max=grid_max, refined_max=refined_max,
                        grid_points=int(y.size), bracket=bracket, golden_iterations=steps,
-                       bracket_width=b - a, converged=steps < _GOLDEN_ITERATIONS)
+                       bracket_width=b - a, converged=converged)
 
 
 def vanishing_viscosity_sweep(

@@ -368,23 +368,24 @@ def _straight_tail(F, g, prefix, t0, m):
     """The best straight tail, from the prefix's end x over the ascent's box.
 
     One search (:func:`driftlab.pde.maximize_on_line`) over the end point y
-    in [x + h box_lo, x + h box_hi], a point's value being F on the prefix
-    spliced with the one segment from x to y, by :func:`evaluate_functional`,
-    minus h g((y - x) / h).  The result is the straight line to the best y
-    on the tail's knots, its value recomputed as F minus the action of that
-    path, so still a certified lower bound.  ``converged`` says that the
-    refinement stopped before its step cap; no restart runs.  The run's
-    trace gets the value, the flag and the search's size.
+    in [x + h box_lo, x + h box_hi], a point's value being that of the
+    one-segment tail from x to y, scored by :meth:`_Tail.values`.  The
+    result is the straight line to the best y on the tail's knots, its
+    increments clipped to the box and its value recomputed as F minus the
+    action of that path, so still a certified lower bound.  ``converged``
+    says that the search's final bracket is at floating-point resolution;
+    no restart runs.  The run's trace gets the value, the flag and the
+    search's size.
     """
     tail = _Tail(F, g, prefix, t0, m)
-    x, h, box = tail.start_value, tail.horizon, tail.box
-    times = np.append(prefix.times, 1.0)
-    head = prefix.values[None, :]
+    # the search scores one segment: summed over the m - 1 equal increments,
+    # rounding of about 1e-16 moves the best end point on a flat top by
+    # about 1e-8, where one segment finds it exactly
+    line = _Tail(F, g, prefix, t0, 2)
+    x, h, box = line.start_value, line.horizon, line.box
 
     def value(ends):
-        ends = np.asarray(ends, dtype=float)
-        paths = np.concatenate([np.repeat(head, ends.size, axis=0), ends[:, None]], axis=1)
-        vals = evaluate_functional(F, times, paths) - h * g.cost(0.0, (ends - x) / h)
+        vals = line.values((np.asarray(ends, dtype=float) - x)[:, None])
         i = int(np.argmax(vals))
         return float(vals[i]), i
 
@@ -469,7 +470,7 @@ def maximize_schilder(
     Where a straight line is optimal (see the module docstring) it is the
     best straight line, found by a search over its end point, with
     ``restarts`` 0 on the result; ``converged`` then says that the search's
-    refinement stopped before its step cap.  Otherwise a multistart L-BFGS-B
+    final bracket is at floating-point resolution.  Otherwise a multistart L-BFGS-B
     ascent with straight lines toward grid-searched endpoint candidates plus
     seeded Gaussian perturbations; ties across restarts break
     deterministically toward the lowest restart index.  The gradient is

@@ -259,17 +259,22 @@ class TestRun:
             solved.append(sol)
             return sol
 
+        # an earlier run leaves its report and path in the same directory
+        out = tmp_path / "o"
+        earlier = write_config(tmp_path, "earlier.yaml", SMALL_SCHILDER)
+        assert main(["run", "--config", earlier, "--output-dir", str(out)]) == 0
+        assert (out / "report.csv").exists() and (out / "path.csv").exists()
         monkeypatch.setattr(np.linalg, "eigh", fail_after_the_first_solve)
         monkeypatch.setattr(cli, "lsmc_bsde", counted)
         payload = dict(LSMC_CONFIG, functional={"kind": "running_max", "bounds": [0.0, 1.0]},
                        n_list=[1, 4])
         cfg = write_config(tmp_path, "cfg.yaml", payload)
-        out = tmp_path / "o"
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "Eigenvalues did not converge" in err
-        # the manifest keeps what the failed run did before the failure
-        assert not (out / "report.csv").exists()
+        # the manifest keeps what the failed run did before the failure, and
+        # no report, this run's or the earlier one's, stands beside it
+        assert not (out / "report.csv").exists() and not (out / "path.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_code"] == 3
         assert manifest["error"].startswith("numerical failure: ")
@@ -672,6 +677,24 @@ class TestRun:
         # the config's restarts, seed and max_iter are still read and echoed
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["restarts"], config["seed"], config["max_iter"]) == (4, 5, 100)
+
+    @pytest.mark.parametrize("functional", [
+        {"kind": "terminal", "f": {"kind": "gaussian_bump"}},
+        {"kind": "running_max", "transform": {"kind": "gaussian_bump"}},
+    ], ids=["terminal-bump-at-0", "running-max-bump-at-0"])
+    def test_straight_line_optimum_at_0_converges(self, tmp_path, functional):
+        # the best end point is the start 0, where floats are finer than the
+        # search's capped bracket: the search still converges, and exits 0
+        payload = dict(SMALL_SCHILDER, functional=functional)
+        cfg = write_config(tmp_path, "cfg.yaml", payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        (result,) = trace_of(out, "optimize_tail")
+        assert (result["route"], result["converged"]) == ("straight-line", True)
+        assert result["bracket_width"] < 1e-12
+        assert result["value"] == pytest.approx(1.0, abs=1e-12)
+        end = float((out / "path.csv").read_text().splitlines()[-1].split(",")[1])
+        assert abs(end) < 1e-6
 
 
     @pytest.mark.parametrize("config, key", [

@@ -562,6 +562,35 @@ def traced_sweep(*args, **kwargs):
     return rows, search, march
 
 
+class TestMaximizeOnLine:
+    @staticmethod
+    def first_max(f):
+        def value(points):
+            vals = f(np.asarray(points, dtype=float))
+            i = int(np.argmax(vals))
+            return float(vals[i]), i
+        return value
+
+    @pytest.mark.parametrize("peak", [0.0, 1e-9, 0.37, -2.5])
+    def test_converges_wherever_the_peak_lies(self, peak):
+        # near 0 floats are finer than the step cap's bracket, so the search
+        # runs all 80 steps there; the bracket still sits at resolution
+        res = pde.maximize_on_line(self.first_max(lambda y: -(y - peak) ** 2), -4.0, 4.0, 1e-3)
+        assert res.converged and res.value <= 0.0
+        assert res.bracket_width <= 1e-12 * max(1.0, abs(peak))
+        assert abs(res.point - peak) < 1e-7
+
+    def test_flat_top_at_0_converges(self):
+        # every point within ~1e-8 of 0 ties; the search keeps the first
+        res = pde.maximize_on_line(self.first_max(lambda y: np.exp(-y * y)), -1.0, 1.0, 1e-3)
+        assert (res.value, res.converged) == (1.0, True)
+
+    def test_nan_does_not_converge(self):
+        res = pde.maximize_on_line(self.first_max(lambda y: np.where(y > 0.5, np.nan, -y * y)),
+                                   -1.0, 1.0, 1e-3)
+        assert math.isnan(res.value) and not res.converged
+
+
 class TestViscositySweep:
     def test_constant_terminal_all_gaps_tiny(self):
         grid = GridSpec(-4.0, 4.0, 201, 1)
