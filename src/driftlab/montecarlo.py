@@ -624,18 +624,20 @@ def _bridge_paths(x, y, epsilon, delta, n_paths, rng, t):
 
 
 def bridge_constant(r):
-    """Constant of the bridge drift-moment bound, by numerical quadrature.
+    """Constant of the bridge drift-moment bound, in closed form.
 
     Finite exactly for 1 < r < 2: it multiplies the r-th absolute Gaussian
-    moment by the integral of (t / (1 - t))^(r/2) over (0, 1).
+    moment 2^(r/2) Gamma((r + 1) / 2) / sqrt(pi) by the integral of
+    (t / (1 - t))^a over (0, 1), a = r/2, which is
+    B(1 + a, 1 - a) = Gamma(1 + a) Gamma(1 - a) = pi a / sin(pi a).  The
+    sine is read at pi (1 - a), where 1 - a is exact, so the constant keeps
+    full precision as r nears 2.
     """
-    from scipy.integrate import quad
-    from scipy.special import gamma as gamma_fn
-
     if not 1.0 < r < 2.0:
         raise ValueError(f"bound unavailable: the constant diverges for r={r:g} outside (1, 2)")
-    abs_moment = 2.0 ** (r / 2.0) * gamma_fn((r + 1.0) / 2.0) / math.sqrt(math.pi)
-    integral, _ = quad(lambda t: (t / (1.0 - t)) ** (r / 2.0), 0.0, 1.0)
+    a = r / 2.0
+    abs_moment = 2.0 ** a * math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
+    integral = math.pi * a / math.sin(math.pi * (1.0 - a))
     return 2.0 ** (r - 1.0) * abs_moment * integral
 
 
