@@ -311,22 +311,28 @@ _RANK_TOL = 1e-12
 
 class _NormalEquations:
     """Minimum-norm least squares from the normal equations X^T X c = X^T y,
-    with X^T X factored once (Cholesky) for every target on the same sample.
+    with X^T X checked once (Cholesky) for every target on the same sample.
 
     A pivot L_ii^2 is the squared distance of column i from the span of the
-    columns before it, so one at most ``_RANK_TOL`` times its diagonal entry
-    marks a dependent column; then the eigendecomposition of X^T X gives the
-    minimum-norm answer and the rank of X, counting eigenvalues at or below
-    ``_RANK_TOL`` times the largest as zero.
+    columns before it, so one at most ``_RANK_TOL`` times its diagonal entry,
+    or a factorisation that fails, marks a dependent column; then the
+    eigendecomposition of X^T X gives the minimum-norm answer and the rank
+    of X, counting eigenvalues at or below ``_RANK_TOL`` times the largest
+    as zero.  A full-rank X^T X is kept and solved for each target by
+    ``np.linalg.solve``, since numpy has no triangular solve that would
+    reuse the factor; all of it is numpy, so the regression loads no scipy.
     """
 
     def __init__(self, gram):
-        from scipy.linalg import lapack
-
+        self.gram = gram
         self.pinv = None
         self.rank = gram.shape[0]
-        self.factor, info = lapack.dpotrf(gram)
-        if info or np.any(np.diag(self.factor) ** 2 <= _RANK_TOL * np.diag(gram)):
+        try:
+            pivots = np.linalg.cholesky(gram).diagonal()
+            dependent = np.any(pivots * pivots <= _RANK_TOL * gram.diagonal())
+        except np.linalg.LinAlgError:
+            dependent = True
+        if dependent:
             # LinAlgError subclasses ValueError, which the CLI reads as bad
             # input; a failed eigendecomposition is a numerical failure
             try:
@@ -339,12 +345,10 @@ class _NormalEquations:
 
     def solve(self, rhs):
         """Coefficients for the right-hand side X^T y."""
-        from scipy.linalg import lapack
-
         if self.pinv is not None:
             coef = self.pinv @ rhs
         else:
-            coef, _ = lapack.dpotrs(self.factor, rhs)
+            coef = np.linalg.solve(self.gram, rhs)
         if not np.all(np.isfinite(coef)):
             raise RuntimeError("least-squares regression failed: non-finite coefficients")
         return coef

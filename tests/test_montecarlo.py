@@ -277,8 +277,13 @@ class TestHatBasis:
         if name in ("more-knots-than-paths", "rounding-level-pivot"):
             assert rank == x.size < basis.size
         if name == "rounding-level-pivot":
-            _, info = lapack.dpotrf(features.T @ features)
+            # the fallback is reached through the pivot test, not through a
+            # failed factorisation
+            gram = features.T @ features
+            _, info = lapack.dpotrf(gram)
+            pivots = np.linalg.cholesky(gram).diagonal()
             assert info == 0 and basis.solver.pinv is not None
+            assert np.min(pivots ** 2 / gram.diagonal()) <= montecarlo._RANK_TOL
 
     @pytest.mark.parametrize("name", sorted(HAT_INPUTS))
     def test_reproduces_piecewise_linear_functions(self, name):
