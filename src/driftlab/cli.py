@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import yaml
 
 from . import __version__
 from . import generators as gen
@@ -377,7 +376,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except (OSError, ConfigError, yaml.YAMLError) as err:
+    except (OSError, ConfigError) as err:
         print(f"{args.config}: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:

@@ -29,7 +29,6 @@ import math
 import numbers
 
 import numpy as np
-import yaml
 
 from . import generators as gen
 from .pde import GridSpec
@@ -110,8 +109,16 @@ class ReadRecorder(dict):
 
 
 def load_config(path) -> dict:
+    """The mapping in the YAML file at ``path``; a parse error is a
+    ``ConfigError`` with the parser's message.  ``yaml`` is imported here, so
+    a run from a dict never loads it."""
+    import yaml
+
     with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as err:
+            raise ConfigError(str(err)) from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     return cfg

@@ -157,7 +157,11 @@ class TestRun:
         path = tmp_path / "broken.yaml"
         path.write_text("kind: pde-sweep\ngrid: {x_min: -6, x_max: [\n")
         assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "o")]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        # the parser's own message, with the place it stopped, is kept
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "expected the node content, but found '<stream end>'" in err
+        assert "line 3, column 1" in err
 
     def test_reversed_grid_exits_2_naming_grid(self, tmp_path, capsys):
         payload = dict(PDE_SWEEP, grid={"x_min": 6.0, "x_max": -6.0, "nx": 601})
