@@ -853,14 +853,50 @@ class TestImportGraph:
     """Start-up cost: a run imports only the scipy subpackages its route calls.
 
     Checked in a fresh interpreter, since the test modules themselves load
-    scipy.stats, scipy.optimize and scipy.integrate.  Of the heavy ones
-    (stats, special, optimize, integrate) the PDE routes need none, and a
-    ``schilder`` run that takes the straight-line search needs no optimize.
-    The quadrature nodes are built on first use: ``import driftlab.cli``
-    loads no ``numpy.polynomial``, and the PDE routes build no nodes.
-    (Their runs do load ``numpy.polynomial``: scipy.linalg's array-API shim
-    imports all of numpy.)
+    scipy.stats, scipy.optimize and scipy.integrate.  Only the PDE, transport
+    and ascent routes load scipy subpackages: the PDE routes load
+    ``scipy.linalg`` alone, and the Monte Carlo routes, ``bridge-check`` and
+    a ``schilder`` run that takes the straight-line search load none.  The
+    quadrature nodes are built on first use: ``import driftlab.cli`` loads
+    no ``numpy.polynomial``, and the PDE routes build no nodes.  Only
+    scipy.linalg's array-API shim, which imports all of numpy, pulls in
+    ``numpy.polynomial``.  ``yaml`` loads only when a config file is read.
     """
+
+    def test_import_loads_no_yaml(self):
+        done = run_python(["-c", "import sys, driftlab.cli; print('yaml' in sys.modules)"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_monte_carlo_routes_load_no_scipy_subpackage(self, tmp_path):
+        # a hat basis and a polynomial basis for bsde-lsmc, each estimator
+        # of mc-estimate without an oracle, and the bridge check
+        configs = {
+            "bsde-lsmc-hat": LSMC_CONFIG,
+            "bsde-lsmc-running-max": dict(LSMC_CONFIG, functional={"kind": "running_max",
+                                                                   "bounds": [0.0, 1.0]}),
+            "log-mean-exp": dict(MC_CONFIG, paths=2_000),
+            "cramer": dict(MC_CONFIG, estimator="cramer", n=2, paths=2_000),
+            "girsanov": SMALL_GIRSANOV,
+            "bridge-check": SMALL_BRIDGE,
+        }
+        code = f"""
+            import json, sys
+            from driftlab import cli
+
+            def loaded():
+                names = {{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}}
+                return (sorted(n for n in names if not n.startswith("_") and n != "version")
+                        + ["numpy.polynomial"] * ("numpy.polynomial" in sys.modules))
+
+            seen = {{}}
+            for kind, cfg in json.loads({json.dumps(configs)!r}).items():
+                seen[kind] = [cli.run(cfg, {str(tmp_path)!r} + "/" + kind), loaded()]
+            print(json.dumps(seen))
+        """
+        done = run_python(["-c", textwrap.dedent(code)])
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {kind: [0, []] for kind in configs}
 
     def test_pde_routes_load_no_heavy_scipy(self, tmp_path):
         configs = {"pde-sweep": SMALL_PDE_SWEEP, "sanov-iterate": SMALL_SANOV}
