@@ -495,10 +495,10 @@ def lsmc_bsde(
     state statistics: piecewise-linear hats on ``basis_size`` quantile knots
     of the state or, when the functional needs a second statistic (running
     max or time integral), standardized total-degree-3 polynomials in both.
-    Either basis is fitted by its normal equations, factored once per step
-    for both regressions.  The gradient proxy comes from the martingale
-    increment regression, and the driver g*(t, sqrt(n) Z) dt is added.  A
-    rank-deficient hat regression falls back to fewer knots, and
+    Either basis is fitted by its normal equations, whose rank is tested
+    once per step for both regressions.  The gradient proxy comes from the
+    martingale increment regression, and the driver g*(t, sqrt(n) Z) dt is
+    added.  A rank-deficient hat regression falls back to fewer knots, and
     zero-variance targets short-circuit to constants.  A failed
     least-squares solve or non-finite coefficients raise ``RuntimeError``.
     Besides the paths, only the scaled paths that the terminal evaluation

@@ -849,6 +849,16 @@ class TestManifestEcho:
         assert spelled_body == without_body
 
 
+# the scipy subpackages a fresh interpreter has loaded, for TestImportGraph
+HEAVY_MODULES = """
+import sys
+
+def heavy_modules():
+    names = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+    return sorted(n for n in names if not n.startswith("_") and n != "version")
+"""
+
+
 class TestImportGraph:
     """Start-up cost: a run imports only the scipy subpackages its route calls.
 
@@ -881,32 +891,25 @@ class TestImportGraph:
             "bridge-check": SMALL_BRIDGE,
         }
         code = f"""
-            import json, sys
+            import json
             from driftlab import cli
-
-            def loaded():
-                names = {{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}}
-                return (sorted(n for n in names if not n.startswith("_") and n != "version")
-                        + ["numpy.polynomial"] * ("numpy.polynomial" in sys.modules))
 
             seen = {{}}
             for kind, cfg in json.loads({json.dumps(configs)!r}).items():
-                seen[kind] = [cli.run(cfg, {str(tmp_path)!r} + "/" + kind), loaded()]
+                exit_code = cli.run(cfg, {str(tmp_path)!r} + "/" + kind)
+                seen[kind] = [exit_code, heavy_modules()
+                              + ["numpy.polynomial"] * ("numpy.polynomial" in sys.modules)]
             print(json.dumps(seen))
         """
-        done = run_python(["-c", textwrap.dedent(code)])
+        done = run_python(["-c", HEAVY_MODULES + textwrap.dedent(code)])
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == {kind: [0, []] for kind in configs}
 
     def test_pde_routes_load_no_heavy_scipy(self, tmp_path):
         configs = {"pde-sweep": SMALL_PDE_SWEEP, "sanov-iterate": SMALL_SANOV}
         code = f"""
-            import json, sys
+            import json
             from driftlab import cli, sanov, variational
-
-            def heavy_modules():
-                names = {{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}}
-                return sorted(n for n in names if not n.startswith("_") and n != "version")
 
             def quadrature_nodes():
                 return [name for name, build in (("gauss-hermite", sanov._gauss_hermite),
@@ -920,7 +923,7 @@ class TestImportGraph:
                 loaded[kind] = heavy_modules() + quadrature_nodes()
             print(json.dumps(loaded))
         """
-        done = run_python(["-c", textwrap.dedent(code)])
+        done = run_python(["-c", HEAVY_MODULES + textwrap.dedent(code)])
         assert done.returncode == 0, done.stderr
         for stage, names in json.loads(done.stdout).items():
             assert set(names) <= {"linalg"}, (stage, names)
