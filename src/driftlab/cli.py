@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 
 from __future__ import annotations
 
-import argparse
 import copy
 import hashlib
 import json
@@ -22,7 +21,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import generators as gen
@@ -284,7 +282,7 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
     file an earlier run left in ``out_dir``; it writes only the manifest,
     with the trace made before the failure and the message under
     ``error``.  A config error found before the solve writes nothing."""
-    started = time.time()
+    started = time.perf_counter()
     out = Path(out_dir)
     cfg = ReadRecorder(copy.deepcopy(cfg))
     try:
@@ -323,12 +321,13 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
         "kind": kind,
         "config": cfg,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        # the libraries the run loaded; scipy is null when it loaded none
         "versions": {
             "driftlab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         },
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
         # the BLAS thread setting this run saw (driftlab/__init__.py sets a
         # default of 1); it decides what cpu time against wall time means
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -357,6 +356,9 @@ def compare(path_a, path_b, tolerance: float) -> int:
 
 
 def main(argv=None) -> int:
+    # loaded here, not at import, since a run through :func:`run` parses nothing
+    import argparse
+
     parser = argparse.ArgumentParser(prog="driftlab")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -84,11 +84,16 @@ class PathBatch:
             yield (min(BLOCK_PATHS, self.n_paths - b * BLOCK_PATHS),
                    np.random.default_rng(np.random.SeedSequence((int(self.seed), b))))
 
-    def iter_increments(self):
-        """Yield per-block increment arrays of shape (block, n_steps)."""
+    def iter_increments(self, out=None):
+        """Yield per-block increment arrays of shape (block, n_steps).  Given
+        an (n_paths, n_steps) array ``out``, each block is drawn into its
+        rows of it, and the arrays yielded are those rows."""
+        start = 0
         for size, rng in self.iter_blocks():
-            inc = rng.standard_normal((size, self.n_steps))
+            rows = None if out is None else out[start:start + size]
+            inc = rng.standard_normal((size, self.n_steps), out=rows)
             inc *= math.sqrt(self.dt)
+            start += size
             yield inc
 
     def iter_paths(self):
@@ -98,12 +103,6 @@ class PathBatch:
             paths[:, 0] = 0.0
             np.cumsum(inc, axis=1, out=paths[:, 1:])
             yield paths
-
-    def paths(self):
-        """All paths materialized; intended for small-to-medium batches.  A
-        batch of one block is that block itself, not a copy of it."""
-        blocks = list(self.iter_paths())
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +467,17 @@ def _standardized(s):
     return (s - float(np.mean(s))) / (sd if sd > 1e-12 else 1.0)
 
 
+def _walk(batch):
+    """W(t_1), ..., W(t_m) of every path of the batch, one (n_paths, n_steps)
+    array: each block's increments are drawn into their rows and summed in
+    place, the sum that :meth:`PathBatch.iter_paths` makes, so the values
+    are its paths' bit for bit and no other path-sized array is made."""
+    walk = np.empty((batch.n_paths, batch.n_steps))
+    for inc in batch.iter_increments(out=walk):
+        np.cumsum(inc, axis=1, out=inc)
+    return walk
+
+
 def _second_statistic(F, scaled, dt):
     """The running statistic of the scaled paths that a two-statistic
     functional depends on besides the state, built in place in ``scaled``;
@@ -501,22 +511,30 @@ def lsmc_bsde(
     added.  A rank-deficient hat regression falls back to fewer knots, and
     zero-variance targets short-circuit to constants.  A failed
     least-squares solve or non-finite coefficients raise ``RuntimeError``.
-    Besides the paths, only the scaled paths that the terminal evaluation
-    reads are held; the second statistic is built in place in them, and the
-    state and the increment are formed per step.  The run's trace gets n,
-    the basis, the hat knot counts' range, the regression steps, the
-    fallbacks and the wall time.
+    The paths are held once, as the walk W(t_1), ..., W(t_m) without its
+    origin (:func:`_walk`), and the state and the increment are read off it
+    per step.  A terminal functional is evaluated on W(1) / sqrt(n) alone;
+    any other builds the scaled paths from the walk, and the second
+    statistic is built in place in them.  The run's trace gets n, the basis,
+    the hat knot counts' range, the regression steps, the fallbacks and the
+    wall time.
     """
     started = time.perf_counter()
-    paths = batch.paths()
+    walk = _walk(batch)
     times = batch.times
     dt = batch.dt
     sqrt_n = math.sqrt(n)
     m = batch.n_steps
-    scaled = paths / sqrt_n
-    y = np.asarray(evaluate_functional(F, times, scaled), dtype=float)
-    second = _second_statistic(F, scaled, dt)
-    del scaled
+    if terminal_route(F):
+        y = np.asarray(evaluate_functional(F, times[-1:], walk[:, -1:] / sqrt_n), dtype=float)
+        second = None
+    else:
+        scaled = np.empty((batch.n_paths, m + 1))
+        scaled[:, 0] = 0.0
+        np.divide(walk, sqrt_n, out=scaled[:, 1:])
+        y = np.asarray(evaluate_functional(F, times, scaled), dtype=float)
+        second = _second_statistic(F, scaled, dt)
+        del scaled
 
     # certified truncations from the boundedness certificate: with a
     # nonnegative cost the value process stays inside the bounds of F, and
@@ -541,7 +559,8 @@ def lsmc_bsde(
             e_k = np.full_like(y, y.mean())
             z_k = np.zeros_like(y)
         else:
-            state = paths[:, k] / sqrt_n
+            # W(t_k) is column k - 1 of the walk
+            state = walk[:, k - 1] / sqrt_n
             if second is not None:
                 basis = _PolynomialBasis(state, second[:, k])
             else:
@@ -555,7 +574,7 @@ def lsmc_bsde(
             # centering the gradient target by the fitted conditional
             # mean is unbiased (the mean is measurable at time k) and
             # removes the O(1/dt) variance of the raw target
-            z_k = basis(basis.fit((y - e_k) * (paths[:, k + 1] - paths[:, k]) / dt))
+            z_k = basis(basis.fit((y - e_k) * (walk[:, k] - walk[:, k - 1]) / dt))
             basis_sizes.append(basis.size)
             if k == m - 1:
                 terminal_residual = float(np.sqrt(np.mean((y - e_k) ** 2)))
@@ -567,7 +586,8 @@ def lsmc_bsde(
         y = e_k + dt * g.gstar(times[k], sqrt_n * z_k)
         y_ladder[k] = float(np.mean(y))
     # at time 0 every path is at the origin, so both regressions are means
-    z0 = float(np.mean(y * (paths[:, 1] - paths[:, 0]))) / dt
+    # and the first increment is W(t_1) itself
+    z0 = float(np.mean(y * walk[:, 0])) / dt
     y_ladder[0] = float(np.mean(y)) + dt * g.gstar(times[0], np.full(1, sqrt_n * z0))[0]
 
     kind = "hat" if second is None else "polynomial"

@@ -73,7 +73,8 @@ def compare_csv_texts(text_a: str, text_b: str):
     """Cell-wise comparison of two report CSV bodies.
 
     Numeric cells contribute their absolute difference; non-numeric cells
-    must match exactly.  Mismatched headers or shapes raise.
+    must match exactly.  Two NaNs or two equal infinities differ by 0, and a
+    NaN against a number by inf.  Mismatched headers or shapes raise.
     """
 
     def parse(text):
@@ -99,7 +100,8 @@ def compare_csv_texts(text_a: str, text_b: str):
                 if va != vb:
                     raise ValueError(f"mismatched labels {va!r} vs {vb!r}")
                 continue
-            if math.isnan(fa) and math.isnan(fb):
+            if fa == fb or (math.isnan(fa) and math.isnan(fb)):
                 continue
-            worst = max(worst, abs(fa - fb))
+            diff = abs(fa - fb)
+            worst = max(worst, math.inf if math.isnan(diff) else diff)
     return worst, count

@@ -5,6 +5,7 @@ import copy
 import importlib
 import importlib.util
 import inspect
+import itertools
 import json
 import math
 import os
@@ -12,10 +13,12 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 from driftlab import cli, montecarlo, pde, sanov
@@ -135,6 +138,15 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["kind"] == "pde-sweep"
         assert "config_sha256" in manifest
+
+    def test_wall_time_ignores_wall_clock_steps(self, tmp_path, monkeypatch):
+        # a wall clock that steps back an hour at every reading
+        readings = itertools.count(0.0, -3600.0)
+        monkeypatch.setattr(time, "time", lambda: next(readings))
+        assert cli.run(dict(LSMC_CONFIG, n_list=[1, 4]), tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        at = [r["at_s"] for r in manifest["trace"]]
+        assert manifest["wall_time_s"] >= max(at) >= 0.0
 
     def test_missing_seed_exits_2_naming_seed(self, tmp_path, capsys):
         payload = dict(MC_CONFIG)
@@ -863,24 +875,30 @@ class TestImportGraph:
     """Start-up cost: a run imports only the scipy subpackages its route calls.
 
     Checked in a fresh interpreter, since the test modules themselves load
-    scipy.stats, scipy.optimize and scipy.integrate.  Only the PDE, transport
-    and ascent routes load scipy subpackages: the PDE routes load
-    ``scipy.linalg`` alone, and the Monte Carlo routes, ``bridge-check`` and
-    a ``schilder`` run that takes the straight-line search load none.  The
+    scipy.stats, scipy.optimize and scipy.integrate.  ``import driftlab.cli``
+    loads no scipy at all, and the Monte Carlo routes and ``bridge-check``
+    load none either.  Only the PDE, transport and ascent routes load scipy
+    subpackages: the PDE routes load ``scipy.linalg`` alone, and a
+    ``schilder`` run that takes the straight-line search loads none.  A
+    manifest records the scipy version only when the run loaded scipy.  The
     quadrature nodes are built on first use: ``import driftlab.cli`` loads
     no ``numpy.polynomial``, and the PDE routes build no nodes.  Only
     scipy.linalg's array-API shim, which imports all of numpy, pulls in
-    ``numpy.polynomial``.  ``yaml`` loads only when a config file is read.
+    ``numpy.polynomial``.  ``yaml`` loads only when a config file is read,
+    and ``argparse`` only when :func:`driftlab.cli.main` parses arguments.
     """
 
-    def test_import_loads_no_yaml(self):
-        done = run_python(["-c", "import sys, driftlab.cli; print('yaml' in sys.modules)"])
+    def test_import_loads_no_yaml_scipy_or_argparse(self):
+        code = ("import sys, driftlab.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
+                " & {'yaml', 'scipy', 'argparse'}))")
+        done = run_python(["-c", code])
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
-    def test_monte_carlo_routes_load_no_scipy_subpackage(self, tmp_path):
+    def test_monte_carlo_routes_load_no_scipy(self, tmp_path):
         # a hat basis and a polynomial basis for bsde-lsmc, each estimator
-        # of mc-estimate without an oracle, and the bridge check
+        # of mc-estimate without an oracle, and the bridge check: no module
+        # of scipy, the top-level package included
         configs = {
             "bsde-lsmc-hat": LSMC_CONFIG,
             "bsde-lsmc-running-max": dict(LSMC_CONFIG, functional={"kind": "running_max",
@@ -891,19 +909,40 @@ class TestImportGraph:
             "bridge-check": SMALL_BRIDGE,
         }
         code = f"""
-            import json
+            import json, sys
             from driftlab import cli
 
             seen = {{}}
             for kind, cfg in json.loads({json.dumps(configs)!r}).items():
                 exit_code = cli.run(cfg, {str(tmp_path)!r} + "/" + kind)
-                seen[kind] = [exit_code, heavy_modules()
-                              + ["numpy.polynomial"] * ("numpy.polynomial" in sys.modules)]
+                seen[kind] = [exit_code, sorted(m for m in sys.modules
+                                                if m.split(".")[0] == "scipy"
+                                                or m == "numpy.polynomial")]
             print(json.dumps(seen))
         """
-        done = run_python(["-c", HEAVY_MODULES + textwrap.dedent(code)])
+        done = run_python(["-c", textwrap.dedent(code)])
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == {kind: [0, []] for kind in configs}
+
+    def test_manifest_names_the_scipy_the_run_loaded(self, tmp_path):
+        # an LSMC run loads no scipy and records null; a PDE run then loads
+        # scipy.linalg, and its manifest records the package's version
+        configs = {"bsde-lsmc": LSMC_CONFIG, "pde-sweep": SMALL_PDE_SWEEP}
+        code = f"""
+            import json
+            from driftlab import cli
+
+            seen = {{}}
+            for kind, cfg in json.loads({json.dumps(configs)!r}).items():
+                out = {str(tmp_path)!r} + "/" + kind
+                assert cli.run(cfg, out) == 0, kind
+                with open(out + "/manifest.json") as fh:
+                    seen[kind] = json.load(fh)["versions"]["scipy"]
+            print(json.dumps(seen))
+        """
+        done = run_python(["-c", textwrap.dedent(code)])
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"bsde-lsmc": None, "pde-sweep": scipy.__version__}
 
     def test_pde_routes_load_no_heavy_scipy(self, tmp_path):
         configs = {"pde-sweep": SMALL_PDE_SWEEP, "sanov-iterate": SMALL_SANOV}

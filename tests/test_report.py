@@ -38,6 +38,17 @@ class TestCompareCsv:
         worst, _ = compare_csv_texts("a,b\n1,2\n", "a,b\n1,2.5\n")
         assert worst == 0.5
 
+    @pytest.mark.parametrize("a, b", [("nan", "2.5"), ("2.5", "nan"), ("nan", "inf"),
+                                      ("-inf", "nan"), ("inf", "-inf"), ("inf", "2.5")])
+    def test_nan_or_infinity_against_another_value_is_infinite(self, a, b):
+        worst, rows = compare_csv_texts(f"a,b\n1,{a}\n", f"a,b\n1,{b}\n")
+        assert worst == math.inf and rows == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nan_or_infinity_against_itself_is_zero(self, value):
+        text = f"a,b\n1,{value}\n"
+        assert compare_csv_texts(text, text) == (0.0, 1)
+
     def test_label_mismatch_raises(self):
         with pytest.raises(ValueError, match="labels"):
             compare_csv_texts("a,b\nx,2\n", "a,b\ny,2\n")
