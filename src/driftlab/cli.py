@@ -36,6 +36,7 @@ from .config import (
     choice,
     integer_at_least,
     integer_list,
+    invalid,
     load_config,
     number,
     number_at_least,
@@ -43,7 +44,7 @@ from .config import (
     optional,
     positive_list,
     positive_number,
-    require,
+    section,
     time_independent_generator,
 )
 from .montecarlo import (
@@ -77,11 +78,11 @@ _AUX_FILES = ("path.csv",)
 
 
 def _run_pde_sweep(cfg):
-    g = time_independent_generator(cfg, "generator", "pde-sweep")
-    f = build_scalar_function(cfg, "terminal", "pde-sweep")
-    grid = build_grid(require(cfg, "grid", "pde-sweep"))
-    n_list = integer_list(cfg, "n_list", 1, "pde-sweep", default=[1, 2, 4, 8, 16, 32, 64])
-    y_step = positive_number(cfg, "y_step", "pde-sweep", default=1e-3)
+    g = time_independent_generator(cfg, "generator")
+    f = build_scalar_function(cfg, "terminal")
+    grid = build_grid(section(cfg, "grid"))
+    n_list = integer_list(cfg, "n_list", 1, default=[1, 2, 4, 8, 16, 32, 64])
+    y_step = positive_number(cfg, "y_step", default=1e-3)
 
     def solve():
         rows = vanishing_viscosity_sweep(f, g, n_list, grid, y_step=y_step)
@@ -90,12 +91,12 @@ def _run_pde_sweep(cfg):
 
 
 def _run_schilder(cfg):
-    seed = integer_at_least(cfg, "seed", 0, "schilder")
-    g = build_generator(require(cfg, "generator", "schilder"))
-    F = build_functional(require(cfg, "functional", "schilder"))
-    m = integer_at_least(cfg, "knots", 2, "schilder", default=17)
-    restarts = integer_at_least(cfg, "restarts", 1, "schilder", default=8)
-    max_iter = integer_at_least(cfg, "max_iter", 1, "schilder", default=400)
+    seed = integer_at_least(cfg, "seed", 0)
+    g = build_generator(section(cfg, "generator"))
+    F = build_functional(section(cfg, "functional"))
+    m = integer_at_least(cfg, "knots", 2, default=17)
+    restarts = integer_at_least(cfg, "restarts", 1, default=8)
+    max_iter = integer_at_least(cfg, "max_iter", 1, default=400)
 
     def solve():
         res = maximize_schilder(F, g, m=m, restarts=restarts, seed=seed, max_iter=max_iter)
@@ -107,25 +108,25 @@ def _run_schilder(cfg):
 
 
 def _run_sanov_iterate(cfg):
-    g = build_generator(require(cfg, "generator", "sanov-iterate"))
-    phi = build_scalar_function(cfg, "phi", "sanov-iterate")
-    Phi = build_scalar_function(cfg, "Phi", "sanov-iterate")
-    lo, hi = number_pair(cfg, "phi_bounds", "sanov-iterate")
+    g = build_generator(section(cfg, "generator"))
+    phi = build_scalar_function(cfg, "phi")
+    Phi = build_scalar_function(cfg, "Phi")
+    lo, hi = number_pair(cfg, "phi_bounds")
     F = MeanFieldFunctional(phi=phi, Phi=Phi, phi_bounds=(lo, hi))
-    grid = build_grid(require(cfg, "grid", "sanov-iterate"))
-    lam_min = number(cfg, "lambda_min", "sanov-iterate", default=-6.0)
-    lam_max = number(cfg, "lambda_max", "sanov-iterate", default=6.0)
+    grid = build_grid(section(cfg, "grid"))
+    lam_min = number(cfg, "lambda_min", default=-6.0)
+    lam_max = number(cfg, "lambda_max", default=6.0)
     # a window without lambda = 0 misses the free statistic, where C(c) = 0
     if not lam_min < 0.0 < lam_max:
-        key = "lambda_min" if lam_min >= 0.0 else "lambda_max"
-        raise ConfigError(f"key '{key}' in sanov-iterate must leave 0 inside the window "
-                          f"(lambda_min < 0 < lambda_max), got [{lam_min:g}, {lam_max:g}]")
+        raise invalid(cfg, "lambda_min" if lam_min >= 0.0 else "lambda_max",
+                      "leave 0 inside the window (lambda_min < 0 < lambda_max)",
+                      f"[{lam_min:g}, {lam_max:g}]")
     # the rows of the limit's one march
-    lam_grid = np.linspace(lam_min, lam_max, integer_at_least(
-        cfg, "lambda_points", 5, "sanov-iterate", default=33))
-    n_list = integer_list(cfg, "n_list", 1, "sanov-iterate", default=[1, 2, 4, 8])
+    lam_grid = np.linspace(lam_min, lam_max, integer_at_least(cfg, "lambda_points", 5,
+                                                              default=33))
+    n_list = integer_list(cfg, "n_list", 1, default=[1, 2, 4, 8])
     # the nodes of each interpolated stage; its node slopes need 5
-    s_points = integer_at_least(cfg, "s_points", 5, "sanov-iterate", default=33)
+    s_points = integer_at_least(cfg, "s_points", 5, default=33)
 
     def solve():
         limit = mean_field_limit(F, g, lam_grid, grid)
@@ -138,13 +139,13 @@ def _run_sanov_iterate(cfg):
 
 
 def _run_schrodinger_sweep(cfg):
-    g = time_independent_generator(cfg, "generator", "schrodinger-sweep")
-    mu = build_measure(require(cfg, "mu", "schrodinger-sweep"), "mu")
-    nu = build_measure(require(cfg, "nu", "schrodinger-sweep"), "nu")
-    mollified = boolean(cfg, "mollified", "schrodinger-sweep", default=True)
+    g = time_independent_generator(cfg, "generator")
+    mu = build_measure(section(cfg, "mu"))
+    nu = build_measure(section(cfg, "nu"))
+    mollified = boolean(cfg, "mollified", default=True)
     # an unmollified sweep may reach eps = 0, the transport problem itself
-    eps_list = positive_list(cfg, "eps_list", "schrodinger-sweep", allow_zero=not mollified)
-    n_time = integer_at_least(cfg, "n_time", 1, "schrodinger-sweep", default=32)
+    eps_list = positive_list(cfg, "eps_list", allow_zero=not mollified)
+    n_time = integer_at_least(cfg, "n_time", 1, default=32)
 
     def solve():
         rows = small_noise_sweep(mu, nu, g, eps_list, mollified=mollified, n_time=n_time)
@@ -154,43 +155,39 @@ def _run_schrodinger_sweep(cfg):
     return solve
 
 
-def _build_control(section):
-    kind = choice(section, "kind", ("constant", "pull_toward"), "control")
-    if kind == "constant":
-        return FeedbackControl.constant(number(section, "value", "control"))
-    center = number(section, "center", "control", default=0.0)
-    bound = positive_number(section, "bound", "control", default=3.0)
+def _build_control(spec):
+    if choice(spec, "kind", ("constant", "pull_toward")) == "constant":
+        return FeedbackControl.constant(number(spec, "value"))
+    center = number(spec, "center", default=0.0)
+    bound = positive_number(spec, "bound", default=3.0)
     return FeedbackControl.state_feedback(
         lambda t, x: center - x, bound=bound, label=f"pull_toward({center:g})"
     )
 
 
-def _oracle(section):
+def _oracle(spec):
     """The PDE value at the origin that an ``oracle`` section describes, as a
     function to call once the estimate is in."""
-    g = build_generator(require(section, "generator", "oracle"), "oracle.generator")
-    f = build_scalar_function(section, "terminal", "oracle")
-    grid = build_grid(require(section, "grid", "oracle"), "oracle.grid")
-    viscosity = positive_number(section, "viscosity", "oracle", default=1.0)
+    g = build_generator(section(spec, "generator"))
+    f = build_scalar_function(spec, "terminal")
+    grid = build_grid(section(spec, "grid"))
+    viscosity = positive_number(spec, "viscosity", default=1.0)
     return lambda: solve_semilinear(f, g, viscosity, grid).initial_value_at_origin
 
 
 def _run_mc_estimate(cfg):
-    seed = integer_at_least(cfg, "seed", 0, "mc-estimate")
-    estimator = choice(cfg, "estimator", ("log-mean-exp", "cramer", "girsanov"),
-                       "mc-estimate")
-    F = build_functional(require(cfg, "functional", "mc-estimate"))
+    seed = integer_at_least(cfg, "seed", 0)
+    estimator = choice(cfg, "estimator", ("log-mean-exp", "cramer", "girsanov"))
+    F = build_functional(section(cfg, "functional"))
     # the Cramer average runs over n independent copies
-    n = (integer_at_least(cfg, "n", 1, "mc-estimate", default=1) if estimator == "cramer"
-         else positive_number(cfg, "n", "mc-estimate", default=1))
-    batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, "mc-estimate", default=8),
-                      n_paths=integer_at_least(cfg, "paths", 1, "mc-estimate",
-                                               default=1_000_000), seed=seed)
-    section = optional(cfg, "oracle")
-    oracle = None if section is None else _oracle(section)
+    n = (integer_at_least(cfg, "n", 1, default=1) if estimator == "cramer"
+         else positive_number(cfg, "n", default=1))
+    batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, default=8),
+                      n_paths=integer_at_least(cfg, "paths", 1, default=1_000_000), seed=seed)
+    oracle = None if optional(cfg, "oracle") is None else _oracle(section(cfg, "oracle"))
     if estimator == "girsanov":
-        g = build_generator(require(cfg, "generator", "mc-estimate"))
-        control = _build_control(require(cfg, "control", "mc-estimate"))
+        g = build_generator(section(cfg, "generator"))
+        control = _build_control(section(cfg, "control"))
         estimate = lambda: girsanov_lower_bound(F, g, control, batch)
     else:
         estimate = lambda: (cramer_average if estimator == "cramer" else log_mean_exp)(F, n, batch)
@@ -204,14 +201,13 @@ def _run_mc_estimate(cfg):
 
 
 def _run_bsde_lsmc(cfg):
-    seed = integer_at_least(cfg, "seed", 0, "bsde-lsmc")
-    g = build_generator(require(cfg, "generator", "bsde-lsmc"))
-    F = build_functional(require(cfg, "functional", "bsde-lsmc"))
-    n_list = positive_list(cfg, "n_list", "bsde-lsmc", default=[1])
-    basis_size = integer_at_least(cfg, "basis_size", 2, "bsde-lsmc", default=35)
-    batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, "bsde-lsmc", default=50),
-                      n_paths=integer_at_least(cfg, "paths", 1, "bsde-lsmc", default=100_000),
-                      seed=seed)
+    seed = integer_at_least(cfg, "seed", 0)
+    g = build_generator(section(cfg, "generator"))
+    F = build_functional(section(cfg, "functional"))
+    n_list = positive_list(cfg, "n_list", default=[1])
+    basis_size = integer_at_least(cfg, "basis_size", 2, default=35)
+    batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, default=50),
+                      n_paths=integer_at_least(cfg, "paths", 1, default=100_000), seed=seed)
 
     def solve():
         rows = []
@@ -226,7 +222,7 @@ def _run_bsde_lsmc(cfg):
 
 
 def _run_ti_check(cfg):
-    g = build_generator(require(cfg, "generator", "ti-check"))
+    g = build_generator(section(cfg, "generator"))
 
     def solve():
         report = gen.check_ti(g)
@@ -237,15 +233,13 @@ def _run_ti_check(cfg):
 
 
 def _run_bridge_check(cfg):
-    seed = integer_at_least(cfg, "seed", 0, "bridge-check")
-    batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, "bridge-check", default=512),
-                      n_paths=integer_at_least(cfg, "paths", 1, "bridge-check",
-                                               default=100_000), seed=seed)
-    r = number(cfg, "r", "bridge-check", default=1.5)
-    args = (number(cfg, "x", "bridge-check", default=0.0),
-            number(cfg, "y", "bridge-check", default=1.0),
-            number_at_least(cfg, "epsilon", 0.0, "bridge-check", default=0.01),
-            positive_number(cfg, "delta", "bridge-check", default=1.0), r, batch)
+    seed = integer_at_least(cfg, "seed", 0)
+    batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, default=512),
+                      n_paths=integer_at_least(cfg, "paths", 1, default=100_000), seed=seed)
+    r = number(cfg, "r", default=1.5)
+    args = (number(cfg, "x", default=0.0), number(cfg, "y", default=1.0),
+            number_at_least(cfg, "epsilon", 0.0, default=0.01),
+            positive_number(cfg, "delta", default=1.0), r, batch)
 
     def solve():
         chk = bridge_moment_check(*args)
@@ -286,7 +280,7 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
     out = Path(out_dir)
     cfg = ReadRecorder(copy.deepcopy(cfg))
     try:
-        kind = choice(cfg, "kind", _RUNNERS)
+        kind = cfg.name = choice(cfg, "kind", _RUNNERS)
         solve = _RUNNERS[kind](cfg)
         for key in cfg.unread() & set(ignorable):
             del cfg[key]

@@ -795,9 +795,9 @@ class TestRun:
 ], ids=["bump", "narrow-bump", "square", "negative-square"])
 def test_config_function_of_one_point_is_its_batch_value(function):
     # a path evaluated alone and the same path in a batch give the same F
-    from driftlab.config import build_scalar_function
+    from driftlab.config import ReadRecorder, build_scalar_function
 
-    f = build_scalar_function({"f": function}, "f")
+    f = build_scalar_function(ReadRecorder({"f": function}, "functional"), "f")
     x = np.random.default_rng(3).normal(scale=2.0, size=100_000)
     alone = np.array([f(v) for v in x])
     assert alone.tobytes() == f(x).tobytes()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from driftlab.config import build_generator
+from driftlab.config import ReadRecorder, build_generator
 from driftlab.generators import (
     IndicatorInterval,
     PowerLaw,
@@ -362,7 +362,7 @@ class TestModulated:
         _, spec, _ = case
         section = {"variant": "modulated", "base": MODULATED_BASE_CONFIGS[name],
                    "weights": list(self.WEIGHTS)}
-        assert build_generator(section) == spec
+        assert build_generator(ReadRecorder(section, "generator")) == spec
 
 
 class TestLipschitzBound:
@@ -435,12 +435,13 @@ class TestSerialization:
              Tabulated(q=(-1.0, 0.0, 1.0), g=(1.0, 0.0, 1.0))),
         ]
         for section, spec in cases:
-            assert build_generator(section) == spec
+            assert build_generator(ReadRecorder(section, "generator")) == spec
 
     def test_tabulated_csv(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("# q, g\n-1.0,1.0\n\n0.0,0.0  # the minimum\n1.0,1.0\n")
-        tab = build_generator({"variant": "tabulated", "csv": str(path)})
+        tab = build_generator(ReadRecorder({"variant": "tabulated", "csv": str(path)},
+                                            "generator"))
         assert tab == Tabulated(q=(-1.0, 0.0, 1.0), g=(1.0, 0.0, 1.0))
 
     def test_domain_interval(self):

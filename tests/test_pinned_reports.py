@@ -203,3 +203,47 @@ def test_misspelt_key_in_a_section_exits_2_before_any_solver(tmp_path, capsys, n
     err = capsys.readouterr().err
     assert f"unknown key '{'.'.join(path)}.zz_typo'" in err
     assert not out.exists()
+
+
+def _run_with(tmp_path, name, path, key, value):
+    """Run ``CONFIGS[name]`` with ``key`` set to ``value`` in the section at
+    ``path`` (a function given by name becomes its mapping first); returns
+    the exit code and the error text."""
+    payload = json.loads(json.dumps(CONFIGS[name]))
+    parent = payload
+    for k in path[:-1]:
+        parent = parent[k]
+    if isinstance(parent[path[-1]], str):
+        parent[path[-1]] = {"kind": parent[path[-1]]}
+    parent[path[-1]][key] = value
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(payload))
+    return main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("name, path, key, value", [
+    ("pde-sweep-indicator", ("grid",), "nx", 1.5),
+    ("pde-sweep-indicator", ("generator",), "K", "abc"),
+    ("sanov-iterate-modulated-power", ("generator", "base"), "r", "abc"),
+    ("bsde-lsmc-power", ("functional",), "bounds", [1.0, 0.0]),
+    ("bsde-lsmc-power", ("functional", "f"), "width", -1.0),
+    ("pde-sweep-tabulated", ("terminal",), "width", -1.0),
+    ("sanov-iterate-quadratic", ("phi",), "kind", "no_such_function"),
+    ("sanov-iterate-quadratic", ("Phi",), "kind", "no_such_function"),
+    ("mc-estimate-girsanov-modulated", ("control",), "bound", -1.0),
+    ("schrodinger-sweep-quadratic", ("mu",), "atoms", "abc"),
+    ("mc-estimate-girsanov-modulated", ("oracle",), "viscosity", 0.0),
+    ("mc-estimate-girsanov-modulated", ("oracle", "grid"), "nx", 2),
+    ("mc-estimate-girsanov-modulated", ("oracle", "generator"), "weights", "abc"),
+    ("mc-estimate-oracle-modulated-tabulated", ("oracle", "terminal"), "center", "abc"),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_bad_value_names_its_section_as_an_unknown_key_does(tmp_path, capsys, no_solver,
+                                                            name, path, key, value):
+    """A value error names its section by the dotted path that an unknown
+    key in that section is named by."""
+    dotted = ".".join(path)
+    assert _run_with(tmp_path, name, path, key, value) == 2
+    assert f"key '{key}' in {dotted} must be " in capsys.readouterr().err
+    assert _run_with(tmp_path, name, path, "zz_typo", 1.0) == 2
+    assert f"unknown key '{dotted}.zz_typo'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

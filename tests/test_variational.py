@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from scipy.optimize._numdiff import approx_derivative
 
 from driftlab import variational
-from driftlab.config import build_functional
+from driftlab.config import ReadRecorder, build_functional
 from driftlab.generators import (
     IndicatorInterval,
     PowerLaw,
@@ -36,6 +36,11 @@ from driftlab.variational import (
 )
 
 QUAD = Quadratic(1.0)
+
+
+def config_functional(section):
+    """The functional a config's ``functional`` section describes."""
+    return build_functional(ReadRecorder(section, "functional"))
 
 
 def gaussian_bump(x):
@@ -248,8 +253,8 @@ def product_bump(x):
 
 
 def _marginals(k):
-    return build_functional({"kind": "finite_marginals", "f": "tanh",
-                             "times": [float(t) for t in np.linspace(0.1, 1.0, k)]})
+    return config_functional({"kind": "finite_marginals", "f": "tanh",
+                              "times": [float(t) for t in np.linspace(0.1, 1.0, k)]})
 
 
 # name -> (functional, knots); the time integral is Gauss-Legendre below 65
@@ -339,8 +344,8 @@ class TestBatchedObjective:
     @pytest.mark.parametrize("F", [
         TerminalValue(gaussian_bump),
         TerminalValue(lambda x: np.abs(np.asarray(x, dtype=float)) ** 1.5),
-        build_functional({"kind": "finite_marginals", "times": [0.3, 0.6, 1.0],
-                          "f": {"kind": "gaussian_bump", "center": 1.0}}),
+        config_functional({"kind": "finite_marginals", "times": [0.3, 0.6, 1.0],
+                           "f": {"kind": "gaussian_bump", "center": 1.0}}),
     ], ids=["square", "power-1.5", "config-bump-marginals"])
     def test_rows_with_scalar_power_agree_to_rounding(self, F):
         # numpy rounds a float64 scalar's ``**`` through libm pow and an
@@ -354,8 +359,8 @@ class TestBatchedObjective:
 
     def test_marginal_mean_of_a_batch_row_is_the_path_mean(self):
         # 9 marginals average in the same order for a batch row as for a path
-        F = build_functional({"kind": "finite_marginals", "f": "identity",
-                              "times": [float(t) for t in np.linspace(0.1, 1.0, 9)]})
+        F = config_functional({"kind": "finite_marginals", "f": "identity",
+                               "times": [float(t) for t in np.linspace(0.1, 1.0, 9)]})
         times = np.linspace(0.0, 1.0, 11)
         paths = np.random.default_rng(3).normal(size=(64, 11)).cumsum(axis=1)
         np.testing.assert_array_equal(evaluate_functional(F, times, paths),
@@ -511,7 +516,7 @@ class TestBatchedAscent:
             return inner(F, times, values)
 
         monkeypatch.setattr(variational, "evaluate_functional", counted)
-        F = build_functional({"kind": "running_max"})
+        F = config_functional({"kind": "running_max"})
         res = _ascend_tail(F, QUAD, ZERO, 0.0, 17, 8, 1, 400)
         points = sum(run.points for run in res.runs)
         assert len(calls) == 1 + points + 8
@@ -593,7 +598,7 @@ class TestStraightTail:
     ], ids=["pinned-tabulated", "benchmark-seed-1", "benchmark-seed-7", "criterion-6"])
     def test_never_below_the_ascent(self, config):
         section, g, m, restarts, seed, max_iter = config
-        F = build_functional(section)
+        F = config_functional(section)
         with recording() as trace:
             res = maximize_schilder(F, g, m=m, restarts=restarts, seed=seed, max_iter=max_iter)
         assert trace[0]["route"] == "straight-line"
