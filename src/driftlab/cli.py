@@ -111,8 +111,7 @@ def _run_sanov_iterate(cfg):
     g = build_generator(section(cfg, "generator"))
     phi = build_scalar_function(cfg, "phi")
     Phi = build_scalar_function(cfg, "Phi")
-    lo, hi = number_pair(cfg, "phi_bounds")
-    F = MeanFieldFunctional(phi=phi, Phi=Phi, phi_bounds=(lo, hi))
+    F = MeanFieldFunctional(phi=phi, Phi=Phi, phi_bounds=number_pair(cfg, "phi_bounds"))
     grid = build_grid(section(cfg, "grid"))
     lam_min = number(cfg, "lambda_min", default=-6.0)
     lam_max = number(cfg, "lambda_max", default=6.0)
@@ -160,9 +159,8 @@ def _build_control(spec):
         return FeedbackControl.constant(number(spec, "value"))
     center = number(spec, "center", default=0.0)
     bound = positive_number(spec, "bound", default=3.0)
-    return FeedbackControl.state_feedback(
-        lambda t, x: center - x, bound=bound, label=f"pull_toward({center:g})"
-    )
+    return FeedbackControl.state_feedback(lambda t, x: center - x, bound=bound,
+                                          label=f"pull_toward({center:g})")
 
 
 def _oracle(spec):
@@ -184,6 +182,12 @@ def _run_mc_estimate(cfg):
          else positive_number(cfg, "n", default=1))
     batch = PathBatch(n_steps=integer_at_least(cfg, "steps", 1, default=8),
                       n_paths=integer_at_least(cfg, "paths", 1, default=1_000_000), seed=seed)
+    # the Cramer average cuts each path into n equal pieces; Girsanov's bound is n = 1 alone
+    if estimator == "cramer" and batch.n_steps % n:
+        raise invalid(cfg, "steps", "be a multiple of 'n' under the cramer estimator",
+                      f"steps {batch.n_steps} with n {n}")
+    if estimator == "girsanov" and n != 1:
+        raise invalid(cfg, "n", "be 1 under the girsanov estimator", repr(cfg["n"]))
     oracle = None if optional(cfg, "oracle") is None else _oracle(section(cfg, "oracle"))
     if estimator == "girsanov":
         g = build_generator(section(cfg, "generator"))
@@ -216,8 +220,7 @@ def _run_bsde_lsmc(cfg):
             sol = lsmc_bsde(F, g, n, replace(batch, seed=seed + math.floor(n)),
                             basis_size=basis_size)
             rows.append((n, sol.y0, sol.terminal_residual, float(sol.degree_fallbacks)))
-        csv_text = csv_body(("n", "y0", "terminal_residual", "basis_fallbacks"), rows)
-        return csv_text, EXIT_OK, {}
+        return csv_body(("n", "y0", "terminal_residual", "basis_fallbacks"), rows), EXIT_OK, {}
     return solve
 
 
@@ -337,11 +340,13 @@ def run(cfg: dict, out_dir, source: str = "<config>", *, ignorable=()) -> int:
 
 
 def compare(path_a, path_b, tolerance: float) -> int:
-    """Row-aligned value comparison of two report CSVs."""
+    """Row-aligned value comparison of two report CSVs; exits 2 on a file
+    it cannot read or a schema mismatch, 1 on a difference above ``tolerance``."""
     try:
-        worst, rows = compare_csv_texts(
-            Path(path_a).read_text(), Path(path_b).read_text()
-        )
+        worst, rows = compare_csv_texts(*(Path(p).read_text() for p in (path_a, path_b)))
+    except OSError as err:
+        print(f"{err.filename}: cannot read the report: {err.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as err:
         print(f"schema mismatch: {err}", file=sys.stderr)
         return EXIT_CONFIG

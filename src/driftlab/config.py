@@ -1,24 +1,22 @@
 """Experiment configuration: a nested key-value (YAML) document mapped onto
 solver inputs, with validation errors that name the offending key.
 
-This is the one module that turns a config value into a Python value.  A
-config is read through a :class:`ReadRecorder`, which names each section by
-its dotted key path (``oracle.grid``) as it wraps it.  Each reader takes
-``(cfg, key)``, reads ``cfg[key]`` once and names ``key`` and the section
-``cfg`` when the value is missing or invalid; each builder takes a section,
-which its parent checks is a mapping with :func:`section`.  A number is an
-int or a float, never a bool or a string; a scalar must also be finite,
-while a list, which may not be empty, leaves finiteness to its consumer (a
-functional's bounds may be infinite, and a measure names its own non-finite
-entries).
+This is the one module that turns a config value into a Python value.  It
+reads a config through a :class:`ReadRecorder`, which records the keys
+looked up and names each section by its dotted key path (``oracle.grid``),
+the path the CLI names an unread key by.  Each reader takes ``(cfg, key)``,
+reads ``cfg[key]`` once and names ``key`` and the section ``cfg`` when the
+value is missing or invalid; each builder takes a section, which its parent
+checks is a mapping (:func:`section`).  A number is an int or a float, never
+a bool or a string; a scalar must also be finite, while a list, which may
+not be empty, leaves finiteness to its consumer (a functional's bounds may
+be infinite, and a measure names its own non-finite entries).
 
 A reader's ``default=`` is the one place a default lives: a reader that
 applies one writes it into ``cfg[key]``, so the config a run reads ends up
 holding every value the run used, which the CLI's manifest echoes.  A key
 whose absence means "derived" or "none" is read by :func:`optional`, which
-drops an explicit null, so the two spellings echo alike.  The recorder also
-remembers the keys looked up in it, and the CLI rejects any key that no
-reader read, by the same dotted path, before it solves anything.
+drops an explicit null, so the two spellings echo alike.
 
 Scalar functions (terminal data, test functions, outer nonlinearities) come
 from a small named registry so that configs stay declarative and runs stay
@@ -198,8 +196,7 @@ def _is_integer(value):
 
 
 def _read_list(cfg, key, what, item, default=_REQUIRED):
-    """``cfg[key]``, a non-empty list of items that pass ``item``; ``what``
-    describes an item."""
+    """``cfg[key]``, a non-empty list of items that pass ``item`` (``what``)."""
     return _read(cfg, key, default, f"a non-empty list of {what}",
                  lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(item(x) for x in v))
 
@@ -298,33 +295,32 @@ def two_column_csv(cfg: ReadRecorder, key: str) -> tuple:
 # Section builders: each takes a section, which names itself in its errors
 # ---------------------------------------------------------------------------
 
-def _variant(spec):
-    variant = require(spec, "variant")
-    if variant == "quadratic":
-        return gen.Quadratic(c=number(spec, "c", default=1.0))
-    if variant == "power":
-        return gen.PowerLaw(r=number(spec, "r"), a=number(spec, "a", default=1.0))
-    if variant == "indicator":
-        return gen.IndicatorInterval(K=number(spec, "K"))
-    if variant == "modulated":
-        return gen.TimeModulated(base=build_generator(section(spec, "base")),
-                                 weights=tuple(number_list(spec, "weights")))
-    if variant == "tabulated":
-        if "csv" in spec:
-            q, g = two_column_csv(spec, "csv")
-        else:
-            q, g = number_list(spec, "q"), number_list(spec, "g")
-        return gen.Tabulated(q=tuple(q), g=tuple(g))
-    raise ConfigError(f"unknown generator variant {variant!r} in {spec.name}")
+def _construct(spec, make, **params):
+    """``make(**params)``; a plain ValueError of its own checks names the section."""
+    try:
+        return make(**params)
+    except ValueError as err:
+        raise ConfigError(f"{spec.name} section invalid: {err}") from err
 
 
 def build_generator(spec: ReadRecorder):
-    try:
-        return _variant(spec)
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"{spec.name} section invalid: {err}") from err
+    variant = require(spec, "variant")
+    if variant == "quadratic":
+        make, params = gen.Quadratic, {"c": number(spec, "c", default=1.0)}
+    elif variant == "power":
+        make, params = gen.PowerLaw, {"r": number(spec, "r"), "a": number(spec, "a", default=1.0)}
+    elif variant == "indicator":
+        make, params = gen.IndicatorInterval, {"K": number(spec, "K")}
+    elif variant == "modulated":
+        make, params = gen.TimeModulated, {"base": build_generator(section(spec, "base")),
+                                           "weights": tuple(number_list(spec, "weights"))}
+    elif variant == "tabulated":
+        q, g = (two_column_csv(spec, "csv") if "csv" in spec
+                else (number_list(spec, "q"), number_list(spec, "g")))
+        make, params = gen.Tabulated, {"q": tuple(q), "g": tuple(g)}
+    else:
+        raise ConfigError(f"unknown generator variant {variant!r} in {spec.name}")
+    return _construct(spec, make, **params)
 
 
 def time_independent_generator(cfg: ReadRecorder, key: str):
@@ -398,16 +394,12 @@ def build_functional(spec: ReadRecorder):
 
 
 def build_grid(spec: ReadRecorder):
-    x_min = number(spec, "x_min")
-    x_max = number(spec, "x_max")
+    x_min, x_max = number(spec, "x_min"), number(spec, "x_max")
     nx = integer_at_least(spec, "nx", 3)
     nt = integer_at_least(spec, "nt", 1, default=1)
     boundary = choice(spec, "boundary", ("clampToTerminal", "oneSidedExtrapolation"),
                       default="clampToTerminal")
-    try:
-        grid = GridSpec(x_min=x_min, x_max=x_max, nx=nx, nt=nt, boundary=boundary)
-    except ValueError as err:
-        raise ConfigError(f"{spec.name} section invalid: {err}") from err
+    grid = _construct(spec, GridSpec, x_min=x_min, x_max=x_max, nx=nx, nt=nt, boundary=boundary)
     # every route reads the solution at x = 0, which a clamped end node or a
     # point off the grid would answer with the terminal datum
     if not x_min < 0.0 < x_max:
@@ -419,10 +411,8 @@ def build_grid(spec: ReadRecorder):
 
 def build_measure(spec: ReadRecorder):
     from_csv = "csv" in spec
-    if from_csv:
-        support, weights = two_column_csv(spec, "csv")
-    else:
-        support, weights = number_list(spec, "atoms"), number_list(spec, "weights")
+    support, weights = (two_column_csv(spec, "csv") if from_csv
+                        else (number_list(spec, "atoms"), number_list(spec, "weights")))
     try:
         return DiscreteMeasure(support=tuple(support), weights=tuple(weights))
     except ValueError as err:

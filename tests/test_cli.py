@@ -345,17 +345,29 @@ class TestRun:
         (dict(MC_CONFIG, functional=dict(MC_CONFIG["functional"], bounds=[1.0, 0.0])),
          "'bounds'"),
         (dict(LSMC_CONFIG, n_list=[]), "'n_list'"),
+        (dict(SMALL_GIRSANOV, n=4), "'n'"),
     ], ids=["lsmc-n-zero", "lsmc-n-negative", "mc-n-zero", "cramer-n-fraction",
             "basis-negative", "basis-zero", "basis-fraction", "steps-fraction", "paths-zero",
             "seed-fraction", "seed-negative", "knots-string", "restarts-zero", "max-iter-zero",
             "epsilon-negative", "delta-zero", "x-string", "y-string", "r-string",
             "bound-negative", "center-string", "value-string", "viscosity-string",
-            "times-outside-unit-interval", "times-empty", "bounds-reversed", "lsmc-n-list-empty"])
+            "times-outside-unit-interval", "times-empty", "bounds-reversed", "lsmc-n-list-empty",
+            "girsanov-n-not-one"])
     def test_bad_monte_carlo_input_exits_2_naming_key(self, tmp_path, capsys, config, key):
         cfg = write_config(tmp_path, "cfg.yaml", config)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
+
+    def test_cramer_steps_not_a_multiple_of_n_exits_2_before_any_solver(self, tmp_path, capsys,
+                                                                       no_solver):
+        cfg = write_config(tmp_path, "cfg.yaml",
+                           dict(MC_CONFIG, estimator="cramer", n=3, steps=16))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'steps'" in err and "'n'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, key", [
         (dict(SMALL_TRANSPORT, mu={"atoms": 0.0, "weights": [1.0]}), "'atoms'"),
@@ -1251,6 +1263,16 @@ class TestCompare:
         # 6 standard errors of a 5e4-path estimate of a [0, 1]-bounded value
         assert main(["compare", str(out_a / "report.csv"), str(out_b / "report.csv"),
                      "--tolerance", "0.02"]) == 0
+
+    @pytest.mark.parametrize("missing", [0, 1], ids=["first", "second"])
+    def test_unreadable_report_exits_2_naming_it(self, tmp_path, capsys, missing):
+        # exit 1 means the values differ, so a missing body must not read as it
+        present = tmp_path / "report.csv"
+        present.write_text("n,y0\n1,0.5\n")
+        paths = [present, present]
+        paths[missing] = tmp_path / "absent.csv"
+        assert main(["compare", *map(str, paths), "--tolerance", "0"]) == 2
+        assert str(tmp_path / "absent.csv") in capsys.readouterr().err
 
     def test_mismatched_schema_errors(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
