@@ -586,8 +586,9 @@ def lsmc_bsde(
         y = e_k + dt * g.gstar(times[k], sqrt_n * z_k)
         y_ladder[k] = float(np.mean(y))
     # at time 0 every path is at the origin, so both regressions are means
-    # and the first increment is W(t_1) itself
-    z0 = float(np.mean(y * walk[:, 0])) / dt
+    # and the first increment is W(t_1) itself; the gradient target is
+    # centred by the mean as at every later step, so y0 is cash-additive
+    z0 = float(np.mean((y - np.mean(y)) * walk[:, 0])) / dt
     y_ladder[0] = float(np.mean(y)) + dt * g.gstar(times[0], np.full(1, sqrt_n * z0))[0]
 
     kind = "hat" if second is None else "polynomial"

@@ -234,6 +234,21 @@ class TestLsmc:
             assert sol.basis == "polynomial"
             assert sol.y0 == pytest.approx(1.0 / 6.0, abs=5e-3)
 
+    @pytest.mark.parametrize("n", [1.0, 16.0])
+    @pytest.mark.parametrize("basis, functional", [
+        ("hat", lambda c: TerminalValue(lambda x: gaussian_bump(x) + c, bounds=(c, 1.0 + c))),
+        ("polynomial", lambda c: RunningMax(lambda m: np.minimum(1.0, m) + c,
+                                            bounds=(c, 1.0 + c))),
+    ], ids=["hat", "polynomial"])
+    def test_y0_is_cash_additive(self, basis, functional, n):
+        # adding c to F adds c to the value; a time-0 gradient read off the
+        # uncentred y added c * mean(W(t_1)) / dt to z0, and moved y0 by more
+        c = 0.3
+        batch = PathBatch(n_steps=16, n_paths=10_000, seed=0)
+        base, shifted = (lsmc_bsde(functional(shift), QUAD, n, batch) for shift in (0.0, c))
+        assert base.basis == shifted.basis == basis
+        assert shifted.y0 - base.y0 == pytest.approx(c, rel=0.0, abs=1e-12)
+
     def test_ladder_monotone_structure(self):
         F = TerminalValue(gaussian_bump, bounds=(0.0, 1.0))
         sol = lsmc_bsde(F, QUAD, 1.0, PathBatch(n_steps=25, n_paths=50_000, seed=20))
