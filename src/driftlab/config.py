@@ -373,8 +373,8 @@ def build_scalar_function(cfg: ReadRecorder, key: str, *, default=_REQUIRED):
 
 def build_functional(spec: ReadRecorder):
     kind = require(spec, "kind")
-    bounds = (-math.inf, math.inf) if optional(spec, "bounds") is None else number_pair(
-        spec, "bounds")
+    bounds = (number_pair(spec, "bounds") if optional(spec, "bounds") is not None
+              else (-math.inf, math.inf))
     if kind == "terminal":
         return TerminalValue(f=build_scalar_function(spec, "f"), bounds=bounds)
     if kind == "running_max":
